@@ -20,18 +20,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import crosscheck, realignment, witness
-from .errors import CVEntangleError, InvalidArgumentError
-from .fock import coherent_mixture_fock, witness_fock
-from .states import (
-    CoherentMixture,
-    PhotonAddedSqueezedThermal,
-    TwoModeStandardForm,
-    TwoTwoFamilyParams,
-    parse_state_descriptor,
-    state_descriptor,
-)
-from .symplectic import CovarianceMatrix
+from . import crosscheck, witness
+from .errors import CVEntangleError, InvalidArgumentError, NumericDomainError
+from .states import family_named, family_of, parse_state_descriptor, state_descriptor
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -41,120 +32,62 @@ EXIT_VERIFY = 5
 
 WORKERS_ENV = "CV_ENTANGLE_WORKERS"
 
-QUANTITIES = ("optimal_witness", "witness01", "swap", "realignment_norm", "classify", "bounds")
 
-_FAMILY_AXES = {
-    "standard2": {"a", "b", "c1", "c2"},
-    "two_two": {"a", "b", "c"},
-    "photon_added_sts": {"n", "r"},
-    "coherent_mixture": {"p"},
+def _expectation(value: float) -> dict:
+    return {"value": value, "entangled": witness.detects_entanglement(value)}
+
+
+def _bounds_record(report: bounds_mod.BoundReport) -> dict:
+    detects = witness.detects_entanglement
+    entangled = detects(report.witness_value_01) or detects(report.swap_value)
+    return {**report.to_record(), "entangled": entangled}
+
+
+#: JSON record fields of each quantity, from the value its evaluator returns.
+_RECORDS = {
+    "optimal_witness": lambda opt: {
+        "mu1": opt.params.mu1,
+        "mu2": opt.params.mu2,
+        "muMinus": opt.mu_minus,
+        "muPlus": opt.mu_plus,
+        **_expectation(opt.value),
+    },
+    "witness01": lambda value: {"mu1": 0.0, "mu2": 1.0, **_expectation(value)},
+    "swap": _expectation,
+    "realignment_norm": lambda result: result.to_record(),
+    "classify": dict,
+    "bounds": _bounds_record,
 }
 
-
-def _witness01(state, order: int) -> float:
-    if isinstance(state, TwoModeStandardForm):
-        return witness.witness_expectation_gaussian(state, witness.WitnessParams(0.0, 1.0))
-    if isinstance(state, PhotonAddedSqueezedThermal):
-        return witness.witness_photon_added_closed(state.n, state.r)
-    if isinstance(state, CovarianceMatrix):
-        if state.modes != 2:
-            raise InvalidArgumentError("witness01 requires a two-mode state")
-        from .states import WignerSpec
-
-        return witness.witness_expectation_wigner(
-            WignerSpec(covariance=state),
-            witness.WitnessParams(0.0, 1.0),
-            witness.QuadratureConfig(order=order),
-        )
-    raise InvalidArgumentError(
-        f"witness01 is not available for family {type(state).__name__}"
-    )
+QUANTITIES = tuple(_RECORDS)
 
 
-def _swap(state, order: int, cutoff: int) -> float:
-    if isinstance(state, CoherentMixture):
-        return witness.swap_expectation_coherent_mixture(state.p, state.alpha1, state.alpha2)
-    if isinstance(state, TwoModeStandardForm):
-        return witness.swap_expectation(state.wigner(), witness.QuadratureConfig(order=order))
-    if isinstance(state, PhotonAddedSqueezedThermal):
-        return witness.swap_expectation(state.wigner(), witness.QuadratureConfig(order=order))
-    if isinstance(state, CovarianceMatrix):
-        if state.modes != 2:
-            raise InvalidArgumentError("swap requires a two-mode state")
-        from .states import WignerSpec
-
-        return witness.swap_expectation(
-            WignerSpec(covariance=state), witness.QuadratureConfig(order=order)
-        )
-    raise InvalidArgumentError(f"swap is not available for family {type(state).__name__}")
+def _evaluator(family, quantity: str):
+    """The family's evaluator for ``quantity``; ``bounds`` is derived wherever
+    the family evaluates both ``witness01`` and ``swap``."""
+    if quantity == "bounds" and {"witness01", "swap"} <= family.quantities.keys():
+        w01, swap = family.quantities["witness01"], family.quantities["swap"]
+        return lambda state: bounds_mod.bound_report(w01(state), swap(state))
+    if quantity not in family.quantities:
+        raise InvalidArgumentError(f"{quantity} is not available for family {family.name}")
+    return family.quantities[quantity]
 
 
-def evaluate_quantity(state, quantity: str, order: int = 80, cutoff: int = 25) -> dict:
-    """Route one state/quantity pair to the matching engine; returns the JSON record."""
-    record: dict = {"state": state_descriptor(state), "quantity": quantity}
-    if quantity == "optimal_witness":
-        if not isinstance(state, TwoModeStandardForm):
-            raise InvalidArgumentError("optimal_witness requires the standard2 family")
-        opt = witness.optimal_witness(state)
-        params = opt.params
-        record.update(
-            mu1=params.mu1,
-            mu2=params.mu2,
-            muMinus=opt.mu_minus,
-            muPlus=opt.mu_plus,
-            value=opt.value,
-            entangled=witness.detects_entanglement(opt.value),
-        )
-    elif quantity == "witness01":
-        value = _witness01(state, order)
-        record.update(
-            mu1=0.0, mu2=1.0, value=value, entangled=witness.detects_entanglement(value)
-        )
-    elif quantity == "swap":
-        value = _swap(state, order, cutoff)
-        record.update(value=value, entangled=witness.detects_entanglement(value))
-    elif quantity == "realignment_norm":
-        if isinstance(state, TwoModeStandardForm):
-            cov = state.covariance()
-        elif isinstance(state, TwoTwoFamilyParams):
-            cov = state.covariance()
-        elif isinstance(state, CovarianceMatrix):
-            cov = state
-        else:
-            raise InvalidArgumentError(
-                f"realignment_norm is not available for family {type(state).__name__}"
-            )
-        record.update(realignment.realignment_norm(cov).to_record())
-    elif quantity == "classify":
-        if not isinstance(state, TwoTwoFamilyParams):
-            raise InvalidArgumentError("classify requires the two_two family")
-        result = realignment.classify_two_two(state.a, state.b, state.c)
-        record.update(result.to_record())
-        if result.verdict != "unphysical":
-            generic = realignment.realignment_norm(state.covariance())
-            record["nus"] = list(generic.spectrum.nus)
-            record["a0"] = generic.spectrum.a0
-    elif quantity == "bounds":
-        if isinstance(state, CoherentMixture):
-            swap_value = witness.swap_expectation_coherent_mixture(
-                state.p, state.alpha1, state.alpha2
-            )
-            rho = coherent_mixture_fock(state.p, state.alpha1, state.alpha2, cutoff)
-            witness01 = witness_fock(rho, "W01")
-        else:
-            witness01 = _witness01(state, order)
-            swap_value = _swap(state, order, cutoff)
-        report = bounds_mod.bound_report(witness01, swap_value)
-        record.update(report.to_record())
-        record["entangled"] = (
-            report.cren_lower > 0
-            or report.concurrence_lower > 0
-            or report.eof_lower > 0
-            or report.tangle_lower > 0
-        )
-    else:
+def evaluate_quantity(state, quantity: str) -> dict:
+    """Route one state/quantity pair through the family table; returns the JSON record.
+
+    Overflow and singular linear algebra inside an engine are reported as
+    :class:`NumericDomainError` (exit 3, or an ``invalid`` scan cell).
+    """
+    if quantity not in _RECORDS:
         raise InvalidArgumentError(f"unknown quantity {quantity!r} (choose from {QUANTITIES})")
-    return record
+    family = family_of(state)
+    evaluate = _evaluator(family, quantity)
+    try:
+        fields = _RECORDS[quantity](evaluate(state))
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        raise NumericDomainError(f"{quantity} left the floating-point domain: {exc}") from exc
+    return {"state": state_descriptor(state), "quantity": quantity, **fields}
 
 
 def _scan_value_verdict(record: dict, quantity: str) -> tuple[float, str]:
@@ -194,7 +127,7 @@ class ScanAxis:
 
 
 def _scan_row(task) -> list[tuple[float, str]]:
-    base, quantity, axis1_name, v1, axis2_name, values2, order, cutoff = task
+    base, quantity, axis1_name, v1, axis2_name, values2 = task
     out = []
     for v2 in values2:
         doc = dict(base)
@@ -202,7 +135,7 @@ def _scan_row(task) -> list[tuple[float, str]]:
         doc[axis2_name] = float(v2)
         try:
             state = parse_state_descriptor(doc)
-            record = evaluate_quantity(state, quantity, order=order, cutoff=cutoff)
+            record = evaluate_quantity(state, quantity)
             out.append(_scan_value_verdict(record, quantity))
         except CVEntangleError:
             out.append((math.nan, "invalid"))
@@ -216,27 +149,24 @@ def run_scan(
     axis2: ScanAxis,
     out_path: str,
     workers: int = 1,
-    order: int = 80,
-    cutoff: int = 25,
 ) -> None:
     """Write the grid scan CSV (header param1,param2,value,verdict; row-major
     with axis1 outermost).  Output is written atomically and is byte-identical
     for any worker count."""
-    family = base_descriptor.get("family")
-    allowed = _FAMILY_AXES.get(family)
-    if allowed is None:
-        raise InvalidArgumentError(f"family {family!r} does not support scanning")
+    family = family_named(base_descriptor.get("family"))
+    if not family.axes:
+        raise InvalidArgumentError(f"family {family.name!r} does not support scanning")
     for axis in (axis1, axis2):
-        if axis.name not in allowed:
+        if axis.name not in family.axes:
             raise InvalidArgumentError(
-                f"axis {axis.name!r} is not a parameter of family {family!r} "
-                f"(choose from {sorted(allowed)})"
+                f"axis {axis.name!r} is not a parameter of family {family.name!r} "
+                f"(choose from {sorted(family.axes)})"
             )
     if quantity not in QUANTITIES:
         raise InvalidArgumentError(f"unknown quantity {quantity!r} (choose from {QUANTITIES})")
     values2 = [float(v) for v in axis2.values()]
     tasks = [
-        (base_descriptor, quantity, axis1.name, float(v1), axis2.name, values2, order, cutoff)
+        (base_descriptor, quantity, axis1.name, float(v1), axis2.name, values2)
         for v1 in axis1.values()
     ]
     if workers > 1:
@@ -266,7 +196,8 @@ def run_scan(
         raise IOError(f"cannot write scan output to {out_path}: {exc}") from exc
 
 
-def _load_state_argument(text: str):
+def _load_descriptor(text: str) -> dict:
+    """The state descriptor given inline as JSON or as a file path."""
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
@@ -281,7 +212,9 @@ def _load_state_argument(text: str):
             raise IOError(f"cannot read state file {stripped}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidArgumentError(f"invalid state JSON in {stripped}: {exc}") from exc
-    return parse_state_descriptor(doc)
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError("state descriptor must be a JSON object")
+    return doc
 
 
 def _default_workers() -> int:
@@ -307,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one quantity for one state")
     p_eval.add_argument("--state", required=True, help="state descriptor JSON or a file path")
     p_eval.add_argument("--quantity", required=True, choices=QUANTITIES)
-    p_eval.add_argument("--order", type=int, default=80, help="quadrature order (default 80)")
-    p_eval.add_argument(
-        "--cutoff", type=int, default=25, help="Fock cutoff for oracle-backed quantities"
-    )
 
     p_scan = sub.add_parser("scan", help="two-axis parameter grid scan to CSV")
     p_scan.add_argument("--state", required=True, help="base state descriptor JSON or file path")
@@ -325,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.add_argument("--workers", type=int, default=None,
                         help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    p_scan.add_argument("--order", type=int, default=80)
-    p_scan.add_argument("--cutoff", type=int, default=25)
 
     p_verify = sub.add_parser("verify", help="run the Fock-oracle cross-check suite")
     p_verify.add_argument("--cutoff", type=int, default=40)
@@ -339,36 +266,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "eval":
-            state = _load_state_argument(args.state)
-            record = evaluate_quantity(state, args.quantity, order=args.order, cutoff=args.cutoff)
+            state = parse_state_descriptor(_load_descriptor(args.state))
+            record = evaluate_quantity(state, args.quantity)
             print(json.dumps(record))
             return EXIT_OK
         if args.command == "scan":
             if len(args.axes) != 2:
                 raise InvalidArgumentError("scan requires exactly two --axes arguments")
-            stripped = args.state.strip()
-            if stripped.startswith("{"):
-                base = json.loads(stripped)
-            else:
-                with open(stripped) as fh:
-                    base = json.load(fh)
-            if not isinstance(base, dict):
-                raise InvalidArgumentError("state descriptor must be a JSON object")
+            base = _load_descriptor(args.state)
             axis1 = ScanAxis.parse(args.axes[0])
             axis2 = ScanAxis.parse(args.axes[1])
             workers = args.workers if args.workers else _default_workers()
             if workers < 1:
                 raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-            run_scan(
-                base,
-                args.quantity,
-                axis1,
-                axis2,
-                args.out,
-                workers=workers,
-                order=args.order,
-                cutoff=args.cutoff,
-            )
+            run_scan(base, args.quantity, axis1, axis2, args.out, workers=workers)
             print(json.dumps({"out": args.out, "rows": axis1.steps * axis2.steps}))
             return EXIT_OK
         if args.command == "verify":
@@ -391,9 +302,6 @@ def main(argv=None) -> int:
     except CVEntangleError as exc:
         print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

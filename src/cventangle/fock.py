@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import InvalidArgumentError, NumericDomainError, TruncationError
+from .errors import (
+    InvalidArgumentError,
+    NumericDomainError,
+    TruncationError,
+    require_nonnegative_nr,
+)
 
 #: Constructors fail when more than this fraction of the trace is truncated away.
 MAX_TRACE_DEFICIT = 0.01
@@ -200,8 +205,7 @@ def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     """Symmetric two-mode squeezed thermal state, built by two-mode squeezing
     a truncated thermal product through the exact ladder expansion."""
     n, r = float(n), float(r)
-    if n < 0 or r < 0:
-        raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+    require_nonnegative_nr(n, r)
     if cutoff < 4:
         raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
     rho = _sts_raw(n, r, cutoff)
@@ -219,8 +223,7 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     1/2 + (1+2n) cosh(2r)/2, so it accounts for both truncation stages.
     """
     n, r = float(n), float(r)
-    if n < 0 or r < 0:
-        raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+    require_nonnegative_nr(n, r)
     if cutoff < 4:
         raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
     d = cutoff + 1

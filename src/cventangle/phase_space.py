@@ -6,28 +6,21 @@ a two-mode space.  All integrals here are of the restricted form
 
     integral of  P(T u) * G(T u)  over u in R^k,
 
-where G is a normalized Gaussian and T a (2m x k) slice matrix.  Three
-evaluation routes are provided: exact Gaussian-moment algebra ("moments"),
-tensor Gauss-Hermite quadrature after a change of variables that absorbs the
-Gaussian core ("gauss-hermite"), and scipy adaptive quadrature ("adaptive").
+where G is a normalized Gaussian and T a (2m x k) slice matrix.  For a
+polynomial P the integral is a finite sum of Gaussian moments, which is
+evaluated exactly (Wick pairings); no quadrature is involved.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.special import roots_hermite
 
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 Polynomial = Mapping[tuple, float]
-
-#: Relative change between order n and 2n beyond which quadrature is rejected.
-QUADRATURE_REL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +40,6 @@ def poly_eval(poly: Optional[Polynomial], points: np.ndarray) -> np.ndarray:
                 term = term * points[..., axis] ** power
         out += term
     return out
-
-
-def poly_degree(poly: Optional[Polynomial]) -> int:
-    if not poly:
-        return 0
-    return max(sum(expo) for expo in poly)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -141,12 +128,6 @@ def gaussian_normal_constant(V: np.ndarray) -> float:
     return math.exp(-(dim / 2) * math.log(2 * math.pi) - 0.5 * logdet)
 
 
-@lru_cache(maxsize=32)
-def _hermite_rule(order: int):
-    nodes, weights = roots_hermite(order)
-    return nodes, weights
-
-
 def _slice_geometry(V: np.ndarray, mean: np.ndarray, T: np.ndarray):
     """Gaussian restricted to xi = T u: returns (M, u0, c0) with
 
@@ -160,60 +141,13 @@ def _slice_geometry(V: np.ndarray, mean: np.ndarray, T: np.ndarray):
     return M, u0, c0
 
 
-def _gh_value(poly_u: Optional[Polynomial], u0: np.ndarray, M: np.ndarray, order: int) -> float:
-    """Tensor Gauss-Hermite value of integral P(u) exp(-(u-u0)M(u-u0)/2) du.
-
-    One- and two-dimensional slices evaluate the rule on the dense node grid;
-    higher dimensions exploit that for a polynomial integrand the tensor sum
-    factorizes exactly into products of one-dimensional node sums, which gives
-    the same rule value without materializing the grid.
-    """
-    k = len(u0)
-    lam, Q = np.linalg.eigh(M)
-    if lam.min() <= 0:
-        raise InvalidArgumentError("slice Gaussian is degenerate")
-    A = Q @ np.diag(np.sqrt(2.0 / lam))
-    det_A = float(np.prod(np.sqrt(2.0 / lam)))
-    nodes, weights = _hermite_rule(order)
-    if poly_u is None:
-        return det_A * float(weights.sum()) ** k
-    if k <= 2:
-        grids = np.meshgrid(*([nodes] * k), indexing="ij")
-        y = np.stack([g.ravel() for g in grids], axis=-1)
-        w = np.ones(y.shape[0])
-        for g in np.meshgrid(*([weights] * k), indexing="ij"):
-            w = w * g.ravel()
-        u = u0[None, :] + y @ A.T
-        return det_A * float(np.sum(w * poly_eval(poly_u, u)))
-    poly_y = poly_affine_substitute(poly_u, A, u0)
-    max_power = max(max(expo) for expo in poly_y)
-    node_sums = np.array([float(np.sum(weights * nodes**p)) for p in range(max_power + 1)])
-    total = 0.0
-    for expo, coeff in poly_y.items():
-        total += coeff * float(np.prod(node_sums[list(expo)]))
-    return det_A * total
-
-
-def slice_integral(
-    spec,
-    T: np.ndarray,
-    scheme: str = "moments",
-    order: int = 80,
-    radius: float = 10.0,
-) -> float:
+def slice_integral(spec, T: np.ndarray) -> float:
     """Integral of spec's Wigner function restricted to the affine slice xi = T u.
 
     ``spec`` provides ``covariance``, ``mean``, ``poly`` and ``norm_prefactor``
-    (see :class:`cventangle.states.WignerSpec`).
-
-    Schemes:
-      * ``moments``: exact Gaussian-moment algebra (polynomial prefactors of
-        any degree);
-      * ``gauss-hermite``: tensor rule of the given order after absorbing the
-        Gaussian core; the value at order 2n must agree with order n to a
-        relative ``QUADRATURE_REL_TOL`` or :class:`ConvergenceError` is raised;
-      * ``adaptive``: scipy ``dblquad`` over a box of half-width ``radius``
-        standard deviations (two-dimensional slices only).
+    (see :class:`cventangle.states.WignerSpec`).  The Gaussian core restricted
+    to the slice is integrated in closed form and the polynomial prefactor by
+    exact Gaussian-moment algebra, so the result carries rounding error only.
     """
     V = spec.covariance.matrix
     mean = np.asarray(spec.mean, dtype=float)
@@ -223,81 +157,11 @@ def slice_integral(
             f"slice matrix has {T.shape[0]} rows for a {V.shape[0]}-dimensional space"
         )
     M, u0, c0 = _slice_geometry(V, mean, T)
-    base = spec.norm_prefactor * gaussian_normal_constant(V) * math.exp(-c0)
-    poly_u = poly_affine_substitute(spec.poly, T) if spec.poly else None
+    sign, logdet = np.linalg.slogdet(M)
+    if sign <= 0:
+        raise InvalidArgumentError("slice Gaussian is degenerate")
     k = T.shape[1]
-
-    if scheme == "moments":
-        sign, logdet = np.linalg.slogdet(M)
-        gauss = math.exp((k / 2) * math.log(2 * math.pi) - 0.5 * logdet)
-        return base * gauss * gaussian_expect_poly(poly_u, u0, np.linalg.inv(M))
-
-    if scheme == "gauss-hermite":
-        coarse = _gh_value(poly_u, u0, M, order)
-        fine = _gh_value(poly_u, u0, M, 2 * order)
-        rel = abs(fine - coarse) / max(abs(fine), 1e-12)
-        if rel > QUADRATURE_REL_TOL:
-            raise ConvergenceError(
-                f"Gauss-Hermite order {order} vs {2 * order} changed by a relative "
-                f"{rel:.2e} (> {QUADRATURE_REL_TOL})"
-            )
-        return base * fine
-
-    if scheme == "adaptive":
-        if k != 2:
-            raise InvalidArgumentError("adaptive scheme supports two-dimensional slices only")
-        cov_u = np.linalg.inv(M)
-        sig = np.sqrt(np.diag(cov_u))
-
-        def f(u2, u1):
-            du = np.array([u1, u2]) - u0
-            return poly_eval(poly_u, np.array([u1, u2])) * math.exp(-0.5 * du @ M @ du)
-
-        val, err = integrate.dblquad(
-            f,
-            u0[0] - radius * sig[0],
-            u0[0] + radius * sig[0],
-            u0[1] - radius * sig[1],
-            u0[1] + radius * sig[1],
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-        if err > QUADRATURE_REL_TOL * max(abs(val), 1e-12):
-            raise ConvergenceError(f"adaptive quadrature error estimate {err:.2e} too large")
-        return base * val
-
-    raise InvalidArgumentError(f"unknown integration scheme {scheme!r}")
-
-
-def checked_gauss_hermite(
-    f: Callable[[np.ndarray], np.ndarray],
-    u0: np.ndarray,
-    M: np.ndarray,
-    order: int,
-) -> float:
-    """Gauss-Hermite integral of f(u) exp(-(u-u0)M(u-u0)/2) with the doubling check.
-
-    Used for non-polynomial prefactors; same convergence contract as
-    :func:`slice_integral`.
-    """
-
-    def value(n):
-        k = len(u0)
-        lam, Q = np.linalg.eigh(M)
-        A = Q @ np.diag(np.sqrt(2.0 / lam))
-        det_A = float(np.prod(np.sqrt(2.0 / lam)))
-        nodes, weights = _hermite_rule(n)
-        grids = np.meshgrid(*([nodes] * k), indexing="ij")
-        y = np.stack([g.ravel() for g in grids], axis=-1)
-        w = np.ones(y.shape[0])
-        for g in np.meshgrid(*([weights] * k), indexing="ij"):
-            w = w * g.ravel()
-        return det_A * float(np.sum(w * f(u0[None, :] + y @ A.T)))
-
-    coarse, fine = value(order), value(2 * order)
-    rel = abs(fine - coarse) / max(abs(fine), 1e-12)
-    if rel > QUADRATURE_REL_TOL:
-        raise ConvergenceError(
-            f"Gauss-Hermite order {order} vs {2 * order} changed by a relative {rel:.2e}"
-        )
-    return fine
+    base = spec.norm_prefactor * gaussian_normal_constant(V) * math.exp(-c0)
+    gauss = math.exp((k / 2) * math.log(2 * math.pi) - 0.5 * logdet)
+    poly_u = poly_affine_substitute(spec.poly, T) if spec.poly else None
+    return float(base * gauss * gaussian_expect_poly(poly_u, u0, np.linalg.inv(M)))

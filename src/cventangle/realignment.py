@@ -5,19 +5,25 @@ numeric integration: the Gram operator R(rho) R(rho)† of a Gaussian state is
 itself Gaussian, its covariance matrix and scalar prefactor follow from V by
 closed block-matrix algebra, and the norm is a product over the symplectic
 eigenvalues.  A norm above 1 certifies entanglement (including bound
-entanglement of PPT states).
+entanglement of PPT states).  The 2+2-mode family whose bound entanglement
+the criterion detects is defined here as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericDomainError, SingularLimitError, SpectralDomainError
-from .states import TwoModeStandardForm, family_threshold, two_two_family
+from .errors import (
+    InvalidArgumentError,
+    NumericDomainError,
+    SingularLimitError,
+    SpectralDomainError,
+    require_vacuum_bound,
+)
 from .symplectic import (
     CovarianceMatrix,
     WilliamsonSpectrum,
@@ -25,9 +31,11 @@ from .symplectic import (
     is_ppt,
     symplectic_eigenvalues,
 )
+from .witness import DETECTION_TOL
 
-#: Norms above 1 + DETECTION_TOL count as detected entanglement.
-DETECTION_TOL = 1e-10
+if TYPE_CHECKING:
+    from .states import TwoModeStandardForm
+
 #: Width of the clamp window for 2 nu - 1/2 slightly below zero.
 SPECTRUM_CLAMP_TOL = 1e-9
 
@@ -147,6 +155,48 @@ def realignment_norm_two_two(a: float, b: float, c: float) -> float:
     if denom <= 0.0:
         raise SingularLimitError(f"realigned norm diverges at |c| = sqrt(ab) (a={a}, b={b}, c={c})")
     return 1.0 / denom
+
+
+_TWO_TWO_R = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, -1.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+    ]
+)
+
+
+def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
+    """8x8 covariance of the 2+2-mode family [[a I4, c R], [c R^T, b I4]].
+
+    Physicality is not enforced here: the matrix is a valid state iff
+    |c| <= :func:`family_threshold`; use :func:`cventangle.symplectic.is_physical`
+    or :func:`classify_two_two` to report it.
+    """
+    a, b, c = float(a), float(b), float(c)
+    require_vacuum_bound(a=a, b=b)
+    V = np.zeros((8, 8))
+    V[:4, :4] = a * np.eye(4)
+    V[4:, 4:] = b * np.eye(4)
+    V[:4, 4:] = c * _TWO_TWO_R
+    V[4:, :4] = c * _TWO_TWO_R.T
+    return CovarianceMatrix(V)
+
+
+def family_threshold(a: float, b: float) -> float:
+    """Largest |c| for which the 2+2 family is a valid state:
+    sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4)."""
+    a, b = float(a), float(b)
+    require_vacuum_bound(a=a, b=b)
+    radicand = a * b - math.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
+    if radicand < 0.0:
+        if radicand < -1e-12:
+            raise InvalidArgumentError(
+                f"no valid correlation exists for a={a}, b={b} (negative radicand)"
+            )
+        radicand = 0.0
+    return math.sqrt(radicand)
 
 
 @dataclass(frozen=True)

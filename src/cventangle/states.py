@@ -3,20 +3,26 @@
 All families are zero-mean; displacements do not change entanglement and are
 not modelled.  Gaussian states are described by their covariance matrix, the
 single non-Gaussian Wigner function by a :class:`WignerSpec` (polynomial
-prefactor times a Gaussian core), so that expectation values can be computed
-both by exact moment algebra and by quadrature.
+prefactor times a Gaussian core), so that expectation values follow from exact
+Gaussian moment algebra.
+
+The family table :data:`FAMILIES` at the end of the module is the one place
+that lists each family's name, class, descriptor fields, scan axes and the
+evaluator of every quantity it supports.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from . import phase_space
-from .errors import InvalidArgumentError
+from . import phase_space, realignment, witness
+from .errors import InvalidArgumentError, require_nonnegative_nr, require_vacuum_bound
+from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, is_physical
 
 
@@ -37,9 +43,7 @@ class TwoModeStandardForm:
 
     def __post_init__(self):
         a, b, c1, c2 = (float(v) for v in (self.a, self.b, self.c1, self.c2))
-        for name, v in (("a", a), ("b", b)):
-            if not (v >= 0.25):
-                raise InvalidArgumentError(f"constraint violated: {name} >= 1/4 (got {v})")
+        require_vacuum_bound(a=a, b=b)
         for name, c in (("c1", c1), ("c2", c2)):
             if not (a * b >= c * c):
                 raise InvalidArgumentError(
@@ -49,22 +53,19 @@ class TwoModeStandardForm:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
-        if not is_physical(self._expand()):
+        if not is_physical(self.covariance()):
             raise InvalidArgumentError(
                 "constraint violated: expanded covariance fails the physicality "
                 f"test V + iJ/4 >= 0 (a={a}, b={b}, c1={c1}, c2={c2})"
             )
 
-    def _expand(self) -> CovarianceMatrix:
+    def covariance(self) -> CovarianceMatrix:
         V = np.zeros((4, 4))
         V[0, 0] = V[1, 1] = self.a
         V[2, 2] = V[3, 3] = self.b
         V[0, 2] = V[2, 0] = self.c1
         V[1, 3] = V[3, 1] = self.c2
         return CovarianceMatrix(V)
-
-    def covariance(self) -> CovarianceMatrix:
-        return self._expand()
 
     def wigner(self) -> "WignerSpec":
         return WignerSpec(covariance=self.covariance())
@@ -80,9 +81,7 @@ class TwoTwoFamilyParams:
 
     def __post_init__(self):
         a, b, c = float(self.a), float(self.b), float(self.c)
-        for name, v in (("a", a), ("b", b)):
-            if not (v >= 0.25):
-                raise InvalidArgumentError(f"constraint violated: {name} >= 1/4 (got {v})")
+        require_vacuum_bound(a=a, b=b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -101,8 +100,7 @@ class PhotonAddedSqueezedThermal:
 
     def __post_init__(self):
         n, r = float(self.n), float(self.r)
-        if n < 0 or r < 0:
-            raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+        require_nonnegative_nr(n, r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
 
@@ -117,7 +115,8 @@ class CoherentMixture:
     The antisymmetric branch (|a1 a2> - |a2 a1|)/sqrt(2) is weighted by p as
     written, without dividing out the coherent overlap, so the operator trace
     is 1 - p exp(-|a1 - a2|^2); the closed-form expectation values in
-    :mod:`cventangle.witness` follow the same convention.
+    :mod:`cventangle.witness` follow the same convention.  At p = 1 with
+    a1 = a2 that operator is zero, and the mixture is rejected.
     """
 
     p: float
@@ -128,9 +127,14 @@ class CoherentMixture:
         p = float(self.p)
         if not (0.0 <= p <= 1.0):
             raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+        alpha1, alpha2 = complex(self.alpha1), complex(self.alpha2)
+        if p == 1.0 and alpha1 == alpha2:
+            raise InvalidArgumentError(
+                "degenerate mixture: at p = 1 with alpha1 = alpha2 the state is the zero operator"
+            )
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "alpha1", complex(self.alpha1))
-        object.__setattr__(self, "alpha2", complex(self.alpha2))
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
 
 
 @dataclass(frozen=True)
@@ -179,10 +183,9 @@ class WignerSpec:
         gauss = norm * np.exp(-0.5 * quad)
         return gauss * phase_space.poly_eval(self.poly, points)
 
-    def normalization(self, scheme: str = "moments", order: int = 24) -> float:
+    def normalization(self) -> float:
         """Total integral over phase space (1 for a normalized state)."""
-        dim = 2 * self.modes
-        return phase_space.slice_integral(self, np.eye(dim), scheme=scheme, order=order)
+        return phase_space.slice_integral(self, np.eye(2 * self.modes))
 
 
 def standard_two_mode(a: float, b: float, c1: float, c2: float) -> CovarianceMatrix:
@@ -197,8 +200,7 @@ def squeezed_thermal_params(n: float, r: float) -> TwoModeStandardForm:
     the two-mode squeezed vacuum, n = r = 0 the vacuum.
     """
     n, r = float(n), float(r)
-    if n < 0 or r < 0:
-        raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+    require_nonnegative_nr(n, r)
     scale = (1.0 + 2.0 * n) / 4.0
     a = scale * math.cosh(2.0 * r)
     c = scale * math.sinh(2.0 * r)
@@ -210,60 +212,12 @@ def tmsv_params(r: float) -> TwoModeStandardForm:
     return squeezed_thermal_params(0.0, r)
 
 
-_TWO_TWO_R = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ]
-)
-
-
-def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
-    """8x8 covariance of the 2+2-mode family [[a I4, c R], [c R^T, b I4]].
-
-    Physicality is not enforced here: the matrix is a valid state iff
-    |c| <= :func:`family_threshold`; use :func:`cventangle.symplectic.is_physical`
-    or :func:`cventangle.realignment.classify_two_two` to report it.
-    """
-    a, b, c = float(a), float(b), float(c)
-    for name, v in (("a", a), ("b", b)):
-        if not (v >= 0.25):
-            raise InvalidArgumentError(f"constraint violated: {name} >= 1/4 (got {v})")
-    V = np.zeros((8, 8))
-    V[:4, :4] = a * np.eye(4)
-    V[4:, 4:] = b * np.eye(4)
-    V[:4, 4:] = c * _TWO_TWO_R
-    V[4:, :4] = c * _TWO_TWO_R.T
-    return CovarianceMatrix(V)
-
-
-def family_threshold(a: float, b: float) -> float:
-    """Largest |c| for which the 2+2 family is a valid state:
-    sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4)."""
-    a, b = float(a), float(b)
-    for name, v in (("a", a), ("b", b)):
-        if not (v >= 0.25):
-            raise InvalidArgumentError(f"constraint violated: {name} >= 1/4 (got {v})")
-    radicand = a * b - math.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
-    if radicand < 0.0:
-        if radicand < -1e-12:
-            raise InvalidArgumentError(
-                f"no valid correlation exists for a={a}, b={b} (negative radicand)"
-            )
-        radicand = 0.0
-    return math.sqrt(radicand)
-
-
 def photon_added_sts_wigner(n: float, r: float) -> WignerSpec:
     """Wigner function of the single-photon-added (mode 2) symmetric two-mode
     squeezed thermal state: quadratic prefactor times the squeezed-thermal
     Gaussian core.  Integrates to 1; W(0, 0) < 0 reflects the added photon.
     """
     n, r = float(n), float(r)
-    if n < 0 or r < 0:
-        raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
     core = squeezed_thermal_params(n, r).covariance()
     m = 1.0 + 2.0 * n
     C = math.cosh(2.0 * r)
@@ -285,51 +239,132 @@ def photon_added_sts_wigner(n: float, r: float) -> WignerSpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON state descriptors
+# the family table and JSON state descriptors
 # ---------------------------------------------------------------------------
 
-def parse_state_descriptor(doc: dict):
-    """Build the typed state object described by an interchange document.
+def _real(name: str, value) -> float:
+    """A finite real number; booleans, NaN and infinities are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidArgumentError(f"field {name!r} must be a finite number, got {value!r}")
 
-    Supported families: ``standard2``, ``two_two``, ``photon_added_sts``,
-    ``coherent_mixture`` and ``raw_covariance``.
-    """
+
+def _complex(name: str, value) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise InvalidArgumentError(f"field {name!r} must be a [re, im] pair, got {value!r}")
+    return complex(_real(name, value[0]), _real(name, value[1]))
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise InvalidArgumentError(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _matrix(name: str, value) -> list:
+    return [[_real(name, x) for x in row] for row in value]
+
+
+def _encode(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table: descriptor ``name``, state class, the
+    descriptor ``fields`` (each mapped to the decoder that validates its JSON
+    value), the evaluator of each supported quantity, and the ``axes`` a scan
+    may vary.  ``build`` (default: the class) takes the decoded fields as
+    keywords."""
+
+    name: str
+    cls: type
+    fields: Mapping[str, Callable]
+    quantities: Mapping[str, Callable]
+    axes: tuple[str, ...] = ()
+    build: Optional[Callable] = None
+
+
+def _classify_two_two(s: TwoTwoFamilyParams) -> dict:
+    """classify record: the closed-form verdict, plus the generic Gram spectrum
+    behind the norm at physical points."""
+    result = realignment.classify_two_two(s.a, s.b, s.c)
+    record = result.to_record()
+    if result.verdict != "unphysical":
+        spectrum = realignment.realignment_norm(s.covariance()).spectrum
+        record.update(nus=list(spectrum.nus), a0=spectrum.a0)
+    return record
+
+
+_W01 = witness.WitnessParams(0.0, 1.0)
+
+# Evaluators look engine functions up at call time, so wrappers installed on
+# the engine modules (tracing, test doubles) see every call.
+FAMILIES = (
+    Family("standard2", TwoModeStandardForm, dict.fromkeys(("a", "b", "c1", "c2"), _real), {
+        "optimal_witness": lambda s: witness.optimal_witness(s),
+        "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
+        "swap": lambda s: witness.swap_expectation(s.wigner()),
+        "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
+    }, axes=("a", "b", "c1", "c2")),
+    Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), _real), {
+        "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
+        "classify": _classify_two_two,
+    }, axes=("a", "b", "c")),
+    Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), _real), {
+        "witness01": lambda s: witness.witness_photon_added_closed(s.n, s.r),
+        "swap": lambda s: witness.swap_expectation(s.wigner()),
+    }, axes=("n", "r")),
+    Family("coherent_mixture", CoherentMixture,
+           {"p": _real, "alpha1": _complex, "alpha2": _complex}, {
+        "witness01": lambda s: witness.witness_coherent_mixture_closed(s.p, s.alpha1, s.alpha2),
+        "swap": lambda s: witness.swap_expectation_coherent_mixture(s.p, s.alpha1, s.alpha2),
+    }, axes=("p",)),
+    Family("raw_covariance", CovarianceMatrix,
+           {"modes": _real, "ordering": _text, "matrix": _matrix}, {
+        "witness01": lambda V: witness.witness_expectation_wigner(WignerSpec(V), _W01),
+        "swap": lambda V: witness.swap_expectation(WignerSpec(V)),
+        "realignment_norm": lambda V: realignment.realignment_norm(V),
+    }, build=lambda **doc: CovarianceMatrix.from_descriptor(doc)),
+)
+
+_BY_NAME = {family.name: family for family in FAMILIES}
+_BY_CLASS = {family.cls: family for family in FAMILIES}
+
+
+def family_named(name) -> Family:
+    if not isinstance(name, str) or name not in _BY_NAME:
+        raise InvalidArgumentError(f"unknown state family {name!r} (choose from {list(_BY_NAME)})")
+    return _BY_NAME[name]
+
+
+def family_of(state) -> Family:
+    if type(state) not in _BY_CLASS:
+        raise InvalidArgumentError(f"cannot serialize state of type {type(state).__name__}")
+    return _BY_CLASS[type(state)]
+
+
+def parse_state_descriptor(doc: dict):
+    """Build the typed state object described by an interchange document
+    (families: see :data:`FAMILIES`)."""
     if not isinstance(doc, dict):
         raise InvalidArgumentError("state descriptor must be a JSON object")
-    family = doc.get("family")
+    family = family_named(doc.get("family"))
     try:
-        if family == "standard2":
-            return TwoModeStandardForm(doc["a"], doc["b"], doc["c1"], doc["c2"])
-        if family == "two_two":
-            return TwoTwoFamilyParams(doc["a"], doc["b"], doc["c"])
-        if family == "photon_added_sts":
-            return PhotonAddedSqueezedThermal(doc["n"], doc["r"])
-        if family == "coherent_mixture":
-            a1 = complex(doc["alpha1"][0], doc["alpha1"][1])
-            a2 = complex(doc["alpha2"][0], doc["alpha2"][1])
-            return CoherentMixture(doc["p"], a1, a2)
-        if family == "raw_covariance":
-            return CovarianceMatrix.from_descriptor(doc)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InvalidArgumentError(f"malformed {family!r} descriptor: {exc}") from exc
-    raise InvalidArgumentError(f"unknown state family {family!r}")
+        values = {field: decode(field, doc[field]) for field, decode in family.fields.items()}
+    except (KeyError, TypeError) as exc:
+        raise InvalidArgumentError(f"malformed {family.name!r} descriptor: {exc}") from exc
+    return (family.build or family.cls)(**values)
 
 
 def state_descriptor(state) -> dict:
-    """Inverse of :func:`parse_state_descriptor` for the supported families."""
-    if isinstance(state, TwoModeStandardForm):
-        return {"family": "standard2", "a": state.a, "b": state.b, "c1": state.c1, "c2": state.c2}
-    if isinstance(state, TwoTwoFamilyParams):
-        return {"family": "two_two", "a": state.a, "b": state.b, "c": state.c}
-    if isinstance(state, PhotonAddedSqueezedThermal):
-        return {"family": "photon_added_sts", "n": state.n, "r": state.r}
-    if isinstance(state, CoherentMixture):
-        return {
-            "family": "coherent_mixture",
-            "p": state.p,
-            "alpha1": [state.alpha1.real, state.alpha1.imag],
-            "alpha2": [state.alpha2.real, state.alpha2.imag],
-        }
-    if isinstance(state, CovarianceMatrix):
-        return {"family": "raw_covariance", **state.to_descriptor()}
-    raise InvalidArgumentError(f"cannot serialize state of type {type(state).__name__}")
+    """Inverse of :func:`parse_state_descriptor`."""
+    family = family_of(state)
+    return {"family": family.name, **{f: _encode(getattr(state, f)) for f in family.fields}}

@@ -75,10 +75,12 @@ class CovarianceMatrix:
         """Serialize as the interchange JSON document."""
         return json.dumps(self.to_descriptor())
 
+    @property
+    def ordering(self) -> str:
+        return ",".join(ORDERING_TEMPLATE.format(i + 1) for i in range(self.modes))
+
     def to_descriptor(self) -> dict:
-        m = self.modes
-        ordering = ",".join(ORDERING_TEMPLATE.format(i + 1) for i in range(m))
-        return {"modes": m, "ordering": ordering, "matrix": self.matrix.tolist()}
+        return {"modes": self.modes, "ordering": self.ordering, "matrix": self.matrix.tolist()}
 
     @classmethod
     def from_descriptor(cls, doc: dict) -> "CovarianceMatrix":

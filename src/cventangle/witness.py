@@ -1,10 +1,11 @@
 """Entanglement witnesses built from continuum displacement-operator bases.
 
 The two-parameter witness family is evaluated three ways: a closed form for
-standard-form Gaussian states, a phase-space integral over a line slice of the
-Wigner function (any two-mode state with a :class:`WignerSpec`), and the
+standard-form Gaussian states, an exact Gaussian-moment integral over a slice
+of the Wigner function (any two-mode state with a :class:`WignerSpec`), and the
 analytic optimum over the witness parameters.  The SWAP observable and the
-closed forms used by the coherent-mixture example live here as well.
+closed forms of the photon-added and coherent-mixture examples live here as
+well.
 
 Witness values are reported raw, never clamped; a value below
 ``-DETECTION_TOL`` certifies entanglement.
@@ -14,14 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import phase_space
-from .errors import InvalidArgumentError, NumericDomainError, SingularLimitError
-from .states import TwoModeStandardForm, WignerSpec
+from .errors import (
+    InvalidArgumentError,
+    NumericDomainError,
+    SingularLimitError,
+    require_nonnegative_nr,
+)
 
-#: Expectation values below -DETECTION_TOL count as detected entanglement.
+if TYPE_CHECKING:
+    from .states import TwoModeStandardForm, WignerSpec
+
+#: Witness and SWAP values below -DETECTION_TOL, and realigned norms above
+#: 1 + DETECTION_TOL, count as detected entanglement.
 DETECTION_TOL = 1e-10
 
 
@@ -47,23 +57,6 @@ class WitnessParams:
     @property
     def mu_plus(self) -> float:
         return self.mu1 + self.mu2
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Integration settings for the Wigner-slice expectation values."""
-
-    scheme: str = "gauss-hermite"
-    order: int = 80
-    radius: float = 10.0
-
-    def __post_init__(self):
-        if self.scheme not in ("gauss-hermite", "adaptive", "moments"):
-            raise InvalidArgumentError(f"unknown quadrature scheme {self.scheme!r}")
-        if int(self.order) < 8:
-            raise InvalidArgumentError(f"quadrature order must be >= 8, got {self.order}")
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "radius", float(self.radius))
 
 
 @dataclass(frozen=True)
@@ -117,22 +110,16 @@ def witness_slice_matrix(w: WitnessParams) -> np.ndarray:
     )
 
 
-def witness_expectation_wigner(
-    wspec: WignerSpec, w: WitnessParams, q: QuadratureConfig | None = None
-) -> float:
+def witness_expectation_wigner(wspec: WignerSpec, w: WitnessParams) -> float:
     """Witness expectation from the Wigner function:
 
-        1 - pi sqrt|mu- mu+| * integral W(mu2 conj(alpha) - mu1 alpha, alpha) d^2 alpha.
+        1 - pi sqrt|mu- mu+| * integral W(mu2 conj(alpha) - mu1 alpha, alpha) d^2 alpha,
 
-    The Gauss-Hermite default is exact for polynomial prefactors; the moments
-    scheme evaluates the same integral by Gaussian moment algebra.
+    with the slice integral evaluated exactly by Gaussian moment algebra.
     """
     if wspec.modes != 2:
         raise InvalidArgumentError("witness expectation requires a two-mode Wigner function")
-    q = q or QuadratureConfig()
-    integral = phase_space.slice_integral(
-        wspec, witness_slice_matrix(w), scheme=q.scheme, order=q.order, radius=q.radius
-    )
+    integral = phase_space.slice_integral(wspec, witness_slice_matrix(w))
     return 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
 
 
@@ -164,8 +151,7 @@ def witness_photon_added_closed(n: float, r: float) -> float:
         1 - e^{4r} n (1+n) / [(1+2n)^2 (cosh^2 r + n cosh 2r)].
     """
     n, r = float(n), float(r)
-    if n < 0 or r < 0:
-        raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+    require_nonnegative_nr(n, r)
     return 1.0 - math.exp(4.0 * r) * n * (1.0 + n) / (
         (1.0 + 2.0 * n) ** 2 * (math.cosh(r) ** 2 + n * math.cosh(2.0 * r))
     )
@@ -181,7 +167,7 @@ _SWAP_SLICE = np.array(
 )
 
 
-def swap_expectation(wspec: WignerSpec, q: QuadratureConfig | None = None) -> float:
+def swap_expectation(wspec: WignerSpec) -> float:
     """Expectation of the mode-SWAP observable: pi * integral W(alpha, alpha) d^2 alpha.
 
     Nonnegative on separable states; for product states it equals the state
@@ -189,11 +175,26 @@ def swap_expectation(wspec: WignerSpec, q: QuadratureConfig | None = None) -> fl
     """
     if wspec.modes != 2:
         raise InvalidArgumentError("SWAP expectation requires a two-mode Wigner function")
-    q = q or QuadratureConfig()
-    integral = phase_space.slice_integral(
-        wspec, _SWAP_SLICE, scheme=q.scheme, order=q.order, radius=q.radius
-    )
-    return math.pi * integral
+    return math.pi * phase_space.slice_integral(wspec, _SWAP_SLICE)
+
+
+def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:
+    """exp(-|alpha1 - alpha2|^2) of the coherent mixture, after checking p."""
+    if not (0.0 <= p <= 1.0):
+        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+    return math.exp(-abs(complex(alpha1) - complex(alpha2)) ** 2)
+
+
+def witness_coherent_mixture_closed(p: float, alpha1: complex, alpha2: complex) -> float:
+    """Closed-form witness value at (mu1, mu2) = (0, 1) for the antisymmetrized
+    coherent mixture (trace convention of :class:`cventangle.states.CoherentMixture`):
+
+        p (1 - exp(-|alpha1 - alpha2|^2)).
+
+    Never negative, so the negativity lower bound it gives is always 0.
+    """
+    p = float(p)
+    return p * (1.0 - _mixture_overlap(p, alpha1, alpha2))
 
 
 def swap_expectation_coherent_mixture(p: float, alpha1: complex, alpha2: complex) -> float:
@@ -204,7 +205,4 @@ def swap_expectation_coherent_mixture(p: float, alpha1: complex, alpha2: complex
     negative exactly when p > 1 / (2 - exp(-|alpha1 - alpha2|^2)).
     """
     p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
-    dist2 = abs(complex(alpha1) - complex(alpha2)) ** 2
-    return p * (math.exp(-dist2) - 1.0) + 1.0 - p
+    return p * (_mixture_overlap(p, alpha1, alpha2) - 1.0) + 1.0 - p

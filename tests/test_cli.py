@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from cventangle.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
 
 TWO_TWO = json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.78})
@@ -54,6 +56,12 @@ class TestEval:
         assert abs(record["eofLower"] - 0.0741730) < 1e-5
         assert abs(record["tangleLower"] - 0.0357250) < 1e-6
         assert record["entangled"] is True
+        # the closed-form W(0,1) input agrees with the Fock oracle
+        from cventangle import coherent_mixture_fock, witness_fock
+
+        oracle = witness_fock(coherent_mixture_fock(0.6, 1.0, -1.0, 25), "W01")
+        assert abs(record["inputs"]["witnessValue01"] - oracle) < 1e-10
+        assert record["crenLower"] == 0.0
 
     def test_realignment_norm_raw_covariance(self, capsys):
         from cventangle import state_descriptor, tmsv_params
@@ -91,11 +99,69 @@ class TestEval:
         assert main(["eval", "--state", bad, "--quantity", "witness01"]) == EXIT_INVALID
 
     def test_truncation_failure_exits_3(self):
-        big = json.dumps(
-            {"family": "coherent_mixture", "p": 0.6, "alpha1": [4.0, 0.0], "alpha2": [-4.0, 0.0]}
-        )
-        code = main(["eval", "--state", big, "--quantity", "bounds", "--cutoff", "8"])
+        # eval has no Fock route any more; a numeric-domain failure it still
+        # reaches is the singular Gram pipeline of an overflowing covariance
+        big = json.dumps({"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0})
+        code = main(["eval", "--state", big, "--quantity", "realignment_norm"])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "doc,quantity",
+        [
+            ({"family": "photon_added_sts", "n": 1.0, "r": 200.0}, "witness01"),
+            ({"family": "photon_added_sts", "n": 1.0, "r": 200.0}, "swap"),
+            (
+                {"family": "coherent_mixture", "p": 0.5, "alpha1": [1e200, 0.0],
+                 "alpha2": [0.0, 0.0]},
+                "swap",
+            ),
+        ],
+    )
+    def test_arithmetic_failure_exits_3(self, doc, quantity, capsys):
+        code = main(["eval", "--state", json.dumps(doc), "--quantity", quantity])
+        assert code == EXIT_NUMERIC
+        assert "NumericDomainError" in capsys.readouterr().err
+
+    def test_swap_photon_added_prints_json(self, capsys):
+        doc = json.dumps({"family": "photon_added_sts", "n": 0.6, "r": 0.4})
+        assert main(["eval", "--state", doc, "--quantity", "swap"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert type(record["value"]) is float and record["entangled"] is False
+
+    @pytest.mark.parametrize("quantity", ["swap", "bounds"])
+    def test_pure_photon_added_not_entangled(self, quantity, capsys):
+        # SWAP is exactly 0 for n = 0; rounding leaves about -3e-15, inside
+        # the detection tolerance, and both quantities must say so
+        doc = json.dumps({"family": "photon_added_sts", "n": 0.0, "r": 1.0})
+        assert main(["eval", "--state", doc, "--quantity", quantity]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        swap = record["value"] if quantity == "swap" else record["inputs"]["swapValue"]
+        assert abs(swap) < 1e-12
+        assert record["entangled"] is False
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "true"])
+    @pytest.mark.parametrize(
+        "template,quantity",
+        [
+            ('{"family": "standard2", "a": %s, "b": 0.5, "c1": 0.0, "c2": 0.0}', "witness01"),
+            ('{"family": "two_two", "a": 1.0, "b": 1.0, "c": %s}', "classify"),
+            ('{"family": "photon_added_sts", "n": %s, "r": 0.5}', "witness01"),
+            ('{"family": "coherent_mixture", "p": 0.5, "alpha1": [%s, 0.0], '
+             '"alpha2": [0.0, 0.0]}', "swap"),
+            ('{"family": "raw_covariance", "modes": 1, "ordering": "x1,p1", '
+             '"matrix": [[%s, 0.0], [0.0, 0.25]]}', "realignment_norm"),
+        ],
+    )
+    def test_non_finite_or_boolean_field_exits_2(self, template, quantity, bad, capsys):
+        assert main(["eval", "--state", template % bad, "--quantity", quantity]) == EXIT_INVALID
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("quantity", ["swap", "bounds"])
+    def test_degenerate_mixture_exits_2(self, quantity):
+        doc = json.dumps(
+            {"family": "coherent_mixture", "p": 1.0, "alpha1": [0.5, 0.5], "alpha2": [0.5, 0.5]}
+        )
+        assert main(["eval", "--state", doc, "--quantity", quantity]) == EXIT_INVALID
 
     def test_missing_state_file_exits_4(self):
         assert main(["eval", "--state", "/no/such/file.json", "--quantity", "classify"]) == EXIT_IO
@@ -196,6 +262,32 @@ class TestScan:
 
         assert abs(float(rows[1][2]) - (-witness_photon_added_closed(1.0, 1.0))) < 1e-9
         assert rows[1][3] == "entangled"
+
+    def test_overflowing_cells_are_invalid(self, tmp_path):
+        out = tmp_path / "overflow.csv"
+        code = main(
+            [
+                "scan",
+                "--state",
+                json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 1.0}),
+                "--quantity",
+                "witness01",
+                "--axes",
+                "n:0.5:1:2",
+                "--axes",
+                "r:100:200:3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        for _n, r, value, verdict in rows:
+            if float(r) == 200.0:
+                assert (value, verdict) == ("nan", "invalid")
+            else:
+                assert math.isfinite(float(value)) and verdict == "entangled"
 
     def test_env_var_worker_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CV_ENTANGLE_WORKERS", "2")

@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate
 
 from cventangle import (
-    ConvergenceError,
     InvalidArgumentError,
+    coherent_mixture_fock,
+    witness_coherent_mixture_closed,
+    witness_fock,
     NumericDomainError,
-    QuadratureConfig,
     SingularLimitError,
     WignerSpec,
     WitnessParams,
@@ -54,20 +55,6 @@ class TestWitnessParams:
         w = WitnessParams(0.25, 1.0)
         assert w.mu_minus == -0.75
         assert w.mu_plus == 1.25
-
-
-class TestQuadratureConfig:
-    def test_defaults(self):
-        q = QuadratureConfig()
-        assert q.scheme == "gauss-hermite" and q.order == 80
-
-    def test_rejects_low_order(self):
-        with pytest.raises(InvalidArgumentError):
-            QuadratureConfig(order=4)
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(InvalidArgumentError):
-            QuadratureConfig(scheme="monte-carlo")
 
 
 class TestGaussianClosedForm:
@@ -191,17 +178,7 @@ class TestWignerRoute:
         spec = photon_added_sts_wigner(1.0, 1.0)
         w = WitnessParams(0.0, 1.0)
         closed = witness_photon_added_closed(1.0, 1.0)
-        gh = witness_expectation_wigner(spec, w)
-        mom = witness_expectation_wigner(spec, w, QuadratureConfig(scheme="moments"))
-        assert abs(gh - closed) < 1e-6
-        assert abs(mom - closed) < 1e-10
-
-    def test_adaptive_scheme(self):
-        spec = tmsv_params(0.3).wigner()
-        value = witness_expectation_wigner(
-            spec, WitnessParams(0.0, 1.0), QuadratureConfig(scheme="adaptive", order=8)
-        )
-        assert abs(value - (1.0 - math.exp(0.6))) < 1e-6
+        assert abs(witness_expectation_wigner(spec, w) - closed) < 1e-10
 
     def test_against_scipy_quadrature(self):
         # independent oracle: raw 2-d integral of the Wigner function slice
@@ -225,18 +202,6 @@ class TestWignerRoute:
             closed = witness_expectation_gaussian(s, w)
             gh = witness_expectation_wigner(s.wigner(), w)
             assert abs(gh - closed) <= 1e-6
-
-    def test_convergence_guard(self):
-        # a discontinuous prefactor defeats the doubling check
-        from cventangle.phase_space import checked_gauss_hermite
-
-        with pytest.raises(ConvergenceError):
-            checked_gauss_hermite(
-                lambda u: np.where(np.sin(53.0 * u[:, 0] + 0.7) > 0, 2.0, 0.1),
-                np.zeros(2),
-                np.eye(2),
-                order=8,
-            )
 
     def test_requires_two_modes(self):
         from cventangle import CovarianceMatrix
@@ -286,7 +251,7 @@ class TestSwap:
             expected = 1.0 / (
                 2.0 * math.sqrt((s.a + s.b - 2 * s.c1) * (s.a + s.b - 2 * s.c2))
             )
-            got = swap_expectation(s.wigner(), QuadratureConfig(scheme="moments"))
+            got = swap_expectation(s.wigner())
             assert abs(got - expected) < 1e-12
 
     def test_against_scipy_quadrature(self):
@@ -302,9 +267,7 @@ class TestSwap:
 
     def test_products_nonnegative(self, rng):
         for _ in range(50):
-            value = swap_expectation(
-                random_product_form(rng).wigner(), QuadratureConfig(scheme="moments")
-            )
+            value = swap_expectation(random_product_form(rng).wigner())
             assert value >= -1e-8
 
 
@@ -328,6 +291,20 @@ class TestCoherentMixture:
     def test_rejects_bad_probability(self):
         with pytest.raises(InvalidArgumentError):
             swap_expectation_coherent_mixture(1.5, 1.0, -1.0)
+        with pytest.raises(InvalidArgumentError):
+            witness_coherent_mixture_closed(-0.1, 1.0, -1.0)
+
+    def test_w01_closed_form_matches_oracle(self, rng):
+        # p (1 - exp(-|a1 - a2|^2)) against the cutoff-40 Fock state, p = 0
+        # and p = 1 included
+        points = [(0.0, 1.0, -1.0), (1.0, 1.0, -1.0), (1.0, 0.3j, 0.2)]
+        for _ in range(4):
+            a1, a2 = (complex(rng.uniform(0, 1.5) * np.exp(2j * np.pi * rng.uniform()))
+                      for _ in range(2))
+            points.append((float(rng.uniform()), a1, a2))
+        for p, a1, a2 in points:
+            oracle = witness_fock(coherent_mixture_fock(p, a1, a2, 40), "W01")
+            assert abs(witness_coherent_mixture_closed(p, a1, a2) - oracle) < 1e-12
 
 
 def test_detection_convention():
