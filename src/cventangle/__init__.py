@@ -7,6 +7,8 @@ derives lower bounds on entanglement measures - cross-validated against a
 truncated Fock-space brute-force oracle.
 """
 
+import types
+
 from .bounds import (
     BoundReport,
     binary_entropy,
@@ -86,67 +88,6 @@ from .witness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CVEntangleError",
-    "CoherentMixture",
-    "CovarianceMatrix",
-    "FockDensityMatrix",
-    "InvalidArgumentError",
-    "NumericDomainError",
-    "OptimalWitness",
-    "PhotonAddedSqueezedThermal",
-    "RealignmentResult",
-    "SingularInputError",
-    "SingularLimitError",
-    "SpectralDomainError",
-    "TruncationError",
-    "TwoModeStandardForm",
-    "TwoTwoClassification",
-    "TwoTwoFamilyParams",
-    "WignerSpec",
-    "WilliamsonSpectrum",
-    "WitnessParams",
-    "binary_entropy",
-    "bound_report",
-    "classify_two_two",
-    "coherent_mixture_fock",
-    "concurrence_lower_bound",
-    "covariance_from_fock",
-    "cren_lower_bound",
-    "detects_entanglement",
-    "eof_lower_bound",
-    "family_threshold",
-    "is_physical",
-    "is_ppt",
-    "load_fock",
-    "negativity_fock",
-    "optimal_witness",
-    "parse_state_descriptor",
-    "partial_transpose",
-    "photon_added_sts_fock",
-    "photon_added_sts_wigner",
-    "realigned_gram_covariance",
-    "realignment_norm",
-    "realignment_norm_two_mode",
-    "realignment_norm_two_two",
-    "realignment_trace_norm_fock",
-    "save_fock",
-    "squeezed_thermal_fock",
-    "squeezed_thermal_params",
-    "standard_two_mode",
-    "state_descriptor",
-    "swap_expectation",
-    "swap_expectation_coherent_mixture",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "tangle_lower_bound",
-    "tmsv_fock",
-    "tmsv_params",
-    "two_two_family",
-    "witness_coherent_mixture_closed",
-    "witness_expectation_gaussian",
-    "witness_expectation_wigner",
-    "witness_fock",
-    "witness_photon_added_closed",
-]
+#: Every public name imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

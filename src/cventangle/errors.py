@@ -1,9 +1,12 @@
-"""Exception types shared across the library, and the parameter checks that
-more than one module applies.
+"""Exception types shared across the library, and the parameter checks and
+JSON field decoders that more than one module applies.
 
 The CLI maps these onto exit codes: invalid input -> 2, numeric/domain
 failures -> 3, I/O -> 4 (see :mod:`cventangle.cli`).
 """
+
+import math
+import numbers
 
 
 class CVEntangleError(Exception):
@@ -45,3 +48,31 @@ def require_nonnegative_nr(n: float, r: float) -> None:
     """Reject a negative (or NaN) thermal photon number n or squeezing r."""
     if not (n >= 0 and r >= 0):
         raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+
+
+def real_field(name: str, value) -> float:
+    """A finite real number; booleans, NaN and infinities are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidArgumentError(f"field {name!r} must be a finite number, got {value!r}")
+
+
+def complex_field(name: str, value) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise InvalidArgumentError(f"field {name!r} must be a [re, im] pair, got {value!r}")
+    return complex(real_field(name, value[0]), real_field(name, value[1]))
+
+
+def text_field(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise InvalidArgumentError(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def matrix_field(name: str, value) -> list:
+    return [[real_field(name, x) for x in row] for row in value]

@@ -14,16 +14,16 @@ evaluator of every quantity it supports.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from . import phase_space, realignment, witness
-from .errors import InvalidArgumentError, require_nonnegative_nr, require_vacuum_bound
+from .errors import (InvalidArgumentError, complex_field, real_field, require_nonnegative_nr,
+                     require_vacuum_bound)
 from .realignment import two_two_family
-from .symplectic import CovarianceMatrix, is_physical
+from .symplectic import DOCUMENT_FIELDS, CovarianceMatrix, is_physical
 
 
 @dataclass(frozen=True)
@@ -242,34 +242,6 @@ def photon_added_sts_wigner(n: float, r: float) -> WignerSpec:
 # the family table and JSON state descriptors
 # ---------------------------------------------------------------------------
 
-def _real(name: str, value) -> float:
-    """A finite real number; booleans, NaN and infinities are rejected."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise InvalidArgumentError(f"field {name!r} must be a finite number, got {value!r}")
-
-
-def _complex(name: str, value) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise InvalidArgumentError(f"field {name!r} must be a [re, im] pair, got {value!r}")
-    return complex(_real(name, value[0]), _real(name, value[1]))
-
-
-def _text(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise InvalidArgumentError(f"field {name!r} must be a string, got {value!r}")
-    return value
-
-
-def _matrix(name: str, value) -> list:
-    return [[_real(name, x) for x in row] for row in value]
-
-
 def _encode(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -308,31 +280,30 @@ _W01 = witness.WitnessParams(0.0, 1.0)
 # Evaluators look engine functions up at call time, so wrappers installed on
 # the engine modules (tracing, test doubles) see every call.
 FAMILIES = (
-    Family("standard2", TwoModeStandardForm, dict.fromkeys(("a", "b", "c1", "c2"), _real), {
+    Family("standard2", TwoModeStandardForm, dict.fromkeys(("a", "b", "c1", "c2"), real_field), {
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
         "swap": lambda s: witness.swap_expectation(s.wigner()),
         "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
     }, axes=("a", "b", "c1", "c2")),
-    Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), _real), {
+    Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
         "classify": _classify_two_two,
     }, axes=("a", "b", "c")),
-    Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), _real), {
+    Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), real_field), {
         "witness01": lambda s: witness.witness_photon_added_closed(s.n, s.r),
         "swap": lambda s: witness.swap_expectation(s.wigner()),
     }, axes=("n", "r")),
     Family("coherent_mixture", CoherentMixture,
-           {"p": _real, "alpha1": _complex, "alpha2": _complex}, {
+           {"p": real_field, "alpha1": complex_field, "alpha2": complex_field}, {
         "witness01": lambda s: witness.witness_coherent_mixture_closed(s.p, s.alpha1, s.alpha2),
         "swap": lambda s: witness.swap_expectation_coherent_mixture(s.p, s.alpha1, s.alpha2),
     }, axes=("p",)),
-    Family("raw_covariance", CovarianceMatrix,
-           {"modes": _real, "ordering": _text, "matrix": _matrix}, {
+    Family("raw_covariance", CovarianceMatrix, DOCUMENT_FIELDS, {
         "witness01": lambda V: witness.witness_expectation_wigner(WignerSpec(V), _W01),
         "swap": lambda V: witness.swap_expectation(WignerSpec(V)),
         "realignment_norm": lambda V: realignment.realignment_norm(V),
-    }, build=lambda **doc: CovarianceMatrix.from_descriptor(doc)),
+    }, build=CovarianceMatrix.from_fields),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularInputError
+from .errors import InvalidArgumentError, SingularInputError, matrix_field, real_field, text_field
 
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_TOL = 1e-12
@@ -25,6 +25,10 @@ PHYSICALITY_TOL = 1e-10
 IMAG_RESIDUAL_TOL = 1e-9
 
 ORDERING_TEMPLATE = "x{0},p{0}"
+
+#: Decoder of each field of the covariance interchange document, shared with
+#: the ``raw_covariance`` row of the state family table.
+DOCUMENT_FIELDS = {"modes": real_field, "ordering": text_field, "matrix": matrix_field}
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -84,21 +88,28 @@ class CovarianceMatrix:
 
     @classmethod
     def from_descriptor(cls, doc: dict) -> "CovarianceMatrix":
+        """Read an interchange document through :data:`DOCUMENT_FIELDS`."""
         try:
-            modes = int(doc["modes"])
-            ordering = doc["ordering"]
-            matrix = np.asarray(doc["matrix"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            fields = {name: decode(name, doc[name]) for name, decode in DOCUMENT_FIELDS.items()}
+        except (KeyError, TypeError) as exc:
             raise InvalidArgumentError(f"malformed covariance document: {exc}") from exc
-        expected = ",".join(ORDERING_TEMPLATE.format(i + 1) for i in range(modes))
-        if ordering.replace(" ", "") != expected:
-            raise InvalidArgumentError(
-                f"unsupported quadrature ordering {ordering!r}; expected {expected!r}"
-            )
+        return cls.from_fields(**fields)
+
+    @classmethod
+    def from_fields(cls, modes: float, ordering: str, matrix: list) -> "CovarianceMatrix":
+        """Build from decoded document fields, checking that they agree."""
+        try:
+            matrix = np.asarray(matrix, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise InvalidArgumentError(f"malformed covariance matrix: {exc}") from exc
         cov = cls(matrix)
         if cov.modes != modes:
             raise InvalidArgumentError(
-                f"matrix dimension {matrix.shape[0]} does not match modes={modes}"
+                f"matrix dimension {matrix.shape[0]} does not match modes={modes:g}"
+            )
+        if ordering.replace(" ", "") != cov.ordering:
+            raise InvalidArgumentError(
+                f"unsupported quadrature ordering {ordering!r}; expected {cov.ordering!r}"
             )
         return cov
 

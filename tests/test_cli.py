@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cventangle import fock
 from cventangle.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
 
 TWO_TWO = json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.78})
@@ -327,6 +328,26 @@ class TestScan:
         )
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("axis", ["a:x:1:5", "a:0:1:five", "a:0:1:2.5"])
+    def test_non_numeric_axis_exits_2(self, axis, tmp_path, capsys):
+        code = main(
+            [
+                "scan",
+                "--state",
+                json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.0}),
+                "--quantity",
+                "classify",
+                "--axes",
+                axis,
+                "--axes",
+                "c:0:0.8:5",
+                "--out",
+                str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_INVALID
+        assert "non-numeric" in capsys.readouterr().err
+
     def test_single_step_axis_exits_2(self, tmp_path):
         code = main(
             [
@@ -393,6 +414,54 @@ class TestVerify:
 
     def test_oversized_cutoff_exits_2(self):
         assert main(["verify", "--cutoff", "65"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--cutoff", "-3"], ["--cutoff", "2"], ["--rmax", "nan"], ["--rmax", "inf"]],
+        ids=["negative-cutoff", "cutoff-below-4", "nan-rmax", "infinite-rmax"],
+    )
+    def test_bad_arguments_exit_2_before_building(self, args, capsys, monkeypatch):
+        def no_build(*_args):
+            raise AssertionError("a state was built")
+
+        for builder in ("tmsv_fock", "squeezed_thermal_fock", "photon_added_sts_fock",
+                        "coherent_mixture_fock"):
+            monkeypatch.setattr(fock, builder, no_build)
+        assert main(["verify", *args]) == EXIT_INVALID
+        assert capsys.readouterr().out == ""
+
+    def test_default_suite_passes(self, capsys):
+        code = main(["verify"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK and report["all_pass"] is True
+        assert (report["cutoff"], report["r_max"]) == (40, 0.6)
+        assert len(report["checks"]) == 10
+        for check in report["checks"]:
+            assert 0.0 <= check["traceDeficit"] <= fock.MAX_TRACE_DEFICIT
+
+    def test_truncation_provenance(self, capsys):
+        # photon-added (0.5, 0.6) cannot be built at cutoff 6: the check that
+        # reads only it has no deficit, the one that also reads built states
+        # reports their worst
+        main(["verify", "--cutoff", "6", "--rmax", "0.6"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["photon_added_witness_w01"]["traceDeficit"] is None
+        assert "TruncationError" in checks["photon_added_witness_w01"]["error"]
+        thermal = fock.squeezed_thermal_fock(0.2, 0.6, 6).trace_deficit
+        assert checks["negativity_bounds_witness"]["traceDeficit"] == thermal
+        assert checks["squeezed_thermal_witness_w01"]["traceDeficit"] == thermal
+
+    def test_each_state_built_once_per_call(self, capsys, monkeypatch):
+        builds = []
+        for name in ("tmsv_fock", "squeezed_thermal_fock", "photon_added_sts_fock",
+                     "coherent_mixture_fock"):
+            original = getattr(fock, name)
+            monkeypatch.setattr(fock, name, lambda *a, _f=original: builds.append(a) or _f(*a))
+        for _ in range(2):
+            assert main(["verify", "--cutoff", "12", "--rmax", "0.3"]) == EXIT_OK
+        capsys.readouterr()
+        # 3 TMSV + 3 squeezed thermal + mixture + photon-added, rebuilt by each call
+        assert len(builds) == 16 and len(set(builds)) == 8
 
 
 class TestEntryPoint:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from cventangle import (
     InvalidArgumentError,
@@ -24,7 +26,12 @@ from cventangle import (
     witness_fock,
     witness_photon_added_closed,
 )
-from cventangle.fock import FockDensityMatrix, coherent_amplitudes, witness_operator
+from cventangle.fock import (
+    FockDensityMatrix,
+    _component_labels,
+    coherent_amplitudes,
+    witness_operator,
+)
 
 
 def assert_valid_density_matrix(rho: FockDensityMatrix, trace=1.0):
@@ -287,3 +294,115 @@ class TestBinaryDump:
         path.write_bytes(b"NOTFOCK" + b"\x00" * 64)
         with pytest.raises(InvalidArgumentError):
             load_fock(path)
+
+
+def dense_negativity(rho: FockDensityMatrix) -> float:
+    """Reference: every eigenvalue of the whole partial transpose at once."""
+    d = rho.dim
+    pt = rho.matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    return float(np.abs(np.linalg.eigvalsh(pt)).sum() - 1.0)
+
+
+def dense_realignment(rho: FockDensityMatrix) -> float:
+    """Reference: every singular value of the whole realigned matrix at once."""
+    d = rho.dim
+    R = rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return float(np.linalg.svd(R, compute_uv=False).sum())
+
+
+def assert_sectors_match_dense(rho: FockDensityMatrix):
+    assert abs(negativity_fock(rho) - dense_negativity(rho)) <= 1e-12
+    assert abs(realignment_trace_norm_fock(rho) - dense_realignment(rho)) <= 1e-12
+
+
+def n_components(M: np.ndarray, bipartite: bool) -> int:
+    """Number of sectors the kernels split ``M`` into."""
+    return len(np.unique(_component_labels(M, bipartite)))
+
+
+SECTORS = settings(max_examples=40, deadline=None, database=None)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def oracle_states(draw):
+    """Any of the four constructors at a small cutoff, with its edges (r = 0,
+    n = 0, p in {0, 1}, real and complex amplitudes) drawn often."""
+    cutoff = draw(st.integers(4, 9))
+    r = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.7)))
+    n = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    kind = draw(st.sampled_from(["tmsv", "thermal", "added", "mixture"]))
+    amplitude = st.builds(complex, st.floats(-1.2, 1.2), st.one_of(st.just(0.0), st.floats(-1.2, 1.2)))
+    try:
+        if kind == "tmsv":
+            return tmsv_fock(r, cutoff)
+        if kind == "thermal":
+            return squeezed_thermal_fock(n, r, cutoff)
+        if kind == "added":
+            return photon_added_sts_fock(n, r, cutoff)
+        p = draw(st.one_of(st.sampled_from([0.0, 1.0]), unit))
+        return coherent_mixture_fock(p, draw(amplitude), draw(amplitude), cutoff)
+    except (TruncationError, InvalidArgumentError):
+        reject()
+
+
+class TestSectorKernels:
+    """Sector negativity and realigned trace norm against dense references."""
+
+    @SECTORS
+    @given(rho=oracle_states())
+    def test_builders_match_dense(self, rho):
+        assert_sectors_match_dense(rho)
+
+    @SECTORS
+    @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(4, 6))
+    def test_random_dense_state_is_one_sector(self, seed, cutoff):
+        rng = np.random.default_rng(seed)
+        d2 = (cutoff + 1) ** 2
+        G = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+        rho = FockDensityMatrix(cutoff, G @ G.conj().T / np.trace(G @ G.conj().T).real, 0.0)
+        assert n_components(rho.matrix, bipartite=False) == 1
+        assert_sectors_match_dense(rho)
+
+    @SECTORS
+    @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(4, 6))
+    def test_tiny_coupling_merges_sectors(self, seed, cutoff):
+        # a state block-diagonal in the photon-number difference, plus a single
+        # 1e-300 coupling between the difference-0 and difference-(-1) blocks
+        rng = np.random.default_rng(seed)
+        d = cutoff + 1
+        i, j = np.divmod(np.arange(d * d), d)
+        G = rng.normal(size=(d * d, d * d)) * ((i - j)[:, None] == (i - j)[None, :])
+        block = G @ G.T / np.trace(G @ G.T)
+        coupled = block.copy()
+        coupled[0, 1] = coupled[1, 0] = 1e-300
+        # sectors: i + l of the partial transpose, i - k of the realigned matrix;
+        # the coupling and its Hermitian partner join PT sectors 0 and 1 and
+        # realigned sectors -1, 0 and 1
+        for matrix, merged in ((block, 0), (coupled, 1)):
+            rho = FockDensityMatrix(cutoff, matrix, 0.0)
+            pt = rho.matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+            R = rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+            assert n_components(pt, bipartite=False) == 2 * d - 1 - merged
+            assert n_components(R, bipartite=True) == 2 * d - 1 - 2 * merged
+            assert_sectors_match_dense(rho)
+
+
+class TestRealStorage:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tmsv_fock(0.4, 8),
+            lambda: squeezed_thermal_fock(0.2, 0.4, 8),
+            lambda: photon_added_sts_fock(0.3, 0.3, 10),
+            lambda: coherent_mixture_fock(0.6, 1.0, -1.0, 10),
+            lambda: coherent_mixture_fock(0.6, 0.5j, -0.5j, 10),
+        ],
+    )
+    def test_real_entries_are_stored_real(self, build):
+        assert build().matrix.dtype == np.float64
+
+    def test_complex_entries_stay_complex(self):
+        rho = coherent_mixture_fock(0.6, 1.0, 0.5 + 0.5j, 20)
+        assert rho.matrix.dtype == np.complex128
+        assert_valid_density_matrix(rho, trace=1.0 - 0.6 * math.exp(-abs(0.5 - 0.5j) ** 2))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -9,6 +11,7 @@ from cventangle import (
     family_threshold,
     is_physical,
     is_ppt,
+    parse_state_descriptor,
     partial_transpose,
     squeezed_thermal_params,
     symplectic_eigenvalues,
@@ -79,6 +82,26 @@ class TestCovarianceMatrix:
         doc["ordering"] = "x1,x2,p1,p2"
         with pytest.raises(InvalidArgumentError):
             CovarianceMatrix.from_descriptor(doc)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[true, 0], [0, 0.25]]}',
+            '{"modes": 1, "ordering": 7, "matrix": [[0.25, 0], [0, 0.25]]}',
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[NaN, 0], [0, 0.25]]}',
+            '{"modes": 1e300, "ordering": "x1,p1", "matrix": [[0.25, 0], [0, 0.25]]}',
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[0.25, 0], [0]]}',
+            '[1, 2]',
+        ],
+    )
+    def test_json_rejects_malformed_document(self, text):
+        # the same field decoders as every state descriptor
+        with pytest.raises(InvalidArgumentError):
+            CovarianceMatrix.from_json(text)
+        doc = json.loads(text)
+        if isinstance(doc, dict):
+            with pytest.raises(InvalidArgumentError):
+                parse_state_descriptor({"family": "raw_covariance", **doc})
 
 
 class TestIsPhysical:
