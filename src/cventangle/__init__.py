@@ -30,12 +30,9 @@ from .errors import (
 from .fock import (
     FockDensityMatrix,
     coherent_mixture_fock,
-    covariance_from_fock,
-    load_fock,
     negativity_fock,
     photon_added_sts_fock,
     realignment_trace_norm_fock,
-    save_fock,
     squeezed_thermal_fock,
     tmsv_fock,
     witness_fock,
@@ -60,7 +57,6 @@ from .states import (
     parse_state_descriptor,
     photon_added_sts_wigner,
     squeezed_thermal_params,
-    standard_two_mode,
     state_descriptor,
     tmsv_params,
 )

@@ -65,15 +65,6 @@ class BoundReport:
     witness_value_01: float
     swap_value: float
 
-    def to_record(self) -> dict:
-        return {
-            "crenLower": self.cren_lower,
-            "concurrenceLower": self.concurrence_lower,
-            "eofLower": self.eof_lower,
-            "tangleLower": self.tangle_lower,
-            "inputs": {"witnessValue01": self.witness_value_01, "swapValue": self.swap_value},
-        }
-
 
 def bound_report(witness_value_01: float, swap_value: float) -> BoundReport:
     """Assemble every bound from the two measured expectation values."""

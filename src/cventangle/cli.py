@@ -16,6 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,33 +34,91 @@ EXIT_VERIFY = 5
 WORKERS_ENV = "CV_ENTANGLE_WORKERS"
 
 
-def _expectation(value: float) -> dict:
+def _verdict(entangled: bool) -> str:
+    return "entangled" if entangled else "undetected"
+
+
+def _value_cell(value: float) -> tuple[float, str]:
+    return value, _verdict(witness.detects_entanglement(value))
+
+
+def _value_fields(value: float) -> dict:
     return {"value": value, "entangled": witness.detects_entanglement(value)}
 
 
-def _bounds_record(report: bounds_mod.BoundReport) -> dict:
+def _classify_fields(state, result) -> dict:
+    """The closed-form verdict, plus at physical points the Gram spectrum of
+    the state's ``realignment_norm`` (``eval`` only; a scan cell never
+    computes it)."""
+    fields = {"verdict": result.verdict, "norm": result.norm, "threshold": result.threshold}
+    if result.verdict != "unphysical":
+        spectrum = _evaluate(state, "realignment_norm").spectrum
+        fields.update(nus=list(spectrum.nus), a0=spectrum.a0)
+    return fields
+
+
+def _bounds_entangled(report) -> bool:
     detects = witness.detects_entanglement
-    entangled = detects(report.witness_value_01) or detects(report.swap_value)
-    return {**report.to_record(), "entangled": entangled}
+    return detects(report.witness_value_01) or detects(report.swap_value)
 
 
-#: JSON record fields of each quantity, from the value its evaluator returns.
-_RECORDS = {
-    "optimal_witness": lambda opt: {
-        "mu1": opt.params.mu1,
-        "mu2": opt.params.mu2,
-        "muMinus": opt.mu_minus,
-        "muPlus": opt.mu_plus,
-        **_expectation(opt.value),
-    },
-    "witness01": lambda value: {"mu1": 0.0, "mu2": 1.0, **_expectation(value)},
-    "swap": _expectation,
-    "realignment_norm": lambda result: result.to_record(),
-    "classify": dict,
-    "bounds": _bounds_record,
+class _Quantity(NamedTuple):
+    record: Callable
+    cell: Callable
+
+
+#: What each quantity reports, from the value its family evaluator returns:
+#: ``record(state, value)`` gives the ``eval`` JSON fields in output order and
+#: ``cell(value)`` the scan CSV ``(value, verdict)``.  Nothing else in the
+#: package knows the record format.
+_QUANTITIES = {
+    "optimal_witness": _Quantity(
+        lambda state, opt: {
+            "mu1": opt.params.mu1,
+            "mu2": opt.params.mu2,
+            "muMinus": opt.mu_minus,
+            "muPlus": opt.mu_plus,
+            **_value_fields(opt.value),
+        },
+        lambda opt: _value_cell(opt.value),
+    ),
+    "witness01": _Quantity(
+        lambda state, value: {"mu1": 0.0, "mu2": 1.0, **_value_fields(value)}, _value_cell
+    ),
+    "swap": _Quantity(lambda state, value: _value_fields(value), _value_cell),
+    "realignment_norm": _Quantity(
+        lambda state, result: {
+            "norm": result.norm,
+            "nus": list(result.spectrum.nus),
+            "a0": result.spectrum.a0,
+            "verdict": result.verdict,
+        },
+        lambda result: (result.norm, result.verdict),
+    ),
+    "classify": _Quantity(
+        _classify_fields,
+        lambda result: (math.nan if result.norm is None else result.norm, result.verdict),
+    ),
+    "bounds": _Quantity(
+        lambda state, report: {
+            "crenLower": report.cren_lower,
+            "concurrenceLower": report.concurrence_lower,
+            "eofLower": report.eof_lower,
+            "tangleLower": report.tangle_lower,
+            "inputs": {"witnessValue01": report.witness_value_01, "swapValue": report.swap_value},
+            "entangled": _bounds_entangled(report),
+        },
+        lambda report: (report.cren_lower, _verdict(_bounds_entangled(report))),
+    ),
 }
 
-QUANTITIES = tuple(_RECORDS)
+QUANTITIES = tuple(_QUANTITIES)
+
+
+def _quantity(quantity: str) -> _Quantity:
+    if quantity not in _QUANTITIES:
+        raise InvalidArgumentError(f"unknown quantity {quantity!r} (choose from {QUANTITIES})")
+    return _QUANTITIES[quantity]
 
 
 def _evaluator(family, quantity: str):
@@ -73,34 +132,24 @@ def _evaluator(family, quantity: str):
     return family.quantities[quantity]
 
 
-def evaluate_quantity(state, quantity: str) -> dict:
-    """Route one state/quantity pair through the family table; returns the JSON record.
+def _evaluate(state, quantity: str):
+    """The value the family evaluator of ``quantity`` returns for ``state``.
 
     Overflow and singular linear algebra inside an engine are reported as
     :class:`NumericDomainError` (exit 3, or an ``invalid`` scan cell).
     """
-    if quantity not in _RECORDS:
-        raise InvalidArgumentError(f"unknown quantity {quantity!r} (choose from {QUANTITIES})")
-    family = family_of(state)
-    evaluate = _evaluator(family, quantity)
+    evaluate = _evaluator(family_of(state), quantity)
     try:
-        fields = _RECORDS[quantity](evaluate(state))
+        return evaluate(state)
     except (OverflowError, np.linalg.LinAlgError) as exc:
         raise NumericDomainError(f"{quantity} left the floating-point domain: {exc}") from exc
+
+
+def evaluate_quantity(state, quantity: str) -> dict:
+    """The ``eval`` JSON record of one state/quantity pair."""
+    record = _quantity(quantity).record
+    fields = record(state, _evaluate(state, quantity))
     return {"state": state_descriptor(state), "quantity": quantity, **fields}
-
-
-def _scan_value_verdict(record: dict, quantity: str) -> tuple[float, str]:
-    if quantity in ("optimal_witness", "witness01", "swap"):
-        return record["value"], "entangled" if record["entangled"] else "undetected"
-    if quantity == "realignment_norm":
-        return record["norm"], record["verdict"]
-    if quantity == "classify":
-        value = record["norm"] if record["norm"] is not None else math.nan
-        return value, record["verdict"]
-    if quantity == "bounds":
-        return record["crenLower"], "entangled" if record["entangled"] else "undetected"
-    raise InvalidArgumentError(f"unknown quantity {quantity!r}")
 
 
 @dataclass(frozen=True)
@@ -131,15 +180,14 @@ class ScanAxis:
 
 def _scan_row(task) -> list[tuple[float, str]]:
     base, quantity, axis1_name, v1, axis2_name, values2 = task
+    cell = _quantity(quantity).cell
     out = []
     for v2 in values2:
         doc = dict(base)
         doc[axis1_name] = float(v1)
         doc[axis2_name] = float(v2)
         try:
-            state = parse_state_descriptor(doc)
-            record = evaluate_quantity(state, quantity)
-            out.append(_scan_value_verdict(record, quantity))
+            out.append(cell(_evaluate(parse_state_descriptor(doc), quantity)))
         except CVEntangleError:
             out.append((math.nan, "invalid"))
     return out
@@ -165,8 +213,7 @@ def run_scan(
                 f"axis {axis.name!r} is not a parameter of family {family.name!r} "
                 f"(choose from {sorted(family.axes)})"
             )
-    if quantity not in QUANTITIES:
-        raise InvalidArgumentError(f"unknown quantity {quantity!r} (choose from {QUANTITIES})")
+    _quantity(quantity)
     values2 = [float(v) for v in axis2.values()]
     tasks = [
         (base_descriptor, quantity, axis1.name, float(v1), axis2.name, values2)

@@ -15,7 +15,6 @@ the oracle stays independent of every analytic path in the package.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ from .errors import (
 #: Constructors fail when more than this fraction of the trace is truncated away.
 MAX_TRACE_DEFICIT = 0.01
 _HERMITICITY_TOL = 1e-12
-
-_MAGIC = b"CVFOCK1"
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,9 @@ class FockDensityMatrix:
         return self.cutoff + 1
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation operator on the truncated space."""
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+def _require_cutoff(cutoff: int) -> None:
+    if cutoff < 4:
+        raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
 
 
 def _check_deficit(deficit: float, label: str) -> float:
@@ -90,8 +87,7 @@ def tmsv_fock(r: float, cutoff: int) -> FockDensityMatrix:
     r = float(r)
     if r < 0:
         raise InvalidArgumentError(f"squeezing must be nonnegative, got {r}")
-    if cutoff < 4:
-        raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
+    _require_cutoff(cutoff)
     d = cutoff + 1
     deficit = _check_deficit(math.tanh(r) ** (2 * (cutoff + 1)), f"TMSV r={r}")
     amps = np.array([math.tanh(r) ** k / math.cosh(r) for k in range(d)])
@@ -133,7 +129,7 @@ def coherent_mixture_fock(
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
-    d = cutoff + 1
+    _require_cutoff(cutoff)
     overlap2 = math.exp(-abs(complex(alpha1) - complex(alpha2)) ** 2)
     intended_trace = 1.0 - p * overlap2
     if intended_trace <= 1e-15:
@@ -154,8 +150,6 @@ def coherent_mixture_fock(
 
 
 def _thermal_weights(n: float, cutoff: int) -> np.ndarray:
-    if n < 0:
-        raise InvalidArgumentError(f"mean photon number must be nonnegative, got {n}")
     if n == 0:
         w = np.zeros(cutoff + 1)
         w[0] = 1.0
@@ -218,8 +212,7 @@ def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     a truncated thermal product through the exact ladder expansion."""
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
-    if cutoff < 4:
-        raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
+    _require_cutoff(cutoff)
     rho = _sts_raw(n, r, cutoff)
     trace = float(np.trace(rho))
     deficit = _check_deficit(1.0 - trace, f"squeezed thermal n={n}, r={r}")
@@ -235,8 +228,7 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     """
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
-    if cutoff < 4:
-        raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
+    _require_cutoff(cutoff)
     d = cutoff + 1
     rho = _sts_raw(n, r, cutoff)
     # sandwich with the mode-2 creation operator: a shift-and-scale reindexing
@@ -255,36 +247,19 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
 # expectation values
 # ---------------------------------------------------------------------------
 
-def _observable(which: str) -> str:
-    if which.upper() not in ("W01", "SWAP"):
-        raise InvalidArgumentError(f"unknown witness operator {which!r} (use 'W01' or 'SWAP')")
-    return which.upper()
-
-
-def witness_operator(which: str, cutoff: int) -> np.ndarray:
-    """Truncated matrix of the requested observable.
+def witness_fock(rho: FockDensityMatrix, which: str) -> float:
+    """Tr(rho M) for the observable M named by ``which``, summed over the
+    entries of rho that M touches, without forming M; the imaginary residue
+    must stay below 1e-10.
 
     ``W01`` is identity minus the sum of all |ii><jj| (the witness at
     (mu1, mu2) = (0, 1)); ``SWAP`` is the mode-exchange operator
     sum of |ij><ji|.
     """
-    d = cutoff + 1
-    if _observable(which) == "W01":
-        e = np.zeros(d * d)
-        e[np.arange(d) * (d + 1)] = 1.0
-        return np.eye(d * d) - np.outer(e, e)
-    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    V = np.zeros((d * d, d * d))
-    V[(ii * d + jj).ravel(), (jj * d + ii).ravel()] = 1.0
-    return V
-
-
-def witness_fock(rho: FockDensityMatrix, which: str) -> float:
-    """Tr(rho M) for an observable M of :func:`witness_operator`, summed over
-    the entries of rho that M touches; the imaginary residue must stay below
-    1e-10."""
+    if which.upper() not in ("W01", "SWAP"):
+        raise InvalidArgumentError(f"unknown witness operator {which!r} (use 'W01' or 'SWAP')")
     d, m = rho.dim, rho.matrix
-    if _observable(which) == "W01":
+    if which.upper() == "W01":
         diag = np.arange(d) * (d + 1)
         value = complex(np.trace(m) - m[np.ix_(diag, diag)].sum())
     else:
@@ -359,73 +334,3 @@ def negativity_fock(rho: FockDensityMatrix) -> float:
     d = rho.dim
     pt = rho.matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
     return _trace_norm(pt, hermitian=True) - 1.0
-
-
-def expectation_two_mode(rho: FockDensityMatrix, A: np.ndarray, B: np.ndarray) -> complex:
-    """Tr[rho (A x B)] without forming the Kronecker product."""
-    d = rho.dim
-    rho4 = rho.matrix.reshape(d, d, d, d)
-    return complex(np.einsum("ijkl,ki,lj->", rho4, A, B))
-
-
-def covariance_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Means and symmetrized quadrature covariance extracted from the matrix.
-
-    Used to check Fock constructions against the analytic covariance.
-    """
-    d = rho.dim
-    a = annihilation(rho.cutoff)
-    x = (a + a.T) / 2.0
-    p = (a - a.T) / 2.0j
-    eye = np.eye(d)
-    singles = {0: x, 1: p}
-    mean = np.zeros(4)
-    for mode in range(2):
-        for q in range(2):
-            op = singles[q]
-            A, B = (op, eye) if mode == 0 else (eye, op)
-            mean[2 * mode + q] = expectation_two_mode(rho, A, B).real
-    V = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            mi, qi = divmod(i, 2)
-            mj, qj = divmod(j, 2)
-            if mi == mj:
-                op = (singles[qi] @ singles[qj] + singles[qj] @ singles[qi]) / 2.0
-                A, B = (op, eye) if mi == 0 else (eye, op)
-            else:
-                A = singles[qi] if mi == 0 else singles[qj]
-                B = singles[qj] if mj == 1 else singles[qi]
-            V[i, j] = expectation_two_mode(rho, A, B).real - mean[i] * mean[j]
-    return mean, V
-
-
-# ---------------------------------------------------------------------------
-# binary interchange
-# ---------------------------------------------------------------------------
-
-def save_fock(rho: FockDensityMatrix, path) -> None:
-    """Write magic "CVFOCK1", cutoff, matrix dimension, then the row-major
-    complex128 entries (little endian)."""
-    d2 = rho.matrix.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", rho.cutoff, d2))
-        fh.write(np.ascontiguousarray(rho.matrix, dtype="<c16").tobytes())
-
-
-def load_fock(path) -> FockDensityMatrix:
-    """Read a file written by :func:`save_fock`.
-
-    The format does not record the truncation deficit, so the loaded matrix
-    carries ``trace_deficit = nan``.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise InvalidArgumentError(f"bad magic {magic!r}; not a Fock dump file")
-        cutoff, d2 = struct.unpack("<II", fh.read(8))
-        if d2 != (cutoff + 1) ** 2:
-            raise InvalidArgumentError(f"dimension {d2} inconsistent with cutoff {cutoff}")
-        data = np.frombuffer(fh.read(d2 * d2 * 16), dtype="<c16").reshape(d2, d2)
-    return FockDensityMatrix(cutoff=cutoff, matrix=data.copy(), trace_deficit=float("nan"))

@@ -7,8 +7,8 @@ a two-mode space.  All integrals here are of the restricted form
     integral of  P(T u) * G(T u)  over u in R^k,
 
 where G is a normalized Gaussian and T a (2m x k) slice matrix.  For a
-polynomial P the integral is a finite sum of Gaussian moments, which is
-evaluated exactly (Wick pairings); no quadrature is involved.
+polynomial P the integral is a finite sum of Gaussian moments of xi = T u,
+evaluated exactly by one moment recursion; no quadrature is involved.
 """
 
 from __future__ import annotations
@@ -42,76 +42,31 @@ def poly_eval(poly: Optional[Polynomial], points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
+def _moment(mean: np.ndarray, cov: np.ndarray, idx: tuple) -> float:
+    """E[xi_i1 ... xi_ik] for xi ~ N(mean, cov), by the recursion
 
-
-def poly_affine_substitute(
-    poly: Optional[Polynomial], T: np.ndarray, shift: Optional[np.ndarray] = None
-) -> Optional[dict]:
-    """Substitute xi = T u + shift, returning a polynomial in u.
-
-    ``T`` has shape (nvars_old, nvars_new).
+        E[xi_i1 ... xi_ik] = mean_i1 E[rest] + sum_j cov[i1, ij] E[rest without ij].
     """
-    if poly is None:
-        return None
-    T = np.asarray(T, dtype=float)
-    nold, nnew = T.shape
-    if shift is None:
-        shift = np.zeros(nold)
-    zero = (0,) * nnew
-    # linear polynomial for each old coordinate
-    lin = []
-    for j in range(nold):
-        lj = {zero: float(shift[j])}
-        for k in range(nnew):
-            if T[j, k] != 0.0:
-                e = [0] * nnew
-                e[k] = 1
-                lj[tuple(e)] = float(T[j, k])
-        lin.append(lj)
-    out: dict = {}
-    for expo, coeff in poly.items():
-        term = {zero: float(coeff)}
-        for j, power in enumerate(expo):
-            for _ in range(power):
-                term = _poly_mul(term, lin[j])
-        for e, c in term.items():
-            out[e] = out.get(e, 0.0) + c
-    return {e: c for e, c in out.items() if c != 0.0} or {zero: 0.0}
-
-
-def _central_moment(cov: np.ndarray, idx: tuple) -> float:
-    """E[z_i1 ... z_ik] for zero-mean Gaussian z via Wick pairings."""
-    k = len(idx)
-    if k == 0:
+    if not idx:
         return 1.0
-    if k % 2:
-        return 0.0
     first, rest = idx[0], idx[1:]
-    total = 0.0
+    total = mean[first] * _moment(mean, cov, rest) if mean[first] != 0.0 else 0.0
     for pos in range(len(rest)):
         pair = cov[first, rest[pos]]
         if pair != 0.0:
-            total += pair * _central_moment(cov, rest[:pos] + rest[pos + 1 :])
+            total += pair * _moment(mean, cov, rest[:pos] + rest[pos + 1 :])
     return total
 
 
 def gaussian_expect_poly(poly: Optional[Polynomial], mean: np.ndarray, cov: np.ndarray) -> float:
-    """Exact E[P(u)] for u ~ N(mean, cov)."""
+    """Exact E[P(xi)] for xi ~ N(mean, cov)."""
     if poly is None:
         return 1.0
-    n = len(mean)
-    centered = poly_affine_substitute(poly, np.eye(n), mean)
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     total = 0.0
-    for expo, coeff in centered.items():
+    for expo, coeff in poly.items():
         idx = tuple(i for i, p in enumerate(expo) for _ in range(p))
-        total += coeff * _central_moment(np.asarray(cov, float), idx)
+        total += coeff * _moment(mean, cov, idx)
     return total
 
 
@@ -163,5 +118,6 @@ def slice_integral(spec, T: np.ndarray) -> float:
     k = T.shape[1]
     base = spec.norm_prefactor * gaussian_normal_constant(V) * math.exp(-c0)
     gauss = math.exp((k / 2) * math.log(2 * math.pi) - 0.5 * logdet)
-    poly_u = poly_affine_substitute(spec.poly, T) if spec.poly else None
-    return float(base * gauss * gaussian_expect_poly(poly_u, u0, np.linalg.inv(M)))
+    # on the slice xi = T u with u ~ N(u0, M^-1): xi ~ N(T u0, T M^-1 T^T)
+    moments = gaussian_expect_poly(spec.poly, T @ u0, T @ np.linalg.solve(M, T.T))
+    return float(base * gauss * moments)

@@ -48,14 +48,6 @@ class RealignmentResult:
     spectrum: WilliamsonSpectrum
     verdict: str
 
-    def to_record(self) -> dict:
-        return {
-            "norm": self.norm,
-            "nus": list(self.spectrum.nus),
-            "a0": self.spectrum.a0,
-            "verdict": self.verdict,
-        }
-
 
 def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, float]:
     """Covariance matrix and prefactor a0 of the Gram operator R(rho) R(rho)†.
@@ -190,6 +182,8 @@ def family_threshold(a: float, b: float) -> float:
     a, b = float(a), float(b)
     require_vacuum_bound(a=a, b=b)
     radicand = a * b - math.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
+    if math.isnan(radicand):  # inf - inf: a or b beyond the float range
+        raise NumericDomainError(f"family threshold overflows at a={a}, b={b}")
     if radicand < 0.0:
         if radicand < -1e-12:
             raise InvalidArgumentError(
@@ -206,9 +200,6 @@ class TwoTwoClassification:
     verdict: str
     norm: Optional[float]
     threshold: float
-
-    def to_record(self) -> dict:
-        return {"verdict": self.verdict, "norm": self.norm, "threshold": self.threshold}
 
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:

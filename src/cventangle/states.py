@@ -20,10 +20,10 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import phase_space, realignment, witness
-from .errors import (InvalidArgumentError, complex_field, real_field, require_nonnegative_nr,
-                     require_vacuum_bound)
+from .errors import (InvalidArgumentError, complex_field, matrix_field, real_field,
+                     require_nonnegative_nr, require_vacuum_bound, text_field)
 from .realignment import two_two_family
-from .symplectic import DOCUMENT_FIELDS, CovarianceMatrix, is_physical
+from .symplectic import CovarianceMatrix, is_physical
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,6 @@ class WignerSpec:
         gauss = norm * np.exp(-0.5 * quad)
         return gauss * phase_space.poly_eval(self.poly, points)
 
-    def normalization(self) -> float:
-        """Total integral over phase space (1 for a normalized state)."""
-        return phase_space.slice_integral(self, np.eye(2 * self.modes))
-
-
-def standard_two_mode(a: float, b: float, c1: float, c2: float) -> CovarianceMatrix:
-    """Expand standard-form parameters into the 4x4 covariance matrix."""
-    return TwoModeStandardForm(a, b, c1, c2).covariance()
-
 
 def squeezed_thermal_params(n: float, r: float) -> TwoModeStandardForm:
     """Standard form of the symmetric two-mode squeezed thermal state.
@@ -264,17 +255,6 @@ class Family:
     build: Optional[Callable] = None
 
 
-def _classify_two_two(s: TwoTwoFamilyParams) -> dict:
-    """classify record: the closed-form verdict, plus the generic Gram spectrum
-    behind the norm at physical points."""
-    result = realignment.classify_two_two(s.a, s.b, s.c)
-    record = result.to_record()
-    if result.verdict != "unphysical":
-        spectrum = realignment.realignment_norm(s.covariance()).spectrum
-        record.update(nus=list(spectrum.nus), a0=spectrum.a0)
-    return record
-
-
 _W01 = witness.WitnessParams(0.0, 1.0)
 
 # Evaluators look engine functions up at call time, so wrappers installed on
@@ -288,7 +268,7 @@ FAMILIES = (
     }, axes=("a", "b", "c1", "c2")),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
-        "classify": _classify_two_two,
+        "classify": lambda s: realignment.classify_two_two(s.a, s.b, s.c),
     }, axes=("a", "b", "c")),
     Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), real_field), {
         "witness01": lambda s: witness.witness_photon_added_closed(s.n, s.r),
@@ -299,7 +279,8 @@ FAMILIES = (
         "witness01": lambda s: witness.witness_coherent_mixture_closed(s.p, s.alpha1, s.alpha2),
         "swap": lambda s: witness.swap_expectation_coherent_mixture(s.p, s.alpha1, s.alpha2),
     }, axes=("p",)),
-    Family("raw_covariance", CovarianceMatrix, DOCUMENT_FIELDS, {
+    Family("raw_covariance", CovarianceMatrix,
+           {"modes": real_field, "ordering": text_field, "matrix": matrix_field}, {
         "witness01": lambda V: witness.witness_expectation_wigner(WignerSpec(V), _W01),
         "swap": lambda V: witness.swap_expectation(WignerSpec(V)),
         "realignment_norm": lambda V: realignment.realignment_norm(V),

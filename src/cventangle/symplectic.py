@@ -9,13 +9,12 @@ by 4; the hbar = 1/2 literature matches as-is.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularInputError, matrix_field, real_field, text_field
+from .errors import InvalidArgumentError, SingularInputError
 
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_TOL = 1e-12
@@ -25,10 +24,6 @@ PHYSICALITY_TOL = 1e-10
 IMAG_RESIDUAL_TOL = 1e-9
 
 ORDERING_TEMPLATE = "x{0},p{0}"
-
-#: Decoder of each field of the covariance interchange document, shared with
-#: the ``raw_covariance`` row of the state family table.
-DOCUMENT_FIELDS = {"modes": real_field, "ordering": text_field, "matrix": matrix_field}
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -75,29 +70,14 @@ class CovarianceMatrix:
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
 
-    def to_json(self) -> str:
-        """Serialize as the interchange JSON document."""
-        return json.dumps(self.to_descriptor())
-
     @property
     def ordering(self) -> str:
         return ",".join(ORDERING_TEMPLATE.format(i + 1) for i in range(self.modes))
 
-    def to_descriptor(self) -> dict:
-        return {"modes": self.modes, "ordering": self.ordering, "matrix": self.matrix.tolist()}
-
-    @classmethod
-    def from_descriptor(cls, doc: dict) -> "CovarianceMatrix":
-        """Read an interchange document through :data:`DOCUMENT_FIELDS`."""
-        try:
-            fields = {name: decode(name, doc[name]) for name, decode in DOCUMENT_FIELDS.items()}
-        except (KeyError, TypeError) as exc:
-            raise InvalidArgumentError(f"malformed covariance document: {exc}") from exc
-        return cls.from_fields(**fields)
-
     @classmethod
     def from_fields(cls, modes: float, ordering: str, matrix: list) -> "CovarianceMatrix":
-        """Build from decoded document fields, checking that they agree."""
+        """Build from the decoded fields of a ``raw_covariance`` state
+        descriptor, checking that they agree."""
         try:
             matrix = np.asarray(matrix, dtype=float)
         except ValueError as exc:  # ragged rows
@@ -112,14 +92,6 @@ class CovarianceMatrix:
                 f"unsupported quadrature ordering {ordering!r}; expected {cov.ordering!r}"
             )
         return cov
-
-    @classmethod
-    def from_json(cls, text: str) -> "CovarianceMatrix":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgumentError(f"invalid JSON: {exc}") from exc
-        return cls.from_descriptor(doc)
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,7 @@ class TestBoundReport:
         assert abs(report.concurrence_lower - 0.18901061666675945) < 1e-14
         assert abs(report.eof_lower - MIXTURE_EOF) < 1e-14
         assert abs(report.tangle_lower - MIXTURE_TANGLE) < 1e-15
-        rec = report.to_record()
-        assert rec["inputs"]["swapValue"] == swap
-        assert set(rec) == {"crenLower", "concurrenceLower", "eofLower", "tangleLower", "inputs"}
+        assert (report.witness_value_01, report.swap_value) == (0.1, swap)
 
     def test_all_bounds_nonnegative_and_consistent(self, rng):
         for _ in range(100):

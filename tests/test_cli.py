@@ -386,6 +386,106 @@ class TestScan:
         assert not os.path.exists("/nonexistent-dir/out.csv")
 
 
+def eval_cell(doc, quantity, capsys) -> tuple[str, str]:
+    """The (value, verdict) a scan cell should hold, read off the printed
+    ``eval`` record; a refused state is ``nan,invalid``."""
+    if main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) != EXIT_OK:
+        capsys.readouterr()
+        return "nan", "invalid"
+    record = json.loads(capsys.readouterr().out)
+    if quantity in ("realignment_norm", "classify"):
+        value, verdict = record["norm"], record["verdict"]
+    else:
+        value = record["crenLower" if quantity == "bounds" else "value"]
+        verdict = "entangled" if record["entangled"] else "undetected"
+    return repr(math.nan if value is None else float(value)), verdict
+
+
+#: Every (family, quantity) that scan supports, with a base state and two axes;
+#: between them the 3x3 grids reach refused, unphysical, undetected and
+#: detected cells.
+SCANNABLE = [
+    ({"family": "standard2", "a": 0.5, "b": 0.5, "c1": 0.2, "c2": -0.4},
+     ("a:0.25:1:3", "c1:-0.45:0.45:3"),
+     ["optimal_witness", "witness01", "swap", "realignment_norm", "bounds"]),
+    ({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.0},
+     ("a:0.5:1.5:3", "c:0:0.8:3"), ["realignment_norm", "classify"]),
+    ({"family": "photon_added_sts", "n": 1.0, "r": 1.0},
+     ("n:0:2:3", "r:0:1:3"), ["witness01", "swap", "bounds"]),
+    ({"family": "coherent_mixture", "p": 0.5, "alpha1": [1.0, 0.0], "alpha2": [-1.0, 0.0]},
+     ("p:0:1:3", "p:0.2:1:3"), ["witness01", "swap", "bounds"]),
+]
+
+
+class TestQuantityTable:
+    @pytest.mark.parametrize(
+        "base,axes,quantity",
+        [(base, axes, q) for base, axes, quantities in SCANNABLE for q in quantities],
+        ids=[f"{base['family']}-{q}" for base, _axes, quantities in SCANNABLE for q in quantities],
+    )
+    def test_scan_cell_equals_eval_record(self, base, axes, quantity, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        argv = ["scan", "--state", json.dumps(base), "--quantity", quantity, "--out", str(out)]
+        assert main([*argv, "--axes", axes[0], "--axes", axes[1]]) == EXIT_OK
+        capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        names = [axis.split(":")[0] for axis in axes]
+        for v1, v2, value, verdict in rows:
+            doc = {**base, names[0]: float(v1)}
+            doc[names[1]] = float(v2)
+            assert (value, verdict) == eval_cell(doc, quantity, capsys), (v1, v2)
+
+    def test_classify_scan_skips_gram_pipeline(self, tmp_path, monkeypatch):
+        # the Gram spectrum only fills the eval record's nus/a0; a scan cell
+        # reads the closed-form classification alone
+        from cventangle import realignment
+
+        def scan(path, a_axis="a:0.5:1.5:4"):
+            return main(["scan", "--state", TWO_TWO, "--quantity", "classify",
+                         "--axes", a_axis, "--axes", "c:0:1.2:13", "--out", str(path)])
+
+        assert scan(tmp_path / "plain.csv") == EXIT_OK
+        plain = (tmp_path / "plain.csv").read_bytes()
+        assert b"bound_entangled" in plain and b"unphysical" in plain
+
+        def no_gram(_V):
+            raise AssertionError("a scan cell ran the Gram pipeline")
+
+        monkeypatch.setattr(realignment, "realignment_norm", no_gram)
+        assert scan(tmp_path / "patched.csv") == EXIT_OK
+        assert (tmp_path / "patched.csv").read_bytes() == plain
+        # a threshold that overflows is refused by the closed form itself
+        assert scan(tmp_path / "huge.csv", "a:1e200:1e300:2") == EXIT_OK
+        cells = [line.split(",")[2:] for line in (tmp_path / "huge.csv").read_text().splitlines()]
+        assert cells[1:] == [["nan", "invalid"]] * 26
+
+    @pytest.mark.parametrize(
+        "doc,quantity,keys",
+        [
+            (VACUUM, "optimal_witness",
+             ["state", "quantity", "mu1", "mu2", "muMinus", "muPlus", "value", "entangled"]),
+            (PHOTON, "witness01", ["state", "quantity", "mu1", "mu2", "value", "entangled"]),
+            (MIXTURE, "swap", ["state", "quantity", "value", "entangled"]),
+            (TWO_TWO, "realignment_norm", ["state", "quantity", "norm", "nus", "a0", "verdict"]),
+            (TWO_TWO, "classify",
+             ["state", "quantity", "verdict", "norm", "threshold", "nus", "a0"]),
+            (json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.9}), "classify",
+             ["state", "quantity", "verdict", "norm", "threshold"]),
+            (MIXTURE, "bounds",
+             ["state", "quantity", "crenLower", "concurrenceLower", "eofLower", "tangleLower",
+              "inputs", "entangled"]),
+        ],
+    )
+    def test_record_key_order(self, doc, quantity, keys, capsys):
+        assert main(["eval", "--state", doc, "--quantity", quantity]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert list(record) == keys
+        assert list(record["state"]) == list(json.loads(doc))
+        if quantity == "bounds":
+            assert list(record["inputs"]) == ["witnessValue01", "swapValue"]
+
+
 class TestVerify:
     def test_small_cutoff_suite_passes(self, capsys):
         code = main(["verify", "--cutoff", "25", "--rmax", "0.4"])

@@ -10,14 +10,11 @@ from cventangle import (
     TruncationError,
     WitnessParams,
     coherent_mixture_fock,
-    covariance_from_fock,
     cren_lower_bound,
-    load_fock,
     negativity_fock,
     photon_added_sts_fock,
     realignment_norm_two_mode,
     realignment_trace_norm_fock,
-    save_fock,
     squeezed_thermal_fock,
     squeezed_thermal_params,
     swap_expectation_coherent_mixture,
@@ -30,8 +27,74 @@ from cventangle.fock import (
     FockDensityMatrix,
     _component_labels,
     coherent_amplitudes,
-    witness_operator,
 )
+
+# ---------------------------------------------------------------------------
+# reference helpers: operators written out as matrices, independent of the
+# index sums the package uses
+# ---------------------------------------------------------------------------
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """Single-mode annihilation operator on the truncated space."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+
+
+def witness_operator(which: str, cutoff: int) -> np.ndarray:
+    """Truncated matrix of the requested observable.
+
+    ``W01`` is identity minus the sum of all |ii><jj| (the witness at
+    (mu1, mu2) = (0, 1)); ``SWAP`` is the mode-exchange operator
+    sum of |ij><ji|.
+    """
+    d = cutoff + 1
+    if which == "W01":
+        e = np.zeros(d * d)
+        e[np.arange(d) * (d + 1)] = 1.0
+        return np.eye(d * d) - np.outer(e, e)
+    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    V = np.zeros((d * d, d * d))
+    V[(ii * d + jj).ravel(), (jj * d + ii).ravel()] = 1.0
+    return V
+
+
+def expectation_two_mode(rho: FockDensityMatrix, A: np.ndarray, B: np.ndarray) -> complex:
+    """Tr[rho (A x B)] without forming the Kronecker product."""
+    d = rho.dim
+    rho4 = rho.matrix.reshape(d, d, d, d)
+    return complex(np.einsum("ijkl,ki,lj->", rho4, A, B))
+
+
+def covariance_from_fock(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Means and symmetrized quadrature covariance extracted from the matrix.
+
+    Used to check Fock constructions against the analytic covariance.
+    """
+    d = rho.dim
+    a = annihilation(rho.cutoff)
+    x = (a + a.T) / 2.0
+    p = (a - a.T) / 2.0j
+    eye = np.eye(d)
+    singles = {0: x, 1: p}
+    mean = np.zeros(4)
+    for mode in range(2):
+        for q in range(2):
+            op = singles[q]
+            A, B = (op, eye) if mode == 0 else (eye, op)
+            mean[2 * mode + q] = expectation_two_mode(rho, A, B).real
+    V = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(4):
+            mi, qi = divmod(i, 2)
+            mj, qj = divmod(j, 2)
+            if mi == mj:
+                op = (singles[qi] @ singles[qj] + singles[qj] @ singles[qi]) / 2.0
+                A, B = (op, eye) if mi == 0 else (eye, op)
+            else:
+                A = singles[qi] if mi == 0 else singles[qj]
+                B = singles[qj] if mj == 1 else singles[qi]
+            V[i, j] = expectation_two_mode(rho, A, B).real - mean[i] * mean[j]
+    return mean, V
 
 
 def assert_valid_density_matrix(rho: FockDensityMatrix, trace=1.0):
@@ -267,33 +330,21 @@ class TestOracleInequalities:
         assert abs(cren - negativity_fock(rho)) < 1e-3
 
 
-class TestBinaryDump:
-    def test_roundtrip(self, tmp_path):
-        rho = squeezed_thermal_fock(0.2, 0.4, 12)
-        path = tmp_path / "state.cvfock"
-        save_fock(rho, path)
-        again = load_fock(path)
-        assert again.cutoff == rho.cutoff
-        assert np.array_equal(again.matrix, rho.matrix)
-        assert math.isnan(again.trace_deficit)
-
-    def test_header_layout(self, tmp_path):
-        rho = tmsv_fock(0.0, 4)
-        path = tmp_path / "state.cvfock"
-        save_fock(rho, path)
-        raw = path.read_bytes()
-        assert raw[:7] == b"CVFOCK1"
-        import struct
-
-        cutoff, dim = struct.unpack("<II", raw[7:15])
-        assert (cutoff, dim) == (4, 25)
-        assert len(raw) == 15 + 25 * 25 * 16
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTFOCK" + b"\x00" * 64)
-        with pytest.raises(InvalidArgumentError):
-            load_fock(path)
+class TestBuilderArguments:
+    @pytest.mark.parametrize("cutoff", [3, -3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda cutoff: tmsv_fock(0.3, cutoff),
+            lambda cutoff: squeezed_thermal_fock(0.2, 0.3, cutoff),
+            lambda cutoff: photon_added_sts_fock(0.2, 0.3, cutoff),
+            lambda cutoff: coherent_mixture_fock(0.5, 1.0, -1.0, cutoff),
+        ],
+        ids=["tmsv", "squeezed_thermal", "photon_added", "coherent_mixture"],
+    )
+    def test_cutoff_below_4_rejected(self, build, cutoff):
+        with pytest.raises(InvalidArgumentError, match="cutoff"):
+            build(cutoff)
 
 
 def dense_negativity(rho: FockDensityMatrix) -> float:

@@ -8,6 +8,7 @@ from cventangle import (
     CovarianceMatrix,
     InvalidArgumentError,
     PhotonAddedSqueezedThermal,
+    TwoModeStandardForm,
     TwoTwoFamilyParams,
     family_threshold,
     is_physical,
@@ -15,11 +16,11 @@ from cventangle import (
     parse_state_descriptor,
     photon_added_sts_wigner,
     squeezed_thermal_params,
-    standard_two_mode,
     state_descriptor,
     tmsv_params,
     two_two_family,
 )
+from cventangle.phase_space import slice_integral
 from cventangle.symplectic import symplectic_eigenvalues
 from conftest import random_standard_form
 
@@ -52,27 +53,28 @@ def photon_added_reference(x1, p1, x2, p2, n, r):
 
 class TestStandardTwoMode:
     def test_vacuum(self):
-        assert np.array_equal(standard_two_mode(0.25, 0.25, 0.0, 0.0).matrix, np.eye(4) / 4)
+        V = TwoModeStandardForm(0.25, 0.25, 0.0, 0.0).covariance()
+        assert np.array_equal(V.matrix, np.eye(4) / 4)
 
     def test_tmsv_physical_and_pure(self):
-        V = standard_two_mode(
+        V = TwoModeStandardForm(
             math.cosh(1.0) / 4, math.cosh(1.0) / 4, math.sinh(1.0) / 4, -math.sinh(1.0) / 4
-        )
+        ).covariance()
         assert is_physical(V)
         assert np.allclose(symplectic_eigenvalues(V).nus, [0.25, 0.25], atol=1e-10)
 
     def test_rejects_correlation_constraint(self):
         with pytest.raises(InvalidArgumentError, match="c1"):
-            standard_two_mode(0.5, 0.5, 0.6, 0.0)
+            TwoModeStandardForm(0.5, 0.5, 0.6, 0.0).covariance()
 
     def test_rejects_below_vacuum(self):
         with pytest.raises(InvalidArgumentError, match="a >= 1/4"):
-            standard_two_mode(0.2, 0.5, 0.0, 0.0)
+            TwoModeStandardForm(0.2, 0.5, 0.0, 0.0).covariance()
 
     def test_rejects_unphysical_despite_parameter_constraints(self):
         # ab >= c1^2 holds but the matrix violates V + iJ/4 >= 0
         with pytest.raises(InvalidArgumentError, match="physical"):
-            standard_two_mode(0.25, 0.25, 0.2, 0.0)
+            TwoModeStandardForm(0.25, 0.25, 0.2, 0.0).covariance()
 
 
 class TestSqueezedThermalParams:
@@ -169,7 +171,7 @@ class TestPhotonAddedWigner:
     @pytest.mark.parametrize("n,r", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.3)])
     def test_normalization(self, n, r):
         spec = photon_added_sts_wigner(n, r)
-        assert abs(spec.normalization() - 1.0) < 1e-12
+        assert abs(slice_integral(spec, np.eye(4)) - 1.0) < 1e-12
 
     def test_gaussian_core_is_squeezed_thermal(self):
         spec = photon_added_sts_wigner(0.7, 0.4)
@@ -185,14 +187,14 @@ class TestWignerSpec:
     def test_plain_gaussian_normalizes(self, rng):
         for _ in range(10):
             spec = random_standard_form(rng).wigner()
-            assert abs(spec.normalization() - 1.0) < 1e-12
+            assert abs(slice_integral(spec, np.eye(4)) - 1.0) < 1e-12
 
     def test_mean_shifts_gaussian(self):
         spec = tmsv_params(0.0).wigner()
         from cventangle import WignerSpec
 
         shifted = WignerSpec(covariance=spec.covariance, mean=np.array([0.5, 0, 0, 0]))
-        assert abs(shifted.normalization() - 1.0) < 1e-12
+        assert abs(slice_integral(shifted, np.eye(4)) - 1.0) < 1e-12
         peak = shifted.value(np.array([0.5, 0, 0, 0]))
         assert peak > shifted.value(np.zeros(4))
 
