@@ -76,6 +76,7 @@ from .witness import (
     optimal_witness,
     swap_expectation,
     swap_expectation_coherent_mixture,
+    swap_photon_added_closed,
     witness_coherent_mixture_closed,
     witness_expectation_gaussian,
     witness_expectation_wigner,

@@ -74,8 +74,8 @@ class _Quantity(NamedTuple):
 _QUANTITIES = {
     "optimal_witness": _Quantity(
         lambda state, opt: {
-            "mu1": opt.params.mu1,
-            "mu2": opt.params.mu2,
+            "mu1": opt.mu1,
+            "mu2": opt.mu2,
             "muMinus": opt.mu_minus,
             "muPlus": opt.mu_plus,
             **_value_fields(opt.value),

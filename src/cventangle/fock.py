@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     InvalidArgumentError,
@@ -98,6 +97,10 @@ def tmsv_fock(r: float, cutoff: int) -> FockDensityMatrix:
     return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
 
 
+def _log_factorials(top: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(top + 1)])
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes e^{-|alpha|^2/2} alpha^k / sqrt(k!) of a coherent state.
 
@@ -110,7 +113,7 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         amps = np.zeros(cutoff + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    logmag = k * math.log(abs(alpha)) - 0.5 * gammaln(k + 1.0) - 0.5 * abs(alpha) ** 2
+    logmag = k * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff) - 0.5 * abs(alpha) ** 2
     phase = np.cumprod(np.r_[1.0, np.full(cutoff, alpha / abs(alpha))])
     return np.exp(logmag) * phase
 
@@ -158,9 +161,10 @@ def _thermal_weights(n: float, cutoff: int) -> np.ndarray:
     return np.exp(k * math.log(n / (n + 1.0)) - math.log(n + 1.0))
 
 
-def _squeezer_ladder_block(r: float, cutoff: int, delta: int) -> np.ndarray:
+def _squeezer_ladder_block(r: float, cutoff: int, delta: int, lg: np.ndarray) -> np.ndarray:
     """Action of exp(r (a1†a2† - a1 a2)) on the photon-number-difference-delta
-    ladder: B[m, l] = <m+delta, m| U |l+delta, l>, truncated at the cutoff.
+    ladder: B[m, l] = <m+delta, m| U |l+delta, l>, truncated at the cutoff;
+    ``lg`` holds log k! for k = 0 .. cutoff.
 
     Uses the normal-ordered factorization exp(t K+) exp(-2s K0) exp(-t K-)
     with t = tanh r, s = ln cosh r; each column is the exact projection of the
@@ -168,7 +172,6 @@ def _squeezer_ladder_block(r: float, cutoff: int, delta: int) -> np.ndarray:
     """
     size = cutoff + 1 - delta
     t, s = math.tanh(r), math.log(math.cosh(r))
-    lg = gammaln(np.arange(cutoff + 2) + 1.0)
     logt = math.log(t) if t > 0.0 else -math.inf
     m = np.arange(size)
     steps = m[None, :] - m[:, None]  # column index minus row index
@@ -193,9 +196,10 @@ def _sts_raw(n: float, r: float, cutoff: int) -> np.ndarray:
     """
     d = cutoff + 1
     pk = _thermal_weights(n, cutoff)
+    lg = _log_factorials(cutoff)
     rho = np.zeros((d * d, d * d))
     for delta in range(d):
-        B = _squeezer_ladder_block(r, cutoff, delta)
+        B = _squeezer_ladder_block(r, cutoff, delta, lg)
         m = np.arange(d - delta)
         weights = pk[m + delta] * pk[m]
         block = (B * weights[None, :]) @ B.T

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from . import phase_space, realignment, witness
+from . import realignment, witness
 from .errors import (InvalidArgumentError, complex_field, matrix_field, real_field,
                      require_nonnegative_nr, require_vacuum_bound, text_field)
 from .realignment import two_two_family
@@ -104,9 +104,6 @@ class PhotonAddedSqueezedThermal:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
 
-    def wigner(self) -> "WignerSpec":
-        return photon_added_sts_wigner(self.n, self.r)
-
 
 @dataclass(frozen=True)
 class CoherentMixture:
@@ -139,26 +136,17 @@ class CoherentMixture:
 
 @dataclass(frozen=True)
 class WignerSpec:
-    """A Wigner function as Gaussian core x optional polynomial prefactor.
+    """A zero-mean Wigner function: Gaussian core x optional polynomial prefactor.
 
-    ``poly`` maps exponent tuples over (x1, p1, ..., xm, pm) to coefficients;
-    ``norm_prefactor`` is an overall positive scale (1 for normalized states).
+    ``poly`` maps exponent tuples over (x1, p1, ..., xm, pm) to coefficients.
     """
 
     covariance: CovarianceMatrix
-    mean: np.ndarray = None
     poly: Optional[Mapping[tuple, float]] = None
-    norm_prefactor: float = 1.0
 
     def __post_init__(self):
-        dim = 2 * self.covariance.modes
-        mean = np.zeros(dim) if self.mean is None else np.asarray(self.mean, dtype=float)
-        if mean.shape != (dim,):
-            raise InvalidArgumentError(f"mean must have shape ({dim},), got {mean.shape}")
-        mean = mean.copy()
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
         if self.poly is not None:
+            dim = 2 * self.covariance.modes
             poly = {}
             for expo, coeff in self.poly.items():
                 expo = tuple(int(e) for e in expo)
@@ -166,22 +154,10 @@ class WignerSpec:
                     raise InvalidArgumentError(f"bad exponent tuple {expo} for {dim} coordinates")
                 poly[expo] = float(coeff)
             object.__setattr__(self, "poly", poly)
-        if not (self.norm_prefactor > 0 and np.isfinite(self.norm_prefactor)):
-            raise InvalidArgumentError("norm_prefactor must be positive and finite")
 
     @property
     def modes(self) -> int:
         return self.covariance.modes
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the Wigner function at phase-space points (..., 2m)."""
-        points = np.asarray(points, dtype=float)
-        V = self.covariance.matrix
-        norm = phase_space.gaussian_normal_constant(V) * self.norm_prefactor
-        d = points - self.mean
-        quad = np.einsum("...i,ij,...j->...", d, np.linalg.inv(V), d)
-        gauss = norm * np.exp(-0.5 * quad)
-        return gauss * phase_space.poly_eval(self.poly, points)
 
 
 def squeezed_thermal_params(n: float, r: float) -> TwoModeStandardForm:
@@ -272,7 +248,7 @@ FAMILIES = (
     }, axes=("a", "b", "c")),
     Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), real_field), {
         "witness01": lambda s: witness.witness_photon_added_closed(s.n, s.r),
-        "swap": lambda s: witness.swap_expectation(s.wigner()),
+        "swap": lambda s: witness.swap_photon_added_closed(s.n, s.r),
     }, axes=("n", "r")),
     Family("coherent_mixture", CoherentMixture,
            {"p": real_field, "alpha1": complex_field, "alpha2": complex_field}, {

@@ -114,14 +114,14 @@ class WilliamsonSpectrum:
         object.__setattr__(self, "a0", float(self.a0))
 
 
-def is_physical(V: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:
-    """True iff the Hermitian matrix V + iJ/4 has minimum eigenvalue >= -tol.
+def is_physical(V: CovarianceMatrix) -> bool:
+    """True iff the Hermitian matrix V + iJ/4 has minimum eigenvalue >= -PHYSICALITY_TOL.
 
     Boundary (pure) states pass: vacuum saturates the bound exactly.
     """
     J = symplectic_form(V.modes)
     eigmin = float(np.linalg.eigvalsh(V.matrix + 0.25j * J).min())
-    return eigmin >= -tol
+    return eigmin >= -PHYSICALITY_TOL
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> WilliamsonSpectrum:

@@ -68,11 +68,16 @@ class OptimalWitness:
     mu_plus: float
 
     @property
+    def mu1(self) -> float:
+        return (self.mu_minus + self.mu_plus) / 2.0
+
+    @property
+    def mu2(self) -> float:
+        return (self.mu_plus - self.mu_minus) / 2.0
+
+    @property
     def params(self) -> WitnessParams:
-        return WitnessParams(
-            mu1=(self.mu_minus + self.mu_plus) / 2.0,
-            mu2=(self.mu_plus - self.mu_minus) / 2.0,
-        )
+        return WitnessParams(mu1=self.mu1, mu2=self.mu2)
 
 
 def detects_entanglement(value: float) -> bool:
@@ -155,6 +160,19 @@ def witness_photon_added_closed(n: float, r: float) -> float:
     return 1.0 - math.exp(4.0 * r) * n * (1.0 + n) / (
         (1.0 + 2.0 * n) ** 2 * (math.cosh(r) ** 2 + n * math.cosh(2.0 * r))
     )
+
+
+def swap_photon_added_closed(n: float, r: float) -> float:
+    """Closed-form SWAP expectation of the same state, with m = 1 + 2n:
+
+        (m^2 - 1) / (2 m^2 (m + 1/cosh 2r)),
+
+    0 at n = 0 and never negative; 1/cosh 2r stays finite where m cosh 2r overflows.
+    """
+    n, r = float(n), float(r)
+    require_nonnegative_nr(n, r)
+    m = 1.0 + 2.0 * n
+    return (m * m - 1.0) / (2.0 * m * m * (m + 1.0 / math.cosh(2.0 * r)))
 
 
 _SWAP_SLICE = np.array(

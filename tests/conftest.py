@@ -11,6 +11,20 @@ from scipy.linalg import expm
 from cventangle import CovarianceMatrix, TwoModeStandardForm, is_physical, symplectic_form
 
 
+def wigner_value(spec, points) -> np.ndarray:
+    """Reference pointwise evaluation of a zero-mean ``WignerSpec`` at
+    phase-space points of shape (..., 2m): the normalized Gaussian core times
+    the polynomial prefactor."""
+    points = np.asarray(points, dtype=float)
+    V = spec.covariance.matrix
+    quad = np.einsum("...i,ij,...j->...", points, np.linalg.inv(V), points)
+    gauss = np.exp(-0.5 * quad) / ((2 * np.pi) ** spec.modes * np.sqrt(np.linalg.det(V)))
+    prefactor = np.ones(points.shape[:-1]) if spec.poly is None else np.zeros(points.shape[:-1])
+    for expo, coeff in (spec.poly or {}).items():
+        prefactor += coeff * np.prod(points ** np.array(expo), axis=-1)
+    return gauss * prefactor
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

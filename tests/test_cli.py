@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cventangle import fock
@@ -43,6 +44,16 @@ class TestEval:
         record = json.loads(capsys.readouterr().out)
         assert abs(record["value"]) < 1e-12
         assert record["entangled"] is False
+
+    def test_optimal_witness_extreme_ratio(self, capsys):
+        # |mu- mu+| = a/b = 2.5e-14 is below the WitnessParams guard; the
+        # record reads the optimum directly
+        a, b = 0.25, 1e13
+        doc = json.dumps({"family": "standard2", "a": a, "b": b, "c1": 0.0, "c2": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", "optimal_witness"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert abs(record["value"] - (1.0 - 1.0 / (4.0 * math.sqrt(a * b)))) < 1e-15
+        assert (record["mu1"], record["mu2"]) == (-math.sqrt(a / b), 0.0)
 
     def test_swap_mixture(self, capsys):
         assert main(["eval", "--state", MIXTURE, "--quantity", "swap"]) == EXIT_OK
@@ -110,7 +121,7 @@ class TestEval:
         "doc,quantity",
         [
             ({"family": "photon_added_sts", "n": 1.0, "r": 200.0}, "witness01"),
-            ({"family": "photon_added_sts", "n": 1.0, "r": 200.0}, "swap"),
+            ({"family": "photon_added_sts", "n": 1.0, "r": 400.0}, "swap"),
             (
                 {"family": "coherent_mixture", "p": 0.5, "alpha1": [1e200, 0.0],
                  "alpha2": [0.0, 0.0]},
@@ -131,14 +142,28 @@ class TestEval:
 
     @pytest.mark.parametrize("quantity", ["swap", "bounds"])
     def test_pure_photon_added_not_entangled(self, quantity, capsys):
-        # SWAP is exactly 0 for n = 0; rounding leaves about -3e-15, inside
-        # the detection tolerance, and both quantities must say so
+        # SWAP is exactly 0 for n = 0, and both quantities must say so
         doc = json.dumps({"family": "photon_added_sts", "n": 0.0, "r": 1.0})
         assert main(["eval", "--state", doc, "--quantity", quantity]) == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         swap = record["value"] if quantity == "swap" else record["inputs"]["swapValue"]
         assert abs(swap) < 1e-12
         assert record["entangled"] is False
+
+    def test_pure_photon_added_swap_zero_at_large_r(self, capsys):
+        for r in np.linspace(3.0, 6.5, 351):
+            doc = json.dumps({"family": "photon_added_sts", "n": 0.0, "r": float(r)})
+            assert main(["eval", "--state", doc, "--quantity", "swap"]) == EXIT_OK
+            record = json.loads(capsys.readouterr().out)
+            assert record["value"] == 0.0, r
+            assert record["entangled"] is False, r
+
+    def test_photon_added_swap_finite_near_cosh_overflow(self, capsys):
+        # cosh(2r) is still finite at r = 355, but m cosh(2r) is not
+        doc = json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 355.0})
+        assert main(["eval", "--state", doc, "--quantity", "swap"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert abs(record["value"] - 4.0 / 27.0) < 1e-15
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "true"])
     @pytest.mark.parametrize(
@@ -569,6 +594,27 @@ class TestEntryPoint:
         result = run_cli(["eval", "--state", VACUUM, "--quantity", "optimal_witness"])
         assert result.returncode == EXIT_OK
         assert json.loads(result.stdout)["entangled"] is False
+
+    def test_runtime_imports_numpy_only(self, tmp_path):
+        # a fresh interpreter, since this test process imports scipy itself
+        script = f"""
+import contextlib, io, json, sys
+import cventangle
+from cventangle.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["eval", "--state", {VACUUM!r}, "--quantity", "optimal_witness"]),
+        main(["scan", "--state", {PHOTON!r}, "--quantity", "witness01", "--axes",
+              "n:0:1:3", "--axes", "r:0:1:3", "--out", {str(tmp_path / "grid.csv")!r}]),
+        main(["verify", "--cutoff", "12", "--rmax", "0.3"]),
+    ]
+print(json.dumps([codes, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        codes, scipy_modules = json.loads(result.stdout)
+        assert codes == [EXIT_OK] * 3
+        assert scipy_modules == []
 
     def test_bad_quantity_argparse_exit(self):
         result = run_cli(["eval", "--state", VACUUM, "--quantity", "magic"])

@@ -16,17 +16,19 @@ from cventangle import (
     detects_entanglement,
     is_ppt,
     optimal_witness,
+    photon_added_sts_fock,
     photon_added_sts_wigner,
     realignment_norm_two_mode,
     squeezed_thermal_params,
     swap_expectation,
     swap_expectation_coherent_mixture,
+    swap_photon_added_closed,
     tmsv_params,
     witness_expectation_gaussian,
     witness_expectation_wigner,
     witness_photon_added_closed,
 )
-from conftest import random_product_form, random_standard_form
+from conftest import random_product_form, random_standard_form, wigner_value
 
 
 def closed_form_reference(s, mu1, mu2):
@@ -187,7 +189,7 @@ class TestWignerRoute:
 
         def integrand(p, x):
             xi = np.array([-w.mu_minus * x, -w.mu_plus * p, x, p])
-            return float(spec.value(xi))
+            return float(wigner_value(spec, xi))
 
         integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
         oracle = 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
@@ -234,6 +236,27 @@ class TestPhotonAddedClosedForm:
             witness_photon_added_closed(-1.0, 0.0)
 
 
+class TestPhotonAddedSwapClosedForm:
+    def test_pure_members_zero(self):
+        for r in [0.0, 0.5, 3.65, 50.0]:
+            assert swap_photon_added_closed(0.0, r) == 0.0
+
+    def test_matches_moments_route(self):
+        for n in np.linspace(0.0, 3.0, 7):
+            for r in np.linspace(0.0, 3.0, 7):
+                moments = swap_expectation(photon_added_sts_wigner(n, r))
+                assert abs(swap_photon_added_closed(n, r) - moments) < 1e-10
+
+    @pytest.mark.parametrize("n,r", [(0.5, 0.6), (1.0, 0.3), (0.0, 0.5), (0.2, 0.2)])
+    def test_matches_fock_oracle(self, n, r):
+        oracle = witness_fock(photon_added_sts_fock(n, r, 40), "SWAP")
+        assert abs(swap_photon_added_closed(n, r) - oracle) < 1e-8
+
+    def test_rejects_negative(self):
+        with pytest.raises(InvalidArgumentError):
+            swap_photon_added_closed(0.0, -1.0)
+
+
 class TestSwap:
     def test_vacuum(self):
         value = swap_expectation(squeezed_thermal_params(0.0, 0.0).wigner())
@@ -258,7 +281,7 @@ class TestSwap:
         spec = photon_added_sts_wigner(0.6, 0.4)
 
         def integrand(p, x):
-            return float(spec.value(np.array([x, p, x, p])))
+            return float(wigner_value(spec, np.array([x, p, x, p])))
 
         integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
         assert err < 1e-8
