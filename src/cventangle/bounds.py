@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidArgumentError
 
 _SWAP_RANGE_TOL = 1e-9
@@ -26,9 +28,10 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def cren_lower_bound(witness_value_01: float) -> float:
-    """Negativity (convex-roof extension) >= -witness value at (0, 1), clamped at 0."""
-    return max(0.0, -float(witness_value_01))
+def cren_lower_bound(witness_value_01):
+    """Negativity (convex-roof extension) >= -witness value at (0, 1), clamped
+    at 0.  Accepts an array of witness values and returns one of bounds."""
+    return np.maximum(0.0, np.negative(witness_value_01)) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def concurrence_lower_bound(swap_value: float) -> float:
@@ -69,7 +72,7 @@ class BoundReport:
 def bound_report(witness_value_01: float, swap_value: float) -> BoundReport:
     """Assemble every bound from the two measured expectation values."""
     return BoundReport(
-        cren_lower=cren_lower_bound(witness_value_01),
+        cren_lower=float(cren_lower_bound(witness_value_01)),
         concurrence_lower=concurrence_lower_bound(swap_value),
         eof_lower=eof_lower_bound(swap_value),
         tangle_lower=tangle_lower_bound(swap_value),

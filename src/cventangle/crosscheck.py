@@ -5,7 +5,9 @@ reads, the oracle quantities it needs from them and its closed form.
 :func:`run_verification` builds each distinct state once per call, computes
 only the quantities some check asks for, and releases the matrix before the
 next build.  The report lists each check's worst deviation against its own
-tolerance and the worst truncation deficit among the states it read.
+tolerance and the worst truncation deficit among the states it read.  A
+failing check whose states lost more trace than its tolerance allows gets an
+``error`` that names truncation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from . import bounds, fock, realignment, witness
-from .errors import CVEntangleError, InvalidArgumentError
+from .errors import CVEntangleError, InvalidArgumentError, TruncationError
 from .states import squeezed_thermal_params
 
 ORACLE_TOL = 1e-3
@@ -100,8 +102,17 @@ def _check_record(oracle: dict, name, tolerance, states, needs, deviation) -> di
     except CVEntangleError as exc:
         record.update({"pass": False, "error": f"{type(exc).__name__}: {exc}"})
     deficits = [oracle[s][1] for s in states if oracle[s][1] is not None]
-    record["traceDeficit"] = max(deficits, default=None)
+    record["traceDeficit"] = deficit = max(deficits, default=None)
+    if not record["pass"] and "error" not in record and deficit is not None and deficit > tolerance:
+        record["error"] = (f"TruncationError: the oracle states lose {deficit:.4g} of their trace, "
+                           f"more than the tolerance {tolerance:g}; raise the cutoff")
     return record
+
+
+def failed_by_truncation(record: dict) -> bool:
+    """True for a failing check record whose error is truncation: a state
+    that could not be built, or a trace deficit beyond the check's tolerance."""
+    return not record["pass"] and record.get("error", "").startswith(TruncationError.__name__)
 
 
 def run_verification(cutoff: int, r_max: float) -> dict:

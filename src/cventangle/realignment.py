@@ -28,7 +28,7 @@ from .symplectic import (
     CovarianceMatrix,
     WilliamsonSpectrum,
     is_physical,
-    is_ppt,
+    physical_mask,
     symplectic_eigenvalues,
 )
 from .witness import DETECTION_TOL
@@ -140,13 +140,32 @@ def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
     return 1.0 / (4.0 * math.sqrt((sab - abs(s.c1)) * (sab - abs(s.c2))))
 
 
+def realignment_norm_two_two_array(a, b, c):
+    """Closed form for the 2+2-mode family on arrays that broadcast together:
+
+        1 / (16 (ab + c^2 - 2 sqrt(ab) |c|)),
+
+    NaN where the denominator is not positive (|c| = sqrt(ab)) or the norm is
+    not finite.
+    """
+    with np.errstate(all="ignore"):
+        norm = 1.0 / (16.0 * (a * b + c * c - 2.0 * np.sqrt(a * b) * abs(c)))
+        # positive and finite exactly where the denominator is positive and
+        # its reciprocal does not overflow
+        return np.where((norm > 0.0) & (norm < np.inf), norm, np.nan)[()]
+
+
 def realignment_norm_two_two(a: float, b: float, c: float) -> float:
-    """Closed form for the 2+2-mode family: 1 / (16 (ab + c^2 - 2 sqrt(ab) |c|))."""
+    """:func:`realignment_norm_two_two_array` at one point.
+
+    Raises:
+        SingularLimitError: where the norm diverges.
+    """
     a, b, c = float(a), float(b), float(c)
-    denom = 16.0 * (a * b + c * c - 2.0 * math.sqrt(a * b) * abs(c))
-    if denom <= 0.0:
+    norm = float(realignment_norm_two_two_array(a, b, c))
+    if math.isnan(norm):
         raise SingularLimitError(f"realigned norm diverges at |c| = sqrt(ab) (a={a}, b={b}, c={c})")
-    return 1.0 / denom
+    return norm
 
 
 _TWO_TWO_R = np.array(
@@ -157,6 +176,21 @@ _TWO_TWO_R = np.array(
         [0.0, -1.0, 0.0, 0.0],
     ]
 )
+#: The 2+2 covariance is a A + b B + c C with these 8x8 matrices.
+_TWO_TWO_A = np.diag([1.0] * 4 + [0.0] * 4)
+_TWO_TWO_B = np.diag([0.0] * 4 + [1.0] * 4)
+_TWO_TWO_C = np.block([[np.zeros((4, 4)), _TWO_TWO_R], [_TWO_TWO_R.T, np.zeros((4, 4))]])
+
+#: Momentum signs of the partial transpose on side B (modes 2 and 3) of the
+#: 2+2 family.
+_FLIP_B = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def _two_two_matrices(a, b, c) -> np.ndarray:
+    """The 8x8 matrices [[a I4, c R], [c R^T, b I4]] of the 2+2 family for
+    arrays a, b, c of one shape, stacked along the leading axes; unvalidated."""
+    outer = np.multiply.outer
+    return outer(a, _TWO_TWO_A) + outer(b, _TWO_TWO_B) + outer(c, _TWO_TWO_C)
 
 
 def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
@@ -168,29 +202,46 @@ def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
     """
     a, b, c = float(a), float(b), float(c)
     require_vacuum_bound(a=a, b=b)
-    V = np.zeros((8, 8))
-    V[:4, :4] = a * np.eye(4)
-    V[4:, 4:] = b * np.eye(4)
-    V[:4, 4:] = c * _TWO_TWO_R
-    V[4:, :4] = c * _TWO_TWO_R.T
-    return CovarianceMatrix(V)
+    return CovarianceMatrix(_two_two_matrices(a, b, c))
+
+
+#: Radicands of the 2+2 threshold in [-RADICAND_TOL, 0) are rounding and
+#: read as 0 (they occur where a or b is 1/4).
+RADICAND_TOL = 1e-12
+
+
+def family_threshold_array(a, b):
+    """Largest |c| for which the 2+2 family is a valid state, on arrays that
+    broadcast together:
+
+        sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4),
+
+    NaN where a or b is below the vacuum variance 1/4 or not a number, and
+    where the radicand is NaN (ab overflows) or below -RADICAND_TOL.
+    """
+    with np.errstate(all="ignore"):
+        radicand = a * b - np.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
+        ok = (a >= 0.25) & (b >= 0.25) & (radicand >= -RADICAND_TOL)
+        return np.where(ok, np.sqrt(np.maximum(radicand, 0.0)), np.nan)[()]
 
 
 def family_threshold(a: float, b: float) -> float:
-    """Largest |c| for which the 2+2 family is a valid state:
-    sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4)."""
+    """:func:`family_threshold_array` at one point.
+
+    Raises:
+        InvalidArgumentError: below the vacuum bound or for a negative radicand.
+        NumericDomainError: where ab overflows.
+    """
     a, b = float(a), float(b)
     require_vacuum_bound(a=a, b=b)
-    radicand = a * b - math.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
-    if math.isnan(radicand):  # inf - inf: a or b beyond the float range
-        raise NumericDomainError(f"family threshold overflows at a={a}, b={b}")
-    if radicand < 0.0:
-        if radicand < -1e-12:
-            raise InvalidArgumentError(
-                f"no valid correlation exists for a={a}, b={b} (negative radicand)"
-            )
-        radicand = 0.0
-    return math.sqrt(radicand)
+    threshold = float(family_threshold_array(a, b))
+    if math.isnan(threshold):
+        if math.isinf(a * b):  # the radicand is inf - inf
+            raise NumericDomainError(f"family threshold overflows at a={a}, b={b}")
+        raise InvalidArgumentError(
+            f"no valid correlation exists for a={a}, b={b} (negative radicand)"
+        )
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -202,23 +253,60 @@ class TwoTwoClassification:
     threshold: float
 
 
-def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
-    """Classify a point of the 2+2 family as unphysical, undetected, or
-    bound entangled.
+_TWO_TWO_VERDICTS = np.array(["undetected", "bound_entangled", "unphysical", "invalid"])
 
-    The family is PPT everywhere in its physical region, so a realigned norm
-    above 1 certifies bound entanglement; the PPT property is re-checked on
-    every detection rather than assumed.
+
+def classify_two_two_array(a, b, c):
+    """Classify points of the 2+2 family, given as arrays that broadcast
+    together, as unphysical, undetected or bound entangled.
+
+    Returns the arrays ``(verdict, norm, threshold)``: the verdict
+    (``undetected``, ``bound_entangled``, ``unphysical``, or ``invalid`` where
+    :func:`classify_two_two` refuses the point), the realigned norm (NaN where
+    unphysical or invalid) and the threshold (NaN where refused).  A point is
+    invalid where its threshold or its norm is refused (see
+    :func:`family_threshold_array`, :func:`realignment_norm_two_two_array`),
+    or where it is detected but its partial transpose V^{T_B} + iJ/4 fails
+    the physicality test: the family is PPT everywhere in its physical
+    region, so a realigned norm above 1 certifies bound entanglement, and the
+    PPT property is re-checked on every detection (one stacked eigen-solve)
+    rather than assumed.
     """
-    threshold = family_threshold(a, b)
-    if abs(float(c)) > threshold:
-        return TwoTwoClassification(verdict="unphysical", norm=None, threshold=threshold)
-    norm = realignment_norm_two_two(a, b, c)
-    if norm > 1.0 + DETECTION_TOL:
-        if not is_ppt(two_two_family(a, b, c), modes_b=(2, 3)):
-            raise NumericDomainError(
-                f"detected point (a={a}, b={b}, c={c}) unexpectedly fails the PPT "
-                "check; bound-entanglement verdict would be unsound"
-            )
-        return TwoTwoClassification(verdict="bound_entangled", norm=norm, threshold=threshold)
-    return TwoTwoClassification(verdict="undetected", norm=norm, threshold=threshold)
+    threshold = family_threshold_array(a, b)
+    norm = realignment_norm_two_two_array(a, b, c)
+    unphysical = abs(c) > threshold
+    invalid = np.isnan(threshold) | (~unphysical & np.isnan(norm))
+    detected = ~invalid & ~unphysical & (norm > 1.0 + DETECTION_TOL)
+    if np.count_nonzero(detected):
+        a, b, c, detected = np.broadcast_arrays(a, b, c, detected)
+        V = _two_two_matrices(a[detected], b[detected], c[detected])
+        not_ppt = np.zeros(detected.shape, dtype=bool)
+        not_ppt[detected] = ~physical_mask(_FLIP_B[:, None] * V * _FLIP_B)
+        invalid, detected = invalid | not_ppt, detected & ~not_ppt
+    verdict = _TWO_TWO_VERDICTS[3 * invalid + 2 * unphysical + detected]  # exclusive flags
+    return verdict, np.where(unphysical | invalid, np.nan, norm)[()], threshold
+
+
+def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
+    """:func:`classify_two_two_array` at one point.
+
+    Raises:
+        InvalidArgumentError: below the vacuum bound or for a negative
+            threshold radicand.
+        NumericDomainError: where the threshold overflows, or where a detected
+            point fails the PPT re-check (the verdict would be unsound).
+        SingularLimitError: where the realigned norm diverges.
+    """
+    a, b, c = float(a), float(b), float(c)
+    verdict, norm, threshold = classify_two_two_array(a, b, c)
+    verdict = str(verdict)
+    if verdict == "invalid":
+        # the array form only marks the point; the scalar closed forms say why
+        family_threshold(a, b)
+        realignment_norm_two_two(a, b, c)
+        raise NumericDomainError(
+            f"detected point (a={a}, b={b}, c={c}) unexpectedly fails the PPT "
+            "check; bound-entanglement verdict would be unsound"
+        )
+    norm = None if verdict == "unphysical" else float(norm)
+    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=float(threshold))

@@ -13,6 +13,7 @@ evaluator of every quantity it supports.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
@@ -221,7 +222,14 @@ class Family:
     descriptor ``fields`` (each mapped to the decoder that validates its JSON
     value), the evaluator of each supported quantity, and the ``axes`` a scan
     may vary.  ``build`` (default: the class) takes the decoded fields as
-    keywords."""
+    keywords.
+
+    ``grid`` holds the grid evaluators of the quantities that have an array
+    closed form: each takes the fields as keywords, numbers or arrays that
+    broadcast together, and evaluates every point in one numpy pass (for
+    ``bounds``, the ``witness01`` and ``swap`` grids).  Where the evaluator of
+    one state would refuse a point, the grid holds NaN (for ``classify``, the
+    verdict ``invalid``)."""
 
     name: str
     cls: type
@@ -229,6 +237,18 @@ class Family:
     quantities: Mapping[str, Callable]
     axes: tuple[str, ...] = ()
     build: Optional[Callable] = None
+    grid: Mapping[str, Callable] = dataclasses.field(default_factory=dict)
+
+
+def _physical_covariance(**fields) -> CovarianceMatrix:
+    """The ``raw_covariance`` state: :meth:`CovarianceMatrix.from_fields`,
+    refused unless it passes the physicality test V + iJ/4 >= 0."""
+    V = CovarianceMatrix.from_fields(**fields)
+    if not is_physical(V):
+        raise InvalidArgumentError(
+            "constraint violated: covariance fails the physicality test V + iJ/4 >= 0"
+        )
+    return V
 
 
 _W01 = witness.WitnessParams(0.0, 1.0)
@@ -245,11 +265,18 @@ FAMILIES = (
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
         "classify": lambda s: realignment.classify_two_two(s.a, s.b, s.c),
-    }, axes=("a", "b", "c")),
+    }, axes=("a", "b", "c"), grid={
+        "classify": lambda a, b, c: realignment.classify_two_two_array(a, b, c),
+    }),
     Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), real_field), {
         "witness01": lambda s: witness.witness_photon_added_closed(s.n, s.r),
         "swap": lambda s: witness.swap_photon_added_closed(s.n, s.r),
-    }, axes=("n", "r")),
+    }, axes=("n", "r"), grid={
+        "witness01": lambda n, r: witness.witness_photon_added_array(n, r),
+        "swap": lambda n, r: witness.swap_photon_added_array(n, r),
+        "bounds": lambda n, r: (witness.witness_photon_added_array(n, r),
+                                witness.swap_photon_added_array(n, r)),
+    }),
     Family("coherent_mixture", CoherentMixture,
            {"p": real_field, "alpha1": complex_field, "alpha2": complex_field}, {
         "witness01": lambda s: witness.witness_coherent_mixture_closed(s.p, s.alpha1, s.alpha2),
@@ -260,7 +287,7 @@ FAMILIES = (
         "witness01": lambda V: witness.witness_expectation_wigner(WignerSpec(V), _W01),
         "swap": lambda V: witness.swap_expectation(WignerSpec(V)),
         "realignment_norm": lambda V: realignment.realignment_norm(V),
-    }, build=CovarianceMatrix.from_fields),
+    }, build=_physical_covariance),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}

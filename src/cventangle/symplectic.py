@@ -114,14 +114,22 @@ class WilliamsonSpectrum:
         object.__setattr__(self, "a0", float(self.a0))
 
 
+def physical_mask(matrices) -> np.ndarray:
+    """Physicality test of a stack of real symmetric 2m x 2m matrices (shape
+    (..., 2m, 2m), unvalidated): true where V + iJ/4 has minimum eigenvalue
+    >= -PHYSICALITY_TOL, with one stacked eigen-solve.
+    """
+    matrices = np.asarray(matrices, dtype=float)
+    J = symplectic_form(matrices.shape[-1] // 2)
+    return np.linalg.eigvalsh(matrices + 0.25j * J).min(axis=-1) >= -PHYSICALITY_TOL
+
+
 def is_physical(V: CovarianceMatrix) -> bool:
     """True iff the Hermitian matrix V + iJ/4 has minimum eigenvalue >= -PHYSICALITY_TOL.
 
     Boundary (pure) states pass: vacuum saturates the bound exactly.
     """
-    J = symplectic_form(V.modes)
-    eigmin = float(np.linalg.eigvalsh(V.matrix + 0.25j * J).min())
-    return eigmin >= -PHYSICALITY_TOL
+    return bool(physical_mask(V.matrix))
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> WilliamsonSpectrum:

@@ -149,30 +149,72 @@ def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
     return OptimalWitness(value=value, mu_minus=mu_minus, mu_plus=mu_plus)
 
 
-def witness_photon_added_closed(n: float, r: float) -> float:
+def witness_photon_added_array(n, r):
     """Closed-form witness value at (mu1, mu2) = (0, 1) for the photon-added
-    symmetric squeezed thermal state:
+    symmetric squeezed thermal state, on arrays:
 
         1 - e^{4r} n (1+n) / [(1+2n)^2 (cosh^2 r + n cosh 2r)].
+
+    ``n`` and ``r`` are numbers or arrays that broadcast together.  The value
+    is NaN wherever n or r is negative or not a number and wherever it is not
+    finite, which includes every point where e^{4r} overflows (from r = 177.5).
     """
-    n, r = float(n), float(r)
-    require_nonnegative_nr(n, r)
-    return 1.0 - math.exp(4.0 * r) * n * (1.0 + n) / (
-        (1.0 + 2.0 * n) ** 2 * (math.cosh(r) ** 2 + n * math.cosh(2.0 * r))
-    )
+    with np.errstate(all="ignore"):
+        m = 1.0 + 2.0 * n
+        ch = np.cosh(r)
+        value = 1.0 - np.exp(4.0 * r) * n * (1.0 + n) / (m * m * (ch * ch + n * np.cosh(2.0 * r)))
+        return np.where((n >= 0.0) & (r >= 0.0) & np.isfinite(value), value, np.nan)[()]
 
 
-def swap_photon_added_closed(n: float, r: float) -> float:
-    """Closed-form SWAP expectation of the same state, with m = 1 + 2n:
+def swap_photon_added_array(n, r):
+    """Closed-form SWAP expectation of the same state, on arrays, with m = 1 + 2n:
 
         (m^2 - 1) / (2 m^2 (m + 1/cosh 2r)),
 
-    0 at n = 0 and never negative; 1/cosh 2r stays finite where m cosh 2r overflows.
+    0 at n = 0 and never negative; 1/cosh 2r stays finite where m cosh 2r
+    overflows.  ``n`` and ``r`` broadcast together; the value is NaN wherever
+    n or r is negative or not a number, where cosh 2r itself overflows (from
+    r = 355.3) and where the value is not finite.
     """
+    with np.errstate(all="ignore"):
+        m = 1.0 + 2.0 * n
+        cosh2r = np.cosh(2.0 * r)
+        value = (m * m - 1.0) / (2.0 * m * m * (m + 1.0 / cosh2r))
+        # cosh 2r >= 1 and the value lies in [0, 1/2): their product is finite
+        # exactly where both are
+        ok = (n >= 0.0) & (r >= 0.0) & np.isfinite(cosh2r * value)
+        return np.where(ok, value, np.nan)[()]
+
+
+def _finite_value(closed_form, name: str, n: float, r: float) -> float:
+    """One value of a photon-added closed form: a negative n or r is invalid
+    input, a NaN value is a numeric-domain failure."""
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
-    m = 1.0 + 2.0 * n
-    return (m * m - 1.0) / (2.0 * m * m * (m + 1.0 / math.cosh(2.0 * r)))
+    value = float(closed_form(n, r))
+    if math.isnan(value):
+        raise NumericDomainError(f"{name} leaves the float range at n={n}, r={r}")
+    return value
+
+
+def witness_photon_added_closed(n: float, r: float) -> float:
+    """:func:`witness_photon_added_array` at one point.
+
+    Raises:
+        InvalidArgumentError: for a negative n or r.
+        NumericDomainError: where the value overflows (r >= 177.5).
+    """
+    return _finite_value(witness_photon_added_array, "photon-added witness", n, r)
+
+
+def swap_photon_added_closed(n: float, r: float) -> float:
+    """:func:`swap_photon_added_array` at one point.
+
+    Raises:
+        InvalidArgumentError: for a negative n or r.
+        NumericDomainError: where cosh 2r overflows (r >= 355.3).
+    """
+    return _finite_value(swap_photon_added_array, "photon-added SWAP", n, r)
 
 
 _SWAP_SLICE = np.array(

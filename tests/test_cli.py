@@ -110,6 +110,15 @@ class TestEval:
         bad = json.dumps({"family": "standard2", "a": 0.25, "b": 0.25, "c1": 0.2, "c2": 0.0})
         assert main(["eval", "--state", bad, "--quantity", "witness01"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("quantity", ["witness01", "swap", "bounds", "realignment_norm"])
+    def test_unphysical_raw_covariance_exits_2(self, quantity, capsys):
+        # diag(0.1, ...) is below the vacuum variance 1/4: no quantity may
+        # give it a verdict
+        matrix = [[0.1 if i == j else 0.0 for j in range(4)] for i in range(4)]
+        doc = {"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2", "matrix": matrix}
+        assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_INVALID
+        assert capsys.readouterr().out == ""
+
     def test_truncation_failure_exits_3(self):
         # eval has no Fock route any more; a numeric-domain failure it still
         # reaches is the singular Gram pipeline of an overflowing covariance
@@ -314,6 +323,22 @@ class TestScan:
                 assert (value, verdict) == ("nan", "invalid")
             else:
                 assert math.isfinite(float(value)) and verdict == "entangled"
+        # either side of the overflow of exp(4r) (witness01, bounds) and of
+        # cosh 2r (swap) at n = 0.5
+        for quantity, last_finite in (("witness01", 177.4), ("bounds", 177.4), ("swap", 355.2)):
+            for r_axis in ("r:177.4:177.5:2", "r:355.2:355.3:2"):
+                argv = ["scan", "--state", PHOTON, "--quantity", quantity, "--axes",
+                        "n:0.5:0.5:2", "--axes", r_axis, "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+                assert len(rows) == 4
+                for _n, r, value, verdict in rows:
+                    if float(r) > last_finite:
+                        assert (value, verdict) == ("nan", "invalid"), (quantity, r)
+                    elif quantity == "swap":
+                        assert (value, verdict) == ("0.1875", "undetected"), r
+                    else:
+                        assert math.isfinite(float(value)) and verdict == "entangled", (quantity, r)
 
     def test_env_var_worker_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CV_ENTANGLE_WORKERS", "2")
@@ -372,6 +397,14 @@ class TestScan:
         )
         assert code == EXIT_INVALID
         assert "non-numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["c:-1e308:1e308:3", "c:nan:1:3", "c:0:inf:3"])
+    def test_axis_beyond_float_range_exits_2(self, axis, tmp_path, capsys):
+        # a range whose width overflows has no representable grid points
+        code = main(["scan", "--state", TWO_TWO, "--quantity", "classify",
+                     "--axes", "a:0.5:1:3", "--axes", axis, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_INVALID
+        assert "range must be finite" in capsys.readouterr().err
 
     def test_single_step_axis_exits_2(self, tmp_path):
         code = main(
@@ -529,6 +562,19 @@ class TestVerify:
         assert report["all_pass"] is False
         failing = [c for c in report["checks"] if not c["pass"]]
         assert any("Truncation" in c.get("error", "") for c in failing)
+
+    def test_truncation_only_failure_exits_3(self, capsys):
+        # at cutoff 8 the coherent mixture loses 1.5e-6 of its trace, more than
+        # the 1e-6 its SWAP check allows: the check fails, and says why
+        code = main(["verify", "--cutoff", "8", "--rmax", "0.3"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NUMERIC
+        failing = [c for c in report["checks"] if not c["pass"]]
+        assert [c["name"] for c in failing] == ["coherent_mixture_swap"]
+        check = failing[0]
+        assert check["traceDeficit"] > check["tolerance"]
+        assert check["max_abs_deviation"] > check["tolerance"]
+        assert "truncation" in check["error"].lower()
 
     def test_zero_squeezing_trivial(self, capsys):
         code = main(["verify", "--cutoff", "12", "--rmax", "0.0"])

@@ -7,13 +7,18 @@ around them.  References are closed forms written out in this file.
 
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cventangle import InvalidArgumentError, parse_state_descriptor, state_descriptor
+from cventangle import (CVEntangleError, InvalidArgumentError, cli, family_threshold,
+                        parse_state_descriptor, realignment_norm_two_two, state_descriptor)
 from cventangle.cli import evaluate_quantity
+from cventangle.states import family_named
+from cventangle.witness import DETECTION_TOL
 
 TOL = 1e-10
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -198,3 +203,91 @@ def test_bad_numeric_field_rejected(target, bad):
         doc[field] = bad
     with pytest.raises(InvalidArgumentError):
         parse_state_descriptor(doc)
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation: every cell of a one-pass grid equals the per-state path
+# ---------------------------------------------------------------------------
+
+def reference_cell(doc, quantity) -> tuple[str, str]:
+    """The scan cell of one state by the per-state path, as CSV text."""
+    try:
+        state = parse_state_descriptor(doc)
+        value, verdict = cli._quantity(quantity).cell(cli._evaluate(state, quantity))
+    except CVEntangleError:
+        return "nan", "invalid"
+    return repr(value), verdict
+
+
+def assert_grid_equals_cells(base, quantity, axes):
+    assert quantity in family_named(base["family"]).grid
+    axis1, axis2 = (cli.ScanAxis.parse(text) for text in axes)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "grid.csv")
+        cli.run_scan(base, quantity, axis1, axis2, out)
+        with open(out) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    assert len(rows) == axis1.steps * axis2.steps
+    for v1, v2, value, verdict in rows:
+        doc = {**base, axis1.name: float(v1)}
+        doc[axis2.name] = float(v2)
+        assert (value, verdict) == reference_cell(doc, quantity), doc
+
+
+@PROPERTY
+@given(
+    a=unit_or(0.25, 2.0, 0.25, 1.0),
+    b=unit_or(0.25, 2.0, 0.25, 1.0),
+    a_far=unit_or(0.1, 2.0, 0.25),
+    edge=st.sampled_from(["threshold", "detected"]),
+    u=st.floats(1e-3, 1.0),
+    c_far=st.floats(-1.3, 1.3),
+    sign=st.sampled_from([-1.0, 1.0]),
+    steps=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+)
+def test_two_two_classify_grid(a, b, a_far, edge, u, c_far, sign, steps):
+    # the c axis starts exactly at |c| = threshold(a, b), or where the norm
+    # is just above 1 + DETECTION_TOL, at the first point of the a axis
+    if edge == "threshold":
+        c_edge = family_threshold(a, b)
+    else:
+        c_edge = math.sqrt(a * b) - 0.25 / math.sqrt(1.0 + DETECTION_TOL * (1.0 + u))
+        assert realignment_norm_two_two(a, b, c_edge) > 1.0 + DETECTION_TOL
+    base = {"family": "two_two", "a": 1.0, "b": b, "c": 0.0}
+    axes = (f"a:{a!r}:{a_far!r}:{steps[0]}", f"c:{sign * c_edge!r}:{c_far!r}:{steps[1]}")
+    assert_grid_equals_cells(base, "classify", axes)
+
+
+@PROPERTY
+@given(
+    quantity=st.sampled_from(["witness01", "swap", "bounds"]),
+    n=unit_or(-0.5, 2.0, 0.0),
+    n_far=unit_or(0.0, 3.0, 0.0),
+    r=unit_or(-0.5, 1.5, 0.0),
+    r_far=st.sampled_from([0.0, 0.8, 1.5, 177.4, 177.5, 355.2, 355.3]),
+    steps=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    r_first=st.booleans(),
+)
+def test_photon_added_grid(quantity, n, n_far, r, r_far, steps, r_first):
+    axes = [f"n:{n!r}:{n_far!r}:{steps[0]}", f"r:{r!r}:{r_far!r}:{steps[1]}"]
+    if r_first:
+        axes.reverse()
+    assert_grid_equals_cells({"family": "photon_added_sts", "n": 1.0, "r": 1.0}, quantity, axes)
+
+
+@pytest.mark.parametrize(
+    "base,quantity",
+    [
+        ({"family": "two_two", "a": 1.0, "b": "1.0", "c": 0.0}, "classify"),
+        ({"family": "two_two", "a": 1.0, "c": 0.0}, "classify"),
+        ({"family": "two_two", "a": 1.0, "b": 0.2, "c": 0.0}, "classify"),
+        ({"family": "photon_added_sts", "n": 1.0, "r": math.nan}, "bounds"),
+    ],
+    ids=["text-b", "missing-b", "b-below-vacuum", "nan-r"],
+)
+def test_refused_base_fields_invalidate_every_cell(base, quantity):
+    # the axes leave one base field to the descriptor; where a cell's
+    # descriptor is refused, so is the whole grid
+    axes = ("a:0.5:1:3", "c:0:0.9:3") if base["family"] == "two_two" else ("n:0:1:3", "n:0:2:3")
+    assert_grid_equals_cells(base, quantity, axes)
+    assert reference_cell({**base, "a": 0.5, "c": 0.0, "n": 0.0}, quantity) == ("nan", "invalid")
