@@ -3,19 +3,24 @@
 States are dense (N+1)^2 x (N+1)^2 density matrices with basis index
 i*(N+1)+j for |i>_A |j>_B, stored real whenever every entry is real.
 Constructors self-report the trace lost to truncation and refuse to build
-states that lose more than 1%.  Witness and SWAP expectations are index sums
-over the matrix.  Negativity and the realigned trace norm split their matrix
-into the connected components of its exact nonzero pattern, a permutation
-rather than an approximation, and solve equal-shape blocks in one stacked
-LAPACK call.  No symmetry of the state (such as conservation of the
-photon-number difference) is assumed; it is only observed in the zeros, so
-the oracle stays independent of every analytic path in the package.
+states that lose more than 1%.  Each state's exact nonzero pattern is found
+once, at construction, and the Hermiticity gate and the symmetrization read
+only the pattern and its mirror.  Witness and SWAP expectations are index
+sums over the matrix.  Negativity and the realigned trace norm map the
+pattern through the axis permutation that turns rho into the partial
+transpose or the realigned matrix, split that matrix into the connected
+components of the mapped pattern, a permutation rather than an
+approximation, and gather each block from rho through the same permutation,
+with no dense transposed copy; equal-shape blocks share one stacked LAPACK
+call.  No symmetry of the state (such as conservation of the photon-number
+difference) is assumed; it is only observed in the zeros, so the oracle stays
+independent of every analytic path in the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,28 +38,60 @@ _HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Two-mode density matrix truncated at ``cutoff`` photons per mode."""
+    """Two-mode density matrix truncated at ``cutoff`` photons per mode.
+
+    ``support`` holds the flat indices of the exactly nonzero entries of
+    ``matrix``, found once here; the Hermiticity gate, the symmetrization and
+    both trace-norm kernels read only those entries.
+    """
 
     cutoff: int
     matrix: np.ndarray
     trace_deficit: float
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if np.iscomplexobj(m) and not m.imag.any():
-            m = m.real
         m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
         d = (self.cutoff + 1) ** 2
         if m.shape != (d, d):
             raise InvalidArgumentError(
                 f"matrix shape {m.shape} does not match cutoff {self.cutoff}"
             )
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - m.conj().T).max()) > _HERMITICITY_TOL * scale:
+        # An entry that is 0 along with its mirror adds nothing to the scale or
+        # the asymmetry and stays 0 in (m + m^H)/2, so the pattern and its
+        # mirror carry the whole dense computation.
+        flat = m.ravel()
+        nonzero = flat != 0
+        pattern = np.flatnonzero(nonzero)
+        if np.iscomplexobj(flat) and not flat.imag[pattern].any():
+            flat = flat.real
+        row, col = _digits(pattern, d, 2)
+        mirror = col * d + row
+        del row, col
+        values, mirrored = flat[pattern], flat[mirror]
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError("density matrix has a non-finite entry")
+        conj = np.conj if np.iscomplexobj(flat) else np.asarray  # conj of a real array copies it
+        scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+        if float(np.abs(values - conj(mirrored)).max(initial=0.0)) > _HERMITICITY_TOL * scale:
             raise InvalidArgumentError("density matrix is not Hermitian within 1e-12")
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        # only the mirrors of entries whose mirror is exactly 0 lie off the pattern
+        lonely = ~nonzero[mirror]
+        sym = np.zeros((d, d), dtype=flat.dtype)
+        out = sym.ravel()
+        for target, a, b in ((pattern, values, mirrored),
+                             (mirror[lonely], mirrored[lonely], values[lonely])):
+            average = a + conj(b)
+            average /= 2.0
+            out[target] = average
+            nonzero[target] = average != 0
+            del average
+        support = np.flatnonzero(nonzero)
+        for array in (sym, support):
+            array.setflags(write=False)
+        object.__setattr__(self, "matrix", sym)
+        object.__setattr__(self, "support", support)
         object.__setattr__(self, "trace_deficit", float(self.trace_deficit))
 
     @property
@@ -143,7 +180,8 @@ def coherent_mixture_fock(
     c1 = coherent_amplitudes(alpha1, cutoff)
     c2 = coherent_amplitudes(alpha2, cutoff)
     phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)
-    rho = p * np.outer(phi, phi.conj())
+    rho = np.outer(phi, phi.conj())
+    rho *= p
     rho[0, 0] += 1.0 - p
     deficit = _check_deficit(
         1.0 - float(np.trace(rho).real) / intended_trace,
@@ -161,6 +199,13 @@ def _thermal_weights(n: float, cutoff: int) -> np.ndarray:
     return np.exp(k * math.log(n / (n + 1.0)) - math.log(n + 1.0))
 
 
+def _log_cosh(r: float) -> float:
+    """log cosh r for r >= 0, finite where cosh r overflows (past r = 710)."""
+    if r < 20.0:
+        return math.log(math.cosh(r))
+    return r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0)
+
+
 def _squeezer_ladder_block(r: float, cutoff: int, delta: int, lg: np.ndarray) -> np.ndarray:
     """Action of exp(r (a1†a2† - a1 a2)) on the photon-number-difference-delta
     ladder: B[m, l] = <m+delta, m| U |l+delta, l>, truncated at the cutoff;
@@ -171,7 +216,7 @@ def _squeezer_ladder_block(r: float, cutoff: int, delta: int, lg: np.ndarray) ->
     untruncated column onto the cutoff space.
     """
     size = cutoff + 1 - delta
-    t, s = math.tanh(r), math.log(math.cosh(r))
+    t, s = math.tanh(r), _log_cosh(r)
     logt = math.log(t) if t > 0.0 else -math.inf
     m = np.arange(size)
     steps = m[None, :] - m[:, None]  # column index minus row index
@@ -220,7 +265,8 @@ def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     rho = _sts_raw(n, r, cutoff)
     trace = float(np.trace(rho))
     deficit = _check_deficit(1.0 - trace, f"squeezed thermal n={n}, r={r}")
-    return FockDensityMatrix(cutoff=cutoff, matrix=rho / trace, trace_deficit=deficit)
+    rho /= trace
+    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
 
 
 def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
@@ -239,12 +285,18 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     rho4 = rho.reshape(d, d, d, d)
     num4 = np.zeros_like(rho4)
     root = np.sqrt(np.arange(1.0, d))
-    num4[:, 1:, :, 1:] = rho4[:, :-1, :, :-1] * root[None, :, None, None] * root[None, None, None, :]
+    shifted = num4[:, 1:, :, 1:]
+    np.multiply(rho4[:, :-1, :, :-1], root[None, :, None, None], out=shifted)
+    shifted *= root[None, None, None, :]
     num = num4.reshape(d * d, d * d)
-    norm_exact = 0.5 + (1.0 + 2.0 * n) * math.cosh(2.0 * r) / 2.0
+    # cosh 2r overflows past r = 355, where the truncated trace is about 0: an
+    # infinite normalizer gives deficit 1, which the gate refuses
+    cosh_2r = math.cosh(2.0 * r) if r < 355.0 else math.inf
+    norm_exact = 0.5 + (1.0 + 2.0 * n) * cosh_2r / 2.0
     trace = float(np.trace(num))
     deficit = _check_deficit(1.0 - trace / norm_exact, f"photon-added state n={n}, r={r}")
-    return FockDensityMatrix(cutoff=cutoff, matrix=num / trace, trace_deficit=deficit)
+    num /= trace
+    return FockDensityMatrix(cutoff=cutoff, matrix=num, trace_deficit=deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +325,15 @@ def witness_fock(rho: FockDensityMatrix, which: str) -> float:
     return float(value.real)
 
 
-def _component_labels(M: np.ndarray, bipartite: bool) -> np.ndarray:
-    """Connected-component label of every node of the graph whose edges are
-    the exactly nonzero entries of ``M``.
+def _component_labels(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
+    """Connected-component label of each of ``nodes`` graph nodes, for the
+    edges u[k] -> v[k]; an undirected graph lists every edge both ways.
 
-    The nodes are the indices of a symmetric ``M`` or, if ``bipartite``, its
-    rows followed by its columns.  Each sweep hooks every node and its root
-    onto the smallest label across its edges, then jumps pointers until every
-    node points at a root; labels only decrease and stay inside their
-    component, so the fixed point labels each component by one of its nodes.
+    Each sweep hooks every node and its root onto the smallest label across
+    its edges, then jumps pointers until every node points at a root; labels
+    only decrease and stay inside their component, so the fixed point labels
+    each component by one of its nodes.
     """
-    u, v = np.divmod(np.flatnonzero(M), M.shape[1])
-    nodes = M.shape[0]
-    if bipartite:
-        u, v = np.concatenate([u, v + nodes]), np.concatenate([v + nodes, u])
-        nodes += M.shape[1]
     label = np.arange(nodes)
     while True:
         hooked, reach = label.copy(), label[v]
@@ -300,23 +346,58 @@ def _component_labels(M: np.ndarray, bipartite: bool) -> np.ndarray:
         label = hooked
 
 
-def _trace_norm(M: np.ndarray, hermitian: bool) -> float:
-    """Sum of the singular values of M, block by block over the connected
-    components of its nonzero pattern (symmetric graph if ``hermitian``,
-    row-column graph otherwise).  Blocks of equal shape share one stacked
-    ``eigvalsh``/``svd`` call; 1x1 blocks are read off directly."""
-    label = _component_labels(M, bipartite=not hermitian)
-    sides = (label, label) if hermitian else (label[: M.shape[0]], label[M.shape[0]:])
+def _digits(flat: np.ndarray, d: int, count: int) -> list[np.ndarray]:
+    """The ``count`` base-``d`` digits of ``flat``, most significant first:
+    ``np.unravel_index`` into ``count`` axes of length d, with one integer
+    division by a scalar per digit."""
+    digits = []
+    for _ in range(count - 1):
+        quotient = flat // d
+        digits.append(flat - quotient * d)
+        flat = quotient
+    return [flat, *digits[::-1]]
+
+
+def _trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
+    """Sum of the singular values of the matrix M whose 4-index view is
+    ``rho.matrix.reshape(d, d, d, d).transpose(axes)``, for a permutation
+    ``axes`` that is its own inverse.
+
+    M is never formed: ``rho.support`` mapped through ``axes`` is M's nonzero
+    pattern, whose connected components (symmetric graph if ``hermitian``,
+    row-column graph otherwise) split M into blocks, a permutation rather
+    than an approximation.  Each block is gathered from ``rho.matrix``
+    through the same permutation; blocks of equal shape share one stacked
+    ``eigvalsh``/``svd`` call, and 1x1 blocks are read off directly.
+    """
+    d = rho.dim
+    n = d * d
+    # flat offset of M[(x0, x1), (x2, x3)] in rho.matrix: x . step
+    step = np.array([d**3, d**2, d, 1])[list(axes)]
+    index = _digits(rho.support, d, 4)
+    rows = index[axes[0]] * d + index[axes[1]]
+    cols = index[axes[2]] * d + index[axes[3]]
+    del index
+    if hermitian:  # the pattern of a Hermitian M lists every edge both ways
+        label = _component_labels(rows, cols, n)
+        sides = (label, label)
+    else:
+        cols = cols + n
+        label = _component_labels(np.concatenate([rows, cols]), np.concatenate([cols, rows]), 2 * n)
+        sides = (label[:n], label[n:])
     counts = [np.bincount(side, minlength=label.size) for side in sides]
     orders = [np.argsort(side, kind="stable") for side in sides]
     starts = [np.cumsum(c) - c for c in counts]
     shapes = np.stack(counts, axis=1)
+    flat = rho.matrix.ravel()
     total = 0.0
     for a, b in np.unique(shapes[shapes.min(axis=1) > 0], axis=0):
         comps = np.flatnonzero((shapes[:, 0] == a) & (shapes[:, 1] == b))
         ri = orders[0][starts[0][comps, None] + np.arange(a)]
         ci = orders[1][starts[1][comps, None] + np.arange(b)]
-        blocks = M[ri[:, :, None], ci[:, None, :]]
+        (r0, r1), (c0, c1) = _digits(ri, d, 2), _digits(ci, d, 2)
+        blocks = flat[(r0 * step[0] + r1 * step[1])[:, :, None]
+                      + (c0 * step[2] + c1 * step[3])[:, None, :]]
         if a == b == 1:
             total += np.abs(blocks).sum()
         elif hermitian:
@@ -328,13 +409,9 @@ def _trace_norm(M: np.ndarray, hermitian: bool) -> float:
 
 def realignment_trace_norm_fock(rho: FockDensityMatrix) -> float:
     """Trace norm of the realigned matrix R[(i,k),(j,l)] = rho[(i,j),(k,l)]."""
-    d = rho.dim
-    R = rho.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return _trace_norm(R, hermitian=False)
+    return _trace_norm(rho, (0, 2, 1, 3), hermitian=False)
 
 
 def negativity_fock(rho: FockDensityMatrix) -> float:
     """Trace norm of the partial transpose (over mode 2) minus 1."""
-    d = rho.dim
-    pt = rho.matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    return _trace_norm(pt, hermitian=True) - 1.0
+    return _trace_norm(rho, (0, 3, 2, 1), hermitian=True) - 1.0

@@ -576,6 +576,19 @@ class TestVerify:
         assert check["max_abs_deviation"] > check["tolerance"]
         assert "truncation" in check["error"].lower()
 
+    def test_huge_squeezing_is_truncation_not_overflow(self, capsys):
+        # cosh r overflows a double past r = 710: the states the squeezing
+        # reaches cannot be held at any cutoff, which is a truncation failure
+        code = main(["verify", "--cutoff", "8", "--rmax", "1000"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NUMERIC
+        squeezed = ("tmsv_", "squeezed_thermal_", "negativity_bounds_witness")
+        for check in report["checks"]:
+            assert check["pass"] is False
+            assert check["error"].startswith("TruncationError")
+            if check["name"].startswith(squeezed):
+                assert "trace deficit 1 " in check["error"]
+
     def test_zero_squeezing_trivial(self, capsys):
         code = main(["verify", "--cutoff", "12", "--rmax", "0.0"])
         report = json.loads(capsys.readouterr().out)

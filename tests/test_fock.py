@@ -238,6 +238,27 @@ class TestPhotonAdded:
             photon_added_sts_fock(-0.5, 0.5, 20)
 
 
+class TestHugeSqueezing:
+    """Past r = 355 (cosh 2r) and r = 710 (cosh r) the exact normalizers leave
+    the double range; the truncated trace is about 0 there, so the trace-deficit
+    gate refuses the state."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: squeezed_thermal_fock(0.1, 1000.0, 8),
+            lambda: squeezed_thermal_fock(0.0, 400.0, 8),
+            lambda: photon_added_sts_fock(0.0, 400.0, 8),
+            lambda: photon_added_sts_fock(0.5, 1000.0, 8),
+            lambda: tmsv_fock(1000.0, 8),
+        ],
+        ids=["thermal-1000", "thermal-400", "added-400", "added-1000", "tmsv-1000"],
+    )
+    def test_truncation_error_not_overflow(self, build):
+        with pytest.raises(TruncationError, match="trace deficit 1 "):
+            build()
+
+
 class TestWitnessFock:
     def test_vacuum_w01_vanishes(self):
         rho = tmsv_fock(0.0, 8)
@@ -367,8 +388,15 @@ def assert_sectors_match_dense(rho: FockDensityMatrix):
 
 
 def n_components(M: np.ndarray, bipartite: bool) -> int:
-    """Number of sectors the kernels split ``M`` into."""
-    return len(np.unique(_component_labels(M, bipartite)))
+    """Number of sectors the kernels split ``M`` into: the components of the
+    graph on the exactly nonzero entries, over the indices of a symmetric
+    ``M`` or, if ``bipartite``, its rows followed by its columns."""
+    u, v = np.divmod(np.flatnonzero(M), M.shape[1])
+    nodes = M.shape[0]
+    if bipartite:
+        u, v = np.concatenate([u, v + nodes]), np.concatenate([v + nodes, u])
+        nodes += M.shape[1]
+    return len(np.unique(_component_labels(u, v, nodes)))
 
 
 SECTORS = settings(max_examples=40, deadline=None, database=None)
@@ -437,6 +465,66 @@ class TestSectorKernels:
             assert n_components(pt, bipartite=False) == 2 * d - 1 - merged
             assert n_components(R, bipartite=True) == 2 * d - 1 - 2 * merged
             assert_sectors_match_dense(rho)
+
+
+class TestConstructionGate:
+    """The Hermiticity gate, the symmetrization and the non-finite check read
+    only the nonzero pattern and its mirror; each must agree with the dense
+    definition."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.zeros((25, 25), dtype=complex if isinstance(bad, complex) else float)
+        m[0, 0] = 1.0
+        m[3, 7] = m[7, 3] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            FockDensityMatrix(4, m, 0.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_sided_asymmetry_rejected(self, dtype):
+        # the only asymmetry sits where the mirror entry is exactly 0
+        m = np.eye(25, dtype=dtype) / 25
+        m[2, 9] = 1e-9
+        assert m[9, 2] == 0
+        with pytest.raises(InvalidArgumentError, match="Hermitian"):
+            FockDensityMatrix(4, m, 0.0)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(4, 6), complex_=st.booleans(),
+           sparsity=st.sampled_from([0.0, 0.5, 0.95]))
+    def test_symmetrization_is_dense_formula_bitwise(self, seed, cutoff, complex_, sparsity):
+        rng = np.random.default_rng(seed)
+        d2 = (cutoff + 1) ** 2
+        G = rng.normal(size=(d2, d2)) + (1j * rng.normal(size=(d2, d2)) if complex_ else 0)
+        G *= rng.random((d2, d2)) >= sparsity
+        m = G @ G.conj().T / d2
+        # break Hermiticity by at most 1e-13 of the largest entry: noise on the
+        # nonzero entries, and a few one-sided entries whose mirror stays 0
+        scale = np.abs(m).max()
+        m = m + 1e-13 * scale * rng.uniform(-1, 1, size=(d2, d2)) * (m != 0)
+        m[(rng.random((d2, d2)) < 0.05) & (m == 0)] = 1e-14 * scale
+        rho = FockDensityMatrix(cutoff, m, 0.0)
+        expected = (m + m.conj().T) / 2.0
+        assert rho.matrix.dtype == expected.dtype
+        # equal bit for bit, up to the sign of an exact zero
+        assert np.array_equal(rho.matrix, expected)
+        if sparsity == 0.0:
+            assert rho.matrix.tobytes() == expected.tobytes()
+        assert np.array_equal(rho.support, np.flatnonzero(rho.matrix))
+
+    @SECTORS
+    @given(rho=oracle_states())
+    def test_support_is_nonzero_pattern(self, rho):
+        assert np.array_equal(rho.support, np.flatnonzero(rho.matrix))
+        assert not rho.support.flags.writeable
+
+    def test_subnormal_pair_averaging_to_zero_leaves_support(self):
+        m = np.eye(25) / 25
+        m[0, 1] = 5e-324  # the smallest subnormal; its mirror is exactly 0
+        rho = FockDensityMatrix(4, m, 0.0)
+        assert rho.matrix[0, 1] == rho.matrix[1, 0] == 0.0
+        assert 1 not in rho.support and 25 not in rho.support
+        assert np.array_equal(rho.support, np.arange(25) * 26)
 
 
 class TestRealStorage:
