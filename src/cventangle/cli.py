@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -24,15 +23,14 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import crosscheck, witness
 from .errors import CVEntangleError, InvalidArgumentError, NumericDomainError
-from .states import family_named, family_of, parse_state_descriptor, state_descriptor
+from .states import (decode_fields, family_named, family_of, parse_state_descriptor,
+                     state_descriptor)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
-
-WORKERS_ENV = "CV_ENTANGLE_WORKERS"
 
 
 def _verdict(entangled: bool) -> str:
@@ -201,41 +199,6 @@ class ScanAxis:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-def _scan_row(task) -> list[tuple[float, str]]:
-    base, quantity, axis1_name, v1, axis2_name, values2 = task
-    cell = _quantity(quantity).cell
-    out = []
-    for v2 in values2:
-        doc = dict(base)
-        doc[axis1_name] = float(v1)
-        doc[axis2_name] = float(v2)
-        try:
-            out.append(cell(_evaluate(parse_state_descriptor(doc), quantity)))
-        except CVEntangleError:
-            out.append((math.nan, "invalid"))
-    return out
-
-
-def _grid_rows(family, evaluate, cells, base: dict, axis1: ScanAxis, axis2: ScanAxis):
-    """The ``(values, verdicts)`` row pairs of a whole grid from one call of
-    the grid evaluator ``evaluate``; each cell equals what :func:`_scan_row`
-    gives.
-
-    The base fields that no axis sets are decoded once; a base descriptor
-    that a cell's descriptor would fail to decode makes every cell invalid.
-    """
-    shape = (axis1.steps, axis2.steps)
-    axes = {axis1.name: axis1.values()[:, None]}
-    axes[axis2.name] = axis2.values()[None, :]  # a repeated axis keeps its second value
-    try:
-        base_fields = {name: decode(name, base[name])
-                       for name, decode in family.fields.items() if name not in axes}
-    except (KeyError, TypeError, InvalidArgumentError):
-        return [([math.nan] * shape[1], ["invalid"] * shape[1])] * shape[0]
-    values, verdicts = cells(evaluate(**axes, **base_fields))
-    return zip(np.broadcast_to(values, shape).tolist(), np.broadcast_to(verdicts, shape).tolist())
-
-
 def _csv_payload(values1: list, values2: list, rows) -> str:
     """The scan CSV from the axis values and the ``(values, verdicts)`` pair
     of each row: header param1,param2,value,verdict, then one line per cell,
@@ -258,12 +221,14 @@ def run_scan(
     workers: int = 1,
 ) -> None:
     """Write the grid scan CSV (header param1,param2,value,verdict; row-major
-    with axis1 outermost).  Output is written atomically and is byte-identical
-    for any worker count.
+    with axis1 outermost).  Output is written atomically.
 
+    The base fields that no axis sets are decoded once; a base descriptor
+    that a cell's descriptor would fail to decode makes every cell invalid.
     A quantity with a grid evaluator in the family table is evaluated on the
-    whole grid at once; any other is evaluated cell by cell, split over
-    ``workers`` processes.
+    whole grid at once; any other is evaluated cell by cell, on states built
+    from the decoded fields and the cell's axis values.  Every scan runs in
+    this process: ``workers`` is accepted and ignored.
     """
     family = family_named(base_descriptor.get("family"))
     if not family.axes:
@@ -274,23 +239,33 @@ def run_scan(
                 f"axis {axis.name!r} is not a parameter of family {family.name!r} "
                 f"(choose from {sorted(family.axes)})"
             )
-    cells = _quantity(quantity).grid
-    evaluate = family.grid.get(quantity)
-    values2 = axis2.values().tolist()
-    if evaluate is not None:
-        rows = _grid_rows(family, evaluate, cells, base_descriptor, axis1, axis2)
+    entry = _quantity(quantity)
+    values1, values2 = axis1.values().tolist(), axis2.values().tolist()
+    try:
+        fields = decode_fields(family, base_descriptor, skip={axis1.name, axis2.name})
+    except InvalidArgumentError:
+        rows = [([math.nan] * len(values2), ["invalid"] * len(values2))] * len(values1)
     else:
-        tasks = [
-            (base_descriptor, quantity, axis1.name, v1, axis2.name, values2)
-            for v1 in axis1.values().tolist()
-        ]
-        if workers > 1:
-            with Pool(processes=workers) as pool:
-                cell_rows = pool.map(_scan_row, tasks)
+        if quantity in family.grid:
+            axes = {axis1.name: axis1.values()[:, None]}
+            axes[axis2.name] = axis2.values()[None, :]  # a repeated axis keeps its second value
+            values, verdicts = entry.grid(family.grid[quantity](**fields, **axes))
+            shape = (axis1.steps, axis2.steps)
+            rows = zip(np.broadcast_to(values, shape).tolist(),
+                       np.broadcast_to(verdicts, shape).tolist())
         else:
-            cell_rows = [_scan_row(t) for t in tasks]
-        rows = (zip(*row) for row in cell_rows)
-    payload = _csv_payload(axis1.values().tolist(), values2, rows)
+            build = family.build or family.cls
+            rows = []
+            for v1 in values1:
+                cells = []
+                for v2 in values2:
+                    try:
+                        state = build(**{**fields, axis1.name: v1, axis2.name: v2})
+                        cells.append(entry.cell(_evaluate(state, quantity)))
+                    except CVEntangleError:
+                        cells.append((math.nan, "invalid"))
+                rows.append(zip(*cells))
+    payload = _csv_payload(values1, values2, rows)
 
     out_dir = os.path.dirname(os.path.abspath(out_path)) or "."
     try:
@@ -328,19 +303,6 @@ def _load_descriptor(text: str) -> dict:
     return doc
 
 
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-        print(f"ignoring invalid {WORKERS_ENV}={env!r}", file=sys.stderr)
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cventangle",
@@ -363,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan axis (give exactly twice; first axis is the outer/row axis)",
     )
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--workers", type=int, default=None,
-                        help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="accepted and ignored: every scan runs in one process")
 
     p_verify = sub.add_parser("verify", help="run the Fock-oracle cross-check suite")
     p_verify.add_argument("--cutoff", type=int, default=40)
@@ -387,10 +349,9 @@ def main(argv=None) -> int:
             base = _load_descriptor(args.state)
             axis1 = ScanAxis.parse(args.axes[0])
             axis2 = ScanAxis.parse(args.axes[1])
-            workers = args.workers if args.workers else _default_workers()
-            if workers < 1:
-                raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-            run_scan(base, args.quantity, axis1, axis2, args.out, workers=workers)
+            if args.workers < 0:
+                raise InvalidArgumentError(f"workers must be >= 0, got {args.workers}")
+            run_scan(base, args.quantity, axis1, axis2, args.out)
             print(json.dumps({"out": args.out, "rows": axis1.steps * axis2.steps}))
             return EXIT_OK
         if args.command == "verify":

@@ -36,7 +36,7 @@ MAX_TRACE_DEFICIT = 0.01
 _HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Two-mode density matrix truncated at ``cutoff`` photons per mode.
 
@@ -142,16 +142,19 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes e^{-|alpha|^2/2} alpha^k / sqrt(k!) of a coherent state.
 
     The phase (alpha/|alpha|)^k is a running product, exact for real and
-    imaginary alpha, so those states keep their exact zeros and real entries.
+    imaginary alpha, so those states keep their exact zeros and real entries;
+    the amplitudes are a real array when every phase is exactly real.
     """
     k = np.arange(cutoff + 1)
     alpha = complex(alpha)
     if alpha == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
+        amps = np.zeros(cutoff + 1)
         amps[0] = 1.0
         return amps
     logmag = k * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff) - 0.5 * abs(alpha) ** 2
     phase = np.cumprod(np.r_[1.0, np.full(cutoff, alpha / abs(alpha))])
+    if not phase.imag.any():
+        phase = phase.real
     return np.exp(logmag) * phase
 
 

@@ -306,17 +306,23 @@ def family_of(state) -> Family:
     return _BY_CLASS[type(state)]
 
 
+def decode_fields(family: Family, doc: dict, skip=()) -> dict:
+    """The decoded values of the descriptor fields of ``family`` in ``doc``,
+    leaving out the names in ``skip``."""
+    try:
+        return {field: decode(field, doc[field])
+                for field, decode in family.fields.items() if field not in skip}
+    except (KeyError, TypeError) as exc:
+        raise InvalidArgumentError(f"malformed {family.name!r} descriptor: {exc}") from exc
+
+
 def parse_state_descriptor(doc: dict):
     """Build the typed state object described by an interchange document
     (families: see :data:`FAMILIES`)."""
     if not isinstance(doc, dict):
         raise InvalidArgumentError("state descriptor must be a JSON object")
     family = family_named(doc.get("family"))
-    try:
-        values = {field: decode(field, doc[field]) for field, decode in family.fields.items()}
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"malformed {family.name!r} descriptor: {exc}") from exc
-    return (family.build or family.cls)(**values)
+    return (family.build or family.cls)(**decode_fields(family, doc))
 
 
 def state_descriptor(state) -> dict:

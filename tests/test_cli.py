@@ -231,22 +231,22 @@ class TestScan:
         # row-major order: row index changes slowest
         assert [r[0] for r in rows[:5]] == [rows[0][0]] * 5
 
-    def test_determinism_across_workers(self, tmp_path):
-        args = [
-            "scan",
-            "--state",
-            json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 1.0}),
-            "--quantity",
-            "witness01",
-            "--axes",
-            "n:0.02:2:6",
-            "--axes",
-            "r:0.02:2:4",
-        ]
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert main([*args, "--out", str(out1), "--workers", "1"]) == EXIT_OK
-        assert main([*args, "--out", str(out2), "--workers", "3"]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize("state,quantity,axes", [
+        (PHOTON, "witness01", ("n:0.02:2:6", "r:0.02:2:4")),
+        (VACUUM, "realignment_norm", ("a:0.25:1:5", "c1:-0.5:0.5:4")),
+    ])
+    def test_workers_option_is_accepted_and_ignored(self, state, quantity, axes, tmp_path):
+        args = ["scan", "--state", state, "--quantity", quantity,
+                "--axes", axes[0], "--axes", axes[1]]
+        outputs = []
+        for workers in ("0", "1", "3"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main([*args, "--out", str(out), "--workers", workers]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        bad = tmp_path / "bad.csv"
+        assert main([*args, "--out", str(bad), "--workers", "-1"]) == EXIT_INVALID
+        assert not bad.exists()
 
     def test_two_two_window_transitions(self, tmp_path):
         out = tmp_path / "window.csv"
@@ -340,25 +340,15 @@ class TestScan:
                     else:
                         assert math.isfinite(float(value)) and verdict == "entangled", (quantity, r)
 
-    def test_env_var_worker_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CV_ENTANGLE_WORKERS", "2")
-        out = tmp_path / "env.csv"
-        code = main(
-            [
-                "scan",
-                "--state",
-                json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 1.0}),
-                "--quantity",
-                "witness01",
-                "--axes",
-                "n:0.1:1:3",
-                "--axes",
-                "r:0.1:1:3",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == EXIT_OK and out.exists()
+    def test_worker_env_var_is_not_read(self, tmp_path, monkeypatch, capsys):
+        argv = ["scan", "--state", VACUUM, "--quantity", "swap",
+                "--axes", "a:0.25:1:3", "--axes", "b:0.25:1:3"]
+        assert main([*argv, "--out", str(tmp_path / "plain.csv")]) == EXIT_OK
+        monkeypatch.setenv("CV_ENTANGLE_WORKERS", "invalid")
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "env.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_bad_axis_name_exits_2(self, tmp_path):
         code = main(
@@ -518,6 +508,43 @@ class TestQuantityTable:
         cells = [line.split(",")[2:] for line in (tmp_path / "huge.csv").read_text().splitlines()]
         assert cells[1:] == [["nan", "invalid"]] * 26
 
+    def test_cell_scans_decode_the_base_once(self, tmp_path, monkeypatch):
+        # a per-cell scan builds each state from the base fields decoded once
+        # and the cell's axis values, never through a descriptor round trip
+        from cventangle import cli
+
+        def scan(base, quantity, axes, name):
+            path = tmp_path / name
+            argv = ["scan", "--state", json.dumps(base), "--quantity", quantity,
+                    "--axes", axes[0], "--axes", axes[1], "--out", str(path)]
+            assert main(argv) == EXIT_OK
+            return path.read_bytes()
+
+        standard2 = {"family": "standard2", "a": 0.5, "b": 0.5, "c1": 0.2, "c2": -0.4}
+        cases = [(standard2, "realignment_norm", ("a:0.25:1:6", "c1:-0.45:0.45:5")),
+                 (json.loads(MIXTURE), "swap", ("p:0:1:6", "p:0.2:1:5"))]
+        plain = [scan(*case, f"plain{i}.csv") for i, case in enumerate(cases)]
+
+        def no_parse(_doc):
+            raise AssertionError("a scan cell parsed a descriptor")
+
+        monkeypatch.setattr(cli, "parse_state_descriptor", no_parse)
+        assert [scan(*case, f"patched{i}.csv") for i, case in enumerate(cases)] == plain
+        axes = ("a:0.25:1:3", "c1:-0.45:0.45:4")
+
+        def cells(base):
+            text = scan(base, "realignment_norm", axes, "malformed.csv").decode()
+            return [line.split(",")[2:] for line in text.splitlines()[1:]]
+
+        # a malformed field that no axis sets makes every cell invalid ...
+        assert cells({**standard2, "b": "wide"}) == [["nan", "invalid"]] * 12
+        assert cells({k: v for k, v in standard2.items() if k != "c2"}) == [["nan", "invalid"]] * 12
+        # ... while one that an axis overrides never reaches a cell
+        good = cells(standard2)
+        assert sum(verdict != "invalid" for _value, verdict in good) == 7
+        for bad in ({**standard2, "a": "wide"}, {k: v for k, v in standard2.items() if k != "a"}):
+            assert cells(bad) == good
+
     @pytest.mark.parametrize(
         "doc,quantity,keys",
         [
@@ -665,15 +692,20 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["eval", "--state", {VACUUM!r}, "--quantity", "optimal_witness"]),
         main(["scan", "--state", {PHOTON!r}, "--quantity", "witness01", "--axes",
               "n:0:1:3", "--axes", "r:0:1:3", "--out", {str(tmp_path / "grid.csv")!r}]),
+        main(["scan", "--state", {VACUUM!r}, "--quantity", "realignment_norm", "--axes",
+              "a:0.25:1:3", "--axes", "b:0.25:1:3", "--workers", "2",
+              "--out", {str(tmp_path / "cells.csv")!r}]),
         main(["verify", "--cutoff", "12", "--rmax", "0.3"]),
     ]
-print(json.dumps([codes, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")]
+print(json.dumps([codes, loaded]))
 """
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        codes, scipy_modules = json.loads(result.stdout)
-        assert codes == [EXIT_OK] * 3
-        assert scipy_modules == []
+        codes, loaded = json.loads(result.stdout)
+        assert codes == [EXIT_OK] * 4
+        # numpy alone, and every scan stays in this process
+        assert loaded == []
 
     def test_bad_quantity_argparse_exit(self):
         result = run_cli(["eval", "--state", VACUUM, "--quantity", "magic"])

@@ -203,6 +203,23 @@ class TestCoherentMixture:
         with pytest.raises(TruncationError):
             coherent_mixture_fock(0.6, 4.0, -4.0, 8)
 
+    @pytest.mark.parametrize("alpha,dtype", [(1.0, np.float64), (-1.0, np.float64),
+                                             (0.0, np.float64), (1j, np.complex128),
+                                             (1 + 1j, np.complex128)])
+    def test_amplitudes_real_exactly_when_phases_are(self, alpha, dtype):
+        assert coherent_amplitudes(alpha, 12).dtype == dtype
+
+    @pytest.mark.parametrize("p,a1,a2", [(0.6, 1.0, -1.0), (0.3, 0.0, 0.8), (1.0, -0.5, 1.2)])
+    def test_real_build_matches_complex_outer_product(self, p, a1, a2):
+        cutoff = 20
+        c1, c2 = (coherent_amplitudes(a, cutoff).astype(complex) for a in (a1, a2))
+        phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)
+        reference = p * np.outer(phi, phi.conj())
+        reference[0, 0] += 1.0 - p
+        rho = coherent_mixture_fock(p, a1, a2, cutoff)
+        assert rho.matrix.dtype == np.float64
+        assert np.abs(rho.matrix - reference).max() < 1e-15
+
 
 class TestPhotonAdded:
     def test_zero_params_is_single_photon(self):
@@ -540,6 +557,12 @@ class TestRealStorage:
     )
     def test_real_entries_are_stored_real(self, build):
         assert build().matrix.dtype == np.float64
+
+    def test_equality_is_identity(self):
+        # a state holds arrays, so equality and hashing go by identity
+        rho, again = tmsv_fock(0.3, 4), tmsv_fock(0.3, 4)
+        assert rho == rho and not (rho == again) and rho != again
+        assert {rho: "built", again: "rebuilt"}[rho] == "built"
 
     def test_complex_entries_stay_complex(self):
         rho = coherent_mixture_fock(0.6, 1.0, 0.5 + 0.5j, 20)
