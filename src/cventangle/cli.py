@@ -223,8 +223,10 @@ def run_scan(
     """Write the grid scan CSV (header param1,param2,value,verdict; row-major
     with axis1 outermost).  Output is written atomically.
 
-    The base fields that no axis sets are decoded once; a base descriptor
-    that a cell's descriptor would fail to decode makes every cell invalid.
+    A quantity the family does not evaluate is refused before any cell is
+    filled, as ``eval`` refuses it.  The base fields that no axis sets are
+    decoded once; a base descriptor that a cell's descriptor would fail to
+    decode makes every cell invalid.
     A quantity with a grid evaluator in the family table is evaluated on the
     whole grid at once; any other is evaluated cell by cell, on states built
     from the decoded fields and the cell's axis values.  Every scan runs in
@@ -240,6 +242,8 @@ def run_scan(
                 f"(choose from {sorted(family.axes)})"
             )
     entry = _quantity(quantity)
+    if quantity not in family.grid:
+        _evaluator(family, quantity)  # refuses a quantity the family lacks, as eval does
     values1, values2 = axis1.values().tolist(), axis2.values().tolist()
     try:
         fields = decode_fields(family, base_descriptor, skip={axis1.name, axis2.name})

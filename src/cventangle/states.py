@@ -240,15 +240,22 @@ class Family:
     grid: Mapping[str, Callable] = dataclasses.field(default_factory=dict)
 
 
-def _physical_covariance(**fields) -> CovarianceMatrix:
-    """The ``raw_covariance`` state: :meth:`CovarianceMatrix.from_fields`,
-    refused unless it passes the physicality test V + iJ/4 >= 0."""
-    V = CovarianceMatrix.from_fields(**fields)
+def _physical(V: CovarianceMatrix) -> CovarianceMatrix:
+    """``V``, refused unless it passes the physicality test V + iJ/4 >= 0."""
     if not is_physical(V):
         raise InvalidArgumentError(
             "constraint violated: covariance fails the physicality test V + iJ/4 >= 0"
         )
     return V
+
+
+def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
+    """The closed-form realignment result of a 2+2 state, refused where the
+    family covariance fails the physicality test."""
+    _physical(s.covariance())
+    return realignment.RealignmentResult(
+        norm=realignment.realignment_norm_two_two(s.a, s.b, s.c),
+        spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c,) * 4))
 
 
 _W01 = witness.WitnessParams(0.0, 1.0)
@@ -260,10 +267,12 @@ FAMILIES = (
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
         "swap": lambda s: witness.swap_expectation(s.wigner()),
-        "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
+        "realignment_norm": lambda s: realignment.RealignmentResult(
+            norm=realignment.realignment_norm_two_mode(s),
+            spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2))),
     }, axes=("a", "b", "c1", "c2")),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
-        "realignment_norm": lambda s: realignment.realignment_norm(s.covariance()),
+        "realignment_norm": _two_two_realignment,
         "classify": lambda s: realignment.classify_two_two(s.a, s.b, s.c),
     }, axes=("a", "b", "c"), grid={
         "classify": lambda a, b, c: realignment.classify_two_two_array(a, b, c),
@@ -287,7 +296,7 @@ FAMILIES = (
         "witness01": lambda V: witness.witness_expectation_wigner(WignerSpec(V), _W01),
         "swap": lambda V: witness.swap_expectation(WignerSpec(V)),
         "realignment_norm": lambda V: realignment.realignment_norm(V),
-    }, build=_physical_covariance),
+    }, build=lambda **fields: _physical(CovarianceMatrix.from_fields(**fields))),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from cventangle import fock
-from cventangle.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
+from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
+                            main)
+from cventangle.states import FAMILIES
 
 TWO_TWO = json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.78})
 PHOTON = json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 1.0})
@@ -121,10 +123,23 @@ class TestEval:
 
     def test_truncation_failure_exits_3(self):
         # eval has no Fock route any more; a numeric-domain failure it still
-        # reaches is the singular Gram pipeline of an overflowing covariance
+        # reaches is a closed-form Gram spectrum whose ab leaves the float range
         big = json.dumps({"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0})
         code = main(["eval", "--state", big, "--quantity", "realignment_norm"])
         assert code == EXIT_NUMERIC
+
+    def test_two_two_large_variances_classify(self, capsys):
+        # the closed-form Gram spectrum of a product is exactly 1/4 at any scale
+        doc = json.dumps({"family": "two_two", "a": 1e7, "b": 1e7, "c": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["verdict"] == "undetected" and record["nus"] == [0.25] * 4
+
+    def test_standard2_large_variances_realignment_norm(self, capsys):
+        doc = json.dumps({"family": "standard2", "a": 1e8, "b": 1e8, "c1": 0.0, "c2": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", "realignment_norm"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["norm"] == 2.5e-9 and record["nus"] == [0.25, 0.25]
 
     @pytest.mark.parametrize(
         "doc,quantity",
@@ -483,6 +498,50 @@ class TestQuantityTable:
             doc = {**base, names[0]: float(v1)}
             doc[names[1]] = float(v2)
             assert (value, verdict) == eval_cell(doc, quantity, capsys), (v1, v2)
+
+    @pytest.mark.parametrize("family,quantity", [(f, q) for f in FAMILIES for q in QUANTITIES],
+                             ids=[f"{f.name}-{q}" for f in FAMILIES for q in QUANTITIES])
+    def test_scan_and_eval_agree_on_support(self, family, quantity, tmp_path, capsys):
+        # a quantity the family does not evaluate is refused by scan as by
+        # eval, before any cell is filled and without an output file
+        out = tmp_path / "grid.csv"
+        bases = {base["family"]: (base, axes) for base, axes, _quantities in SCANNABLE}
+        if not family.axes:  # raw_covariance: scan refuses the family whatever the quantity
+            base, axes, expected = {"family": family.name}, ("a:0:1:2", "b:0:1:2"), EXIT_INVALID
+        else:
+            base, axes = bases[family.name]
+            expected = main(["eval", "--state", json.dumps(base), "--quantity", quantity])
+            assert expected in (EXIT_OK, EXIT_INVALID)
+        scan_code = main(["scan", "--state", json.dumps(base), "--quantity", quantity,
+                          "--axes", axes[0], "--axes", axes[1], "--out", str(out)])
+        assert scan_code == expected
+        assert out.exists() == (scan_code == EXIT_OK)
+        if scan_code == EXIT_INVALID and family.axes:
+            assert "not available for family" in capsys.readouterr().err
+
+    def test_closed_form_families_skip_gram_pipeline(self, monkeypatch, capsys):
+        # standard2 and two_two read their closed-form norm and Gram spectrum;
+        # the generic pipeline serves raw_covariance only
+        from cventangle import realignment, state_descriptor, symplectic, tmsv_params
+
+        calls = []
+        for module, name in ((realignment, "realigned_gram_covariance"),
+                             (realignment, "symplectic_eigenvalues"),
+                             (symplectic, "symplectic_eigenvalues")):
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        tmsv = tmsv_params(0.6)
+        for doc, quantity in ((state_descriptor(tmsv), "realignment_norm"),
+                              (json.loads(TWO_TWO), "realignment_norm"),
+                              (json.loads(TWO_TWO), "classify")):
+            assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_OK
+        assert calls == []
+        raw = json.dumps(state_descriptor(tmsv.covariance()))
+        assert main(["eval", "--state", raw, "--quantity", "realignment_norm"]) == EXIT_OK
+        assert calls == ["realigned_gram_covariance", "symplectic_eigenvalues"]
 
     def test_classify_scan_skips_gram_pipeline(self, tmp_path, monkeypatch):
         # the Gram spectrum only fills the eval record's nus/a0; a scan cell

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cventangle import (CVEntangleError, InvalidArgumentError, cli, family_threshold,
-                        parse_state_descriptor, realignment_norm_two_two, state_descriptor)
+                        is_physical, parse_state_descriptor, realigned_gram_covariance,
+                        realignment_norm_two_mode, realignment_norm_two_two, state_descriptor,
+                        symplectic_eigenvalues, two_two_family)
 from cventangle.cli import evaluate_quantity
 from cventangle.states import family_named
 from cventangle.witness import DETECTION_TOL
@@ -43,6 +45,16 @@ def close(value, ref, tol=TOL):
     return abs(value - ref) <= tol * max(1.0, abs(ref))
 
 
+def assert_gram_spectrum(record, V):
+    """The record's closed-form nus and a0 against the generic Gram pipeline."""
+    gram, a0 = realigned_gram_covariance(V)
+    nus = symplectic_eigenvalues(gram).nus
+    assert len(record["nus"]) == len(nus)
+    for value, ref in zip(record["nus"], nus):
+        assert abs(value - ref) <= 1e-12 * ref
+    assert abs(record["a0"] - a0) <= 1e-12 * a0
+
+
 @PROPERTY
 @given(
     nu_a=unit_or(0.25, 1.5, 0.25),
@@ -68,6 +80,12 @@ def test_standard2(nu_a, nu_b, r):
         assert opt["entangled"] is False
     bounds = evaluate(doc, "bounds")
     assert bounds["entangled"] == (w01 < -TOL or swap["value"] < -TOL)
+    realign = evaluate(doc, "realignment_norm")
+    state = parse_state_descriptor(doc)
+    assert realign["norm"] == realignment_norm_two_mode(state)
+    assert_gram_spectrum(realign, state.covariance())
+    if r == 0.0:
+        assert realign["nus"] == [0.25, 0.25] and realign["verdict"] == "undetected"
 
 
 @PROPERTY
@@ -82,11 +100,22 @@ def test_two_two(a, b, where, frac, sign):
     thr = math.sqrt(max(a * b - math.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0, 0.0))
     c = sign * {"zero": 0.0, "threshold": thr, "inside": frac * thr,
                 "outside": thr * (1.0 + 0.2 * frac) + 1e-9}[where]
-    record = evaluate({"family": "two_two", "a": a, "b": b, "c": c}, "classify")
+    doc = {"family": "two_two", "a": a, "b": b, "c": c}
+    V = two_two_family(a, b, c)
+    if is_physical(V):
+        realign = evaluate(doc, "realignment_norm")
+        assert realign["norm"] == realignment_norm_two_two(a, b, c)
+        assert_gram_spectrum(realign, V)
+    else:
+        with pytest.raises(InvalidArgumentError, match="physicality"):
+            evaluate(doc, "realignment_norm")
+    record = evaluate(doc, "classify")
     assert close(record["threshold"], thr, 1e-12)
     if where == "outside":
         assert record["verdict"] == "unphysical" and record["norm"] is None
         return
+    assert [record[key] for key in ("norm", "nus", "a0")] == [
+        realign[key] for key in ("norm", "nus", "a0")]
     norm = 1.0 / (16.0 * (math.sqrt(a * b) - abs(c)) ** 2)
     assert close(record["norm"], norm, 1e-9)
     expected = "bound_entangled" if norm > 1.0 + TOL else "undetected"

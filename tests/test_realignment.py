@@ -6,6 +6,7 @@ import pytest
 from cventangle import (
     CovarianceMatrix,
     InvalidArgumentError,
+    NumericDomainError,
     SingularLimitError,
     SpectralDomainError,
     WilliamsonSpectrum,
@@ -18,10 +19,11 @@ from cventangle import (
     realignment_norm_two_mode,
     realignment_norm_two_two,
     squeezed_thermal_params,
+    symplectic_eigenvalues,
     tmsv_params,
     two_two_family,
 )
-from cventangle.realignment import norm_from_spectrum
+from cventangle.realignment import norm_from_spectrum, standard_form_gram_spectrum
 from conftest import random_product_cov, random_standard_form
 
 
@@ -179,6 +181,44 @@ class TestClosedForms:
         for a, b in [(1.0, 1.0), (0.8, 1.4)]:
             c = math.sqrt(a * b) - 0.25
             assert abs(realignment_norm_two_two(a, b, c) - 1.0) < 1e-12
+
+
+class TestClosedGramSpectrum:
+    def pipeline(self, V):
+        gram, a0 = realigned_gram_covariance(V)
+        return np.array(symplectic_eigenvalues(gram).nus), a0
+
+    def test_matches_pipeline_standard2(self, rng):
+        for _ in range(200):
+            s = random_standard_form(rng)
+            spectrum = standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2))
+            nus, a0 = self.pipeline(s.covariance())
+            assert np.max(np.abs(np.array(spectrum.nus) / nus - 1.0)) < 1e-12
+            assert abs(spectrum.a0 / a0 - 1.0) < 1e-12
+            assert abs(norm_from_spectrum(spectrum) / realignment_norm_two_mode(s) - 1.0) < 1e-13
+
+    def test_matches_pipeline_two_two(self, rng):
+        for _ in range(200):
+            a, b = rng.uniform(0.25, 2.0, size=2)
+            c = rng.uniform(-1.0, 1.0) * family_threshold(a, b)
+            spectrum = standard_form_gram_spectrum(a, b, (c,) * 4)
+            nus, a0 = self.pipeline(two_two_family(a, b, c))
+            assert np.max(np.abs(np.array(spectrum.nus) / nus - 1.0)) < 1e-12
+            assert abs(spectrum.a0 / a0 - 1.0) < 1e-12
+            assert abs(norm_from_spectrum(spectrum) / realignment_norm_two_two(a, b, c) - 1.0) < 1e-13
+
+    def test_products_are_exactly_one_quarter(self, rng):
+        for a, b in rng.uniform(0.25, 1e6, size=(50, 2)):
+            spectrum = standard_form_gram_spectrum(a, b, (0.0, -0.0))
+            assert spectrum.nus == (0.25, 0.25)
+
+    def test_refusals(self):
+        with pytest.raises(SingularLimitError):
+            standard_form_gram_spectrum(1.0, 1.0, (1.0, 0.0))
+        with pytest.raises(NumericDomainError, match="float range"):
+            standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0))
+        with pytest.raises(NumericDomainError, match="underflows"):
+            standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4)
 
 
 class TestSpectrumGuard:
