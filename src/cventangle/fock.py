@@ -3,16 +3,22 @@
 States are dense (N+1)^2 x (N+1)^2 density matrices with basis index
 i*(N+1)+j for |i>_A |j>_B, stored real whenever every entry is real.
 Constructors self-report the trace lost to truncation and refuse to build
-states that lose more than 1%.  Each state's exact nonzero pattern is found
-once, at construction, and the Hermiticity gate and the symmetrization read
-only the pattern and its mirror.  Witness and SWAP expectations are index
-sums over the matrix.  Negativity and the realigned trace norm map the
-pattern through the axis permutation that turns rho into the partial
-transpose or the realigned matrix, split that matrix into the connected
-components of the mapped pattern, a permutation rather than an
-approximation, and gather each block from rho through the same permutation,
-with no dense transposed copy; equal-shape blocks share one stacked LAPACK
-call.  No symmetry of the state (such as conservation of the photon-number
+states that lose more than 1%.  Each builder hands the sorted flat indices
+and values of its nonzero entries to one constructor core,
+:func:`_from_entries`: the non-finite check, the Hermiticity gate and the
+symmetrization read only those entries and their mirrors, the dense matrix
+is written once, and no dense temporary is built or scanned.  A dense
+matrix passed to :class:`FockDensityMatrix` goes through the same core after
+one scan for its nonzero entries.  The surviving entries are the state's
+exact nonzero pattern (``support``).  A builder's trace is summed over a
+dense diagonal vector, the same pairwise sum ``np.trace`` takes.  Witness
+and SWAP expectations are index sums over the matrix.  Negativity and the
+realigned trace norm map the pattern through the axis permutation that
+turns rho into the partial transpose or the realigned matrix, split that
+matrix into the connected components of the mapped pattern, a permutation
+rather than an approximation, and gather each block from rho through the
+same permutation, with no dense transposed copy; equal-shape blocks share
+one stacked LAPACK call.  No symmetry of the state (such as conservation of the photon-number
 difference) is assumed; it is only observed in the zeros, so the oracle stays
 independent of every analytic path in the package.
 """
@@ -40,9 +46,12 @@ _HERMITICITY_TOL = 1e-12
 class FockDensityMatrix:
     """Two-mode density matrix truncated at ``cutoff`` photons per mode.
 
-    ``support`` holds the flat indices of the exactly nonzero entries of
-    ``matrix``, found once here; the Hermiticity gate, the symmetrization and
-    both trace-norm kernels read only those entries.
+    ``cutoff`` must be an integer >= 0 and ``trace_deficit`` a number in
+    [0, 1].  A dense ``matrix`` is scanned once for its nonzero entries, which
+    then take the builders' path (:func:`_from_entries`): the stored matrix
+    is (m + m^H)/2 and ``support`` holds the flat indices of its exactly
+    nonzero entries, which the Hermiticity gate, the symmetrization and both
+    trace-norm kernels read.
     """
 
     cutoff: int
@@ -51,52 +60,93 @@ class FockDensityMatrix:
     support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        d = (_valid_cutoff(self.cutoff) + 1) ** 2
         m = np.asarray(self.matrix)
-        m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-        d = (self.cutoff + 1) ** 2
         if m.shape != (d, d):
             raise InvalidArgumentError(
                 f"matrix shape {m.shape} does not match cutoff {self.cutoff}"
             )
-        # An entry that is 0 along with its mirror adds nothing to the scale or
-        # the asymmetry and stays 0 in (m + m^H)/2, so the pattern and its
-        # mirror carry the whole dense computation.
         flat = m.ravel()
-        nonzero = flat != 0
-        pattern = np.flatnonzero(nonzero)
-        if np.iscomplexobj(flat) and not flat.imag[pattern].any():
-            flat = flat.real
-        row, col = _digits(pattern, d, 2)
-        mirror = col * d + row
-        del row, col
-        values, mirrored = flat[pattern], flat[mirror]
-        if not np.isfinite(values).all():
-            raise InvalidArgumentError("density matrix has a non-finite entry")
-        conj = np.conj if np.iscomplexobj(flat) else np.asarray  # conj of a real array copies it
-        scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-        if float(np.abs(values - conj(mirrored)).max(initial=0.0)) > _HERMITICITY_TOL * scale:
-            raise InvalidArgumentError("density matrix is not Hermitian within 1e-12")
-        # only the mirrors of entries whose mirror is exactly 0 lie off the pattern
-        lonely = ~nonzero[mirror]
-        sym = np.zeros((d, d), dtype=flat.dtype)
-        out = sym.ravel()
-        for target, a, b in ((pattern, values, mirrored),
-                             (mirror[lonely], mirrored[lonely], values[lonely])):
-            average = a + conj(b)
-            average /= 2.0
-            out[target] = average
-            nonzero[target] = average != 0
-            del average
-        support = np.flatnonzero(nonzero)
-        for array in (sym, support):
-            array.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "trace_deficit", float(self.trace_deficit))
+        support = np.flatnonzero(flat)
+        built = _from_entries(self.cutoff, support, flat[support], self.trace_deficit)
+        vars(self).update(vars(built))  # vars() bypasses the frozen __setattr__
 
     @property
     def dim(self) -> int:
         return self.cutoff + 1
+
+
+def _valid_cutoff(cutoff) -> int:
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
+        raise InvalidArgumentError(f"cutoff must be an integer >= 0, got {cutoff!r}")
+    return int(cutoff)
+
+
+def _valid_deficit(deficit) -> float:
+    try:
+        deficit = float(deficit)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"trace deficit must be a number, got {deficit!r}") from None
+    if not 0.0 <= deficit <= 1.0:
+        raise InvalidArgumentError(f"trace deficit must lie in [0, 1], got {deficit}")
+    return deficit
+
+
+def _from_entries(
+    cutoff, support: np.ndarray, values: np.ndarray, trace_deficit
+) -> FockDensityMatrix:
+    """The state whose matrix m holds ``values`` at the sorted flat indices
+    ``support`` and 0 elsewhere, stored as (m + m^H)/2; every constructor
+    ends here.
+
+    Entries equal to 0 are dropped.  The rest are stored real when none has
+    an imaginary part, must be finite, and must match the conjugate of their
+    mirror within 1e-12 of the largest magnitude (or of 1).  An entry that
+    is 0 along with its mirror adds nothing to the scale or the asymmetry and
+    stays 0 in (m + m^H)/2, so the entries and their mirrors carry the whole
+    dense computation: the matrix is written, never scanned.
+    """
+    cutoff, deficit = _valid_cutoff(cutoff), _valid_deficit(trace_deficit)
+    n = (cutoff + 1) ** 2
+    values = np.asarray(values)
+    values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
+    keep = values != 0
+    if not keep.all():
+        support, values = support[keep], values[keep]
+    if np.iscomplexobj(values) and not values.imag.any():
+        values = values.real
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("density matrix has a non-finite entry")
+    row, col = _digits(support, n, 2)
+    mirror = col * n + row
+    del row, col
+    sym = np.zeros((n, n), dtype=values.dtype)
+    out = sym.ravel()
+    out[support] = values
+    mirrored = out[mirror]  # 0 exactly where the mirror is no entry
+    lonely = mirrored == 0
+    target = mirror[lonely]  # off the given pattern, yet half an entry in (m + m^H)/2
+    tail = mirrored[lonely] + np.conjugate(values[lonely])
+    tail /= 2.0
+    del mirror, lonely
+    np.conjugate(mirrored, out=mirrored)
+    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
+    if float(np.abs(values - mirrored).max(initial=0.0)) > _HERMITICITY_TOL * scale:
+        raise InvalidArgumentError("density matrix is not Hermitian within 1e-12")
+    average = np.add(values, mirrored, out=mirrored)
+    average /= 2.0
+    out[support] = average
+    out[target] = tail
+    nonzero = average != 0
+    if target.size:
+        support = np.sort(np.concatenate([support[nonzero], target[tail != 0]]))
+    elif not nonzero.all():
+        support = support[nonzero]
+    for array in (sym, support):
+        array.setflags(write=False)
+    rho = object.__new__(FockDensityMatrix)
+    vars(rho).update(cutoff=cutoff, matrix=sym, trace_deficit=deficit, support=support)
+    return rho
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -128,10 +178,9 @@ def tmsv_fock(r: float, cutoff: int) -> FockDensityMatrix:
     deficit = _check_deficit(math.tanh(r) ** (2 * (cutoff + 1)), f"TMSV r={r}")
     amps = np.array([math.tanh(r) ** k / math.cosh(r) for k in range(d)])
     amps /= np.linalg.norm(amps)
-    rho = np.zeros((d * d, d * d))
-    diag = np.arange(d) * (d + 1)
-    rho[np.ix_(diag, diag)] = np.outer(amps, amps)
-    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
+    diag = np.arange(d) * (d + 1)  # flat index of |k, k>
+    support = (diag[:, None] * (d * d) + diag).ravel()
+    return _from_entries(cutoff, support, np.outer(amps, amps).ravel(), deficit)
 
 
 def _log_factorials(top: int) -> np.ndarray:
@@ -180,17 +229,30 @@ def coherent_mixture_fock(
             "degenerate mixture: the antisymmetric branch vanishes at p=1 with "
             "alpha1 = alpha2"
         )
+    size = (cutoff + 1) ** 2
     c1 = coherent_amplitudes(alpha1, cutoff)
     c2 = coherent_amplitudes(alpha2, cutoff)
     phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)
-    rho = np.outer(phi, phi.conj())
-    rho *= p
-    rho[0, 0] += 1.0 - p
+    # phi[0] = (c1[0] c2[0] - c2[0] c1[0]) / sqrt 2 is exactly 0, so the
+    # vacuum term is the first entry, ahead of the outer product p phi phi^H
+    # over phi's nonzero amplitudes
+    nz = np.flatnonzero(phi)
+    k = nz.size
+    support = np.empty(k * k + 1, dtype=nz.dtype)
+    values = np.empty(k * k + 1, dtype=phi.dtype)
+    support[0], values[0] = 0, 1.0 - p
+    np.add(nz[:, None] * size, nz, out=support[1:].reshape(k, k))
+    outer = values[1:].reshape(k, k)
+    np.multiply(phi[nz, None], phi[nz].conj(), out=outer)
+    outer *= p
+    diagonal = np.zeros(size, dtype=phi.dtype)
+    diagonal[nz] = outer.diagonal()
+    diagonal[0] = values[0]
     deficit = _check_deficit(
-        1.0 - float(np.trace(rho).real) / intended_trace,
+        1.0 - float(diagonal.sum().real) / intended_trace,
         f"coherent mixture |alpha1|={abs(alpha1)}, |alpha2|={abs(alpha2)}",
     )
-    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
+    return _from_entries(cutoff, support, values, deficit)
 
 
 def _thermal_weights(n: float, cutoff: int) -> np.ndarray:
@@ -236,27 +298,32 @@ def _squeezer_ladder_block(r: float, cutoff: int, delta: int, lg: np.ndarray) ->
     return ladder.T @ (k0[:, None] * lowering)
 
 
-def _sts_raw(n: float, r: float, cutoff: int) -> np.ndarray:
-    """Unnormalized truncated squeezed thermal state (trace < 1 by the tail).
+def _sts_raw(n: float, r: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized truncated squeezed thermal state (trace < 1 by the tail):
+    its sorted flat indices, their values and its dense diagonal.
 
     Two-mode squeezing preserves the photon-number difference, so the state is
     assembled blockwise over that difference; cost is O(cutoff^4).
     """
     d = cutoff + 1
+    size = d * d
     pk = _thermal_weights(n, cutoff)
     lg = _log_factorials(cutoff)
-    rho = np.zeros((d * d, d * d))
+    diagonal = np.zeros(size)
+    indices, blocks = [], []
     for delta in range(d):
         B = _squeezer_ladder_block(r, cutoff, delta, lg)
         m = np.arange(d - delta)
         weights = pk[m + delta] * pk[m]
         block = (B * weights[None, :]) @ B.T
-        idx = (m + delta) * d + m
-        rho[np.ix_(idx, idx)] += block
-        if delta:
-            idx_mirror = m * d + (m + delta)
-            rho[np.ix_(idx_mirror, idx_mirror)] += block
-    return rho
+        # rows and columns |m+delta, m>, and their mirror |m, m+delta>
+        for idx in [(m + delta) * d + m, m * d + m + delta][: 2 if delta else 1]:
+            indices.append((idx[:, None] * size + idx).ravel())
+            blocks.append(block.ravel())
+            diagonal[idx] = block.diagonal()
+    support = np.concatenate(indices)
+    order = np.argsort(support)
+    return support[order], np.concatenate(blocks)[order], diagonal
 
 
 def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
@@ -265,11 +332,11 @@ def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
     _require_cutoff(cutoff)
-    rho = _sts_raw(n, r, cutoff)
-    trace = float(np.trace(rho))
+    support, values, diagonal = _sts_raw(n, r, cutoff)
+    trace = float(diagonal.sum())
     deficit = _check_deficit(1.0 - trace, f"squeezed thermal n={n}, r={r}")
-    rho /= trace
-    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
+    values /= trace
+    return _from_entries(cutoff, support, values, deficit)
 
 
 def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
@@ -283,23 +350,28 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     require_nonnegative_nr(n, r)
     _require_cutoff(cutoff)
     d = cutoff + 1
-    rho = _sts_raw(n, r, cutoff)
-    # sandwich with the mode-2 creation operator: a shift-and-scale reindexing
-    rho4 = rho.reshape(d, d, d, d)
-    num4 = np.zeros_like(rho4)
+    support, values, diagonal = _sts_raw(n, r, cutoff)
+    # sandwich with the mode-2 creation operator: entry (i, j, k, l) moves to
+    # (i, j+1, k, l+1), flat index + d^2 + 1, scaled by sqrt(j+1) sqrt(l+1);
+    # an entry with j or l at the cutoff leaves the space
     root = np.sqrt(np.arange(1.0, d))
-    shifted = num4[:, 1:, :, 1:]
-    np.multiply(rho4[:, :-1, :, :-1], root[None, :, None, None], out=shifted)
-    shifted *= root[None, None, None, :]
-    num = num4.reshape(d * d, d * d)
+    _i, j, _k, l = _digits(support, d, 4)
+    kept = (j < cutoff) & (l < cutoff)
+    j, l = j[kept], l[kept]
+    support = support[kept] + (d * d + 1)
+    values = values[kept] * root[j]
+    values *= root[l]
+    num_diagonal = np.zeros((d, d))  # indexed by (i, j) of |i, j>
+    num_diagonal[:, 1:] = diagonal.reshape(d, d)[:, :-1] * root
+    num_diagonal[:, 1:] *= root
     # cosh 2r overflows past r = 355, where the truncated trace is about 0: an
     # infinite normalizer gives deficit 1, which the gate refuses
     cosh_2r = math.cosh(2.0 * r) if r < 355.0 else math.inf
     norm_exact = 0.5 + (1.0 + 2.0 * n) * cosh_2r / 2.0
-    trace = float(np.trace(num))
+    trace = float(num_diagonal.sum())
     deficit = _check_deficit(1.0 - trace / norm_exact, f"photon-added state n={n}, r={r}")
-    num /= trace
-    return FockDensityMatrix(cutoff=cutoff, matrix=num, trace_deficit=deficit)
+    values /= trace
+    return _from_entries(cutoff, support, values, deficit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +24,15 @@ from cventangle import (
     witness_fock,
     witness_photon_added_closed,
 )
+from cventangle import cli, fock
 from cventangle.fock import (
     FockDensityMatrix,
+    _check_deficit,
     _component_labels,
+    _log_factorials,
+    _require_cutoff,
+    _squeezer_ladder_block,
+    _thermal_weights,
     coherent_amplitudes,
 )
 
@@ -544,6 +551,35 @@ class TestConstructionGate:
         assert np.array_equal(rho.support, np.arange(25) * 26)
 
 
+class TestConstructorArguments:
+    """The cutoff must be an int >= 0 (not a bool) and the trace deficit a
+    number in [0, 1]."""
+
+    @pytest.mark.parametrize("cutoff,matrix", [
+        (-2, np.eye(1)),  # would have dimension -1
+        (-1, np.zeros((0, 0))),  # would have negativity -1
+        (True, np.eye(4) / 4),
+        (np.True_, np.eye(4) / 4),
+        (4.0, np.eye(25) / 25),
+        ("4", np.eye(25) / 25),
+    ], ids=["minus-2", "minus-1", "bool", "numpy-bool", "float", "str"])
+    def test_bad_cutoff_rejected(self, cutoff, matrix):
+        with pytest.raises(InvalidArgumentError, match="cutoff"):
+            FockDensityMatrix(cutoff, matrix, 0.0)
+
+    @pytest.mark.parametrize("deficit", [math.nan, -0.1, -math.inf, 1.5, math.inf, "0.1x", None])
+    def test_bad_deficit_rejected(self, deficit):
+        with pytest.raises(InvalidArgumentError, match="trace deficit"):
+            FockDensityMatrix(4, np.eye(25) / 25, deficit)
+
+    @pytest.mark.parametrize("cutoff,deficit", [(0, 0.0), (4, 1.0), (np.int64(4), 0.5)])
+    def test_edges_accepted(self, cutoff, deficit):
+        d = (int(cutoff) + 1) ** 2
+        rho = FockDensityMatrix(cutoff, np.eye(d) / d, deficit)
+        assert type(rho.cutoff) is int and rho.dim == int(cutoff) + 1
+        assert rho.trace_deficit == deficit
+
+
 class TestRealStorage:
     @pytest.mark.parametrize(
         "build",
@@ -568,3 +604,189 @@ class TestRealStorage:
         rho = coherent_mixture_fock(0.6, 1.0, 0.5 + 0.5j, 20)
         assert rho.matrix.dtype == np.complex128
         assert_valid_density_matrix(rho, trace=1.0 - 0.6 * math.exp(-abs(0.5 - 0.5j) ** 2))
+
+
+# ---------------------------------------------------------------------------
+# reference builders: each state assembled as a dense matrix and handed to the
+# public constructor, against the builders' entry lists
+# ---------------------------------------------------------------------------
+
+
+def dense_tmsv(r, cutoff):
+    r = float(r)
+    if r < 0:
+        raise InvalidArgumentError(f"squeezing must be nonnegative, got {r}")
+    _require_cutoff(cutoff)
+    d = cutoff + 1
+    deficit = _check_deficit(math.tanh(r) ** (2 * (cutoff + 1)), f"TMSV r={r}")
+    amps = np.array([math.tanh(r) ** k / math.cosh(r) for k in range(d)])
+    amps /= np.linalg.norm(amps)
+    rho = np.zeros((d * d, d * d))
+    diag = np.arange(d) * (d + 1)
+    rho[np.ix_(diag, diag)] = np.outer(amps, amps)
+    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
+
+
+def dense_coherent_mixture(p, alpha1, alpha2, cutoff):
+    p = float(p)
+    if not (0.0 <= p <= 1.0):
+        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+    _require_cutoff(cutoff)
+    overlap2 = math.exp(-abs(complex(alpha1) - complex(alpha2)) ** 2)
+    intended_trace = 1.0 - p * overlap2
+    if intended_trace <= 1e-15:
+        raise InvalidArgumentError("degenerate mixture")
+    c1 = coherent_amplitudes(alpha1, cutoff)
+    c2 = coherent_amplitudes(alpha2, cutoff)
+    phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)
+    rho = np.outer(phi, phi.conj())
+    rho *= p
+    rho[0, 0] += 1.0 - p
+    deficit = _check_deficit(
+        1.0 - float(np.trace(rho).real) / intended_trace,
+        f"coherent mixture |alpha1|={abs(alpha1)}, |alpha2|={abs(alpha2)}",
+    )
+    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
+
+
+def dense_sts_raw(n, r, cutoff):
+    d = cutoff + 1
+    pk = _thermal_weights(n, cutoff)
+    lg = _log_factorials(cutoff)
+    rho = np.zeros((d * d, d * d))
+    for delta in range(d):
+        B = _squeezer_ladder_block(r, cutoff, delta, lg)
+        m = np.arange(d - delta)
+        weights = pk[m + delta] * pk[m]
+        block = (B * weights[None, :]) @ B.T
+        idx = (m + delta) * d + m
+        rho[np.ix_(idx, idx)] += block
+        if delta:
+            idx_mirror = m * d + (m + delta)
+            rho[np.ix_(idx_mirror, idx_mirror)] += block
+    return rho
+
+
+def dense_squeezed_thermal(n, r, cutoff):
+    n, r = float(n), float(r)
+    _require_cutoff(cutoff)
+    rho = dense_sts_raw(n, r, cutoff)
+    trace = float(np.trace(rho))
+    deficit = _check_deficit(1.0 - trace, f"squeezed thermal n={n}, r={r}")
+    rho /= trace
+    return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
+
+
+def dense_photon_added(n, r, cutoff):
+    n, r = float(n), float(r)
+    _require_cutoff(cutoff)
+    d = cutoff + 1
+    rho = dense_sts_raw(n, r, cutoff)
+    rho4 = rho.reshape(d, d, d, d)
+    num4 = np.zeros_like(rho4)
+    root = np.sqrt(np.arange(1.0, d))
+    shifted = num4[:, 1:, :, 1:]
+    np.multiply(rho4[:, :-1, :, :-1], root[None, :, None, None], out=shifted)
+    shifted *= root[None, None, None, :]
+    del rho, rho4
+    num = num4.reshape(d * d, d * d)
+    cosh_2r = math.cosh(2.0 * r) if r < 355.0 else math.inf
+    norm_exact = 0.5 + (1.0 + 2.0 * n) * cosh_2r / 2.0
+    trace = float(np.trace(num))
+    deficit = _check_deficit(1.0 - trace / norm_exact, f"photon-added state n={n}, r={r}")
+    num /= trace
+    return FockDensityMatrix(cutoff=cutoff, matrix=num, trace_deficit=deficit)
+
+
+DENSE_BUILDERS = {
+    "tmsv_fock": dense_tmsv,
+    "squeezed_thermal_fock": dense_squeezed_thermal,
+    "photon_added_sts_fock": dense_photon_added,
+    "coherent_mixture_fock": dense_coherent_mixture,
+}
+
+# builder arguments before the cutoff; ``sparse`` cases also run at cutoff 64,
+# where a full-pattern mixture would take gigabytes in the dense reference
+SPARSE_CASES = [
+    ("tmsv_fock", (0.0,)),
+    ("tmsv_fock", (0.6,)),
+    ("tmsv_fock", (1000.0,)),
+    ("squeezed_thermal_fock", (0.0, 0.0)),
+    ("squeezed_thermal_fock", (0.0, 0.6)),
+    ("squeezed_thermal_fock", (0.2, 0.6)),
+    ("squeezed_thermal_fock", (0.2, 1000.0)),
+    ("photon_added_sts_fock", (0.0, 0.0)),
+    ("photon_added_sts_fock", (0.5, 0.6)),
+    ("photon_added_sts_fock", (1.0, 1.0)),
+    ("photon_added_sts_fock", (0.5, 1000.0)),
+    ("coherent_mixture_fock", (0.5, 0.0, 0.8)),  # zero alpha
+    ("coherent_mixture_fock", (0.6, 0.7, 0.7)),  # alpha1 = alpha2, p < 1
+    ("coherent_mixture_fock", (0.5, 0.0, 0.0)),
+]
+FULL_CASES = [
+    ("coherent_mixture_fock", (0.6, 1.0, -1.0)),  # real
+    ("coherent_mixture_fock", (0.3, 0.5j, -0.5j)),  # imaginary
+    ("coherent_mixture_fock", (0.6, 1.0, 0.5j)),  # complex
+    ("coherent_mixture_fock", (1.0, -0.5, 1.2)),
+]
+EQUALITY_GRID = [
+    *[(name, args, cutoff) for cutoff in (4, 5, 12, 40)
+      for name, args in SPARSE_CASES + FULL_CASES],
+    *[(name, args, 64) for name, args in SPARSE_CASES],
+    ("photon_added_sts_fock", (0.5, 0.6), 6),  # refused: loses 13.5% of its trace
+]
+
+
+def build_or_refusal(build, *args):
+    try:
+        return build(*args)
+    except (InvalidArgumentError, TruncationError) as exc:
+        return exc
+
+
+class TestEntryBuilders:
+    """Each builder hands its nonzero entries straight to the constructor core;
+    its state must be the dense assembly's bit for bit."""
+
+    @pytest.mark.parametrize("name,args,cutoff", EQUALITY_GRID,
+                             ids=[f"{n}{a}-{c}" for n, a, c in EQUALITY_GRID])
+    def test_bitwise_equal_to_dense_assembly(self, name, args, cutoff):
+        built = build_or_refusal(getattr(fock, name), *args, cutoff)
+        reference = build_or_refusal(DENSE_BUILDERS[name], *args, cutoff)
+        if isinstance(reference, Exception):
+            assert type(built) is type(reference) and str(built) == str(reference)
+            return
+        assert isinstance(built, FockDensityMatrix)
+        assert built.matrix.dtype == reference.matrix.dtype
+        assert built.matrix.tobytes() == reference.matrix.tobytes()
+        assert np.array_equal(built.support, reference.support)
+        assert repr(built.trace_deficit) == repr(reference.trace_deficit)
+
+    @pytest.mark.parametrize("build", [
+        lambda: tmsv_fock(0.6, 40),
+        lambda: squeezed_thermal_fock(0.2, 0.6, 40),
+        lambda: photon_added_sts_fock(0.5, 0.6, 40),
+    ], ids=["tmsv", "squeezed_thermal", "photon_added"])
+    def test_peak_memory_is_one_dense_matrix(self, build):
+        dense_bytes = (41 * 41) ** 2 * 8
+        tracemalloc.start()
+        try:
+            rho = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rho.matrix.nbytes == dense_bytes
+        assert peak <= 1.25 * dense_bytes, f"peak {peak / dense_bytes:.2f} dense matrices"
+
+    @pytest.mark.parametrize("cutoff,rmax,code", [
+        ("40", "0.6", 0), ("8", "0.3", 3), ("6", "0.6", 5),
+        ("20", "1.0", 5), ("30", "0", 0), ("8", "1000", 3),
+    ])
+    def test_verify_output_equals_dense_assembly(self, cutoff, rmax, code, capsys, monkeypatch):
+        argv = ["verify", "--cutoff", cutoff, "--rmax", rmax]
+        assert cli.main(argv) == code
+        built = capsys.readouterr().out
+        for name, build in DENSE_BUILDERS.items():
+            monkeypatch.setattr(fock, name, build)
+        assert cli.main(argv) == code
+        assert capsys.readouterr().out == built
