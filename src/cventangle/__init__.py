@@ -53,9 +53,7 @@ from .states import (
     PhotonAddedSqueezedThermal,
     TwoModeStandardForm,
     TwoTwoFamilyParams,
-    WignerSpec,
     parse_state_descriptor,
-    photon_added_sts_wigner,
     squeezed_thermal_params,
     state_descriptor,
     tmsv_params,
@@ -64,8 +62,6 @@ from .symplectic import (
     CovarianceMatrix,
     WilliamsonSpectrum,
     is_physical,
-    is_ppt,
-    partial_transpose,
     symplectic_eigenvalues,
     symplectic_form,
 )
@@ -78,8 +74,8 @@ from .witness import (
     swap_expectation_coherent_mixture,
     swap_photon_added_closed,
     witness_coherent_mixture_closed,
+    witness_expectation_covariance,
     witness_expectation_gaussian,
-    witness_expectation_wigner,
     witness_photon_added_closed,
 )
 

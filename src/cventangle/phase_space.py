@@ -1,14 +1,22 @@
-"""Gaussian phase-space integration helpers.
+"""The Wigner-slice integral of a zero-mean two-mode Gaussian state.
 
-Polynomials over phase-space coordinates are represented as mappings from
-exponent tuples to real coefficients, e.g. ``{(2, 0, 0, 0): 1.0}`` is x1^2 on
-a two-mode space.  All integrals here are of the restricted form
+The witness family and the SWAP observable integrate the Wigner function W of
+a state with covariance V = [[A, C], [C^T, B]] (2x2 blocks) over the plane
+xi = T u = (-D u, u), u in R^2, with D = diag(d-, d+).  For a Gaussian W,
 
-    integral of  P(T u) * G(T u)  over u in R^k,
+    integral of W(T u) du = 1 / (2 pi sqrt(det V det(T^T V^-1 T))).
 
-where G is a normalized zero-mean Gaussian and T a (2m x k) slice matrix.  For
-a polynomial P the integral is a finite sum of Gaussian moments of xi = T u,
-evaluated exactly by Isserlis' theorem; no quadrature is involved.
+The columns of P = [I; D] span the orthogonal complement of the plane and
+T^T T = P^T P = I + D^2, so det V det(T^T V^-1 T) = det(P^T V P), and
+
+    P^T V P = A + C D + D C^T + D B D.
+
+The integral is therefore one 2x2 determinant, with no inverse and no
+quadrature; the result carries rounding error only.  A determinant that is
+not positive means V is not positive definite in floating point, e.g. a
+squeezed state whose a - |c| is below one ulp of a; like a nonpositive K-K+ in
+:func:`cventangle.witness.witness_expectation_gaussian`, that is a numeric-domain
+failure.
 """
 
 from __future__ import annotations
@@ -17,63 +25,32 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericDomainError
+from .symplectic import CovarianceMatrix
 
 
-# ---------------------------------------------------------------------------
-# polynomial algebra
-# ---------------------------------------------------------------------------
+def slice_integral(V: CovarianceMatrix, d_minus: float, d_plus: float) -> float:
+    """Integral of the Wigner function of the zero-mean two-mode Gaussian state
+    with covariance ``V`` over the slice xi = (-d- x, -d+ p, x, p):
 
-def _moment(cov: np.ndarray, idx: tuple) -> float:
-    """E[xi_i1 ... xi_ik] for zero-mean xi ~ N(0, cov), by Isserlis' recursion
+        1 / (2 pi sqrt(det(A + C D + D C^T + D B D))),  D = diag(d-, d+).
 
-        E[xi_i1 ... xi_ik] = sum_j cov[i1, ij] E[rest without ij].
+    Raises:
+        InvalidArgumentError: if V is not two-mode.
+        NumericDomainError: if the slice determinant is not positive (or NaN).
     """
-    if not idx:
-        return 1.0
-    first, rest = idx[0], idx[1:]
-    total = 0.0
-    for pos in range(len(rest)):
-        pair = cov[first, rest[pos]]
-        if pair != 0.0:
-            total += pair * _moment(cov, rest[:pos] + rest[pos + 1 :])
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Gaussian cores and slice integrals
-# ---------------------------------------------------------------------------
-
-def slice_integral(spec, T: np.ndarray) -> float:
-    """Integral of spec's Wigner function restricted to the linear slice xi = T u.
-
-    ``spec`` provides ``covariance`` and ``poly`` (see
-    :class:`cventangle.states.WignerSpec`).  The zero-mean Gaussian core
-    restricted to the slice is integrated in closed form and the polynomial
-    prefactor by exact Gaussian-moment algebra, so the result carries rounding
-    error only.
-    """
-    V = spec.covariance.matrix
-    T = np.asarray(T, dtype=float)
-    if T.shape[0] != V.shape[0]:
+    if V.modes != 2:
         raise InvalidArgumentError(
-            f"slice matrix has {T.shape[0]} rows for a {V.shape[0]}-dimensional space"
+            f"witness and SWAP expectations require a two-mode covariance, got {V.modes} modes"
         )
-    M = T.T @ np.linalg.solve(V, T)
-    sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
-        raise InvalidArgumentError("slice Gaussian is degenerate")
-    sign_v, logdet_v = np.linalg.slogdet(V)
-    if sign_v <= 0:
-        raise InvalidArgumentError("Gaussian core requires a positive-definite covariance")
-    # core normalization (2 pi)^-m det(V)^-1/2, times the slice integral
-    norm = math.exp(-(V.shape[0] / 2) * math.log(2 * math.pi) - 0.5 * logdet_v)
-    gauss = math.exp((T.shape[1] / 2) * math.log(2 * math.pi) - 0.5 * logdet)
-    # on the slice u ~ N(0, M^-1), so xi = T u ~ N(0, T M^-1 T^T): the
-    # prefactor's expectation E[P(xi)] is a sum of moments
-    cov = T @ np.linalg.solve(M, T.T)
-    moments = 1.0 if spec.poly is None else 0.0
-    for expo, coeff in (spec.poly or {}).items():
-        idx = tuple(i for i, p in enumerate(expo) for _ in range(p))
-        moments += coeff * _moment(cov, idx)
-    return float(norm * gauss * moments)
+    m = V.matrix
+    d = np.array([d_minus, d_plus], dtype=float)
+    cd = m[:2, 2:] * d
+    slice_cov = m[:2, :2] + cd + cd.T + m[2:, 2:] * np.outer(d, d)
+    det = float(slice_cov[0, 0] * slice_cov[1, 1] - slice_cov[0, 1] * slice_cov[1, 0])
+    if not det > 0.0:
+        raise NumericDomainError(
+            f"slice determinant must be positive, got {det}; the covariance is not "
+            "positive definite in floating point"
+        )
+    return 1.0 / (2.0 * math.pi * math.sqrt(det))

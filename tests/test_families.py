@@ -2,7 +2,8 @@
 
 Each family's generator reaches the edges of its physical domain (pure states,
 n = 0, r = 0, p in {0, 1}, |c| at the 2+2 threshold) rather than stepping
-around them.  References are closed forms written out in this file.
+around them.  References are closed forms written out in this file, or the
+Gaussian-moment reference in ``conftest``.
 """
 
 import json
@@ -14,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cventangle import (CVEntangleError, InvalidArgumentError, cli, family_threshold,
-                        is_physical, parse_state_descriptor, realigned_gram_covariance,
+from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError, WitnessParams,
+                        bound_report, cli, family_threshold, is_physical,
+                        parse_state_descriptor, realigned_gram_covariance,
                         realignment_norm_two_mode, realignment_norm_two_two, state_descriptor,
                         symplectic_eigenvalues, two_two_family)
 from cventangle.cli import evaluate_quantity
 from cventangle.states import family_named
 from cventangle.witness import DETECTION_TOL
+from conftest import WignerSpec, moments_swap, moments_witness, two_mode_cov
 
 TOL = 1e-10
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -183,6 +186,37 @@ def test_raw_covariance_products(nus, squeeze):
     assert swap["value"] >= -TOL and swap["entangled"] is False
     w01 = evaluate(doc, "witness01")
     assert w01["entangled"] is False
+
+
+local_op = st.tuples(unit_or(-0.4, 0.4, 0.0), st.tuples(st.floats(0.0, 2 * math.pi),
+                                                      st.floats(0.0, 2 * math.pi)))
+
+
+@PROPERTY
+@given(
+    nus=st.tuples(unit_or(0.25, 1.5, 0.25), unit_or(0.25, 1.5, 0.25)),
+    theta=unit_or(0.0, math.pi, 0.0),
+    r=unit_or(0.0, 1.75, 0.0, 1.75),
+    local=st.tuples(local_op, local_op),
+)
+def test_raw_covariance_two_mode(nus, theta, r, local):
+    # a pure pair at r = 1.75 has sqrt(ab) - |c| down to 1.8e-3 sqrt(ab);
+    # nearer the edge the reference's solve and slogdet round at about
+    # cond(V) eps and no longer resolve 1e-12
+    V = two_mode_cov(nus, theta, r, local)
+    doc = {"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2",
+           "matrix": V.tolist()}
+    spec = WignerSpec(CovarianceMatrix(V))
+    w01, swap = moments_witness(spec, WitnessParams(0.0, 1.0)), moments_swap(spec)
+    assert close(evaluate(doc, "witness01")["value"], w01, 1e-12)
+    assert close(evaluate(doc, "swap")["value"], swap, 1e-12)
+    bounds = evaluate(doc, "bounds")
+    ref = bound_report(w01, swap)
+    for key, value in [("crenLower", ref.cren_lower), ("concurrenceLower", ref.concurrence_lower),
+                       ("eofLower", ref.eof_lower), ("tangleLower", ref.tangle_lower)]:
+        assert close(bounds[key], value, 1e-12)
+    assert close(bounds["inputs"]["witnessValue01"], w01, 1e-12)
+    assert close(bounds["inputs"]["swapValue"], swap, 1e-12)
 
 
 GOOD = {

@@ -12,7 +12,6 @@ from cventangle import (
     WilliamsonSpectrum,
     classify_two_two,
     family_threshold,
-    is_ppt,
     optimal_witness,
     realigned_gram_covariance,
     realignment_norm,
@@ -24,7 +23,7 @@ from cventangle import (
     two_two_family,
 )
 from cventangle.realignment import norm_from_spectrum, standard_form_gram_spectrum
-from conftest import random_product_cov, random_standard_form
+from conftest import is_ppt, random_product_cov, random_standard_form
 
 
 def gram_reference_two_mode(a, b, c1, c2):

@@ -12,17 +12,15 @@ from cventangle import (
     TwoTwoFamilyParams,
     family_threshold,
     is_physical,
-    is_ppt,
     parse_state_descriptor,
-    photon_added_sts_wigner,
     squeezed_thermal_params,
     state_descriptor,
     tmsv_params,
     two_two_family,
 )
-from cventangle.phase_space import slice_integral
 from cventangle.symplectic import symplectic_eigenvalues
-from conftest import random_standard_form, wigner_value
+from conftest import (WignerSpec, is_ppt, moments_slice_integral, photon_added_sts_wigner,
+                      random_standard_form, wigner_value)
 
 
 def sts_wigner_reference(x1, p1, x2, p2, n, r):
@@ -99,7 +97,7 @@ class TestSqueezedThermalParams:
     @pytest.mark.parametrize("n,r", [(0.0, 0.0), (0.0, 0.7), (1.0, 0.5), (2.0, 1.2)])
     def test_wigner_matches_reference_grid(self, n, r, rng):
         # fixes the sign of the cross terms: +x1x2, -p1p2
-        spec = squeezed_thermal_params(n, r).wigner()
+        spec = WignerSpec(squeezed_thermal_params(n, r).covariance())
         pts = rng.uniform(-1.5, 1.5, size=(40, 4))
         vals = wigner_value(spec, pts)
         ref = sts_wigner_reference(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], n, r)
@@ -171,7 +169,7 @@ class TestPhotonAddedWigner:
     @pytest.mark.parametrize("n,r", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.3)])
     def test_normalization(self, n, r):
         spec = photon_added_sts_wigner(n, r)
-        assert abs(slice_integral(spec, np.eye(4)) - 1.0) < 1e-12
+        assert abs(moments_slice_integral(spec, np.eye(4)) - 1.0) < 1e-12
 
     def test_gaussian_core_is_squeezed_thermal(self):
         spec = photon_added_sts_wigner(0.7, 0.4)
@@ -186,12 +184,10 @@ class TestPhotonAddedWigner:
 class TestWignerSpec:
     def test_plain_gaussian_normalizes(self, rng):
         for _ in range(10):
-            spec = random_standard_form(rng).wigner()
-            assert abs(slice_integral(spec, np.eye(4)) - 1.0) < 1e-12
+            spec = WignerSpec(random_standard_form(rng).covariance())
+            assert abs(moments_slice_integral(spec, np.eye(4)) - 1.0) < 1e-12
 
     def test_rejects_bad_poly(self):
-        from cventangle import WignerSpec
-
         cov = CovarianceMatrix(np.eye(4) / 4)
         with pytest.raises(InvalidArgumentError):
             WignerSpec(covariance=cov, poly={(1, 0): 1.0})

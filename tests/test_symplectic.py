@@ -10,16 +10,15 @@ from cventangle import (
     SingularInputError,
     family_threshold,
     is_physical,
-    is_ppt,
     parse_state_descriptor,
-    partial_transpose,
     squeezed_thermal_params,
     state_descriptor,
     symplectic_eigenvalues,
     symplectic_form,
     two_two_family,
 )
-from conftest import random_physical_cov, random_product_cov, random_symplectic
+from conftest import (is_ppt, partial_transpose, random_physical_cov, random_product_cov,
+                      random_symplectic)
 
 
 def hermitian_route_nus(V: np.ndarray) -> np.ndarray:

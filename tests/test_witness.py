@@ -5,30 +5,41 @@ import pytest
 from scipy import integrate
 
 from cventangle import (
+    CovarianceMatrix,
     InvalidArgumentError,
     coherent_mixture_fock,
     witness_coherent_mixture_closed,
     witness_fock,
     NumericDomainError,
     SingularLimitError,
-    WignerSpec,
     WitnessParams,
     detects_entanglement,
-    is_ppt,
     optimal_witness,
     photon_added_sts_fock,
-    photon_added_sts_wigner,
     realignment_norm_two_mode,
     squeezed_thermal_params,
     swap_expectation,
     swap_expectation_coherent_mixture,
     swap_photon_added_closed,
     tmsv_params,
+    witness_expectation_covariance,
     witness_expectation_gaussian,
-    witness_expectation_wigner,
     witness_photon_added_closed,
 )
-from conftest import random_product_form, random_standard_form, wigner_value
+from cventangle.phase_space import slice_integral
+from conftest import (
+    WignerSpec,
+    is_ppt,
+    moments_slice_integral,
+    moments_swap,
+    moments_witness,
+    photon_added_sts_wigner,
+    random_physical_cov,
+    random_product_form,
+    random_standard_form,
+    two_mode_cov,
+    wigner_value,
+)
 
 
 def closed_form_reference(s, mu1, mu2):
@@ -46,12 +57,27 @@ def random_params(rng) -> WitnessParams:
             return WitnessParams(mu1, mu2)
 
 
+def rotated_mixed_cov() -> CovarianceMatrix:
+    """A mixed two-mode state that is not in standard form."""
+    return CovarianceMatrix(two_mode_cov((0.3, 0.45), 0.7, 0.4, ((0.3, (0.9, 0.0)),
+                                                                (-0.2, (2.1, 0.0)))))
+
+
 class TestWitnessParams:
     def test_rejects_degenerate(self):
         with pytest.raises(InvalidArgumentError):
             WitnessParams(1.0, 1.0)
         with pytest.raises(InvalidArgumentError):
             WitnessParams(0.5, -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["mu1", "mu2"])
+    def test_rejects_non_finite(self, which, bad):
+        # (nan, 1) and (inf, 0) used to pass the |mu- mu+| test and give NaN
+        # witness values that read as "undetected"
+        params = {"mu1": 0.0, "mu2": 1.0, which: bad}
+        with pytest.raises(InvalidArgumentError, match=which):
+            WitnessParams(**params)
 
     def test_derived_combinations(self):
         w = WitnessParams(0.25, 1.0)
@@ -168,22 +194,23 @@ class TestOptimalWitness:
 
 class TestWignerRoute:
     def test_vacuum(self):
-        spec = squeezed_thermal_params(0.0, 0.0).wigner()
-        assert abs(witness_expectation_wigner(spec, WitnessParams(0.0, 1.0))) < 1e-9
+        V = squeezed_thermal_params(0.0, 0.0).covariance()
+        assert abs(witness_expectation_covariance(V, WitnessParams(0.0, 1.0))) < 1e-9
 
     def test_tmsv_matches_closed_form(self):
-        spec = tmsv_params(0.5).wigner()
-        value = witness_expectation_wigner(spec, WitnessParams(0.0, 1.0))
+        V = tmsv_params(0.5).covariance()
+        value = witness_expectation_covariance(V, WitnessParams(0.0, 1.0))
         assert abs(value - (1.0 - math.e)) < 1e-6
 
     def test_photon_added_all_routes_agree(self):
         spec = photon_added_sts_wigner(1.0, 1.0)
         w = WitnessParams(0.0, 1.0)
         closed = witness_photon_added_closed(1.0, 1.0)
-        assert abs(witness_expectation_wigner(spec, w) - closed) < 1e-10
+        assert abs(moments_witness(spec, w) - closed) < 1e-10
 
     def test_against_scipy_quadrature(self):
-        # independent oracle: raw 2-d integral of the Wigner function slice
+        # independent oracle for the moments reference: raw 2-d integral of the
+        # Wigner function slice
         spec = photon_added_sts_wigner(0.4, 0.3)
         w = WitnessParams(0.2, 0.9)
 
@@ -194,23 +221,69 @@ class TestWignerRoute:
         integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
         oracle = 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
         assert err < 1e-8
-        got = witness_expectation_wigner(spec, w)
+        got = moments_witness(spec, w)
         assert abs(got - oracle) < 1e-7
+
+    def test_determinant_against_scipy_quadrature(self):
+        # the same oracle for the determinant route, at a general (mu1, mu2)
+        # on a rotated mixed state that is not in standard form
+        V = rotated_mixed_cov()
+        spec = WignerSpec(V)
+        w = WitnessParams(-0.35, 0.8)
+
+        def integrand(p, x):
+            xi = np.array([-w.mu_minus * x, -w.mu_plus * p, x, p])
+            return float(wigner_value(spec, xi))
+
+        integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
+        oracle = 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
+        assert err < 1e-8
+        assert abs(witness_expectation_covariance(V, w) - oracle) < 1e-9
 
     def test_quadrature_vs_closed_sweep(self, rng):
         for _ in range(100):
             s = random_standard_form(rng, margin=1e-3)
             w = random_params(rng)
             closed = witness_expectation_gaussian(s, w)
-            gh = witness_expectation_wigner(s.wigner(), w)
+            gh = witness_expectation_covariance(s.covariance(), w)
             assert abs(gh - closed) <= 1e-6
 
-    def test_requires_two_modes(self):
-        from cventangle import CovarianceMatrix
+    def test_matches_moments_reference(self, rng):
+        for _ in range(100):
+            V = random_physical_cov(rng, 2)
+            w = random_params(rng)
+            ref = moments_witness(WignerSpec(V), w)
+            assert abs(witness_expectation_covariance(V, w) - ref) <= 1e-12 * max(1.0, abs(ref))
 
-        single = WignerSpec(covariance=CovarianceMatrix(np.eye(2) / 4))
+    def test_requires_two_modes(self):
+        single = CovarianceMatrix(np.eye(2) / 4)
         with pytest.raises(InvalidArgumentError):
-            witness_expectation_wigner(single, WitnessParams(0.0, 1.0))
+            witness_expectation_covariance(single, WitnessParams(0.0, 1.0))
+
+
+class TestSliceIntegral:
+    def test_matches_moments_reference(self, rng):
+        for _ in range(100):
+            V = random_physical_cov(rng, 2)
+            d_minus, d_plus = rng.uniform(-2.0, 2.0, size=2)
+            T = np.array([[-d_minus, 0.0], [0.0, -d_plus], [1.0, 0.0], [0.0, 1.0]])
+            ref = moments_slice_integral(WignerSpec(V), T)
+            assert abs(slice_integral(V, d_minus, d_plus) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("modes", [1, 3])
+    def test_requires_two_modes(self, modes):
+        with pytest.raises(InvalidArgumentError, match="two-mode"):
+            slice_integral(CovarianceMatrix(np.eye(2 * modes) / 4), 1.0, 1.0)
+
+    @pytest.mark.parametrize("c,d_minus", [(-0.5, 1.0), (-0.6, 1.0), (-0.5, math.nan)],
+                             ids=["zero", "negative", "nan"])
+    def test_refuses_nonpositive_determinant(self, c, d_minus):
+        # at c = -1/2, x1 = -x2 exactly and the slice at d- = 1 carries no
+        # Gaussian weight; c = -0.6 is not a covariance at all
+        V = CovarianceMatrix(np.array([[0.5, 0, c, 0], [0, 0.5, 0, 0],
+                                       [c, 0, 0.5, 0], [0, 0, 0, 0.5]]))
+        with pytest.raises(NumericDomainError, match="slice determinant"):
+            slice_integral(V, d_minus, 1.0)
 
 
 class TestPhotonAddedClosedForm:
@@ -244,7 +317,7 @@ class TestPhotonAddedSwapClosedForm:
     def test_matches_moments_route(self):
         for n in np.linspace(0.0, 3.0, 7):
             for r in np.linspace(0.0, 3.0, 7):
-                moments = swap_expectation(photon_added_sts_wigner(n, r))
+                moments = moments_swap(photon_added_sts_wigner(n, r))
                 assert abs(swap_photon_added_closed(n, r) - moments) < 1e-10
 
     @pytest.mark.parametrize("n,r", [(0.5, 0.6), (1.0, 0.3), (0.0, 0.5), (0.2, 0.2)])
@@ -259,12 +332,12 @@ class TestPhotonAddedSwapClosedForm:
 
 class TestSwap:
     def test_vacuum(self):
-        value = swap_expectation(squeezed_thermal_params(0.0, 0.0).wigner())
+        value = swap_expectation(squeezed_thermal_params(0.0, 0.0).covariance())
         assert abs(value - 1.0) < 1e-9
 
     def test_tmsv_symmetric_pure(self):
         # exchange-symmetric pure state: expectation exactly 1
-        value = swap_expectation(tmsv_params(0.5).wigner())
+        value = swap_expectation(tmsv_params(0.5).covariance())
         assert abs(value - 1.0) < 1e-9
 
     def test_standard_form_closed_slice(self, rng):
@@ -274,7 +347,7 @@ class TestSwap:
             expected = 1.0 / (
                 2.0 * math.sqrt((s.a + s.b - 2 * s.c1) * (s.a + s.b - 2 * s.c2))
             )
-            got = swap_expectation(s.wigner())
+            got = swap_expectation(s.covariance())
             assert abs(got - expected) < 1e-12
 
     def test_against_scipy_quadrature(self):
@@ -285,12 +358,33 @@ class TestSwap:
 
         integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
         assert err < 1e-8
-        got = swap_expectation(spec)
+        got = moments_swap(spec)
         assert abs(got - math.pi * integral) < 1e-7
+
+    def test_determinant_against_scipy_quadrature(self):
+        V = rotated_mixed_cov()
+        spec = WignerSpec(V)
+
+        def integrand(p, x):
+            return float(wigner_value(spec, np.array([x, p, x, p])))
+
+        integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
+        assert err < 1e-8
+        assert abs(swap_expectation(V) - math.pi * integral) < 1e-9
+
+    def test_matches_moments_reference(self, rng):
+        for _ in range(100):
+            V = random_physical_cov(rng, 2)
+            ref = moments_swap(WignerSpec(V))
+            assert abs(swap_expectation(V) - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_requires_two_modes(self):
+        with pytest.raises(InvalidArgumentError):
+            swap_expectation(CovarianceMatrix(np.eye(6) / 4))
 
     def test_products_nonnegative(self, rng):
         for _ in range(50):
-            value = swap_expectation(random_product_form(rng).wigner())
+            value = swap_expectation(random_product_form(rng).covariance())
             assert value >= -1e-8
 
 
