@@ -46,13 +46,11 @@ def _value_fields(value: float) -> dict:
 
 
 def _classify_fields(state, result) -> dict:
-    """The closed-form verdict, plus at physical points the Gram spectrum of
-    the state's ``realignment_norm`` (``eval`` only; a scan cell never
-    computes it)."""
+    """The closed-form verdict, plus at physical points its Gram spectrum
+    (``eval`` only; a scan cell reads the grid, which has none)."""
     fields = {"verdict": result.verdict, "norm": result.norm, "threshold": result.threshold}
-    if result.verdict != "unphysical":
-        spectrum = _evaluate(state, "realignment_norm").spectrum
-        fields.update(nus=list(spectrum.nus), a0=spectrum.a0)
+    if result.spectrum is not None:
+        fields.update(nus=list(result.spectrum.nus), a0=result.spectrum.a0)
     return fields
 
 

@@ -39,6 +39,15 @@ sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2) = sqrt((sqrt(ab) + |c_i|) / d_i), each
 coupling contributes 1 / (2 sqrt(sqrt(ab) - |c_i|)) to the norm, which gives
 :func:`realignment_norm_two_mode` (c1, c2) and :func:`realignment_norm_two_two`
 (c four times).
+
+The 2+2 family needs no PPT check.  Its partial transpose on side B flips
+the momenta p3 and p4, which maps V to D V D with
+D = diag(1, 1, -1, -1, 1, 1, -1, -1) bit for bit: R couples x1 with x3, x2
+with x4, p1 with p4 and p2 with p3, and both sign patterns negate exactly the
+last two couplings (only signs change, so no rounding).  D is a pi
+rotation of modes 2 and 4, local and symplectic, so V^{T_B} is physical
+exactly when V is: every physical point of the family is PPT, and a realigned
+norm above 1 certifies bound entanglement.
 """
 
 from __future__ import annotations
@@ -56,13 +65,7 @@ from .errors import (
     SpectralDomainError,
     require_vacuum_bound,
 )
-from .symplectic import (
-    CovarianceMatrix,
-    WilliamsonSpectrum,
-    is_physical,
-    physical_mask,
-    symplectic_eigenvalues,
-)
+from .symplectic import CovarianceMatrix, WilliamsonSpectrum, is_physical, symplectic_eigenvalues
 from .witness import DETECTION_TOL
 
 if TYPE_CHECKING:
@@ -240,33 +243,18 @@ _TWO_TWO_R = np.array(
         [0.0, -1.0, 0.0, 0.0],
     ]
 )
-#: The 2+2 covariance is a A + b B + c C with these 8x8 matrices.
-_TWO_TWO_A = np.diag([1.0] * 4 + [0.0] * 4)
-_TWO_TWO_B = np.diag([0.0] * 4 + [1.0] * 4)
-_TWO_TWO_C = np.block([[np.zeros((4, 4)), _TWO_TWO_R], [_TWO_TWO_R.T, np.zeros((4, 4))]])
-
-#: Momentum signs of the partial transpose on side B (modes 2 and 3) of the
-#: 2+2 family.
-_FLIP_B = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
-
-
-def _two_two_matrices(a, b, c) -> np.ndarray:
-    """The 8x8 matrices [[a I4, c R], [c R^T, b I4]] of the 2+2 family for
-    arrays a, b, c of one shape, stacked along the leading axes; unvalidated."""
-    outer = np.multiply.outer
-    return outer(a, _TWO_TWO_A) + outer(b, _TWO_TWO_B) + outer(c, _TWO_TWO_C)
 
 
 def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
     """8x8 covariance of the 2+2-mode family [[a I4, c R], [c R^T, b I4]].
 
     Physicality is not enforced here: the matrix is a valid state iff
-    |c| <= :func:`family_threshold`; use :func:`cventangle.symplectic.is_physical`
-    or :func:`classify_two_two` to report it.
+    |c| <= :func:`family_threshold`; use :func:`classify_two_two` to report it.
     """
     a, b, c = float(a), float(b), float(c)
     require_vacuum_bound(a=a, b=b)
-    return CovarianceMatrix(_two_two_matrices(a, b, c))
+    I4 = np.eye(4)
+    return CovarianceMatrix(np.block([[a * I4, c * _TWO_TWO_R], [c * _TWO_TWO_R.T, b * I4]]))
 
 
 #: Radicands of the 2+2 threshold in [-RADICAND_TOL, 0) are rounding and
@@ -310,11 +298,14 @@ def family_threshold(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class TwoTwoClassification:
-    """Verdict for one point of the 2+2 family, with the quantities behind it."""
+    """Verdict for one point of the 2+2 family, with the quantities behind it:
+    the realigned norm and its Gram spectrum (None where unphysical) and the
+    threshold."""
 
     verdict: str
     norm: Optional[float]
     threshold: float
+    spectrum: Optional[WilliamsonSpectrum] = None
 
 
 _TWO_TWO_VERDICTS = np.array(["undetected", "bound_entangled", "unphysical", "invalid"])
@@ -328,49 +319,41 @@ def classify_two_two_array(a, b, c):
     (``undetected``, ``bound_entangled``, ``unphysical``, or ``invalid`` where
     :func:`classify_two_two` refuses the point), the realigned norm (NaN where
     unphysical or invalid) and the threshold (NaN where refused).  A point is
-    invalid where its threshold or its norm is refused (see
-    :func:`family_threshold_array`, :func:`realignment_norm_two_two_array`),
-    or where it is detected but its partial transpose V^{T_B} + iJ/4 fails
-    the physicality test: the family is PPT everywhere in its physical
-    region, so a realigned norm above 1 certifies bound entanglement, and the
-    PPT property is re-checked on every detection (one stacked eigen-solve)
-    rather than assumed.
+    unphysical where |c| exceeds its threshold, and invalid where its
+    threshold or, at a physical point, its norm is refused (see
+    :func:`family_threshold_array`, :func:`realignment_norm_two_two_array`).
+    Every physical point is PPT (module docstring), so a realigned norm above
+    1 certifies bound entanglement.
     """
     threshold = family_threshold_array(a, b)
     norm = realignment_norm_two_two_array(a, b, c)
     unphysical = abs(c) > threshold
     invalid = np.isnan(threshold) | (~unphysical & np.isnan(norm))
     detected = ~invalid & ~unphysical & (norm > 1.0 + DETECTION_TOL)
-    if np.count_nonzero(detected):
-        a, b, c, detected = np.broadcast_arrays(a, b, c, detected)
-        V = _two_two_matrices(a[detected], b[detected], c[detected])
-        not_ppt = np.zeros(detected.shape, dtype=bool)
-        not_ppt[detected] = ~physical_mask(_FLIP_B[:, None] * V * _FLIP_B)
-        invalid, detected = invalid | not_ppt, detected & ~not_ppt
     verdict = _TWO_TWO_VERDICTS[3 * invalid + 2 * unphysical + detected]  # exclusive flags
     return verdict, np.where(unphysical | invalid, np.nan, norm)[()], threshold
 
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
-    """:func:`classify_two_two_array` at one point.
+    """:func:`classify_two_two_array` at one point, with the closed-form Gram
+    spectrum (:func:`standard_form_gram_spectrum`) at a physical point.
 
     Raises:
         InvalidArgumentError: below the vacuum bound or for a negative
             threshold radicand.
-        NumericDomainError: where the threshold overflows, or where a detected
-            point fails the PPT re-check (the verdict would be unsound).
+        NumericDomainError: where the threshold overflows, or where the Gram
+            spectrum leaves the float range.
         SingularLimitError: where the realigned norm diverges.
     """
     a, b, c = float(a), float(b), float(c)
     verdict, norm, threshold = classify_two_two_array(a, b, c)
     verdict = str(verdict)
     if verdict == "invalid":
-        # the array form only marks the point; the scalar closed forms say why
+        # the array form only marks the point; the scalar closed forms say
+        # why: one of them refuses it
         family_threshold(a, b)
         realignment_norm_two_two(a, b, c)
-        raise NumericDomainError(
-            f"detected point (a={a}, b={b}, c={c}) unexpectedly fails the PPT "
-            "check; bound-entanglement verdict would be unsound"
-        )
-    norm = None if verdict == "unphysical" else float(norm)
-    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=float(threshold))
+    if verdict == "unphysical":
+        return TwoTwoClassification(verdict=verdict, norm=None, threshold=float(threshold))
+    return TwoTwoClassification(verdict=verdict, norm=float(norm), threshold=float(threshold),
+                                spectrum=standard_form_gram_spectrum(a, b, (c,) * 4))

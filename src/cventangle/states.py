@@ -27,14 +27,49 @@ from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, is_physical
 
 
+def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
+    """Closed-form physicality test V + iJ/4 >= 0 of a standard form with
+    a, b >= 1/4 (Simon, PRL 84, 2726 (2000)).
+
+    In the order (x1, x2 | p1, p2), V + iJ/4 = [[X, iI/4], [-iI/4, P]] with
+    X = [[a, c1], [c1, b]], P = [[a, c2], [c2, b]].  It is positive
+    semidefinite iff d_i = ab - c_i^2 > 0 and the Schur complement
+    M = P - X^{-1}/16 = [[a - bk, c2 + c1 k], [c2 + c1 k, b - ak]], with
+    k = 1 / (16 d1), is: tr M >= 0 is 16 d1 >= 1 and det M >= 0 is
+    256 d1 d2 - 16 (a^2 + b^2 + 2 c1 c2) + 1 >= 0.  The test reads the
+    smaller eigenvalue of M, (a + b)(1 - k)/2 - hypot((a - b)(1 + k)/2,
+    c2 + c1 k), not det M: M -> 0 near a pure state, where det M is a product
+    of two small numbers.  All terms are divided by s = sqrt(ab), and
+    delta1 = d1 / s^2 is (s - |c1|)(s + |c1|) / s^2.
+
+    The eigenvalue may fall below 0 by u L (16 (1 + k) + 8 k / delta1) (first
+    order; u = 2^-53, L = (max(a, b) + |c1| + |c2|) / s): its rounding, plus
+    the change caused by moving a, b and c1 by up to 2u relative (delta1 by
+    up to 8u).  That covers the rounding of s and accepts inputs within two
+    roundings of a physical state, such as cosh(2r)/4, sinh(2r)/4.
+    """
+    s = math.sqrt(a * b)
+    if math.isinf(s):  # ab overflows
+        s = math.sqrt(a) * math.sqrt(b)
+    if not (abs(c1) < s and abs(c2) < s):
+        return False
+    alpha, beta, g1, g2 = a / s, b / s, c1 / s, c2 / s
+    delta1 = (s - abs(c1)) / s * ((s + abs(c1)) / s)
+    k = (0.25 / s) ** 2 / delta1
+    lowest = (0.5 * (alpha + beta) * (1.0 - k)
+              - math.hypot(0.5 * (alpha - beta) * (1.0 + k), g2 + g1 * k))
+    scale = max(alpha, beta) + abs(g1) + abs(g2)
+    return lowest >= -2.0**-53 * scale * (16.0 * (1.0 + k) + 8.0 * k / delta1)
+
+
 @dataclass(frozen=True)
 class TwoModeStandardForm:
     """Standard-form parameters (a, b, c1, c2) of a two-mode Gaussian state.
 
     The covariance matrix is block-diagonal per quadrature: diag blocks
     diag(a, a) and diag(b, b), off-diagonal diag(c1, c2).  Requires a, b >= 1/4
-    and ab >= c1^2, c2^2, and the expanded matrix must pass the physicality
-    test V + iJ/4 >= 0.
+    and the physicality of V, decided in closed form by
+    :func:`standard_form_is_physical`.
     """
 
     a: float
@@ -45,20 +80,15 @@ class TwoModeStandardForm:
     def __post_init__(self):
         a, b, c1, c2 = (float(v) for v in (self.a, self.b, self.c1, self.c2))
         require_vacuum_bound(a=a, b=b)
-        for name, c in (("c1", c1), ("c2", c2)):
-            if not (a * b >= c * c):
-                raise InvalidArgumentError(
-                    f"constraint violated: ab >= {name}^2 (ab={a * b}, {name}={c})"
-                )
+        if not standard_form_is_physical(a, b, c1, c2):
+            raise InvalidArgumentError(
+                "constraint violated: the standard form fails the physicality "
+                f"test V + iJ/4 >= 0 (a={a}, b={b}, c1={c1}, c2={c2})"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
-        if not is_physical(self.covariance()):
-            raise InvalidArgumentError(
-                "constraint violated: expanded covariance fails the physicality "
-                f"test V + iJ/4 >= 0 (a={a}, b={b}, c1={c1}, c2={c2})"
-            )
 
     def covariance(self) -> CovarianceMatrix:
         V = np.zeros((4, 4))
@@ -195,12 +225,15 @@ def _physical(V: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
-    """The closed-form realignment result of a 2+2 state, refused where the
-    family covariance fails the physicality test."""
-    _physical(s.covariance())
-    return realignment.RealignmentResult(
-        norm=realignment.realignment_norm_two_two(s.a, s.b, s.c),
-        spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c,) * 4))
+    """The realignment result of the ``classify`` row of a 2+2 state, refused
+    where |c| exceeds the family threshold."""
+    result = realignment.classify_two_two(s.a, s.b, s.c)
+    if result.spectrum is None:
+        raise InvalidArgumentError(
+            f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
+            f"{result.threshold} of the 2+2 family (a={s.a}, b={s.b})"
+        )
+    return realignment.RealignmentResult(norm=result.norm, spectrum=result.spectrum)
 
 
 _W01 = witness.WitnessParams(0.0, 1.0)

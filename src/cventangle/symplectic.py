@@ -9,6 +9,7 @@ by 4; the hbar = 1/2 literature matches as-is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,11 @@ class WilliamsonSpectrum:
 
     def __post_init__(self):
         nus = tuple(float(x) for x in self.nus)
-        if any(x < 0 or not np.isfinite(x) for x in nus):
+        if any(x < 0 or not math.isfinite(x) for x in nus):
             raise InvalidArgumentError("symplectic eigenvalues must be finite and nonnegative")
         if list(nus) != sorted(nus):
             raise InvalidArgumentError("symplectic eigenvalues must be sorted ascending")
-        if not (self.a0 > 0 and np.isfinite(self.a0)):
+        if not (self.a0 > 0 and math.isfinite(self.a0)):
             raise InvalidArgumentError("prefactor a0 must be positive")
         object.__setattr__(self, "nus", nus)
         object.__setattr__(self, "a0", float(self.a0))

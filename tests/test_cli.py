@@ -128,6 +128,16 @@ class TestEval:
         code = main(["eval", "--state", big, "--quantity", "realignment_norm"])
         assert code == EXIT_NUMERIC
 
+    def test_two_two_gate_matches_classify_at_threshold(self, capsys):
+        # |c| lies about 1e-12 (relative) above the threshold: classify calls
+        # the point unphysical, and realignment_norm refuses it the same way
+        doc = json.dumps({"family": "two_two", "a": 1.364682952812545,
+                          "b": 0.7221267490867731, "c": 0.7775452107670083})
+        assert main(["eval", "--state", doc, "--quantity", "realignment_norm"]) == EXIT_INVALID
+        assert "physicality" in capsys.readouterr().err
+        assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"] == "unphysical"
+
     def test_two_two_large_variances_classify(self, capsys):
         # the closed-form Gram spectrum of a product is exactly 1/4 at any scale
         doc = json.dumps({"family": "two_two", "a": 1e7, "b": 1e7, "c": 0.0})
@@ -542,6 +552,41 @@ class TestQuantityTable:
         raw = json.dumps(state_descriptor(tmsv.covariance()))
         assert main(["eval", "--state", raw, "--quantity", "realignment_norm"]) == EXIT_OK
         assert calls == ["realigned_gram_covariance", "symplectic_eigenvalues"]
+
+    def test_closed_form_families_run_no_eigen_solve(self, tmp_path, monkeypatch, capsys):
+        # standard2 and two_two decide physicality in closed form, and a
+        # detected 2+2 point is PPT by identity: no eigen-solve anywhere;
+        # raw_covariance runs the physicality eigen-solve once per build
+        from cventangle import state_descriptor, symplectic, tmsv_params
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("an eigen-solve ran on a closed-form family")
+
+        monkeypatch.setattr(symplectic, "physical_mask", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        tmsv = json.dumps(state_descriptor(tmsv_params(0.6)))
+        for quantity in ("optimal_witness", "witness01", "swap", "bounds", "realignment_norm"):
+            assert main(["eval", "--state", tmsv, "--quantity", quantity]) == EXIT_OK
+        assert main(["eval", "--state", TWO_TWO, "--quantity", "realignment_norm"]) == EXIT_OK
+        assert main(["eval", "--state", TWO_TWO, "--quantity", "classify"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"] == "bound_entangled"
+        out = tmp_path / "grid.csv"
+        assert main(["scan", "--state", TWO_TWO, "--quantity", "classify", "--axes",
+                     "a:0.5:1.5:4", "--axes", "c:0:1.2:13", "--out", str(out)]) == EXIT_OK
+        assert b"bound_entangled" in out.read_bytes()
+
+        monkeypatch.undo()
+        calls = []
+
+        def counted(matrices, _original=symplectic.physical_mask):
+            calls.append(1)
+            return _original(matrices)
+
+        monkeypatch.setattr(symplectic, "physical_mask", counted)
+        raw = json.dumps(state_descriptor(tmsv_params(0.6).covariance()))
+        for quantity in ("witness01", "swap", "bounds"):
+            assert main(["eval", "--state", raw, "--quantity", quantity]) == EXIT_OK
+        assert len(calls) == 3
 
     def test_classify_scan_skips_gram_pipeline(self, tmp_path, monkeypatch):
         # the Gram spectrum only fills the eval record's nus/a0; a scan cell

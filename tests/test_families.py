@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError, WitnessParams,
-                        bound_report, cli, family_threshold, is_physical,
+                        bound_report, cli, family_threshold,
                         parse_state_descriptor, realigned_gram_covariance,
                         realignment_norm_two_mode, realignment_norm_two_two, state_descriptor,
                         symplectic_eigenvalues, two_two_family)
@@ -105,7 +105,7 @@ def test_two_two(a, b, where, frac, sign):
                 "outside": thr * (1.0 + 0.2 * frac) + 1e-9}[where]
     doc = {"family": "two_two", "a": a, "b": b, "c": c}
     V = two_two_family(a, b, c)
-    if is_physical(V):
+    if abs(c) <= thr:
         realign = evaluate(doc, "realignment_norm")
         assert realign["norm"] == realignment_norm_two_two(a, b, c)
         assert_gram_spectrum(realign, V)
@@ -126,6 +126,36 @@ def test_two_two(a, b, where, frac, sign):
         assert record["verdict"] == expected
     if where == "zero":
         assert record["verdict"] == "undetected"
+
+
+@PROPERTY
+@given(
+    a=unit_or(0.25, 50.0, 0.25, 1.0),
+    b=unit_or(0.25, 50.0, 0.25, 1.0),
+    ulps=st.integers(-4, 4),
+    frac=st.floats(0.0, 1.5),
+    near=st.booleans(),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_two_two_gate_is_classify(a, b, ulps, frac, near, sign):
+    # realignment_norm refuses exactly the points classify calls unphysical,
+    # including those within a few ulps of the threshold
+    c = family_threshold(a, b)
+    for _ in range(abs(ulps)):
+        c = math.nextafter(c, math.copysign(math.inf, ulps))
+    c = sign * (c if near else frac * c)
+    doc = {"family": "two_two", "a": a, "b": b, "c": c}
+
+    def outcome(quantity):
+        try:
+            return evaluate(doc, quantity)
+        except CVEntangleError as exc:
+            return exc
+
+    classified, realigned = outcome("classify"), outcome("realignment_norm")
+    unphysical = isinstance(classified, dict) and classified["verdict"] == "unphysical"
+    refused = isinstance(realigned, InvalidArgumentError) and "physicality" in str(realigned)
+    assert unphysical == refused
 
 
 @PROPERTY

@@ -23,7 +23,7 @@ from cventangle import (
     two_two_family,
 )
 from cventangle.realignment import norm_from_spectrum, standard_form_gram_spectrum
-from conftest import is_ppt, random_product_cov, random_standard_form
+from conftest import is_ppt, partial_transpose, random_product_cov, random_standard_form
 
 
 def gram_reference_two_mode(a, b, c1, c2):
@@ -261,6 +261,19 @@ class TestClassifyTwoTwo:
             res = classify_two_two(a, b, c)
             if res.verdict == "bound_entangled":
                 assert is_ppt(two_two_family(a, b, c), modes_b=(2, 3))
+
+
+    def test_partial_transpose_is_a_local_rotation(self, rng):
+        # flipping p3, p4 equals conjugating by D = diag(1, 1, -1, -1, 1, 1, -1, -1),
+        # a pi rotation of modes 2 and 4, bit for bit, unphysical c included:
+        # so V^{T_B} is physical exactly when V is
+        D = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+        for _ in range(1000):
+            a, b = rng.uniform(0.25, 3.0, 2)
+            c = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.0) * family_threshold(a, b)
+            V = two_two_family(a, b, c)
+            assert np.array_equal(partial_transpose(V, (2, 3)).matrix,
+                                  D[:, None] * V.matrix * D[None, :])
 
 
 class TestVerdictEquivalence:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cventangle import (
     tmsv_params,
     two_two_family,
 )
-from cventangle.symplectic import symplectic_eigenvalues
+from cventangle.symplectic import physical_mask, symplectic_eigenvalues, symplectic_form
 from conftest import (WignerSpec, is_ppt, moments_slice_integral, photon_added_sts_wigner,
                       random_standard_form, wigner_value)
 
@@ -73,6 +74,81 @@ class TestStandardTwoMode:
         # ab >= c1^2 holds but the matrix violates V + iJ/4 >= 0
         with pytest.raises(InvalidArgumentError, match="physical"):
             TwoModeStandardForm(0.25, 0.25, 0.2, 0.0).covariance()
+
+
+def _accepts(a, b, c1, c2) -> bool:
+    try:
+        TwoModeStandardForm(a, b, c1, c2)
+    except InvalidArgumentError:
+        return False
+    return True
+
+
+def _exactly_physical(a, b, c1, c2) -> bool:
+    """Simon's conditions on the float inputs in exact rational arithmetic."""
+    a, b, c1, c2 = (Fraction(x) for x in (a, b, c1, c2))
+    d1, d2 = a * b - c1 * c1, a * b - c2 * c2
+    return (d1 > 0 and d2 > 0 and 16 * d1 >= 1
+            and 256 * d1 * d2 - 16 * (a * a + b * b + 2 * c1 * c2) + 1 >= 0)
+
+
+class TestStandardFormGate:
+    def test_agrees_with_eigen_solve(self):
+        # random standard forms, plus thermal pairs under two-mode squeezing
+        # whose symplectic eigenvalues sit within 1e-8 .. 1e-2 of 1/4 on
+        # either side (near-pure states, where det M of the Schur complement
+        # is the product of two small eigenvalues); compared wherever the
+        # minimum eigenvalue of V + iJ/4 is clear of the eigen-solve's
+        # tolerance
+        rng = np.random.default_rng(7)
+        n = 12_000
+        a = 0.25 * rng.uniform(1.0, 12.0, n) ** rng.integers(1, 3, n)
+        b = 0.25 * rng.uniform(1.0, 12.0, n) ** rng.integers(1, 3, n)
+        c1, c2 = (rng.uniform(-1.05, 1.05, n) * np.sqrt(a * b) for _ in range(2))
+        nu_a, nu_b = (0.25 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, -2, n)
+                      for _ in range(2))
+        r = rng.uniform(0.0, 2.0, n)
+        ch, sh = np.cosh(r), np.sinh(r)
+        c = (nu_a + nu_b) * sh * ch
+        params = np.concatenate([np.stack([a, b, c1, c2], 1),
+                                 np.stack([nu_a * ch**2 + nu_b * sh**2,
+                                           nu_a * sh**2 + nu_b * ch**2, c, -c], 1)])
+        params = params[(params[:, 0] >= 0.25) & (params[:, 1] >= 0.25)]
+        V = np.zeros((len(params), 4, 4))
+        V[:, 0, 0] = V[:, 1, 1] = params[:, 0]
+        V[:, 2, 2] = V[:, 3, 3] = params[:, 1]
+        V[:, 0, 2] = V[:, 2, 0] = params[:, 2]
+        V[:, 1, 3] = V[:, 3, 1] = params[:, 3]
+        lowest = np.linalg.eigvalsh(V + 0.25j * symplectic_form(2)).min(axis=-1)
+        clear = np.abs(lowest) > 1e-9
+        assert clear.sum() >= 20_000
+        assert 0.2 < (lowest[clear] < 0).mean() < 0.8
+        accepted = np.array([_accepts(*p) for p in params[clear].tolist()])
+        assert np.array_equal(accepted, physical_mask(V[clear]))
+
+    def test_accepts_every_exactly_physical_tmsv_input(self):
+        # TMSV inputs rounded to floats are physical or not by rounding; every
+        # one that is physical in exact arithmetic must be accepted
+        checked = 0
+        for k in range(240):
+            r = 0.05 * k
+            a, c = math.cosh(2 * r) / 4, math.sinh(2 * r) / 4
+            for c1 in (c, -c):
+                if _exactly_physical(a, a, c1, -c1):
+                    checked += 1
+                    assert _accepts(a, a, c1, -c1), r
+        assert checked >= 200
+
+    def test_squeezed_vacuum_accepted(self):
+        # up to r = 9.35, where a - c drops below one ulp of a
+        for r in np.arange(0.0, 9.35, 0.01).tolist():
+            squeezed_thermal_params(0.0, r)
+
+    def test_huge_variances_construct(self):
+        # ab overflows; the realignment row then exits 3 (see test_cli)
+        assert TwoModeStandardForm(1e200, 1e200, 0.0, 0.0).a == 1e200
+        assert not _accepts(1e200, 1e200, 2e200, 0.0)
+        assert not _accepts(1e200, 1e200, 0.0, -1e200)
 
 
 class TestSqueezedThermalParams:
