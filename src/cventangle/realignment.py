@@ -299,8 +299,10 @@ def family_threshold(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class TwoTwoClassification:
     """Verdict for one point of the 2+2 family, with the quantities behind it:
-    the realigned norm and its Gram spectrum (None where unphysical) and the
-    threshold."""
+    the realigned norm (None where unphysical), the threshold and, where a
+    caller attached it, the Gram spectrum of the norm (:func:`classify_two_two`
+    leaves it None, so its verdict survives a spectrum outside the float
+    range)."""
 
     verdict: str
     norm: Optional[float]
@@ -335,14 +337,12 @@ def classify_two_two_array(a, b, c):
 
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
-    """:func:`classify_two_two_array` at one point, with the closed-form Gram
-    spectrum (:func:`standard_form_gram_spectrum`) at a physical point.
+    """:func:`classify_two_two_array` at one point.
 
     Raises:
         InvalidArgumentError: below the vacuum bound or for a negative
             threshold radicand.
-        NumericDomainError: where the threshold overflows, or where the Gram
-            spectrum leaves the float range.
+        NumericDomainError: where the threshold overflows.
         SingularLimitError: where the realigned norm diverges.
     """
     a, b, c = float(a), float(b), float(c)
@@ -353,7 +353,5 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
         # why: one of them refuses it
         family_threshold(a, b)
         realignment_norm_two_two(a, b, c)
-    if verdict == "unphysical":
-        return TwoTwoClassification(verdict=verdict, norm=None, threshold=float(threshold))
-    return TwoTwoClassification(verdict=verdict, norm=float(norm), threshold=float(threshold),
-                                spectrum=standard_form_gram_spectrum(a, b, (c,) * 4))
+    norm = None if verdict == "unphysical" else float(norm)
+    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=float(threshold))

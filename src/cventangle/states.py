@@ -42,11 +42,20 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
     of two small numbers.  All terms are divided by s = sqrt(ab), and
     delta1 = d1 / s^2 is (s - |c1|)(s + |c1|) / s^2.
 
-    The eigenvalue may fall below 0 by u L (16 (1 + k) + 8 k / delta1) (first
-    order; u = 2^-53, L = (max(a, b) + |c1| + |c2|) / s): its rounding, plus
-    the change caused by moving a, b and c1 by up to 2u relative (delta1 by
-    up to 8u).  That covers the rounding of s and accepts inputs within two
-    roundings of a physical state, such as cosh(2r)/4, sinh(2r)/4.
+    Inputs within two roundings of a physical state (a, b, c1, c2 each moved
+    by up to 2u relative, u = 2^-53), such as cosh(2r)/4, sinh(2r)/4, are
+    accepted by evaluating at their most favourable end.  The eigenvalue
+    decreases with k (its k-derivative is -(alpha + beta)/2 +
+    hypot((alpha - beta)/2, g1) < 0, as g1^2 < 1 = alpha beta), and k is
+    computed with delta1 + 32u: delta1 <= 1 moves by at most 8u under the
+    input change and by at most 8u under its own rounding (that of s
+    included).  The other errors (the rounding of s, alpha, beta, g_i, k and
+    of the eigenvalue, and the input change of all but delta1) are first
+    order in u with coefficients at most L (1 + k), L = max(alpha, beta) +
+    |g1| + |g2|; the test allows 64 u L (1 + k).  Once k >= 2 the eigenvalue
+    lies below -(alpha + beta) k / 4, far under that allowance (L <= 2
+    (alpha + beta)), so an accepted state has k < 2 and its computed
+    eigenvalue is at least -192 u L.
     """
     s = math.sqrt(a * b)
     if math.isinf(s):  # ab overflows
@@ -55,11 +64,11 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
         return False
     alpha, beta, g1, g2 = a / s, b / s, c1 / s, c2 / s
     delta1 = (s - abs(c1)) / s * ((s + abs(c1)) / s)
-    k = (0.25 / s) ** 2 / delta1
+    k = (0.25 / s) ** 2 / (delta1 + 2.0**-48)
     lowest = (0.5 * (alpha + beta) * (1.0 - k)
               - math.hypot(0.5 * (alpha - beta) * (1.0 + k), g2 + g1 * k))
     scale = max(alpha, beta) + abs(g1) + abs(g2)
-    return lowest >= -2.0**-53 * scale * (16.0 * (1.0 + k) + 8.0 * k / delta1)
+    return lowest >= -2.0**-47 * scale * (1.0 + k)
 
 
 @dataclass(frozen=True)
@@ -224,10 +233,21 @@ def _physical(V: CovarianceMatrix) -> CovarianceMatrix:
     return V
 
 
+def _two_two_classify(s: TwoTwoFamilyParams) -> realignment.TwoTwoClassification:
+    """The classification of a 2+2 state with, at a physical point, the Gram
+    spectrum of its realigned norm."""
+    result = realignment.classify_two_two(s.a, s.b, s.c)
+    if result.verdict == "unphysical":
+        return result
+    return realignment.TwoTwoClassification(
+        result.verdict, result.norm, result.threshold,
+        spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c,) * 4))
+
+
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
     """The realignment result of the ``classify`` row of a 2+2 state, refused
     where |c| exceeds the family threshold."""
-    result = realignment.classify_two_two(s.a, s.b, s.c)
+    result = _two_two_classify(s)
     if result.spectrum is None:
         raise InvalidArgumentError(
             f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
@@ -251,7 +271,7 @@ FAMILIES = (
     }, axes=("a", "b", "c1", "c2")),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": _two_two_realignment,
-        "classify": lambda s: realignment.classify_two_two(s.a, s.b, s.c),
+        "classify": _two_two_classify,
     }, axes=("a", "b", "c"), grid={
         "classify": lambda a, b, c: realignment.classify_two_two_array(a, b, c),
     }),

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cventangle import fock
+from cventangle import classify_two_two, fock
 from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
                             main)
 from cventangle.states import FAMILIES
@@ -137,6 +137,16 @@ class TestEval:
         assert "physicality" in capsys.readouterr().err
         assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["verdict"] == "unphysical"
+
+    def test_two_two_gram_underflow_exits_3_but_keeps_library_verdict(self, capsys):
+        # the Gram prefactor a0 underflows at a = b = 1e100: eval of classify
+        # reports its nus/a0 and exits 3, while the library verdict needs no
+        # spectrum and is still given
+        doc = json.dumps({"family": "two_two", "a": 1e100, "b": 1e100, "c": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_NUMERIC
+        assert "a0 underflows" in capsys.readouterr().err
+        result = classify_two_two(1e100, 1e100, 0.0)
+        assert result.verdict == "undetected" and result.spectrum is None
 
     def test_two_two_large_variances_classify(self, capsys):
         # the closed-form Gram spectrum of a product is exactly 1/4 at any scale

@@ -150,6 +150,41 @@ class TestStandardFormGate:
         assert not _accepts(1e200, 1e200, 2e200, 0.0)
         assert not _accepts(1e200, 1e200, 0.0, -1e200)
 
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+    def test_refuses_c1_ulps_below_sqrt_ab(self, ulps):
+        # d1 is a few ulps; a physical state needs 16 d1 >= 1, and moving
+        # a, b or c1 by two roundings does not give it that
+        c1 = 1.0
+        for _ in range(ulps):
+            c1 = math.nextafter(c1, 0.0)
+        assert not _accepts(1.0, 1.0, c1, 0.0)
+        assert not _accepts(1.0, 1.0, 0.0, -c1)
+
+    def test_near_degenerate_couplings(self):
+        # one |c_i| within 1 .. 2^39 ulps of sqrt(ab), at scales up to 1e9:
+        # every exactly physical input is accepted, and every accepted one
+        # is exactly physical once a and b are raised by
+        # 1000 u (max(a, b) + |c1| + |c2|), which covers the stated bound of
+        # 192 u L on the Schur eigenvalue (times s)
+        rng = np.random.default_rng(5)
+        u = Fraction(2.0**-53)
+        accepted = 0
+        for _ in range(2000):
+            a, b = 0.25 * 10.0 ** rng.uniform(0.0, 9.0, 2)
+            s = math.sqrt(a * b)
+            near = s * (1.0 - int(rng.integers(1, 2 ** int(rng.integers(1, 40)))) * 2.0**-53)
+            c1, c2 = float(rng.choice([-1.0, 1.0]) * near), float(rng.uniform(-1.0, 1.0) * s)
+            if rng.random() < 0.5:
+                c1, c2 = c2, c1
+            a, b = float(a), float(b)
+            if not _accepts(a, b, c1, c2):
+                assert not _exactly_physical(a, b, c1, c2), (a, b, c1, c2)
+                continue
+            accepted += 1
+            raise_by = 1000 * u * (Fraction(max(a, b)) + abs(Fraction(c1)) + abs(Fraction(c2)))
+            assert _exactly_physical(a + raise_by, b + raise_by, c1, c2), (a, b, c1, c2)
+        assert 200 < accepted < 1800
+
 
 class TestSqueezedThermalParams:
     def test_vacuum_limit(self):
