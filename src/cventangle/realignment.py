@@ -1,44 +1,31 @@
-"""Realignment criterion for n+n mode Gaussian states via symplectic spectra.
+"""Realignment criterion for n+n mode Gaussian states via canonical correlations.
 
-The trace norm of the realigned density operator is obtained without any
-numeric integration: the Gram operator R(rho) R(rho)† of a Gaussian state is
-itself Gaussian, its covariance matrix and scalar prefactor follow from V by
-closed block-matrix algebra, and the norm is a product over the symplectic
-eigenvalues.  A norm above 1 certifies entanglement (including bound
-entanglement of PPT states).  The 2+2-mode family whose bound entanglement
-the criterion detects is defined here as well.
+The Gram operator R(rho) R(rho)† of a Gaussian state is Gaussian, with
+covariance G = (L^T V L + S^T V^{-1} S) / 2 and prefactor a0 = 2^{-2m}
+det(V)^{-1/2} (:func:`realigned_gram_covariance`, m = 2n modes), and the
+realigned trace norm is sqrt(a0) prod_i (sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2))
+over its symplectic eigenvalues nu_i.  A norm above 1 certifies entanglement,
+including bound entanglement of PPT states.
 
-Closed-form Gram spectrum of the standard forms.  The Gram covariance
-(L^T V L + S^T V^{-1} S) / 2 of :func:`realigned_gram_covariance` reads V
-only through its side-A block V_A and the side-A block (V^{-1})_A: row x_j of
-L is x_j + x_{n+j} and row p_j is p_{n+j} - p_j (Gram coordinates), row x_j
-of S is (p_j + p_{n+j}) / 4 and row p_j is (x_j - x_{n+j}) / 4.  For local
-blocks a I and b I coupled by C with C C^T diagonal (``standard2``:
-C = diag(c1, c2); ``two_two``: C = c R with R R^T = I), one coupling c_i per
-side-A quadrature,
+Only the side-A rows of L and S are nonzero: L_A = [E, I] and S_A = [X, J] / 4
+per mode (E = diag(1, -1), X = [[0, 1], [1, 0]]).  They satisfy
+L_A J L_A^T = S_A J S_A^T = 0 and L_A J S_A^T = I/2, so G is symplectically
+congruent to V_A / 2 (+) (V^{-1})_A / 8 and the nu_i^2 are the eigenvalues of
+V_A (V^{-1})_A / 16.  With V_A = R_A R_A^T, V_B = R_B R_B^T (Cholesky), let
+s_i be the singular values of K = R_A^{-1} C R_B^{-T}, the canonical
+correlations of the two sides.  Then R_A^T (V^{-1})_A R_A = (I - K K^T)^{-1}
+and det V = det V_A det V_B prod_i (1 - s_i^2), so with
+g = (det V_A det V_B)^{1/(4n)}
 
-    V_A = a I,    (V^{-1})_A = (a I - C C^T / b)^{-1} = diag(b / d_i^2),
+    nu_i = 1 / (4 sqrt(1 - s_i^2)),    a0 = prod_i 1 / (4 g sqrt(1 - s_i^2)),
+    ||R(rho)||_1 = prod_i 1 / (2 sqrt(g (1 - s_i))).
 
-with d_i^2 = ab - c_i^2.  The four rows of pair j are orthogonal, so the
-Gram covariance splits into 2x2 blocks on (x_j, x_{n+j}) and (p_j, p_{n+j}):
-
-    X_j = Q diag(a, b / (16 d_p^2)) Q^T,    P_j = Q diag(b / (16 d_x^2), a) Q^T,
-
-with Q the 45-degree rotation and d_x, d_p those of the quadratures x_j,
-p_j.  The symplectic eigenvalues of X_j (+) P_j are the square roots of the
-eigenvalues of X_j P_j = Q diag(ab / (16 d_x^2), ab / (16 d_p^2)) Q^T, so
-each coupling gives one Gram eigenvalue, and det V = prod_i d_i^2 gives the
-prefactor a0 = 2^{-2m} det(V)^{-1/2}:
-
-    nu_i = sqrt(ab) / (4 d_i),    a0 = prod_i 1 / (4 d_i).
-
-:func:`standard_form_gram_spectrum` evaluates it with
-d_i = sqrt((sqrt(ab) - |c_i|)(sqrt(ab) + |c_i|)): no cancellation, so a
-product state gets nu_i = 1/4 exactly.  Since
-sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2) = sqrt((sqrt(ab) + |c_i|) / d_i), each
-coupling contributes 1 / (2 sqrt(sqrt(ab) - |c_i|)) to the norm, which gives
-:func:`realignment_norm_two_mode` (c1, c2) and :func:`realignment_norm_two_two`
-(c four times).
+A product has s_i = 0: nu_i = 1/4 exactly.  The standard forms of Duan,
+Giedke, Cirac and Zoller (PRL 84, 2722 (2000)) and Simon (PRL 84, 2726
+(2000)), blocks a I, b I coupled by C with C C^T diagonal (``standard2``:
+C = diag(c1, c2); ``two_two``: C = c R, R R^T = I), have g = sqrt(ab) and
+s_i = |c_i| / sqrt(ab), which gives :func:`realignment_norm_two_mode` and
+:func:`realignment_norm_two_two`.
 
 The 2+2 family needs no PPT check.  Its partial transpose on side B flips
 the momenta p3 and p4, which maps V to D V D with
@@ -58,21 +45,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    NumericDomainError,
-    SingularLimitError,
-    SpectralDomainError,
-    require_vacuum_bound,
-)
-from .symplectic import CovarianceMatrix, WilliamsonSpectrum, is_physical, symplectic_eigenvalues
+from .errors import (InvalidArgumentError, NumericDomainError, SingularLimitError,
+                     require_vacuum_bound)
+from .symplectic import CovarianceMatrix, WilliamsonSpectrum, is_physical
 from .witness import DETECTION_TOL
 
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
-
-#: Width of the clamp window for 2 nu - 1/2 slightly below zero.
-SPECTRUM_CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,37 +111,62 @@ def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, fl
     return CovarianceMatrix(gram), a0
 
 
-def norm_from_spectrum(spectrum: WilliamsonSpectrum) -> float:
-    """Realigned trace norm from the Gram spectrum:
-
-        sqrt(a0) * prod_i (sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2)).
-
-    Values of 2 nu_i - 1/2 in (-SPECTRUM_CLAMP_TOL, 0) are clamped to zero;
-    anything lower is a numerically invalid Gram state.
-    """
-    total = math.sqrt(spectrum.a0)
-    for nu in spectrum.nus:
-        excess = 2.0 * nu - 0.5
-        if excess < -SPECTRUM_CLAMP_TOL:
-            raise SpectralDomainError(
-                f"Gram symplectic eigenvalue {nu} below 1/4 beyond tolerance"
-            )
-        total *= math.sqrt(2.0 * nu + 0.5) + math.sqrt(max(excess, 0.0))
-    return total
+def _gram_spectrum(g: float, gaps) -> WilliamsonSpectrum:
+    """The nu_i and a0 of the module docstring from the scale g and the gaps
+    1 - s_i, with 1 - s_i^2 = gap (2 - gap).  Raises NumericDomainError where
+    a0 underflows to 0."""
+    roots = [math.sqrt(gap * (2.0 - gap)) for gap in gaps]
+    a0 = math.prod(0.25 / (g * root) for root in roots)
+    if a0 == 0.0:
+        raise NumericDomainError(f"Gram prefactor a0 underflows at scale g={g}")
+    return WilliamsonSpectrum(nus=sorted(0.25 / root for root in roots), a0=a0)
 
 
 def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
-    """Realigned trace norm of an n+n mode Gaussian state via the generic
-    Gram-covariance pipeline.
+    """Realigned trace norm and Gram spectrum of an n+n mode Gaussian state
+    from its canonical correlations (module docstring).  V must be physical,
+    as the ``raw_covariance`` descriptor build ensures.
 
-    The standard forms have exact closed forms (:func:`realignment_norm_two_mode`,
-    :func:`realignment_norm_two_two`, :func:`standard_form_gram_spectrum`).
-    Here every Gram eigenvalue of a pure state is 1/4 up to rounding, which
-    sqrt(2 nu - 1/2) amplifies: raw pure products can exceed 1 by about 1.6e-7.
+    Refusal bound.  With k = 2n, u = 2^-53 and kappa_X = ||V_X|| ||V_X^{-1}||,
+    the computed s_i are, to first order in u, within 3 k^2 u
+    (kappa_A + kappa_B) of the canonical correlations of V.  The Cholesky
+    factor (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    Thm 10.3) and its computed inverse are exact for V_A (1 + F) with
+    ||F|| <= (k + 1)(k + 2) u kappa_A, and whitening by them moves each
+    s_i <= 1 by at most ||F|| / 2.  The two products add at most
+    k^2 u (kappa_A + kappa_B), as ||C||^2 <= ||V_A|| ||V_B||, and the SVD a
+    small multiple of k u ||K|| <= k u (Weyl).  The code bounds kappa_X by
+    ||V_X||_F ||R_X^{-1}||_F^2 and allows 4 k^2 u (kappa_A + kappa_B): where
+    some 1 - s_i is not above that allowance, s_i = 1 lies within rounding
+    and the norm is refused; above it, each factor 1 / sqrt(1 - s_i) carries
+    a relative error of at most about allowance / (2 (1 - s_i)).
+
+    Raises:
+        InvalidArgumentError: for an odd mode split or a local block that is
+            not positive definite.
+        SingularLimitError: where some 1 - s_i is within the allowance.
+        NumericDomainError: where a0 underflows to 0.
     """
-    gram, a0 = realigned_gram_covariance(V)
-    spectrum = WilliamsonSpectrum(nus=symplectic_eigenvalues(gram).nus, a0=a0)
-    return RealignmentResult(norm=norm_from_spectrum(spectrum), spectrum=spectrum)
+    k = V.modes  # 2n: the dimension of each side
+    if k % 2:
+        raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
+    local = np.stack([V.matrix[:k, :k], V.matrix[k:, k:]])
+    try:
+        R = np.linalg.cholesky(local)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidArgumentError("covariance matrix must be positive definite") from exc
+    W = np.linalg.inv(R)
+    s = np.linalg.svd(W[0] @ V.matrix[:k, k:] @ W[1].T, compute_uv=False)
+    kappa = np.linalg.norm(local, axis=(1, 2)) * np.linalg.norm(W, axis=(1, 2)) ** 2
+    allowance = 4.0 * k * k * 2.0**-53 * float(kappa.sum())
+    gaps = (1.0 - s).tolist()
+    if not min(gaps) > allowance:
+        raise SingularLimitError(f"realigned norm diverges: canonical correlation "
+                                 f"{float(s.max())!r} is within {allowance:.1e} of 1")
+    g = math.exp(2.0 * float(np.log(np.diagonal(R, axis1=1, axis2=2)).mean()))
+    spectrum = _gram_spectrum(g, gaps)
+    norm = math.prod(0.5 / math.sqrt(g * gap) for gap in gaps)
+    return RealignmentResult(norm=norm, spectrum=spectrum)
 
 
 def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
@@ -183,11 +187,9 @@ def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
 
 def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpectrum:
     """Gram spectrum of a standard-form state with local blocks a I, b I and
-    one coupling c_i per side-A quadrature (see the module docstring):
-
-        nu_i = sqrt(ab) / (4 d_i),    a0 = prod_i 1 / (4 d_i),
-
-    with d_i = sqrt((sqrt(ab) - |c_i|)(sqrt(ab) + |c_i|)).
+    one coupling c_i per side-A quadrature: g = sqrt(ab) and
+    1 - s_i = (sqrt(ab) - |c_i|) / sqrt(ab) (module docstring), so a product
+    gets nu_i = 1/4 exactly.
 
     Raises:
         SingularLimitError: where some |c_i| >= sqrt(ab).
@@ -200,11 +202,7 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
         raise SingularLimitError(
             f"Gram spectrum diverges at sqrt(ab) <= |c_i| (sqrt(ab)={sab}, c={tuple(couplings)})"
         )
-    ds = [math.sqrt((sab - abs(c)) * (sab + abs(c))) for c in couplings]
-    a0 = math.prod(0.25 / d for d in ds)
-    if a0 == 0.0:
-        raise NumericDomainError(f"Gram prefactor a0 underflows at a={a}, b={b}")
-    return WilliamsonSpectrum(nus=sorted(sab / (4.0 * d) for d in ds), a0=a0)
+    return _gram_spectrum(sab, [(sab - abs(c)) / sab for c in couplings])
 
 
 def realignment_norm_two_two_array(a, b, c):

@@ -14,7 +14,8 @@ import pytest
 from scipy.linalg import expm
 
 from cventangle import (CovarianceMatrix, InvalidArgumentError, TwoModeStandardForm,
-                        WitnessParams, is_physical, squeezed_thermal_params, symplectic_form)
+                        WilliamsonSpectrum, WitnessParams, is_physical, realigned_gram_covariance,
+                        squeezed_thermal_params, symplectic_eigenvalues, symplectic_form)
 
 
 def wigner_value(spec, points) -> np.ndarray:
@@ -56,13 +57,9 @@ def random_product_form(rng) -> TwoModeStandardForm:
 
 
 def random_single_mode_cov(rng) -> np.ndarray:
-    """Random physical single-mode covariance (rotated squeezed thermal).
-
-    Thermal occupation is kept off the pure boundary, where the realigned
-    norm of the rank-one Gram operator picks up sqrt(eps) eigen-solver noise;
-    the pure-product case is pinned exactly by the vacuum tests.
-    """
-    nbar = rng.uniform(0.01, 1.5)
+    """Random physical single-mode covariance (rotated squeezed thermal),
+    pure (thermal occupation 0) for about a third of the draws."""
+    nbar = 0.0 if rng.random() < 1 / 3 else rng.uniform(0.0, 1.5)
     r = rng.uniform(0.0, 1.0)
     theta = rng.uniform(0.0, 2 * np.pi)
     base = (1 + 2 * nbar) / 4.0 * np.diag([np.exp(2 * r), np.exp(-2 * r)])
@@ -78,6 +75,27 @@ def random_product_cov(rng) -> CovarianceMatrix:
     cov = CovarianceMatrix(V)
     assert is_physical(cov)
     return cov
+
+
+def norm_from_spectrum(spectrum) -> float:
+    """Realigned trace norm from a Gram spectrum:
+
+        sqrt(a0) * prod_i (sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2)),
+
+    with 2 nu_i - 1/2 clamped at 0 (nu_i = 1/4 up to rounding for pure states).
+    """
+    norm = math.sqrt(spectrum.a0)
+    for nu in spectrum.nus:
+        norm *= math.sqrt(2.0 * nu + 0.5) + math.sqrt(max(2.0 * nu - 0.5, 0.0))
+    return norm
+
+
+def gram_route(V: CovarianceMatrix) -> tuple[float, WilliamsonSpectrum]:
+    """Reference realigned norm and Gram spectrum through the Gram covariance
+    and its symplectic eigen-solve."""
+    gram, a0 = realigned_gram_covariance(V)
+    spectrum = WilliamsonSpectrum(nus=symplectic_eigenvalues(gram).nus, a0=a0)
+    return norm_from_spectrum(spectrum), spectrum
 
 
 def random_physical_cov(rng, modes: int) -> CovarianceMatrix:

@@ -540,13 +540,13 @@ class TestQuantityTable:
             assert "not available for family" in capsys.readouterr().err
 
     def test_closed_form_families_skip_gram_pipeline(self, monkeypatch, capsys):
-        # standard2 and two_two read their closed-form norm and Gram spectrum;
-        # the generic pipeline serves raw_covariance only
+        # standard2 and two_two read their closed-form norm and Gram spectrum,
+        # and raw_covariance its canonical correlations: no family builds the
+        # Gram covariance or runs its symplectic eigen-solve
         from cventangle import realignment, state_descriptor, symplectic, tmsv_params
 
         calls = []
         for module, name in ((realignment, "realigned_gram_covariance"),
-                             (realignment, "symplectic_eigenvalues"),
                              (symplectic, "symplectic_eigenvalues")):
             def counted(*args, _original=getattr(module, name), _name=name):
                 calls.append(_name)
@@ -561,12 +561,13 @@ class TestQuantityTable:
         assert calls == []
         raw = json.dumps(state_descriptor(tmsv.covariance()))
         assert main(["eval", "--state", raw, "--quantity", "realignment_norm"]) == EXIT_OK
-        assert calls == ["realigned_gram_covariance", "symplectic_eigenvalues"]
+        assert calls == []
 
     def test_closed_form_families_run_no_eigen_solve(self, tmp_path, monkeypatch, capsys):
         # standard2 and two_two decide physicality in closed form, and a
         # detected 2+2 point is PPT by identity: no eigen-solve anywhere;
-        # raw_covariance runs the physicality eigen-solve once per build
+        # raw_covariance runs the physicality eigen-solve once per build and
+        # no second one in realignment_norm
         from cventangle import state_descriptor, symplectic, tmsv_params
 
         def forbidden(*_args, **_kwargs):
@@ -594,9 +595,9 @@ class TestQuantityTable:
 
         monkeypatch.setattr(symplectic, "physical_mask", counted)
         raw = json.dumps(state_descriptor(tmsv_params(0.6).covariance()))
-        for quantity in ("witness01", "swap", "bounds"):
+        for quantity in ("witness01", "swap", "bounds", "realignment_norm"):
             assert main(["eval", "--state", raw, "--quantity", quantity]) == EXIT_OK
-        assert len(calls) == 3
+        assert len(calls) == 4
 
     def test_classify_scan_skips_gram_pipeline(self, tmp_path, monkeypatch):
         # the Gram spectrum only fills the eval record's nus/a0; a scan cell

@@ -1,5 +1,9 @@
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +12,6 @@ from cventangle import (
     InvalidArgumentError,
     NumericDomainError,
     SingularLimitError,
-    SpectralDomainError,
-    WilliamsonSpectrum,
     classify_two_two,
     family_threshold,
     optimal_witness,
@@ -18,12 +20,15 @@ from cventangle import (
     realignment_norm_two_mode,
     realignment_norm_two_two,
     squeezed_thermal_params,
-    symplectic_eigenvalues,
+    state_descriptor,
     tmsv_params,
     two_two_family,
 )
-from cventangle.realignment import norm_from_spectrum, standard_form_gram_spectrum
-from conftest import is_ppt, partial_transpose, random_product_cov, random_standard_form
+from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
+from cventangle.realignment import standard_form_gram_spectrum
+from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
+                      random_physical_cov, random_product_cov, random_standard_form,
+                      random_symplectic)
 
 
 def gram_reference_two_mode(a, b, c1, c2):
@@ -140,13 +145,121 @@ class TestRealignmentNorm:
             assert realignment_norm(random_product_cov(rng)).norm <= 1.0 + 1e-10
 
     def test_product_norm_is_root_purity(self, rng):
-        # product states: norm = sqrt(purity_A * purity_B); the Gram operator
-        # is rank one there (nu exactly 1/4), so allow sqrt(eps) solver noise
+        # product states, pure ones included: norm = sqrt(purity_A * purity_B),
+        # with every canonical correlation exactly 0
         for _ in range(30):
             cov = random_product_cov(rng)
             pa = 0.25 / math.sqrt(np.linalg.det(cov.matrix[:2, :2]))
             pb = 0.25 / math.sqrt(np.linalg.det(cov.matrix[2:, 2:]))
-            assert abs(realignment_norm(cov).norm - math.sqrt(pa * pb)) < 3e-8
+            assert abs(realignment_norm(cov).norm - math.sqrt(pa * pb)) < 1e-12
+
+
+def raw_eval(V):
+    """Exit code and record of ``eval realignment_norm`` on a raw covariance."""
+    doc = json.dumps(state_descriptor(CovarianceMatrix(V)))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["eval", "--state", doc, "--quantity", "realignment_norm"])
+    return code, json.loads(out.getvalue()) if code == EXIT_OK else None
+
+
+def rotated_tmsv(r, angles=(0.0, 0.0)):
+    """TMSV covariance built from math.cosh/math.sinh, each mode then rotated
+    by its phase-space angle."""
+    a, c = math.cosh(2 * r) / 4, math.sinh(2 * r) / 4
+    V = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]])
+    L = np.zeros((4, 4))
+    for i, t in enumerate(angles):
+        L[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[math.cos(t), -math.sin(t)],
+                                               [math.sin(t), math.cos(t)]]
+    V = L @ V @ L.T
+    return (V + V.T) / 2
+
+
+def canonical_norm_80_digits(V):
+    """The canonical-correlation norm of the stored matrix in 80-digit
+    arithmetic (module docstring of :mod:`cventangle.realignment`)."""
+    with mpmath.workdps(80):
+        k = V.shape[0] // 2
+        M = mpmath.matrix(V.tolist())
+        RA, RB = mpmath.cholesky(M[:k, :k]), mpmath.cholesky(M[k:, k:])
+        K = mpmath.inverse(RA) * M[:k, k:] * mpmath.inverse(RB).T
+        norm = (mpmath.det(M[:k, :k]) * mpmath.det(M[k:, k:])) ** mpmath.mpf(-0.25) / 4 ** (k // 2)
+        for s in mpmath.svd_r(K, compute_uv=False):
+            norm /= mpmath.sqrt(1 - s)
+        return norm
+
+
+class TestCanonicalRoute:
+    def test_matches_gram_route(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3):
+            for _ in range(300):
+                V = random_physical_cov(rng, 2 * n)
+                result = realignment_norm(V)
+                norm, spectrum = gram_route(V)
+                assert abs(result.norm / norm - 1.0) < 1e-10
+                assert np.max(np.abs(np.array(result.spectrum.nus) / spectrum.nus - 1.0)) < 1e-12
+                assert abs(result.spectrum.a0 / spectrum.a0 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pure_products_are_undetected(self, n):
+        # local symplectics on vacuum: every canonical correlation is exactly 0
+        rng = np.random.default_rng(n)
+        for _ in range(500):
+            S = np.zeros((4 * n, 4 * n))
+            S[:2 * n, :2 * n] = random_symplectic(rng, n)
+            S[2 * n:, 2 * n:] = random_symplectic(rng, n)
+            code, record = raw_eval(S @ S.T / 4)
+            assert code == EXIT_OK
+            assert record["verdict"] == "undetected"
+            assert abs(record["norm"] - 1.0) <= 1e-12
+
+    def test_weak_tmsv_is_detected(self):
+        r = 1e-8
+        code, record = raw_eval(rotated_tmsv(r))
+        assert code == EXIT_OK and record["verdict"] == "entangled"
+        assert abs(record["norm"] - math.exp(2 * r)) <= 1e-14
+
+    @pytest.mark.parametrize("r", [3.0, 4.0, 5.0])
+    def test_rotated_strong_tmsv(self, r):
+        rng = np.random.default_rng(int(r))
+        for _ in range(20):
+            code, record = raw_eval(rotated_tmsv(r, rng.uniform(0.0, 2 * math.pi, 2)))
+            assert code == EXIT_OK
+            assert abs(record["norm"] / math.exp(2 * r) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("r", [3.0, 4.0, 5.0])
+    def test_rotated_strong_tmsv_against_80_digits(self, r):
+        # rounding grows as 1 / (1 - s) = 1 / (1 - tanh 2r) ~ e^{4r} / 2
+        rng = np.random.default_rng(int(r))
+        for _ in range(5):
+            V = rotated_tmsv(r, rng.uniform(0.0, 2 * math.pi, 2))
+            exact = canonical_norm_80_digits(V)
+            error = abs(realignment_norm(CovarianceMatrix(V)).norm / exact - 1)
+            assert error <= 10 * 2.0**-53 / (1 - math.tanh(2 * r))
+
+    @pytest.mark.parametrize("r", [10.5, 11.5])
+    def test_singular_limit_in_rounding_is_refused(self, r):
+        # a - c is at most one ulp of a: s = 1 lies within the rounding error.
+        # A rotated input can also fail the raw physicality test (exit 2),
+        # whose absolute tolerance is below the eigen-solver error at this
+        # scale; no input is evaluated
+        assert raw_eval(rotated_tmsv(r))[0] == EXIT_NUMERIC
+        rng = np.random.default_rng(int(r))
+        for _ in range(20):
+            V = rotated_tmsv(r, rng.uniform(0.0, 2 * math.pi, 2))
+            assert raw_eval(V)[0] in (EXIT_INVALID, EXIT_NUMERIC)
+            with pytest.raises(SingularLimitError):
+                realignment_norm(CovarianceMatrix(V))
+
+    def test_refusals(self):
+        with pytest.raises(InvalidArgumentError, match="even"):
+            realignment_norm(CovarianceMatrix(np.eye(6) / 4))
+        with pytest.raises(InvalidArgumentError, match="positive definite"):
+            realignment_norm(CovarianceMatrix(np.diag([0.25, -0.25, 0.25, 0.25])))
+        with pytest.raises(NumericDomainError, match="underflows"):
+            realignment_norm(CovarianceMatrix(np.eye(12) * 1e60))
 
 
 class TestClosedForms:
@@ -184,8 +297,8 @@ class TestClosedForms:
 
 class TestClosedGramSpectrum:
     def pipeline(self, V):
-        gram, a0 = realigned_gram_covariance(V)
-        return np.array(symplectic_eigenvalues(gram).nus), a0
+        spectrum = gram_route(V)[1]
+        return np.array(spectrum.nus), spectrum.a0
 
     def test_matches_pipeline_standard2(self, rng):
         for _ in range(200):
@@ -218,16 +331,6 @@ class TestClosedGramSpectrum:
             standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0))
         with pytest.raises(NumericDomainError, match="underflows"):
             standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4)
-
-
-class TestSpectrumGuard:
-    def test_clamps_tiny_excursion(self):
-        norm = norm_from_spectrum(WilliamsonSpectrum(nus=(0.25 - 2e-10, 0.3), a0=1.0))
-        assert math.isfinite(norm)
-
-    def test_rejects_invalid_gram_spectrum(self):
-        with pytest.raises(SpectralDomainError):
-            norm_from_spectrum(WilliamsonSpectrum(nus=(0.2, 0.3), a0=1.0))
 
 
 class TestClassifyTwoTwo:
