@@ -24,7 +24,6 @@ from .errors import (
     NumericDomainError,
     SingularInputError,
     SingularLimitError,
-    SpectralDomainError,
     TruncationError,
 )
 from .fock import (

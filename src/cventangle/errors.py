@@ -29,10 +29,6 @@ class SingularLimitError(CVEntangleError):
     """Parameters sit exactly on a singular boundary of a closed form."""
 
 
-class SpectralDomainError(CVEntangleError):
-    """A computed spectrum violates the bounds the caller requires."""
-
-
 class TruncationError(CVEntangleError):
     """Fock-space truncation too small for the requested state."""
 

@@ -46,11 +46,14 @@ def slice_integral(V: CovarianceMatrix, d_minus: float, d_plus: float) -> float:
     m = V.matrix
     d = np.array([d_minus, d_plus], dtype=float)
     cd = m[:2, 2:] * d
-    slice_cov = m[:2, :2] + cd + cd.T + m[2:, 2:] * np.outer(d, d)
-    det = float(slice_cov[0, 0] * slice_cov[1, 1] - slice_cov[0, 1] * slice_cov[1, 0])
+    s00, s01, s10, s11 = (m[:2, :2] + cd + cd.T + m[2:, 2:] * np.outer(d, d)).ravel().tolist()
+    # f = 2^-e exactly, 2^e above the larger diagonal entry, which bounds every
+    # entry of a positive definite matrix: the scaled determinant cannot overflow
+    f = math.ldexp(1.0, -math.frexp(max(s00, s11))[1])
+    det = (s00 * f) * (s11 * f) - (s01 * f) * (s10 * f)
     if not det > 0.0:
         raise NumericDomainError(
-            f"slice determinant must be positive, got {det}; the covariance is not "
-            "positive definite in floating point"
+            f"slice determinant must be positive, got {det / f / f}; the covariance "
+            "is not positive definite in floating point"
         )
-    return 1.0 / (2.0 * math.pi * math.sqrt(det))
+    return f / (2.0 * math.pi * math.sqrt(det))

@@ -23,9 +23,14 @@ g = (det V_A det V_B)^{1/(4n)}
 A product has s_i = 0: nu_i = 1/4 exactly.  The standard forms of Duan,
 Giedke, Cirac and Zoller (PRL 84, 2722 (2000)) and Simon (PRL 84, 2726
 (2000)), blocks a I, b I coupled by C with C C^T diagonal (``standard2``:
-C = diag(c1, c2); ``two_two``: C = c R, R R^T = I), have g = sqrt(ab) and
-s_i = |c_i| / sqrt(ab), which gives :func:`realignment_norm_two_mode` and
-:func:`realignment_norm_two_two`.
+C = diag(c1, c2); ``two_two``: C = c R, R R^T = I, so c_i = c four times),
+have g = sqrt(ab) and s_i = |c_i| / sqrt(ab), so
+
+    ||R(rho)||_1 = prod_i 1 / (2 sqrt(sqrt(ab) - |c_i|)),
+
+evaluated factor by factor by :func:`standard_form_norm`: its one
+subtraction, sqrt(ab) - |c_i|, has exact operands at a = b.  A 2+2 threshold
+lost to rounding is a numeric-domain failure (the CLI exits 3), not invalid input.
 
 The 2+2 family needs no PPT check.  Its partial transpose on side B flips
 the momenta p3 and p4, which maps V to D V D with
@@ -48,10 +53,13 @@ import numpy as np
 from .errors import (InvalidArgumentError, NumericDomainError, SingularLimitError,
                      require_vacuum_bound)
 from .symplectic import CovarianceMatrix, WilliamsonSpectrum, is_physical
-from .witness import DETECTION_TOL
 
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
+
+#: Witness and SWAP values below -DETECTION_TOL, and realigned norms above
+#: 1 + DETECTION_TOL, count as detected entanglement.
+DETECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -169,20 +177,43 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     return RealignmentResult(norm=norm, spectrum=spectrum)
 
 
-def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
-    """Closed form for standard-form two-mode Gaussian states:
+@np.errstate(all="ignore")
+def standard_form_norm(a, b, couplings):
+    """Realigned norm of a standard form with local blocks a I, b I and
+    couplings c_i (module docstring), on numbers or arrays that broadcast
+    together:
 
-        1 / (4 sqrt((sqrt(ab) - |c1|)(sqrt(ab) - |c2|))),
+        prod_i 1 / (2 sqrt(sqrt(ab) - |c_i|)),
 
-    equal to 1 minus the optimal witness expectation.
+    NaN where it is not positive and finite (|c_i| >= sqrt(ab), overflow or
+    underflow).  sqrt(ab) is sqrt(a*b), and sqrt(a) sqrt(b) where ab
+    overflows, as in :func:`cventangle.states.standard_form_is_physical`;
+    b ** overflow is b or 1, exactly.  No np.where: on numbers it would cost
+    more than the formula.
     """
-    sab = math.sqrt(s.a * s.b)
-    if sab <= abs(s.c1) or sab <= abs(s.c2):
-        raise SingularLimitError(
-            f"realigned norm diverges at sqrt(ab) <= |c_i| (sqrt(ab)={sab}, "
-            f"c1={s.c1}, c2={s.c2})"
-        )
-    return 1.0 / (4.0 * math.sqrt((sab - abs(s.c1)) * (sab - abs(s.c2))))
+    overflow = a * b == np.inf
+    sab = np.sqrt(a * b ** (1 - overflow)) * np.sqrt(b ** overflow)
+    norm = math.prod(0.5 / np.sqrt(sab - abs(c)) for c in couplings)
+    return norm / norm * norm  # 0/0 and inf/inf are NaN
+
+
+def _finite_norm(a: float, b: float, couplings) -> float:
+    """:func:`standard_form_norm` at one point; SingularLimitError where NaN."""
+    norm = float(standard_form_norm(a, b, couplings))
+    if math.isnan(norm):
+        raise SingularLimitError(f"realigned norm diverges at sqrt(ab) <= |c_i| or leaves the "
+                                 f"float range (a={a}, b={b}, c={tuple(couplings)})")
+    return norm
+
+
+def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
+    """:func:`standard_form_norm` of a two-mode standard form, equal to 1
+    minus the optimal witness expectation.
+
+    Raises:
+        SingularLimitError: where the norm diverges or leaves the float range.
+    """
+    return _finite_norm(s.a, s.b, (s.c1, s.c2))
 
 
 def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpectrum:
@@ -205,32 +236,13 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
     return _gram_spectrum(sab, [(sab - abs(c)) / sab for c in couplings])
 
 
-def realignment_norm_two_two_array(a, b, c):
-    """Closed form for the 2+2-mode family on arrays that broadcast together:
-
-        1 / (16 (ab + c^2 - 2 sqrt(ab) |c|)),
-
-    NaN where the denominator is not positive (|c| = sqrt(ab)) or the norm is
-    not finite.
-    """
-    with np.errstate(all="ignore"):
-        norm = 1.0 / (16.0 * (a * b + c * c - 2.0 * np.sqrt(a * b) * abs(c)))
-        # positive and finite exactly where the denominator is positive and
-        # its reciprocal does not overflow
-        return np.where((norm > 0.0) & (norm < np.inf), norm, np.nan)[()]
-
-
 def realignment_norm_two_two(a: float, b: float, c: float) -> float:
-    """:func:`realignment_norm_two_two_array` at one point.
+    """:func:`standard_form_norm` of the 2+2 family, with c_i = c four times.
 
     Raises:
-        SingularLimitError: where the norm diverges.
+        SingularLimitError: where the norm diverges or leaves the float range.
     """
-    a, b, c = float(a), float(b), float(c)
-    norm = float(realignment_norm_two_two_array(a, b, c))
-    if math.isnan(norm):
-        raise SingularLimitError(f"realigned norm diverges at |c| = sqrt(ab) (a={a}, b={b}, c={c})")
-    return norm
+    return _finite_norm(float(a), float(b), (float(c),) * 4)
 
 
 _TWO_TWO_R = np.array(
@@ -267,7 +279,9 @@ def family_threshold_array(a, b):
         sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4),
 
     NaN where a or b is below the vacuum variance 1/4 or not a number, and
-    where the radicand is NaN (ab overflows) or below -RADICAND_TOL.
+    where the radicand is lost to rounding: NaN (a^2 + b^2 or ab overflows)
+    or below -RADICAND_TOL.  The exact radicand is never negative, as
+    (ab)^2 - (a^2 + b^2 - 1/16)/16 = (16a^2 - 1)(16b^2 - 1)/16.
     """
     with np.errstate(all="ignore"):
         radicand = a * b - np.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
@@ -279,19 +293,19 @@ def family_threshold(a: float, b: float) -> float:
     """:func:`family_threshold_array` at one point.
 
     Raises:
-        InvalidArgumentError: below the vacuum bound or for a negative radicand.
-        NumericDomainError: where ab overflows.
+        InvalidArgumentError: below the vacuum bound.
+        NumericDomainError: where the threshold is lost to rounding.
     """
     a, b = float(a), float(b)
     require_vacuum_bound(a=a, b=b)
     threshold = float(family_threshold_array(a, b))
     if math.isnan(threshold):
-        if math.isinf(a * b):  # the radicand is inf - inf
-            raise NumericDomainError(f"family threshold overflows at a={a}, b={b}")
-        raise InvalidArgumentError(
-            f"no valid correlation exists for a={a}, b={b} (negative radicand)"
-        )
+        raise NumericDomainError(_lost_threshold(a, b))
     return threshold
+
+
+def _lost_threshold(a: float, b: float) -> str:
+    return f"2+2 family threshold lost to rounding or overflow at a={a}, b={b}"
 
 
 @dataclass(frozen=True)
@@ -320,13 +334,13 @@ def classify_two_two_array(a, b, c):
     :func:`classify_two_two` refuses the point), the realigned norm (NaN where
     unphysical or invalid) and the threshold (NaN where refused).  A point is
     unphysical where |c| exceeds its threshold, and invalid where its
-    threshold or, at a physical point, its norm is refused (see
-    :func:`family_threshold_array`, :func:`realignment_norm_two_two_array`).
+    threshold or, at a physical point, its norm is NaN (see
+    :func:`family_threshold_array`, :func:`standard_form_norm`).
     Every physical point is PPT (module docstring), so a realigned norm above
     1 certifies bound entanglement.
     """
     threshold = family_threshold_array(a, b)
-    norm = realignment_norm_two_two_array(a, b, c)
+    norm = standard_form_norm(a, b, (c,) * 4)
     unphysical = abs(c) > threshold
     invalid = np.isnan(threshold) | (~unphysical & np.isnan(norm))
     detected = ~invalid & ~unphysical & (norm > 1.0 + DETECTION_TOL)
@@ -338,18 +352,19 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     """:func:`classify_two_two_array` at one point.
 
     Raises:
-        InvalidArgumentError: below the vacuum bound or for a negative
-            threshold radicand.
-        NumericDomainError: where the threshold overflows.
-        SingularLimitError: where the realigned norm diverges.
+        InvalidArgumentError: below the vacuum bound.
+        NumericDomainError: where the threshold is lost to rounding.
+        SingularLimitError: where the realigned norm of a physical point
+            diverges or leaves the float range.
     """
     a, b, c = float(a), float(b), float(c)
+    require_vacuum_bound(a=a, b=b)
     verdict, norm, threshold = classify_two_two_array(a, b, c)
+    if math.isnan(threshold):
+        raise NumericDomainError(_lost_threshold(a, b))
     verdict = str(verdict)
     if verdict == "invalid":
-        # the array form only marks the point; the scalar closed forms say
-        # why: one of them refuses it
-        family_threshold(a, b)
-        realignment_norm_two_two(a, b, c)
+        raise SingularLimitError(f"realigned norm diverges or leaves the float range "
+                                 f"(a={a}, b={b}, c={c})")
     norm = None if verdict == "unphysical" else float(norm)
     return TwoTwoClassification(verdict=verdict, norm=norm, threshold=float(threshold))

@@ -20,21 +20,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import phase_space
-from .errors import (
-    InvalidArgumentError,
-    NumericDomainError,
-    SingularLimitError,
-    real_field,
-    require_nonnegative_nr,
-)
+from .errors import InvalidArgumentError, NumericDomainError, real_field, require_nonnegative_nr
+from .realignment import DETECTION_TOL, realignment_norm_two_mode
 
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
     from .symplectic import CovarianceMatrix
-
-#: Witness and SWAP values below -DETECTION_TOL, and realigned norms above
-#: 1 + DETECTION_TOL, count as detected entanglement.
-DETECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,23 +109,18 @@ def witness_expectation_covariance(V: CovarianceMatrix, w: WitnessParams) -> flo
 
 
 def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
-    """Global minimum of the witness expectation over (mu1, mu2):
-
-        1 - 1 / (4 sqrt((sqrt(ab) - |c1|)(sqrt(ab) - |c2|))),
-
+    """Global minimum of the witness expectation over (mu1, mu2): 1 minus the
+    realigned norm (:func:`cventangle.realignment.realignment_norm_two_mode`),
     attained at |mu-+| = sqrt(a/b) with signs opposing c1, c2.  When c1 or c2
     is zero both signs tie; the negative sign is returned for determinism.
+
+    Raises:
+        SingularLimitError: where the norm diverges or leaves the float range.
     """
-    sab = math.sqrt(s.a * s.b)
-    if sab <= abs(s.c1) or sab <= abs(s.c2):
-        raise SingularLimitError(
-            f"optimal witness is singular at sqrt(ab) <= |c_i| "
-            f"(sqrt(ab)={sab}, c1={s.c1}, c2={s.c2})"
-        )
+    value = 1.0 - realignment_norm_two_mode(s)
     ratio = math.sqrt(s.a / s.b)
     mu_minus = -ratio if s.c1 >= 0 else ratio
     mu_plus = -ratio if s.c2 >= 0 else ratio
-    value = 1.0 - 1.0 / (4.0 * math.sqrt((sab - abs(s.c1)) * (sab - abs(s.c2))))
     return OptimalWitness(value=value, mu_minus=mu_minus, mu_plus=mu_plus)
 
 

@@ -148,6 +148,15 @@ class TestEval:
         result = classify_two_two(1e100, 1e100, 0.0)
         assert result.verdict == "undetected" and result.spectrum is None
 
+    @pytest.mark.parametrize("quantity", ["classify", "realignment_norm"])
+    @pytest.mark.parametrize("a,b", [(24618077.110105123, 0.25), (1e160, 0.3)])
+    def test_two_two_threshold_lost_to_rounding_exits_3(self, a, b, quantity, capsys):
+        # a negative radicand at b = 1/4, or a^2 overflowing, is rounding: the
+        # exact threshold exists, so the input is valid and the failure numeric
+        doc = json.dumps({"family": "two_two", "a": a, "b": b, "c": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", quantity]) == EXIT_NUMERIC
+        assert "NumericDomainError" in capsys.readouterr().err
+
     def test_two_two_large_variances_classify(self, capsys):
         # the closed-form Gram spectrum of a product is exactly 1/4 at any scale
         doc = json.dumps({"family": "two_two", "a": 1e7, "b": 1e7, "c": 0.0})

@@ -16,7 +16,6 @@ PUBLIC_API = [
     "RealignmentResult",
     "SingularInputError",
     "SingularLimitError",
-    "SpectralDomainError",
     "TruncationError",
     "TwoModeStandardForm",
     "TwoTwoClassification",

@@ -25,7 +25,8 @@ from cventangle import (
     two_two_family,
 )
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
-from cventangle.realignment import standard_form_gram_spectrum
+from cventangle.realignment import standard_form_gram_spectrum, standard_form_norm
+from cventangle.witness import DETECTION_TOL
 from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
                       random_physical_cov, random_product_cov, random_standard_form,
                       random_symplectic)
@@ -275,7 +276,7 @@ class TestClosedForms:
     def test_two_mode_witness_identity(self, rng):
         for _ in range(100):
             s = random_standard_form(rng, margin=1e-3)
-            assert abs(realignment_norm_two_mode(s) - (1.0 - optimal_witness(s).value)) < 1e-12
+            assert optimal_witness(s).value == 1.0 - realignment_norm_two_mode(s)
 
     def test_two_mode_singular_limit(self):
         class Fake:
@@ -293,6 +294,76 @@ class TestClosedForms:
         for a, b in [(1.0, 1.0), (0.8, 1.4)]:
             c = math.sqrt(a * b) - 0.25
             assert abs(realignment_norm_two_two(a, b, c) - 1.0) < 1e-12
+
+
+def exact_standard_form_norm(a, b, couplings):
+    """prod_i 1 / (2 sqrt(sqrt(ab) - |c_i|)) of the float inputs, in 60 digits."""
+    with mpmath.workdps(60):
+        sab = mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
+        return mpmath.fprod(1 / (2 * mpmath.sqrt(sab - abs(mpmath.mpf(c)))) for c in couplings)
+
+
+def eval_doc(doc, quantity):
+    """Exit code, stdout and stderr of ``eval`` on one descriptor."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["eval", "--state", json.dumps(doc), "--quantity", quantity])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestStandardFormNorm:
+    def test_near_edge_classify_matches_exact_norm(self):
+        # a, b log-uniform on [1e2, 1e6] and |c| within 1e-6 of the detection
+        # edge sqrt(ab) - 1/4: the verdict of every physical point whose exact
+        # norm is clear of 1 must be the exact one
+        rng = np.random.default_rng(14)
+        checked = 0
+        for _ in range(3000):
+            a, b = 10.0 ** rng.uniform(2.0, 6.0, size=2)
+            c = float(math.sqrt(a * b) - 0.25 + rng.uniform(-1e-6, 1e-6)) * rng.choice([-1.0, 1.0])
+            with mpmath.workdps(60):
+                A, B, C = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(abs(c))
+                threshold = mpmath.sqrt(A * B - mpmath.sqrt(A * A + B * B - mpmath.mpf(1) / 16) / 4)
+                if C > threshold * (1 - mpmath.mpf(1e-12)):
+                    continue
+            exact = exact_standard_form_norm(a, b, (c,) * 4)
+            if abs(exact - 1) <= 1e-9:
+                continue
+            checked += 1
+            expected = "bound_entangled" if exact > 1 + DETECTION_TOL else "undetected"
+            assert classify_two_two(a, b, c).verdict == expected, (a, b, c)
+        assert checked > 500
+
+    def test_cancelling_example_is_detected(self):
+        a, b, c = 431801.85797698976, 255472.00958690618, 332134.19326185534
+        assert float(exact_standard_form_norm(a, b, (c,) * 4)) == pytest.approx(1.0000014594, abs=1e-10)
+        code, out, _ = eval_doc({"family": "two_two", "a": a, "b": b, "c": c}, "classify")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["verdict"] == "bound_entangled"
+        assert abs(record["norm"] - 1.0000014594) < 1e-10
+
+    @pytest.mark.parametrize("a", [1e2, 1e4, 1e6])
+    def test_two_two_at_threshold_within_4u(self, a):
+        c = family_threshold(a, a)
+        exact = exact_standard_form_norm(a, a, (c,) * 4)
+        assert abs(realignment_norm_two_two(a, a, c) / exact - 1) <= 4 * 2.0**-53
+
+    def test_two_mode_where_ab_overflows(self):
+        from cventangle import TwoModeStandardForm
+
+        assert realignment_norm_two_mode(TwoModeStandardForm(1e200, 1e200, 0.0, 0.0)) == 2.5e-201
+        doc = {"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0}
+        code, out, _ = eval_doc(doc, "optimal_witness")
+        assert code == EXIT_OK and json.loads(out)["value"] == 1.0
+
+    def test_broadcasts_and_marks_refusals_nan(self):
+        c = np.array([0.0, 0.75, 1.0, 2.0, 0.0])
+        a = np.array([1.0, 1.0, 1.0, 1.0, 1e200])
+        norm = standard_form_norm(a, a, (c, c))
+        assert norm[:2].tolist() == [0.25, 1.0] and np.isnan(norm[2:4]).all()
+        assert norm[4] == 2.5e-201
+        assert np.isnan(standard_form_norm(1e200, 1e200, (0.0,) * 4))  # underflows
 
 
 class TestClosedGramSpectrum:
@@ -355,6 +426,34 @@ class TestClassifyTwoTwo:
         assert classify_two_two(1.0, 1.0, 0.7501).verdict == "bound_entangled"
         assert classify_two_two(1.0, 1.0, thr).verdict == "bound_entangled"
         assert classify_two_two(1.0, 1.0, math.nextafter(thr, 1.0)).verdict == "unphysical"
+
+    def test_refusals_read_the_array_form_once(self, monkeypatch):
+        # the scalar refusal follows from the NaN the array form returned: the
+        # threshold at (1e200, 1e200), where ab overflows, and the norm at
+        # (1e20, 1e20, threshold), where |c| = sqrt(ab) in floats
+        from cventangle import realignment
+
+        thr = family_threshold(1e20, 1e20)
+        calls = []
+        array_form = realignment.classify_two_two_array
+
+        def counted(*args):
+            calls.append(args)
+            return array_form(*args)
+
+        def fail(*_args):
+            raise AssertionError("classify_two_two re-derived its refusal")
+
+        monkeypatch.setattr(realignment, "classify_two_two_array", counted)
+        monkeypatch.setattr(realignment, "family_threshold", fail)
+        monkeypatch.setattr(realignment, "realignment_norm_two_two", fail)
+        with pytest.raises(SingularLimitError):
+            classify_two_two(1e20, 1e20, thr)
+        with pytest.raises(NumericDomainError):
+            classify_two_two(1e200, 1e200, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            classify_two_two(0.2, 1.0, 0.0)
+        assert len(calls) == 2
 
     def test_detected_points_are_ppt(self, rng):
         for _ in range(40):

@@ -8,6 +8,7 @@ from cventangle import (
     CoherentMixture,
     CovarianceMatrix,
     InvalidArgumentError,
+    NumericDomainError,
     PhotonAddedSqueezedThermal,
     TwoModeStandardForm,
     TwoTwoFamilyParams,
@@ -263,6 +264,30 @@ class TestFamilyThreshold:
     def test_rejects_out_of_domain(self):
         with pytest.raises(InvalidArgumentError):
             family_threshold(0.2, 1.0)
+
+    def test_bits_of_the_expanded_formula(self):
+        # perfbench's state_eval draws |c| bit-equal to this expression and
+        # expects the point to be physical: the threshold must keep its bits
+        rng = np.random.default_rng(7)
+        for a, b in rng.uniform(0.5, 2.0, size=(10_000, 2)).tolist():
+            assert family_threshold(a, b) == math.sqrt(a * b - math.sqrt(a * a + b * b - 1 / 16) / 4)
+
+    def test_threshold_lost_to_rounding_is_numeric(self):
+        # the exact radicand (16a^2 - 1)(16b^2 - 1)/256 is never negative: a
+        # NaN threshold past the vacuum check is rounding (a = 1/4) or
+        # overflow (a^2 at a = 1e160), never invalid input
+        for a, b in [(24618077.110105123, 0.25), (1e160, 0.3)]:
+            for args in ((a, b), (b, a)):
+                with pytest.raises(NumericDomainError, match="lost to rounding"):
+                    family_threshold(*args)
+        rng = np.random.default_rng(8)
+        lost = 0
+        for b in (10.0 ** rng.uniform(0.0, 12.0, size=20_000)).tolist():
+            try:
+                family_threshold(0.25, b)
+            except NumericDomainError:
+                lost += 1
+        assert lost > 0
 
 
 class TestPhotonAddedWigner:

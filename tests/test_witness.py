@@ -270,6 +270,14 @@ class TestSliceIntegral:
             ref = moments_slice_integral(WignerSpec(V), T)
             assert abs(slice_integral(V, d_minus, d_plus) - ref) <= 1e-12 * ref
 
+    def test_determinant_beyond_the_float_range(self):
+        # det(2e200 I) = 4e400 overflows unscaled; pytest turns the numpy
+        # overflow warning into an error
+        from cventangle import TwoModeStandardForm
+
+        V = TwoModeStandardForm(1e200, 1e200, 0.0, 0.0).covariance()
+        assert abs(swap_expectation(V) * 4e200 - 1.0) <= 4 * 2.0**-53
+
     @pytest.mark.parametrize("modes", [1, 3])
     def test_requires_two_modes(self, modes):
         with pytest.raises(InvalidArgumentError, match="two-mode"):
