@@ -7,53 +7,45 @@ xi = T u = (-D u, u), u in R^2, with D = diag(d-, d+).  For a Gaussian W,
     integral of W(T u) du = 1 / (2 pi sqrt(det V det(T^T V^-1 T))).
 
 The columns of P = [I; D] span the orthogonal complement of the plane and
-T^T T = P^T P = I + D^2, so det V det(T^T V^-1 T) = det(P^T V P), and
+T^T T = P^T P = I + D^2, so det V det(T^T V^-1 T) = det S with the slice
+matrix S = P^T V P = A + C D + D C^T + D B D.
 
-    P^T V P = A + C D + D C^T + D B D.
-
-The integral is therefore one 2x2 determinant, with no inverse and no
-quadrature; the result carries rounding error only.  A determinant that is
-not positive means V is not positive definite in floating point, e.g. a
-squeezed state whose a - |c| is below one ulp of a; like a nonpositive K-K+ in
-:func:`cventangle.witness.witness_expectation_gaussian`, that is a numeric-domain
-failure.
+Each Gaussian state type supplies S as ``slice_matrix(d-, d+)``: a
+:class:`cventangle.symplectic.CovarianceMatrix` from its blocks, a
+:class:`cventangle.states.TwoModeStandardForm` (A = a I, B = b I,
+C = diag(c1, c2)) as diag(K-, K+), K-+ = a + b d-+^2 + 2 c1,2 d-+, without
+building V.  The integral is one 2x2 determinant, with no inverse and no
+quadrature, so it carries rounding error only.  An S that is not positive
+definite (Sylvester: s00 > 0 and det S > 0) means V is not positive definite
+in floating point (e.g. a - |c| below one ulp of a, or unvalidated input): a
+numeric-domain failure.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import InvalidArgumentError, NumericDomainError
-from .symplectic import CovarianceMatrix
+from .errors import NumericDomainError
 
 
-def slice_integral(V: CovarianceMatrix, d_minus: float, d_plus: float) -> float:
-    """Integral of the Wigner function of the zero-mean two-mode Gaussian state
-    with covariance ``V`` over the slice xi = (-d- x, -d+ p, x, p):
+def slice_integral(state, d_minus: float, d_plus: float) -> float:
+    """Integral of the Wigner function of the zero-mean two-mode Gaussian
+    ``state`` over the slice xi = (-d- x, -d+ p, x, p):
 
-        1 / (2 pi sqrt(det(A + C D + D C^T + D B D))),  D = diag(d-, d+).
+        1 / (2 pi sqrt(det S)),  S = state.slice_matrix(d-, d+).
 
     Raises:
-        InvalidArgumentError: if V is not two-mode.
-        NumericDomainError: if the slice determinant is not positive (or NaN).
+        InvalidArgumentError: if the state is not two-mode.
+        NumericDomainError: if S is not positive definite (or NaN).
     """
-    if V.modes != 2:
-        raise InvalidArgumentError(
-            f"witness and SWAP expectations require a two-mode covariance, got {V.modes} modes"
-        )
-    m = V.matrix
-    d = np.array([d_minus, d_plus], dtype=float)
-    cd = m[:2, 2:] * d
-    s00, s01, s10, s11 = (m[:2, :2] + cd + cd.T + m[2:, 2:] * np.outer(d, d)).ravel().tolist()
+    s00, s01, s10, s11 = state.slice_matrix(d_minus, d_plus)
     # f = 2^-e exactly, 2^e above the larger diagonal entry, which bounds every
     # entry of a positive definite matrix: the scaled determinant cannot overflow
     f = math.ldexp(1.0, -math.frexp(max(s00, s11))[1])
     det = (s00 * f) * (s11 * f) - (s01 * f) * (s10 * f)
-    if not det > 0.0:
+    if not (s00 > 0.0 and det > 0.0):
         raise NumericDomainError(
-            f"slice determinant must be positive, got {det / f / f}; the covariance "
-            "is not positive definite in floating point"
+            f"slice matrix must be positive definite, got s00={s00} and slice determinant "
+            f"{det / f / f}; the covariance is not positive definite in floating point"
         )
     return f / (2.0 * math.pi * math.sqrt(det))

@@ -220,15 +220,15 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
     """Gram spectrum of a standard-form state with local blocks a I, b I and
     one coupling c_i per side-A quadrature: g = sqrt(ab) and
     1 - s_i = (sqrt(ab) - |c_i|) / sqrt(ab) (module docstring), so a product
-    gets nu_i = 1/4 exactly.
+    gets nu_i = 1/4 exactly.  sqrt(ab) is taken as in :func:`standard_form_norm`.
 
     Raises:
         SingularLimitError: where some |c_i| >= sqrt(ab).
-        NumericDomainError: where ab overflows or a0 underflows to 0.
+        NumericDomainError: where a0 underflows to 0.
     """
     sab = math.sqrt(a * b)
-    if math.isinf(sab):
-        raise NumericDomainError(f"Gram spectrum leaves the float range at a={a}, b={b}")
+    if math.isinf(sab):  # ab overflows
+        sab = math.sqrt(a) * math.sqrt(b)
     if not sab > max(abs(c) for c in couplings):
         raise SingularLimitError(
             f"Gram spectrum diverges at sqrt(ab) <= |c_i| (sqrt(ab)={sab}, c={tuple(couplings)})"

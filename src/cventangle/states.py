@@ -1,8 +1,8 @@
 """Constructors for the Gaussian and non-Gaussian state families.
 
 All families are zero-mean; displacements do not change entanglement and are
-not modelled.  Gaussian states are described by their covariance matrix, so
-their witness and SWAP values are one 2x2 determinant each
+not modelled.  A Gaussian state (covariance or standard form) supplies the
+2x2 slice matrix whose determinant gives its witness and SWAP values
 (:func:`cventangle.phase_space.slice_integral`); the non-Gaussian families
 are described by their parameters and evaluated in closed form.
 
@@ -98,6 +98,11 @@ class TwoModeStandardForm:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
+
+    def slice_matrix(self, d_minus: float, d_plus: float) -> tuple[float, float, float, float]:
+        """diag(K-, K+), the slice matrix of :mod:`cventangle.phase_space`."""
+        return (self.a + self.b * d_minus**2 + 2.0 * self.c1 * d_minus, 0.0, 0.0,
+                self.a + self.b * d_plus**2 + 2.0 * self.c2 * d_plus)
 
     def covariance(self) -> CovarianceMatrix:
         V = np.zeros((4, 4))
@@ -245,15 +250,16 @@ def _two_two_classify(s: TwoTwoFamilyParams) -> realignment.TwoTwoClassification
 
 
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
-    """The realignment result of the ``classify`` row of a 2+2 state, refused
-    where |c| exceeds the family threshold."""
-    result = _two_two_classify(s)
-    if result.spectrum is None:
+    """The realignment result of a 2+2 state, refused above the family threshold."""
+    threshold = realignment.family_threshold(s.a, s.b)
+    if abs(s.c) > threshold:
         raise InvalidArgumentError(
             f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
-            f"{result.threshold} of the 2+2 family (a={s.a}, b={s.b})"
+            f"{threshold} of the 2+2 family (a={s.a}, b={s.b})"
         )
-    return realignment.RealignmentResult(norm=result.norm, spectrum=result.spectrum)
+    return realignment.RealignmentResult(
+        norm=realignment.realignment_norm_two_two(s.a, s.b, s.c),
+        spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c,) * 4))
 
 
 _W01 = witness.WitnessParams(0.0, 1.0)
@@ -264,7 +270,7 @@ FAMILIES = (
     Family("standard2", TwoModeStandardForm, dict.fromkeys(("a", "b", "c1", "c2"), real_field), {
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
-        "swap": lambda s: witness.swap_expectation(s.covariance()),
+        "swap": lambda s: witness.swap_expectation(s),
         "realignment_norm": lambda s: realignment.RealignmentResult(
             norm=realignment.realignment_norm_two_mode(s),
             spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2))),
@@ -291,7 +297,7 @@ FAMILIES = (
     }, axes=("p",)),
     Family("raw_covariance", CovarianceMatrix,
            {"modes": real_field, "ordering": text_field, "matrix": matrix_field}, {
-        "witness01": lambda V: witness.witness_expectation_covariance(V, _W01),
+        "witness01": lambda V: witness.witness_expectation_gaussian(V, _W01),
         "swap": lambda V: witness.swap_expectation(V),
         "realignment_norm": lambda V: realignment.realignment_norm(V),
     }, build=lambda **fields: _physical(CovarianceMatrix.from_fields(**fields))),

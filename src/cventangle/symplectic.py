@@ -70,6 +70,16 @@ class CovarianceMatrix:
     def modes(self) -> int:
         return self.matrix.shape[0] // 2
 
+    def slice_matrix(self, d_minus: float, d_plus: float) -> list[float]:
+        """Entries (s00, s01, s10, s11) of the slice matrix A + C D + D C^T + D B D
+        of :mod:`cventangle.phase_space`; InvalidArgumentError unless two-mode."""
+        if self.modes != 2:
+            raise InvalidArgumentError(f"witness and SWAP expectations require a two-mode "
+                                       f"covariance, got {self.modes} modes")
+        m, d = self.matrix, np.array([d_minus, d_plus], dtype=float)
+        cd = m[:2, 2:] * d
+        return (m[:2, :2] + cd + cd.T + m[2:, 2:] * np.outer(d, d)).ravel().tolist()
+
     @property
     def ordering(self) -> str:
         return ",".join(ORDERING_TEMPLATE.format(i + 1) for i in range(self.modes))

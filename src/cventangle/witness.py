@@ -1,9 +1,9 @@
 """Entanglement witnesses built from continuum displacement-operator bases.
 
-The two-parameter witness family is evaluated three ways: a closed form for
-standard-form Gaussian states, one 2x2 determinant for any zero-mean two-mode
-Gaussian covariance (:func:`cventangle.phase_space.slice_integral`), and the
-analytic optimum over the witness parameters.  The SWAP observable, the same
+The two-parameter witness family is evaluated two ways: one 2x2 slice
+determinant for any zero-mean two-mode Gaussian state, a standard form or a
+covariance (:func:`cventangle.phase_space.slice_integral`), and the analytic
+optimum over the witness parameters.  The SWAP observable, the same
 determinant at D = -I, and the closed forms of the photon-added and
 coherent-mixture examples live here as well.
 
@@ -78,34 +78,22 @@ def detects_entanglement(value: float) -> bool:
     return value < -DETECTION_TOL
 
 
-def witness_expectation_gaussian(s: TwoModeStandardForm, w: WitnessParams) -> float:
-    """Closed-form witness expectation for a standard-form Gaussian state:
-
-        1 - sqrt|mu- mu+| / (2 sqrt(K- K+)),
-
-    with K- = a + b mu-^2 + 2 c1 mu- and K+ = a + b mu+^2 + 2 c2 mu+.
-    """
-    km = s.a + s.b * w.mu_minus**2 + 2.0 * s.c1 * w.mu_minus
-    kp = s.a + s.b * w.mu_plus**2 + 2.0 * s.c2 * w.mu_plus
-    if km <= 0.0 or kp <= 0.0:
-        raise NumericDomainError(
-            f"inner factors must be positive, got K-={km}, K+={kp}; input is not "
-            "a physical state / valid parameter combination"
-        )
-    return 1.0 - math.sqrt(abs(w.mu_minus * w.mu_plus)) / (2.0 * math.sqrt(km * kp))
-
-
-def witness_expectation_covariance(V: CovarianceMatrix, w: WitnessParams) -> float:
-    """Witness expectation of the zero-mean two-mode Gaussian state with
-    covariance ``V``, from its Wigner function W:
+def witness_expectation_gaussian(state: TwoModeStandardForm | CovarianceMatrix,
+                                 w: WitnessParams) -> float:
+    """Witness expectation of a zero-mean two-mode Gaussian state (a standard
+    form or a covariance V), from its Wigner function W:
 
         1 - pi sqrt|mu- mu+| * integral W(mu2 conj(alpha) - mu1 alpha, alpha) d^2 alpha
-          = 1 - sqrt|mu- mu+| / (2 sqrt(det(A + C D + D C^T + D B D))),
+          = 1 - sqrt|mu- mu+| / (2 sqrt(det S)),
 
-    with D = diag(mu-, mu+) (see :func:`cventangle.phase_space.slice_integral`).
+    with S the slice matrix at D = diag(mu-, mu+) of
+    :func:`cventangle.phase_space.slice_integral` (diag(K-, K+), standard form).
     """
-    integral = phase_space.slice_integral(V, w.mu_minus, w.mu_plus)
+    integral = phase_space.slice_integral(state, w.mu_minus, w.mu_plus)
     return 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
+
+
+witness_expectation_covariance = witness_expectation_gaussian
 
 
 def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
@@ -192,17 +180,18 @@ def swap_photon_added_closed(n: float, r: float) -> float:
     return _finite_value(swap_photon_added_array, "photon-added SWAP", n, r)
 
 
-def swap_expectation(V: CovarianceMatrix) -> float:
-    """Expectation of the mode-SWAP observable on the zero-mean two-mode
-    Gaussian state with covariance ``V``:
+def swap_expectation(state: TwoModeStandardForm | CovarianceMatrix) -> float:
+    """Expectation of the mode-SWAP observable on a zero-mean two-mode
+    Gaussian state (a standard form or a covariance V):
 
         pi * integral W(alpha, alpha) d^2 alpha = 1 / (2 sqrt(det(A + B - C - C^T))),
 
-    the witness slice at D = -I.  Nonnegative on separable states; for product
+    the witness slice at D = -I; 1 / (2 sqrt((a + b - 2 c1)(a + b - 2 c2)))
+    for a standard form.  Nonnegative on separable states; for product
     states it equals the state overlap.  A negative value certifies
     entanglement.
     """
-    return math.pi * phase_space.slice_integral(V, -1.0, -1.0)
+    return math.pi * phase_space.slice_integral(state, -1.0, -1.0)
 
 
 def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:

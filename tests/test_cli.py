@@ -121,12 +121,24 @@ class TestEval:
         assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_INVALID
         assert capsys.readouterr().out == ""
 
-    def test_truncation_failure_exits_3(self):
+    def test_truncation_failure_exits_3(self, capsys):
         # eval has no Fock route any more; a numeric-domain failure it still
-        # reaches is a closed-form Gram spectrum whose ab leaves the float range
+        # reaches is a closed-form Gram spectrum whose prefactor
+        # a0 = 1/(16 ab) = 6.25e-402 underflows
         big = json.dumps({"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0})
         code = main(["eval", "--state", big, "--quantity", "realignment_norm"])
         assert code == EXIT_NUMERIC
+        assert "a0 underflows" in capsys.readouterr().err
+
+    def test_standard2_overflowing_ab_realignment_norm(self, capsys):
+        # ab = 1e310 overflows, but sqrt(ab) = sqrt(a) sqrt(b) and a0 = 6.25e-312
+        # do not: realignment_norm succeeds where optimal_witness does
+        doc = json.dumps({"family": "standard2", "a": 1e300, "b": 1e10, "c1": 0.0, "c2": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", "realignment_norm"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert record["a0"] == 6.25e-312 and record["nus"] == [0.25, 0.25]
+        assert main(["eval", "--state", doc, "--quantity", "optimal_witness"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["value"] == 1.0 - record["norm"]
 
     def test_two_two_gate_matches_classify_at_threshold(self, capsys):
         # |c| lies about 1e-12 (relative) above the threshold: classify calls
@@ -607,6 +619,24 @@ class TestQuantityTable:
         for quantity in ("witness01", "swap", "bounds", "realignment_norm"):
             assert main(["eval", "--state", raw, "--quantity", quantity]) == EXIT_OK
         assert len(calls) == 4
+
+    def test_closed_form_families_build_no_covariance(self, monkeypatch):
+        # standard2 supplies its witness and SWAP slice matrices from (a, b,
+        # c1, c2), and two_two its norms in closed form: no eval of either
+        # family builds a CovarianceMatrix
+        from cventangle import state_descriptor, symplectic, tmsv_params
+
+        def forbidden(_self):
+            raise AssertionError("a closed-form family built a CovarianceMatrix")
+
+        monkeypatch.setattr(symplectic.CovarianceMatrix, "__post_init__", forbidden)
+        tmsv = json.dumps(state_descriptor(tmsv_params(0.6)))
+        for quantity in ("optimal_witness", "witness01", "swap", "bounds", "realignment_norm"):
+            assert main(["eval", "--state", tmsv, "--quantity", quantity]) == EXIT_OK
+        for quantity in ("realignment_norm", "classify"):
+            assert main(["eval", "--state", TWO_TWO, "--quantity", quantity]) == EXIT_OK
+        with pytest.raises(AssertionError, match="built a CovarianceMatrix"):
+            tmsv_params(0.6).covariance()
 
     def test_classify_scan_skips_gram_pipeline(self, tmp_path, monkeypatch):
         # the Gram spectrum only fills the eval record's nus/a0; a scan cell

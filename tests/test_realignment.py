@@ -398,10 +398,21 @@ class TestClosedGramSpectrum:
     def test_refusals(self):
         with pytest.raises(SingularLimitError):
             standard_form_gram_spectrum(1.0, 1.0, (1.0, 0.0))
-        with pytest.raises(NumericDomainError, match="float range"):
+        # ab = 1e400 overflows, sqrt(ab) = 1e200 does not, a0 = 6.25e-402 does
+        with pytest.raises(NumericDomainError, match="a0 underflows"):
             standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0))
         with pytest.raises(NumericDomainError, match="underflows"):
             standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4)
+
+    def test_overflowing_ab_takes_sqrt_a_sqrt_b(self):
+        # ab = 1e310 overflows; sqrt(ab) is taken as in standard_form_norm,
+        # and a0 = 1/(16 ab) = 6.25e-312 is subnormal but not 0
+        spectrum = standard_form_gram_spectrum(1e300, 1e10, (0.0, 0.0))
+        assert spectrum.nus == (0.25, 0.25) and spectrum.a0 == 6.25e-312
+        sab = math.sqrt(1e300) * math.sqrt(1e10)
+        c = sab / 2
+        spectrum = standard_form_gram_spectrum(1e300, 1e10, (c, -c))
+        assert spectrum.nus == pytest.approx((0.25 / math.sqrt(0.75),) * 2, rel=1e-15)
 
 
 class TestClassifyTwoTwo:

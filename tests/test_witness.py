@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from cventangle import (
     CovarianceMatrix,
     InvalidArgumentError,
+    TwoModeStandardForm,
     coherent_mixture_fock,
     witness_coherent_mixture_closed,
     witness_fock,
@@ -48,6 +51,14 @@ def closed_form_reference(s, mu1, mu2):
     km = s.a + s.b * mm**2 + 2 * s.c1 * mm
     kp = s.a + s.b * mp**2 + 2 * s.c2 * mp
     return 1.0 - math.sqrt(abs(mm * mp)) / (2.0 * math.sqrt(km * kp))
+
+
+def unvalidated_standard_form(a, b, c1, c2) -> TwoModeStandardForm:
+    """A standard form built without its physicality test."""
+    s = object.__new__(TwoModeStandardForm)
+    for name, value in zip(("a", "b", "c1", "c2"), (a, b, c1, c2)):
+        object.__setattr__(s, name, value)
+    return s
 
 
 def random_params(rng) -> WitnessParams:
@@ -103,12 +114,12 @@ class TestGaussianClosedForm:
         assert abs(value - (1.0 - math.e)) < 1e-12
 
     def test_domain_error_outside_contract(self):
-        # unvalidated parameters can push an inner factor negative; must flag
-        class Fake:
-            a, b, c1, c2 = 0.25, 0.25, 0.5, 0.0
-
-        with pytest.raises(NumericDomainError):
-            witness_expectation_gaussian(Fake(), WitnessParams(-0.6, 0.4))
+        # unvalidated parameters can push K- negative, or both K- and K+ (a
+        # positive determinant); either slice matrix must be refused
+        for c2, w in ((0.0, WitnessParams(-0.6, 0.4)), (-0.5, WitnessParams(0.0, 1.0))):
+            s = unvalidated_standard_form(0.25, 0.25, 0.5, c2)
+            with pytest.raises(NumericDomainError, match="positive definite"):
+                witness_expectation_gaussian(s, w)
 
     def test_matches_reference_sweep(self, rng):
         for _ in range(50):
@@ -283,6 +294,16 @@ class TestSliceIntegral:
         with pytest.raises(InvalidArgumentError, match="two-mode"):
             slice_integral(CovarianceMatrix(np.eye(2 * modes) / 4), 1.0, 1.0)
 
+    def test_refuses_negative_definite_slice(self):
+        # S = -2 I has a positive determinant; Sylvester's s00 > 0 refuses it
+        V = CovarianceMatrix(-np.eye(4))
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            swap_expectation(V)
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            witness_expectation_covariance(V, WitnessParams(0.0, 1.0))
+        with pytest.raises(NumericDomainError, match="positive definite"):
+            swap_expectation(unvalidated_standard_form(0.25, 0.25, 0.5, 0.5))
+
     @pytest.mark.parametrize("c,d_minus", [(-0.5, 1.0), (-0.6, 1.0), (-0.5, math.nan)],
                              ids=["zero", "negative", "nan"])
     def test_refuses_nonpositive_determinant(self, c, d_minus):
@@ -292,6 +313,47 @@ class TestSliceIntegral:
                                        [c, 0, 0.5, 0], [0, 0, 0, 0.5]]))
         with pytest.raises(NumericDomainError, match="slice determinant"):
             slice_integral(V, d_minus, 1.0)
+
+
+def unit_or(lo, hi, *edges):
+    """Floats on [lo, hi] with the given edge values drawn often."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(nu_a=unit_or(0.25, 2.0, 0.25), nu_b=unit_or(0.25, 2.0, 0.25), r=unit_or(0.0, 3.0, 0.0, 3.0),
+       noise_a=unit_or(0.0, 1.0, 0.0), noise_b=unit_or(0.0, 1.0, 0.0),
+       rho1=unit_or(-1.0, 1.0, -1.0, 0.0, 1.0), rho2=unit_or(-1.0, 1.0, -1.0, 0.0, 1.0),
+       mu1=st.floats(-2.0, 2.0), mu2=st.floats(-2.0, 2.0))
+def test_standard_form_slice_matches_covariance(nu_a, nu_b, r, noise_a, noise_b, rho1, rho2,
+                                                mu1, mu2):
+    # a thermal pair (nu_a, nu_b) under two-mode squeezing r plus classical
+    # noise [[noise_a, e_i], [e_i, noise_b]] per quadrature, |e_i| <= the
+    # geometric mean: always physical; a or b = 1/4 at nu = 1/4, r = 0, noise
+    # 0, pure at nu_a = nu_b = 1/4 without noise, and |c_i| -> sqrt(ab) as r
+    # grows or |rho_i| = 1
+    ch, sh = math.cosh(r), math.sinh(r)
+    c, e = (nu_a + nu_b) * sh * ch, math.sqrt(noise_a * noise_b)
+    s = TwoModeStandardForm(nu_a * ch * ch + nu_b * sh * sh + noise_a,
+                            nu_a * sh * sh + nu_b * ch * ch + noise_b, c + rho1 * e, -c + rho2 * e)
+    V = s.covariance()
+    if abs((mu1 - mu2) * (mu1 + mu2)) <= 1e-3:
+        mu1, mu2 = 0.0, 1.0
+    w = WitnessParams(mu1, mu2)
+
+    def tol(d_minus, d_plus):
+        # 1e-13 relative, or 16u per unit of the cancellation T / K in
+        # K = a + b d^2 + 2 c d, T = a + b d^2 + 2 |c d|, which both routes round
+        k_minus, _, _, k_plus = s.slice_matrix(d_minus, d_plus)
+        cond = sum((s.a + s.b * d * d + 2 * abs(ci * d)) / k
+                   for d, ci, k in ((d_minus, s.c1, k_minus), (d_plus, s.c2, k_plus)))
+        return max(1e-13, 16 * 2.0**-53 * cond)
+
+    ref = witness_expectation_covariance(V, w)
+    assert abs(witness_expectation_gaussian(s, w) - ref) <= (tol(w.mu_minus, w.mu_plus)
+                                                             * max(1.0, abs(ref)))
+    ref = swap_expectation(V)
+    assert abs(swap_expectation(s) - ref) <= tol(-1.0, -1.0) * ref
 
 
 class TestPhotonAddedClosedForm:
