@@ -8,6 +8,8 @@ failures -> 3, I/O -> 4 (see :mod:`cventangle.cli`).
 import math
 import numbers
 
+import numpy as np
+
 
 class CVEntangleError(Exception):
     """Base class for all library errors."""
@@ -48,6 +50,8 @@ def require_nonnegative_nr(n: float, r: float) -> None:
 
 def real_field(name: str, value) -> float:
     """A finite real number; booleans, NaN and infinities are rejected."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -70,5 +74,13 @@ def text_field(name: str, value) -> str:
     return value
 
 
-def matrix_field(name: str, value) -> list:
-    return [[real_field(name, x) for x in row] for row in value]
+def matrix_field(name: str, value) -> np.ndarray:
+    """Rows of real numbers as one float array; each entry type passes :func:`real_field`'s
+    test first (numpy parses "1.5", reads True as 1.0).  CovarianceMatrix checks the rest."""
+    for kind in {type(x) for row in value for x in row}:
+        if not issubclass(kind, numbers.Real) or issubclass(kind, bool):
+            raise InvalidArgumentError(f"field {name!r} must hold numbers, got a {kind.__name__}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged rows, an integer beyond the float range
+        raise InvalidArgumentError(f"malformed matrix in field {name!r}: {exc}") from exc

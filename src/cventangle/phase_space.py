@@ -18,7 +18,7 @@ building V.  The integral is one 2x2 determinant, with no inverse and no
 quadrature, so it carries rounding error only.  An S that is not positive
 definite (Sylvester: s00 > 0 and det S > 0) means V is not positive definite
 in floating point (e.g. a - |c| below one ulp of a, or unvalidated input): a
-numeric-domain failure.
+numeric-domain failure, as is an entry of S that leaves the float range.
 """
 
 from __future__ import annotations
@@ -36,16 +36,16 @@ def slice_integral(state, d_minus: float, d_plus: float) -> float:
 
     Raises:
         InvalidArgumentError: if the state is not two-mode.
-        NumericDomainError: if S is not positive definite (or NaN).
+        NumericDomainError: if S has an infinite entry or is not positive definite (or NaN).
     """
     s00, s01, s10, s11 = state.slice_matrix(d_minus, d_plus)
     # f = 2^-e exactly, 2^e above the larger diagonal entry, which bounds every
     # entry of a positive definite matrix: the scaled determinant cannot overflow
     f = math.ldexp(1.0, -math.frexp(max(s00, s11))[1])
     det = (s00 * f) * (s11 * f) - (s01 * f) * (s10 * f)
-    if not (s00 > 0.0 and det > 0.0):
+    if not (s00 > 0.0 and 0.0 < det < math.inf):  # inf: an entry overflowed, not a 0 integral
         raise NumericDomainError(
             f"slice matrix must be positive definite, got s00={s00} and slice determinant "
-            f"{det / f / f}; the covariance is not positive definite in floating point"
+            f"{det / f / f}; V is not positive definite in floating point, or S overflows"
         )
     return f / (2.0 * math.pi * math.sqrt(det))

@@ -158,20 +158,20 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     k = V.modes  # 2n: the dimension of each side
     if k % 2:
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
-    local = np.stack([V.matrix[:k, :k], V.matrix[k:, k:]])
+    local = np.array([V.matrix[:k, :k], V.matrix[k:, k:]])
     try:
         R = np.linalg.cholesky(local)
     except np.linalg.LinAlgError as exc:
         raise InvalidArgumentError("covariance matrix must be positive definite") from exc
     W = np.linalg.inv(R)
     s = np.linalg.svd(W[0] @ V.matrix[:k, k:] @ W[1].T, compute_uv=False)
-    kappa = np.linalg.norm(local, axis=(1, 2)) * np.linalg.norm(W, axis=(1, 2)) ** 2
+    kappa = np.sqrt((local * local).sum(axis=(1, 2))) * np.sqrt((W * W).sum(axis=(1, 2))) ** 2
     allowance = 4.0 * k * k * 2.0**-53 * float(kappa.sum())
     gaps = (1.0 - s).tolist()
     if not min(gaps) > allowance:
         raise SingularLimitError(f"realigned norm diverges: canonical correlation "
                                  f"{float(s.max())!r} is within {allowance:.1e} of 1")
-    g = math.exp(2.0 * float(np.log(np.diagonal(R, axis1=1, axis2=2)).mean()))
+    g = math.exp(2.0 * (float(np.log(np.diagonal(R, axis1=1, axis2=2)).sum()) / (2 * k)))
     spectrum = _gram_spectrum(g, gaps)
     norm = math.prod(0.5 / math.sqrt(g * gap) for gap in gaps)
     return RealignmentResult(norm=norm, spectrum=spectrum)
@@ -270,6 +270,9 @@ def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
 #: Radicands of the 2+2 threshold in [-RADICAND_TOL, 0) are rounding and
 #: read as 0 (they occur where a or b is 1/4).
 RADICAND_TOL = 1e-12
+#: value * NAN_OR_ONE.take(ok) is value where ok and NaN elsewhere, on numbers
+#: and arrays: no np.where, which costs more than a closed form on a number.
+NAN_OR_ONE = np.array([np.nan, 1.0])
 
 
 def family_threshold_array(a, b):
@@ -286,7 +289,7 @@ def family_threshold_array(a, b):
     with np.errstate(all="ignore"):
         radicand = a * b - np.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
         ok = (a >= 0.25) & (b >= 0.25) & (radicand >= -RADICAND_TOL)
-        return np.where(ok, np.sqrt(np.maximum(radicand, 0.0)), np.nan)[()]
+        return np.sqrt(np.maximum(radicand, 0.0)) * NAN_OR_ONE.take(ok)
 
 
 def family_threshold(a: float, b: float) -> float:
@@ -345,7 +348,7 @@ def classify_two_two_array(a, b, c):
     invalid = np.isnan(threshold) | (~unphysical & np.isnan(norm))
     detected = ~invalid & ~unphysical & (norm > 1.0 + DETECTION_TOL)
     verdict = _TWO_TWO_VERDICTS[3 * invalid + 2 * unphysical + detected]  # exclusive flags
-    return verdict, np.where(unphysical | invalid, np.nan, norm)[()], threshold
+    return verdict, norm * NAN_OR_ONE.take(~invalid & ~unphysical), threshold
 
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:

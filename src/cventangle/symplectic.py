@@ -9,6 +9,7 @@ by 4; the hbar = 1/2 literature matches as-is.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,14 +56,14 @@ class CovarianceMatrix:
             raise InvalidArgumentError(
                 f"covariance matrix dimension must be a positive even number, got {m.shape[0]}"
             )
-        if not np.all(np.isfinite(m)):
+        if not math.isfinite(largest := float(np.abs(m).max())):  # NaN or inf where an entry is
             raise InvalidArgumentError("covariance matrix entries must be finite")
-        scale = max(1.0, float(np.abs(m).max()))
+        scale = max(1.0, largest)
         if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
             raise InvalidArgumentError(
                 f"covariance matrix asymmetry exceeds relative tolerance {SYMMETRY_TOL}"
             )
-        m = (m + m.T) / 2.0
+        m = (m + m.T) / 2.0 if largest < 2.0**1022 else m / 2.0 + m.T / 2.0  # x + y may overflow
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -85,17 +86,13 @@ class CovarianceMatrix:
         return ",".join(ORDERING_TEMPLATE.format(i + 1) for i in range(self.modes))
 
     @classmethod
-    def from_fields(cls, modes: float, ordering: str, matrix: list) -> "CovarianceMatrix":
+    def from_fields(cls, modes: float, ordering: str, matrix: np.ndarray) -> "CovarianceMatrix":
         """Build from the decoded fields of a ``raw_covariance`` state
         descriptor, checking that they agree."""
-        try:
-            matrix = np.asarray(matrix, dtype=float)
-        except ValueError as exc:  # ragged rows
-            raise InvalidArgumentError(f"malformed covariance matrix: {exc}") from exc
         cov = cls(matrix)
         if cov.modes != modes:
             raise InvalidArgumentError(
-                f"matrix dimension {matrix.shape[0]} does not match modes={modes:g}"
+                f"matrix dimension {cov.matrix.shape[0]} does not match modes={modes:g}"
             )
         if ordering.replace(" ", "") != cov.ordering:
             raise InvalidArgumentError(
@@ -124,14 +121,22 @@ class WilliamsonSpectrum:
         object.__setattr__(self, "a0", float(self.a0))
 
 
+@functools.lru_cache(maxsize=8)
+def _quarter_iJ(modes: int) -> np.ndarray:
+    """iJ/4, built once per mode count and shared: read-only."""
+    term = 0.25j * symplectic_form(modes)
+    term.setflags(write=False)
+    return term
+
+
 def physical_mask(matrices) -> np.ndarray:
     """Physicality test of a stack of real symmetric 2m x 2m matrices (shape
     (..., 2m, 2m), unvalidated): true where V + iJ/4 has minimum eigenvalue
     >= -PHYSICALITY_TOL, with one stacked eigen-solve.
     """
     matrices = np.asarray(matrices, dtype=float)
-    J = symplectic_form(matrices.shape[-1] // 2)
-    return np.linalg.eigvalsh(matrices + 0.25j * J).min(axis=-1) >= -PHYSICALITY_TOL
+    vacuum = _quarter_iJ(matrices.shape[-1] // 2)
+    return np.linalg.eigvalsh(matrices + vacuum).min(axis=-1) >= -PHYSICALITY_TOL
 
 
 def is_physical(V: CovarianceMatrix) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import phase_space
 from .errors import InvalidArgumentError, NumericDomainError, real_field, require_nonnegative_nr
-from .realignment import DETECTION_TOL, realignment_norm_two_mode
+from .realignment import DETECTION_TOL, NAN_OR_ONE, realignment_norm_two_mode
 
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
@@ -126,7 +126,7 @@ def witness_photon_added_array(n, r):
         m = 1.0 + 2.0 * n
         ch = np.cosh(r)
         value = 1.0 - np.exp(4.0 * r) * n * (1.0 + n) / (m * m * (ch * ch + n * np.cosh(2.0 * r)))
-        return np.where((n >= 0.0) & (r >= 0.0) & np.isfinite(value), value, np.nan)[()]
+        return value * NAN_OR_ONE.take((n >= 0.0) & (r >= 0.0) & np.isfinite(value))
 
 
 def swap_photon_added_array(n, r):
@@ -146,7 +146,7 @@ def swap_photon_added_array(n, r):
         # cosh 2r >= 1 and the value lies in [0, 1/2): their product is finite
         # exactly where both are
         ok = (n >= 0.0) & (r >= 0.0) & np.isfinite(cosh2r * value)
-        return np.where(ok, value, np.nan)[()]
+        return value * NAN_OR_ONE.take(ok)
 
 
 def _finite_value(closed_form, name: str, n: float, r: float) -> float:

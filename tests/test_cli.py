@@ -192,6 +192,9 @@ class TestEval:
                  "alpha2": [0.0, 0.0]},
                 "swap",
             ),
+            # the slice entry a + b overflows: refused, not read as SWAP 0.0
+            *(({"family": "standard2", "a": 1e308, "b": 1e308, "c1": 0.0, "c2": 0.0}, quantity)
+              for quantity in ("swap", "witness01", "bounds")),
         ],
     )
     def test_arithmetic_failure_exits_3(self, doc, quantity, capsys):

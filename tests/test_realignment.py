@@ -26,7 +26,8 @@ from cventangle import (
 )
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
 from cventangle.realignment import standard_form_gram_spectrum, standard_form_norm
-from cventangle.witness import DETECTION_TOL
+from cventangle.witness import (DETECTION_TOL, swap_photon_added_closed,
+                                witness_photon_added_closed)
 from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
                       random_physical_cov, random_product_cov, random_standard_form,
                       random_symplectic)
@@ -465,6 +466,20 @@ class TestClassifyTwoTwo:
         with pytest.raises(InvalidArgumentError):
             classify_two_two(0.2, 1.0, 0.0)
         assert len(calls) == 2
+
+    def test_scalar_closed_forms_call_no_np_where(self, monkeypatch):
+        # on numbers, a 0-d np.where costs more than the closed form it selects from
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("np.where ran on a scalar closed form")
+
+        monkeypatch.setattr(np, "where", forbidden)
+        assert classify_two_two(1.0, 1.0, 0.78).verdict == "bound_entangled"
+        assert classify_two_two(1.0, 1.0, 0.9).norm is None
+        with pytest.raises(NumericDomainError):
+            classify_two_two(1e200, 1e200, 0.0)
+        assert witness_photon_added_closed(1.0, 1.0) < 0.0 < swap_photon_added_closed(1.0, 1.0)
+        with pytest.raises(NumericDomainError):
+            witness_photon_added_closed(1.0, 200.0)
 
     def test_detected_points_are_ppt(self, rng):
         for _ in range(40):

@@ -1,7 +1,11 @@
+import fractions
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
 from cventangle import (
@@ -17,6 +21,7 @@ from cventangle import (
     symplectic_form,
     two_two_family,
 )
+from cventangle.errors import real_field
 from conftest import (is_ppt, partial_transpose, random_physical_cov, random_product_cov,
                       random_symplectic)
 
@@ -69,6 +74,13 @@ class TestCovarianceMatrix:
         cov = CovarianceMatrix(V)
         assert cov.matrix[0, 1] == cov.matrix[1, 0]
 
+    def test_symmetrizes_the_largest_floats(self):
+        # (x + y)/2 would overflow here; x/2 + y/2 gives the same bits
+        V = np.diag([1.7e308, 1.0, 1.0, 1.0])
+        V[0, 1], V[1, 0] = 1.0, math.nextafter(1.0, 0.0)
+        assert np.array_equal(CovarianceMatrix(V).matrix, (V / 4 + V.T / 4) * 2)
+        assert is_physical(CovarianceMatrix(V))
+
     def test_json_roundtrip(self):
         cov = squeezed_thermal_params(0.3, 0.4).covariance()
         doc = json.loads(json.dumps(state_descriptor(cov)))
@@ -93,6 +105,11 @@ class TestCovarianceMatrix:
             '{"modes": 1e300, "ordering": "x1,p1", "matrix": [[0.25, 0], [0, 0.25]]}',
             '{"modes": 1, "ordering": "x1,p1", "matrix": [[0.25, 0], [0]]}',
             '[1, 2]',
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [["0.25", 0], [0, 0.25]]}',
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[0.25, null], [null, 0.25]]}',
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[1e400, 0], [0, 0.25]]}',
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[1%s, 0], [0, 0.25]]}' % ("0" * 400),
+            '{"modes": 1, "ordering": "x1,p1", "matrix": [[[0.25], 0], [0, 0.25]]}',
         ],
     )
     def test_json_rejects_malformed_document(self, text):
@@ -103,10 +120,127 @@ class TestCovarianceMatrix:
         with pytest.raises(InvalidArgumentError):
             parse_state_descriptor(doc)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_decode_matches_per_entry_reference(self, data):
+        # one conversion of the whole matrix accepts exactly what real_field
+        # accepts entry by entry, with the same bits, and refuses the rest
+        # with InvalidArgumentError
+        doc = data.draw(raw_descriptors())
+        try:
+            expected = per_entry_parse(doc).matrix.tobytes()
+        except InvalidArgumentError:
+            expected = None
+        try:
+            got = parse_state_descriptor(doc).matrix.tobytes()
+        except InvalidArgumentError:
+            got = None
+        assert got == expected
+
+    def test_raw_decode_calls_real_field_only_for_scalars(self, monkeypatch):
+        # the 144 entries of a 3+3 matrix are decoded by one numpy conversion
+        from cventangle import errors
+
+        names = []
+
+        def counted(name, value, _original=errors.real_field):
+            names.append(name)
+            return _original(name, value)
+
+        monkeypatch.setattr(errors, "real_field", counted)
+        doc = json.loads(json.dumps(state_descriptor(CovarianceMatrix(np.eye(12) / 4))))
+        assert parse_state_descriptor(doc).modes == 6
+        assert set(names) <= {"modes"}
+
+
+def per_entry_parse(doc):
+    """Reference for the ``raw_covariance`` decode: one real_field call per
+    matrix entry, then the shared covariance and physicality checks."""
+    try:
+        rows = [[real_field("matrix", x) for x in row] for row in doc["matrix"]]
+        matrix = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:  # a refused entry, a scalar row, ragged rows
+        raise InvalidArgumentError(str(exc)) from exc
+    V = CovarianceMatrix.from_fields(real_field("modes", doc["modes"]), doc["ordering"], matrix)
+    if not is_physical(V):
+        raise InvalidArgumentError("unphysical")
+    return V
+
+
+#: Entries real_field refuses: bools (numpy bools too), None, strings, NaN,
+#: infinities, integers beyond the float range, a third nesting level, complex.
+JUNK = st.sampled_from([True, False, np.bool_(True), None, "0.25", "1e-3", math.nan, math.inf,
+                        -math.inf, 10**400, -(10**400), [0.25], [], complex(0.25, 0.0)])
+#: Accepted values that stress the conversion: signed zero, subnormals, ints
+#: beyond int64 (an object array in numpy), the largest floats.
+EXOTIC = st.sampled_from([-0.0, 5e-324, 3 * 5e-324, 2.2250738585072014e-308, 2**70, -(2**70),
+                          2**64 + 2**11 + 1, 10**300, 1e308, -1e308])
+
+
+def same_value(value: float):
+    """``value`` in the number types real_field accepts, converted back exactly."""
+    kinds = [st.just(value), st.just(np.float64(value)), st.just(fractions.Fraction(value))]
+    if value.is_integer():
+        kinds += [st.just(int(value)), st.just(np.int64(int(value)))]
+    if float(np.float32(value)) == value:
+        kinds.append(st.just(np.float32(value)))
+    return st.one_of(kinds)
+
+
+@st.composite
+def raw_descriptors(draw):
+    """raw_covariance descriptors of a physical diagonal matrix (1 or 2 modes)
+    whose entries are drawn in mixed number types, with exotic values
+    (mirrored, so the matrix stays symmetric) and refused entries, ragged rows
+    and whole-field replacements mixed in."""
+    modes = draw(st.sampled_from([1, 2]))
+    n = 2 * modes
+    diagonal = draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))
+    rows = [[diagonal[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            action = draw(st.sampled_from(["keep"] * 3 + ["type", "exotic", "junk"]))
+            if action == "type":
+                value = rows[i][j]
+                rows[i][j], rows[j][i] = draw(same_value(value)), draw(same_value(value))
+            elif action == "exotic":
+                rows[i][j] = rows[j][i] = draw(EXOTIC)
+            elif action == "junk":
+                rows[i][j] = draw(JUNK)
+    shape = draw(st.sampled_from(["lists"] * 6 + ["ragged", "longer", "array", "scalar"]))
+    matrix = rows
+    if shape == "ragged":
+        rows[draw(st.integers(0, n - 1))].pop()
+    elif shape == "longer":
+        rows[draw(st.integers(0, n - 1))].append(0.0)
+    elif shape == "array":
+        matrix = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                matrix[i, j] = rows[i][j]
+        if all(type(x) is float for row in rows for x in row):
+            matrix = matrix.astype(float)
+    elif shape == "scalar":
+        matrix = np.float64(0.25)
+    return {"family": "raw_covariance", "modes": modes,
+            "ordering": ",".join(f"x{k},p{k}" for k in range(1, modes + 1)), "matrix": matrix}
+
 
 class TestIsPhysical:
     def test_vacuum(self):
         assert is_physical(CovarianceMatrix(np.eye(4) / 4))
+
+    def test_builds_the_symplectic_form_once_per_mode_count(self, monkeypatch):
+        from cventangle import symplectic
+
+        V = CovarianceMatrix(np.eye(6) / 4)
+        assert is_physical(V)
+
+        def forbidden(_modes):
+            raise AssertionError("the symplectic form was rebuilt")
+
+        monkeypatch.setattr(symplectic, "symplectic_form", forbidden)
+        assert is_physical(V) and not is_physical(CovarianceMatrix(np.eye(6) / 8))
 
     def test_below_vacuum_noise(self):
         assert not is_physical(CovarianceMatrix(np.eye(4) / 8))

@@ -289,6 +289,16 @@ class TestSliceIntegral:
         V = TwoModeStandardForm(1e200, 1e200, 0.0, 0.0).covariance()
         assert abs(swap_expectation(V) * 4e200 - 1.0) <= 4 * 2.0**-53
 
+    def test_refuses_an_overflowing_entry(self):
+        # K = a + b d^2 overflows at a = b = 1e308; an infinite entry had read
+        # as a zero integral (SWAP 0.0 against the exact 1/(2(a + b)) = 2.5e-309)
+        s = TwoModeStandardForm(1e308, 1e308, 0.0, 0.0)
+        with pytest.raises(NumericDomainError):
+            swap_expectation(s)
+        with pytest.raises(NumericDomainError):
+            witness_expectation_gaussian(s, WitnessParams(0.0, 1.0))
+        assert swap_expectation(TwoModeStandardForm(5e307, 5e307, 0.0, 0.0)) == 0.5 / 1e308
+
     @pytest.mark.parametrize("modes", [1, 3])
     def test_requires_two_modes(self, modes):
         with pytest.raises(InvalidArgumentError, match="two-mode"):
