@@ -3,7 +3,7 @@
 One table, :func:`_checks`, names for every check the truncated Fock states it
 reads, the oracle quantities it needs from them and its closed form.
 :func:`run_verification` builds each distinct state once per call, computes
-only the quantities some check asks for, and releases the matrix before the
+only the quantities some check asks for, and releases the state before the
 next build.  The report lists each check's worst deviation against its own
 tolerance and the worst truncation deficit among the states it read.  A
 failing check whose states lost more trace than its tolerance allows gets an
@@ -72,7 +72,7 @@ def _checks(r_max: float) -> list[tuple]:
 def _oracle_values(state: tuple, cutoff: int, needs) -> tuple[dict, float | None]:
     """Build one state and compute the quantities in ``needs``, keeping the
     error in place of every value it prevents, and the trace deficit (None if
-    the build failed).  The matrix is released on return."""
+    the build failed).  The state is released on return."""
     builder, args = state
     try:
         rho = getattr(fock, builder)(*args, cutoff)

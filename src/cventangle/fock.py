@@ -1,26 +1,28 @@
 """Brute-force two-mode verification in a truncated Fock basis.
 
-States are dense (N+1)^2 x (N+1)^2 density matrices with basis index
-i*(N+1)+j for |i>_A |j>_B, stored real whenever every entry is real.
+A state is its exactly nonzero entries: the sorted flat indices
+(``support``) into the (N+1)^2 x (N+1)^2 density matrix, basis index
+i*(N+1)+j for |i>_A |j>_B, and their ``values``, stored real whenever every
+entry is real.  No builder or kernel allocates an array of (N+1)^4
+elements; ``FockDensityMatrix.matrix`` assembles the dense array on demand.
 Constructors self-report the trace lost to truncation and refuse to build
 states that lose more than 1%.  Each builder hands the sorted flat indices
 and values of its nonzero entries to one constructor core,
 :func:`_from_entries`: the non-finite check, the Hermiticity gate and the
-symmetrization read only those entries and their mirrors, the dense matrix
-is written once, and no dense temporary is built or scanned.  A dense
-matrix passed to :class:`FockDensityMatrix` goes through the same core after
-one scan for its nonzero entries.  The surviving entries are the state's
-exact nonzero pattern (``support``).  A builder's trace is summed over a
-dense diagonal vector, the same pairwise sum ``np.trace`` takes.  Witness
-and SWAP expectations are index sums over the matrix.  Negativity and the
-realigned trace norm map the pattern through the axis permutation that
-turns rho into the partial transpose or the realigned matrix, split that
-matrix into the connected components of the mapped pattern, a permutation
-rather than an approximation, and gather each block from rho through the
-same permutation, with no dense transposed copy; equal-shape blocks share
-one stacked LAPACK call.  No symmetry of the state (such as conservation of the photon-number
-difference) is assumed; it is only observed in the zeros, so the oracle stays
-independent of every analytic path in the package.
+symmetrization read only those entries and their mirrors, which one sort of
+the mirrored indices pairs up.  A dense matrix passed to
+:class:`FockDensityMatrix` goes through the same core after one scan for its
+nonzero entries.  A builder's trace is summed over a dense diagonal vector,
+the same pairwise sum ``np.trace`` takes.  Witness and SWAP expectations
+look up the O(d^2) entries they read in the support.  Negativity and the
+realigned trace norm map the pattern through the axis permutation that turns
+rho into the partial transpose or the realigned matrix, split that matrix
+into the connected components of the mapped pattern, a permutation rather
+than an approximation, and scatter the entries straight into their blocks;
+equal-shape blocks share one stacked LAPACK call.  No symmetry of the state
+(such as conservation of the photon-number difference) is assumed; it is
+only observed in the zeros, so the oracle stays independent of every
+analytic path in the package.
 """
 
 from __future__ import annotations
@@ -42,38 +44,48 @@ MAX_TRACE_DEFICIT = 0.01
 _HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FockDensityMatrix:
-    """Two-mode density matrix truncated at ``cutoff`` photons per mode.
+    """Two-mode density matrix truncated at ``cutoff`` photons per mode,
+    stored as its exactly nonzero entries: their sorted flat indices
+    ``support`` into the (N+1)^2 x (N+1)^2 matrix and their ``values``.
 
-    ``cutoff`` must be an integer >= 0 and ``trace_deficit`` a number in
-    [0, 1].  A dense ``matrix`` is scanned once for its nonzero entries, which
-    then take the builders' path (:func:`_from_entries`): the stored matrix
-    is (m + m^H)/2 and ``support`` holds the flat indices of its exactly
-    nonzero entries, which the Hermiticity gate, the symmetrization and both
-    trace-norm kernels read.
+    ``FockDensityMatrix(cutoff, matrix, trace_deficit)`` takes a dense
+    ``matrix``; ``cutoff`` must be an integer >= 0 and ``trace_deficit`` a
+    number in [0, 1].  The matrix is scanned once for its nonzero entries,
+    which then take the builders' path (:func:`_from_entries`): the state is
+    (m + m^H)/2.  ``matrix`` assembles the dense array on each access; every
+    kernel reads the entries instead.
     """
 
     cutoff: int
-    matrix: np.ndarray
     trace_deficit: float
-    support: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        d = (_valid_cutoff(self.cutoff) + 1) ** 2
-        m = np.asarray(self.matrix)
+    def __init__(self, cutoff, matrix, trace_deficit):
+        d = (_valid_cutoff(cutoff) + 1) ** 2
+        m = np.asarray(matrix)
         if m.shape != (d, d):
-            raise InvalidArgumentError(
-                f"matrix shape {m.shape} does not match cutoff {self.cutoff}"
-            )
+            raise InvalidArgumentError(f"matrix shape {m.shape} does not match cutoff {cutoff}")
         flat = m.ravel()
         support = np.flatnonzero(flat)
-        built = _from_entries(self.cutoff, support, flat[support], self.trace_deficit)
+        built = _from_entries(cutoff, support, flat[support], trace_deficit)
         vars(self).update(vars(built))  # vars() bypasses the frozen __setattr__
 
     @property
     def dim(self) -> int:
         return self.cutoff + 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (N+1)^2 x (N+1)^2 matrix (read-only), assembled from the
+        entries on each access."""
+        n = self.dim**2
+        dense = np.zeros(n * n, dtype=self.values.dtype)
+        dense[self.support] = self.values
+        dense.setflags(write=False)
+        return dense.reshape(n, n)
 
 
 def _valid_cutoff(cutoff) -> int:
@@ -92,22 +104,49 @@ def _valid_deficit(deficit) -> float:
     return deficit
 
 
+def _index_dtype(cutoff: int) -> type:
+    """The integer type of flat indices: int32 while (N+1)^4 fits (through
+    cutoff 214), which halves the index memory of every state."""
+    return np.int32 if (cutoff + 1) ** 4 <= np.iinfo(np.int32).max else np.int64
+
+
+def _digit(flat: np.ndarray, d: int, axis: int) -> np.ndarray:
+    """Digit ``axis`` (0 to 3, most significant first) of the 4-digit
+    base-``d`` numbers ``flat``."""
+    return flat // d ** (3 - axis) % d
+
+
+def _lookup(support: np.ndarray, values: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The entries at the flat indices ``flat`` of the matrix holding
+    ``values`` at the sorted ``support``: 0 where it holds none."""
+    out = np.zeros(flat.shape, dtype=values.dtype)
+    flat = flat.astype(support.dtype, copy=False)  # wider queries would cast a copy of support
+    pos = np.searchsorted(support, flat)
+    hit = pos < support.size
+    hit[hit] = support[pos[hit]] == flat[hit]
+    out[hit] = values[pos[hit]]
+    return out
+
+
 def _from_entries(
     cutoff, support: np.ndarray, values: np.ndarray, trace_deficit
 ) -> FockDensityMatrix:
     """The state whose matrix m holds ``values`` at the sorted flat indices
-    ``support`` and 0 elsewhere, stored as (m + m^H)/2; every constructor
-    ends here.
+    ``support`` and 0 elsewhere, stored as the entries of (m + m^H)/2; every
+    constructor ends here.
 
     Entries equal to 0 are dropped.  The rest are stored real when none has
     an imaginary part, must be finite, and must match the conjugate of their
     mirror within 1e-12 of the largest magnitude (or of 1).  An entry that
     is 0 along with its mirror adds nothing to the scale or the asymmetry and
     stays 0 in (m + m^H)/2, so the entries and their mirrors carry the whole
-    dense computation: the matrix is written, never scanned.
+    computation.  Each entry finds its mirror by sorting the mirrored
+    indices: a symmetric pattern, as every builder's is, maps onto itself
+    and the sort pairs the entries; any other pattern looks its mirrors up.
     """
     cutoff, deficit = _valid_cutoff(cutoff), _valid_deficit(trace_deficit)
     n = (cutoff + 1) ** 2
+    support = np.asarray(support).astype(_index_dtype(cutoff), copy=False)
     values = np.asarray(values)
     values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
     keep = values != 0
@@ -117,13 +156,15 @@ def _from_entries(
         values = values.real
     if not np.isfinite(values).all():
         raise InvalidArgumentError("density matrix has a non-finite entry")
-    row, col = _digits(support, n, 2)
-    mirror = col * n + row
-    del row, col
-    sym = np.zeros((n, n), dtype=values.dtype)
-    out = sym.ravel()
-    out[support] = values
-    mirrored = out[mirror]  # 0 exactly where the mirror is no entry
+    row = support // n
+    mirror = (support - row * n) * n + row  # (row, col) -> (col, row)
+    del row
+    order = np.argsort(mirror, kind="stable")
+    if np.array_equal(mirror[order], support):  # entry order[i] mirrors entry i
+        mirrored = values[order]
+    else:
+        mirrored = _lookup(support, values, mirror)  # 0 exactly where the mirror is no entry
+    del order
     lonely = mirrored == 0
     target = mirror[lonely]  # off the given pattern, yet half an entry in (m + m^H)/2
     tail = mirrored[lonely] + np.conjugate(values[lonely])
@@ -133,19 +174,21 @@ def _from_entries(
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     if float(np.abs(values - mirrored).max(initial=0.0)) > _HERMITICITY_TOL * scale:
         raise InvalidArgumentError("density matrix is not Hermitian within 1e-12")
-    average = np.add(values, mirrored, out=mirrored)
-    average /= 2.0
-    out[support] = average
-    out[target] = tail
-    nonzero = average != 0
+    values = np.add(values, mirrored, out=mirrored)
+    values /= 2.0
+    nonzero = values != 0
     if target.size:
-        support = np.sort(np.concatenate([support[nonzero], target[tail != 0]]))
+        lone = tail != 0
+        support = np.concatenate([support[nonzero], target[lone]])
+        values = np.concatenate([values[nonzero], tail[lone]])
+        order = np.argsort(support)
+        support, values = support[order], values[order]
     elif not nonzero.all():
-        support = support[nonzero]
-    for array in (sym, support):
+        support, values = support[nonzero], values[nonzero]
+    for array in (support, values):
         array.setflags(write=False)
     rho = object.__new__(FockDensityMatrix)
-    vars(rho).update(cutoff=cutoff, matrix=sym, trace_deficit=deficit, support=support)
+    vars(rho).update(cutoff=cutoff, trace_deficit=deficit, support=support, values=values)
     return rho
 
 
@@ -236,7 +279,7 @@ def coherent_mixture_fock(
     # phi[0] = (c1[0] c2[0] - c2[0] c1[0]) / sqrt 2 is exactly 0, so the
     # vacuum term is the first entry, ahead of the outer product p phi phi^H
     # over phi's nonzero amplitudes
-    nz = np.flatnonzero(phi)
+    nz = np.flatnonzero(phi).astype(_index_dtype(cutoff))
     k = nz.size
     support = np.empty(k * k + 1, dtype=nz.dtype)
     values = np.empty(k * k + 1, dtype=phi.dtype)
@@ -313,7 +356,7 @@ def _sts_raw(n: float, r: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, n
     indices, blocks = [], []
     for delta in range(d):
         B = _squeezer_ladder_block(r, cutoff, delta, lg)
-        m = np.arange(d - delta)
+        m = np.arange(d - delta, dtype=_index_dtype(cutoff))
         weights = pk[m + delta] * pk[m]
         block = (B * weights[None, :]) @ B.T
         # rows and columns |m+delta, m>, and their mirror |m, m+delta>
@@ -355,7 +398,7 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     # (i, j+1, k, l+1), flat index + d^2 + 1, scaled by sqrt(j+1) sqrt(l+1);
     # an entry with j or l at the cutoff leaves the space
     root = np.sqrt(np.arange(1.0, d))
-    _i, j, _k, l = _digits(support, d, 4)
+    j, l = _digit(support, d, 1), _digit(support, d, 3)
     kept = (j < cutoff) & (l < cutoff)
     j, l = j[kept], l[kept]
     support = support[kept] + (d * d + 1)
@@ -385,16 +428,23 @@ def witness_fock(rho: FockDensityMatrix, which: str) -> float:
 
     ``W01`` is identity minus the sum of all |ii><jj| (the witness at
     (mu1, mu2) = (0, 1)); ``SWAP`` is the mode-exchange operator
-    sum of |ij><ji|.
+    sum of |ij><ji|.  The O(d^2) entries either reads are looked up in the
+    support, zeros included, and summed in the order of the dense formulas
+    ``np.trace(m) - m[np.ix_(diag, diag)].sum()`` and
+    ``np.einsum("ijji->", m)``: row by row, one running sum per row.
     """
     if which.upper() not in ("W01", "SWAP"):
         raise InvalidArgumentError(f"unknown witness operator {which!r} (use 'W01' or 'SWAP')")
-    d, m = rho.dim, rho.matrix
+    d = rho.dim
+    n = d * d
+    i = np.arange(d)
     if which.upper() == "W01":
-        diag = np.arange(d) * (d + 1)
-        value = complex(np.trace(m) - m[np.ix_(diag, diag)].sum())
+        diag = i * (d + 1)  # |i, i>
+        trace = _lookup(rho.support, rho.values, np.arange(n) * (n + 1)).sum()
+        value = complex(trace - _lookup(rho.support, rho.values, diag[:, None] * n + diag).sum())
     else:
-        value = complex(np.einsum("ijji->", m.reshape(d, d, d, d)))
+        swapped = _lookup(rho.support, rho.values, (i[:, None] * d + i) * n + i * d + i[:, None])
+        value = complex(np.cumsum(np.cumsum(swapped, axis=1)[:, -1])[-1])
     if abs(value.imag) > 1e-10:
         raise NumericDomainError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -402,35 +452,29 @@ def witness_fock(rho: FockDensityMatrix, which: str) -> float:
 
 def _component_labels(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
     """Connected-component label of each of ``nodes`` graph nodes, for the
-    edges u[k] -> v[k]; an undirected graph lists every edge both ways.
+    undirected edges u[k] - v[k]: the smallest node of the component.
 
-    Each sweep hooks every node and its root onto the smallest label across
-    its edges, then jumps pointers until every node points at a root; labels
-    only decrease and stay inside their component, so the fixed point labels
-    each component by one of its nodes.
+    Each sweep hooks the root of each edge end onto the other end's label
+    where that is smaller, then jumps pointers until every node points at a
+    root.  Only roots move, so nodes that share a label share it for good:
+    an edge inside one label is spent and is dropped, and the labels are
+    final once no edge is left.  Labels only decrease and stay inside their
+    component, whose smallest node keeps its own label throughout.
     """
-    label = np.arange(nodes)
-    while True:
-        hooked, reach = label.copy(), label[v]
-        np.minimum.at(hooked, label[u], reach)
-        np.minimum.at(hooked, u, reach)
+    label = np.arange(nodes, dtype=u.dtype)
+    while u.size:
+        ends = label.take(u), label.take(v)
+        hooked = label.copy()
+        np.minimum.at(hooked, ends[0], ends[1])
+        np.minimum.at(hooked, ends[1], ends[0])
+        del ends
         while not np.array_equal(hooked[hooked], hooked):
             hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            return label
         label = hooked
-
-
-def _digits(flat: np.ndarray, d: int, count: int) -> list[np.ndarray]:
-    """The ``count`` base-``d`` digits of ``flat``, most significant first:
-    ``np.unravel_index`` into ``count`` axes of length d, with one integer
-    division by a scalar per digit."""
-    digits = []
-    for _ in range(count - 1):
-        quotient = flat // d
-        digits.append(flat - quotient * d)
-        flat = quotient
-    return [flat, *digits[::-1]]
+        cross = label.take(u) != label.take(v)
+        if not cross.all():
+            u, v = u[cross], v[cross]
+    return label
 
 
 def _trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
@@ -439,41 +483,60 @@ def _trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
     ``axes`` that is its own inverse.
 
     M is never formed: ``rho.support`` mapped through ``axes`` is M's nonzero
-    pattern, whose connected components (symmetric graph if ``hermitian``,
-    row-column graph otherwise) split M into blocks, a permutation rather
-    than an approximation.  Each block is gathered from ``rho.matrix``
-    through the same permutation; blocks of equal shape share one stacked
-    ``eigvalsh``/``svd`` call, and 1x1 blocks are read off directly.
+    pattern, whose connected components (over M's indices if ``hermitian``,
+    over its rows and then its columns otherwise) split M into blocks, a
+    permutation rather than an approximation.  A block lists its component's
+    rows and columns in index order, blocks of equal shape are stacked in
+    label order, and the stacks follow one another by shape in one flat
+    buffer, into which every entry of rho is scattered in one pass.  Each
+    stack takes one ``eigvalsh``/``svd`` call, and 1x1 blocks are read off
+    directly.
     """
     d = rho.dim
     n = d * d
-    # flat offset of M[(x0, x1), (x2, x3)] in rho.matrix: x . step
-    step = np.array([d**3, d**2, d, 1])[list(axes)]
-    index = _digits(rho.support, d, 4)
-    rows = index[axes[0]] * d + index[axes[1]]
-    cols = index[axes[2]] * d + index[axes[3]]
-    del index
-    if hermitian:  # the pattern of a Hermitian M lists every edge both ways
-        label = _component_labels(rows, cols, n)
-        sides = (label, label)
+    rows = _digit(rho.support, d, axes[0]) * d + _digit(rho.support, d, axes[1])
+    cols = _digit(rho.support, d, axes[2]) * d + _digit(rho.support, d, axes[3])
+    if not hermitian:
+        cols += n  # columns are nodes n .. 2n-1, after the rows
+    nodes = n if hermitian else 2 * n
+    if hermitian:  # M's pattern is symmetric: one entry of each mirror pair links the two
+        upper = rows < cols
+        label = _component_labels(rows[upper], cols[upper], nodes)
+        del upper
     else:
-        cols = cols + n
-        label = _component_labels(np.concatenate([rows, cols]), np.concatenate([cols, rows]), 2 * n)
-        sides = (label[:n], label[n:])
-    counts = [np.bincount(side, minlength=label.size) for side in sides]
-    orders = [np.argsort(side, kind="stable") for side in sides]
-    starts = [np.cumsum(c) - c for c in counts]
-    shapes = np.stack(counts, axis=1)
-    flat = rho.matrix.ravel()
+        label = _component_labels(rows, cols, nodes)
+    counts = np.bincount(label, minlength=nodes)
+    # each node's place among its component's nodes, rows ahead of columns
+    order = np.argsort(label, kind="stable")
+    place = np.empty(nodes, dtype=np.intp)
+    place[order] = np.arange(nodes) - (np.cumsum(counts) - counts)[label[order]]
+    if hermitian:
+        height = width = counts
+    else:
+        height = np.bincount(label[:n], minlength=nodes)
+        width = counts - height
+        place[n:] -= height[label[n:]]
+    comps = np.flatnonzero(np.minimum(height, width) > 0)
+    comps = comps[np.lexsort((width[comps], height[comps]))]  # by shape, then by label
+    a, b = height[comps], width[comps]
+    end = np.cumsum(a * b)
+    offset = np.zeros(nodes, dtype=np.intp)
+    offset[comps] = end - a * b
+    # flat buffer position of M[r, c]: base[r] + place[c]
+    base = offset[label] + place * width[label]
+    flat = base.take(rows)
+    del rows
+    flat += place.take(cols)
+    del cols
+    buffer = np.zeros(end[-1] if end.size else 0, dtype=rho.values.dtype)
+    buffer[flat] = rho.values
+    del flat
+    stacks = np.flatnonzero(np.diff(a, prepend=-1) | np.diff(b, prepend=-1))
     total = 0.0
-    for a, b in np.unique(shapes[shapes.min(axis=1) > 0], axis=0):
-        comps = np.flatnonzero((shapes[:, 0] == a) & (shapes[:, 1] == b))
-        ri = orders[0][starts[0][comps, None] + np.arange(a)]
-        ci = orders[1][starts[1][comps, None] + np.arange(b)]
-        (r0, r1), (c0, c1) = _digits(ri, d, 2), _digits(ci, d, 2)
-        blocks = flat[(r0 * step[0] + r1 * step[1])[:, :, None]
-                      + (c0 * step[2] + c1 * step[3])[:, None, :]]
-        if a == b == 1:
+    for first, last in zip(stacks, [*stacks[1:], comps.size]):
+        shape = (last - first, a[first], b[first])
+        blocks = buffer[end[first] - a[first] * b[first]:end[last - 1]].reshape(shape)
+        if shape[1] == shape[2] == 1:
             total += np.abs(blocks).sum()
         elif hermitian:
             total += np.abs(np.linalg.eigvalsh(blocks)).sum()

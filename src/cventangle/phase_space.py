@@ -14,8 +14,10 @@ Each Gaussian state type supplies S as ``slice_matrix(d-, d+)``: a
 :class:`cventangle.symplectic.CovarianceMatrix` from its blocks, a
 :class:`cventangle.states.TwoModeStandardForm` (A = a I, B = b I,
 C = diag(c1, c2)) as diag(K-, K+), K-+ = a + b d-+^2 + 2 c1,2 d-+, without
-building V.  The integral is one 2x2 determinant, with no inverse and no
-quadrature, so it carries rounding error only.  An S that is not positive
+building V.  :func:`slice_integral` returns pi times the integral,
+1 / (2 sqrt(det S)): both expectations carry that factor pi, so no value is
+divided by pi and multiplied by it again.  It is one 2x2 determinant, with
+no inverse and no quadrature, so it carries rounding error only.  An S that is not positive
 definite (Sylvester: s00 > 0 and det S > 0) means V is not positive definite
 in floating point (e.g. a - |c| below one ulp of a, or unvalidated input): a
 numeric-domain failure, as is an entry of S that leaves the float range.
@@ -29,10 +31,13 @@ from .errors import NumericDomainError
 
 
 def slice_integral(state, d_minus: float, d_plus: float) -> float:
-    """Integral of the Wigner function of the zero-mean two-mode Gaussian
-    ``state`` over the slice xi = (-d- x, -d+ p, x, p):
+    """pi times the integral of the Wigner function of the zero-mean
+    two-mode Gaussian ``state`` over the slice xi = (-d- x, -d+ p, x, p):
 
-        1 / (2 pi sqrt(det S)),  S = state.slice_matrix(d-, d+).
+        1 / (2 sqrt(det S)),  S = state.slice_matrix(d-, d+),
+
+    the factor pi that the witness and SWAP expectations apply, applied
+    exactly rather than through a rounded division by pi.
 
     Raises:
         InvalidArgumentError: if the state is not two-mode.
@@ -48,4 +53,4 @@ def slice_integral(state, d_minus: float, d_plus: float) -> float:
             f"slice matrix must be positive definite, got s00={s00} and slice determinant "
             f"{det / f / f}; V is not positive definite in floating point, or S overflows"
         )
-    return f / (2.0 * math.pi * math.sqrt(det))
+    return f / (2.0 * math.sqrt(det))

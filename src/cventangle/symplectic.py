@@ -77,9 +77,11 @@ class CovarianceMatrix:
         if self.modes != 2:
             raise InvalidArgumentError(f"witness and SWAP expectations require a two-mode "
                                        f"covariance, got {self.modes} modes")
-        m, d = self.matrix, np.array([d_minus, d_plus], dtype=float)
-        cd = m[:2, 2:] * d
-        return (m[:2, :2] + cd + cd.T + m[2:, 2:] * np.outer(d, d)).ravel().tolist()
+        # Python floats: an entry that overflows becomes inf without a warning,
+        # and slice_integral refuses it
+        m, d = self.matrix.tolist(), (float(d_minus), float(d_plus))
+        return [m[i][j] + m[i][j + 2] * d[j] + m[j][i + 2] * d[i] + m[i + 2][j + 2] * (d[i] * d[j])
+                for i in range(2) for j in range(2)]
 
     @property
     def ordering(self) -> str:

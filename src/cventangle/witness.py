@@ -89,8 +89,8 @@ def witness_expectation_gaussian(state: TwoModeStandardForm | CovarianceMatrix,
     with S the slice matrix at D = diag(mu-, mu+) of
     :func:`cventangle.phase_space.slice_integral` (diag(K-, K+), standard form).
     """
-    integral = phase_space.slice_integral(state, w.mu_minus, w.mu_plus)
-    return 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
+    pi_integral = phase_space.slice_integral(state, w.mu_minus, w.mu_plus)
+    return 1.0 - math.sqrt(abs(w.mu_minus * w.mu_plus)) * pi_integral
 
 
 witness_expectation_covariance = witness_expectation_gaussian
@@ -191,7 +191,7 @@ def swap_expectation(state: TwoModeStandardForm | CovarianceMatrix) -> float:
     states it equals the state overlap.  A negative value certifies
     entanglement.
     """
-    return math.pi * phase_space.slice_integral(state, -1.0, -1.0)
+    return phase_space.slice_integral(state, -1.0, -1.0)
 
 
 def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:

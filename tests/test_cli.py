@@ -195,6 +195,11 @@ class TestEval:
             # the slice entry a + b overflows: refused, not read as SWAP 0.0
             *(({"family": "standard2", "a": 1e308, "b": 1e308, "c1": 0.0, "c2": 0.0}, quantity)
               for quantity in ("swap", "witness01", "bounds")),
+            # the SWAP slice entry 8e307 + 2 * 4e307 + 8e307 of a raw matrix
+            # overflows: refused, with no overflow warning on the way
+            ({"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2",
+              "matrix": [[8e307, 0, -4e307, 0], [0, 8e307, 0, 4e307],
+                         [-4e307, 0, 8e307, 0], [0, 4e307, 0, 8e307]]}, "swap"),
         ],
     )
     def test_arithmetic_failure_exits_3(self, doc, quantity, capsys):

@@ -406,6 +406,79 @@ def dense_realignment(rho: FockDensityMatrix) -> float:
     return float(np.linalg.svd(R, compute_uv=False).sum())
 
 
+def reference_labels(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
+    """Reference component labels (smallest node of each component): every
+    node and its root hook onto the smallest label across its edges, over
+    all edges in every sweep, until nothing moves."""
+    label = np.arange(nodes)
+    while True:
+        hooked, reach = label.copy(), label[v]
+        np.minimum.at(hooked, label[u], reach)
+        np.minimum.at(hooked, u, reach)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def dense_gather_trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
+    """Reference for the sector kernels: the same components, block order and
+    stacked LAPACK calls, with every block gathered from the dense matrix.
+    Equal blocks give equal bits, so the kernels must match it exactly."""
+    d = rho.dim
+    n = d * d
+    flat = rho.matrix.ravel()
+    step = np.array([d**3, d**2, d, 1])[list(axes)]
+    index = np.unravel_index(rho.support, (d,) * 4)
+    rows = index[axes[0]] * d + index[axes[1]]
+    cols = index[axes[2]] * d + index[axes[3]]
+    if hermitian:
+        label = reference_labels(rows, cols, n)
+        sides = (label, label)
+    else:
+        cols = cols + n
+        label = reference_labels(np.concatenate([rows, cols]), np.concatenate([cols, rows]), 2 * n)
+        sides = (label[:n], label[n:])
+    counts = [np.bincount(side, minlength=label.size) for side in sides]
+    orders = [np.argsort(side, kind="stable") for side in sides]
+    starts = [np.cumsum(c) - c for c in counts]
+    shapes = np.stack(counts, axis=1)
+    total = 0.0
+    for a, b in np.unique(shapes[shapes.min(axis=1) > 0], axis=0):
+        comps = np.flatnonzero((shapes[:, 0] == a) & (shapes[:, 1] == b))
+        ri = orders[0][starts[0][comps, None] + np.arange(a)]
+        ci = orders[1][starts[1][comps, None] + np.arange(b)]
+        (r0, r1), (c0, c1) = np.divmod(ri, d), np.divmod(ci, d)
+        blocks = flat[(r0 * step[0] + r1 * step[1])[:, :, None]
+                      + (c0 * step[2] + c1 * step[3])[:, None, :]]
+        if a == b == 1:
+            total += np.abs(blocks).sum()
+        elif hermitian:
+            total += np.abs(np.linalg.eigvalsh(blocks)).sum()
+        else:
+            total += np.linalg.svd(blocks, compute_uv=False).sum()
+    return float(total)
+
+
+def dense_witness(rho: FockDensityMatrix, which: str) -> float:
+    """Reference: W01 and SWAP as index sums over the dense matrix."""
+    d, m = rho.dim, rho.matrix
+    if which == "W01":
+        diag = np.arange(d) * (d + 1)
+        return float(complex(np.trace(m) - m[np.ix_(diag, diag)].sum()).real)
+    return float(complex(np.einsum("ijji->", m.reshape(d, d, d, d))).real)
+
+
+def assert_kernels_match_reference(rho: FockDensityMatrix):
+    """Negativity, realigned trace norm, W01 and SWAP equal their dense
+    references bit for bit."""
+    assert negativity_fock(rho) == dense_gather_trace_norm(rho, (0, 3, 2, 1), True) - 1.0
+    assert realignment_trace_norm_fock(rho) == dense_gather_trace_norm(rho, (0, 2, 1, 3), False)
+    for which in ("W01", "SWAP"):
+        assert witness_fock(rho, which) == dense_witness(rho, which)
+
+
 def assert_sectors_match_dense(rho: FockDensityMatrix):
     assert abs(negativity_fock(rho) - dense_negativity(rho)) <= 1e-12
     assert abs(realignment_trace_norm_fock(rho) - dense_realignment(rho)) <= 1e-12
@@ -491,6 +564,27 @@ class TestSectorKernels:
             assert_sectors_match_dense(rho)
 
 
+class TestComponentLabels:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(nodes=st.integers(1, 40), data=st.data())
+    def test_match_reference(self, nodes, data):
+        # random undirected graphs, each edge listed both ways, some listed twice
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1)),
+                                   max_size=80))
+        a, b = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+        u, v = np.concatenate([a, b]), np.concatenate([b, a])
+        assert np.array_equal(_component_labels(u, v, nodes), reference_labels(u, v, nodes))
+
+    def test_spent_edges_are_dropped_safely(self):
+        # sweeps that also hook single nodes can pull a node away from the
+        # rest of its label; dropping the edges inside each label after such
+        # sweeps splits a component of this graph
+        a = np.array([11, 16, 4, 16, 11, 16, 19, 5, 4, 3, 4, 19], dtype=np.int32)
+        b = np.array([20, 20, 8, 20, 18, 9, 2, 17, 12, 13, 6, 18], dtype=np.int32)
+        u, v = np.concatenate([a, b]), np.concatenate([b, a])
+        assert np.array_equal(_component_labels(u, v, 21), reference_labels(u, v, 21))
+
+
 class TestConstructionGate:
     """The Hermiticity gate, the symmetrization and the non-finite check read
     only the nonzero pattern and its mirror; each must agree with the dense
@@ -515,32 +609,35 @@ class TestConstructionGate:
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(4, 6), complex_=st.booleans(),
-           sparsity=st.sampled_from([0.0, 0.5, 0.95]))
-    def test_symmetrization_is_dense_formula_bitwise(self, seed, cutoff, complex_, sparsity):
+           sparsity=st.sampled_from([0.0, 0.5, 0.95]), size=st.sampled_from([1.0, 2.0**-1070]))
+    def test_symmetrization_is_dense_formula_bitwise(self, seed, cutoff, complex_, sparsity, size):
         rng = np.random.default_rng(seed)
         d2 = (cutoff + 1) ** 2
         G = rng.normal(size=(d2, d2)) + (1j * rng.normal(size=(d2, d2)) if complex_ else 0)
         G *= rng.random((d2, d2)) >= sparsity
         m = G @ G.conj().T / d2
         # break Hermiticity by at most 1e-13 of the largest entry: noise on the
-        # nonzero entries, and a few one-sided entries whose mirror stays 0
+        # nonzero entries, and a few one-sided entries whose mirror stays 0;
+        # size 2^-1070 leaves only subnormal entries, some of which halve to 0
         scale = np.abs(m).max()
         m = m + 1e-13 * scale * rng.uniform(-1, 1, size=(d2, d2)) * (m != 0)
         m[(rng.random((d2, d2)) < 0.05) & (m == 0)] = 1e-14 * scale
+        m *= size
         rho = FockDensityMatrix(cutoff, m, 0.0)
         expected = (m + m.conj().T) / 2.0
+        expected[expected == 0] = 0  # a zero is stored as +0
         assert rho.matrix.dtype == expected.dtype
-        # equal bit for bit, up to the sign of an exact zero
-        assert np.array_equal(rho.matrix, expected)
-        if sparsity == 0.0:
-            assert rho.matrix.tobytes() == expected.tobytes()
+        assert rho.matrix.tobytes() == expected.tobytes()
         assert np.array_equal(rho.support, np.flatnonzero(rho.matrix))
+        assert_kernels_match_reference(rho)
 
     @SECTORS
     @given(rho=oracle_states())
     def test_support_is_nonzero_pattern(self, rho):
         assert np.array_equal(rho.support, np.flatnonzero(rho.matrix))
-        assert not rho.support.flags.writeable
+        assert np.array_equal(rho.values, rho.matrix.ravel()[rho.support])
+        for array in (rho.support, rho.values, rho.matrix):
+            assert not array.flags.writeable
 
     def test_subnormal_pair_averaging_to_zero_leaves_support(self):
         m = np.eye(25) / 25
@@ -746,7 +843,8 @@ def build_or_refusal(build, *args):
 
 class TestEntryBuilders:
     """Each builder hands its nonzero entries straight to the constructor core;
-    its state must be the dense assembly's bit for bit."""
+    its state must be the dense assembly's bit for bit, and its kernels must
+    read what the dense references read from that matrix."""
 
     @pytest.mark.parametrize("name,args,cutoff", EQUALITY_GRID,
                              ids=[f"{n}{a}-{c}" for n, a, c in EQUALITY_GRID])
@@ -761,22 +859,47 @@ class TestEntryBuilders:
         assert built.matrix.tobytes() == reference.matrix.tobytes()
         assert np.array_equal(built.support, reference.support)
         assert repr(built.trace_deficit) == repr(reference.trace_deficit)
+        if cutoff <= 40:  # at 64, the (0.5, 0, 0.8) mixture's 4,097-row block takes 35 s
+            assert_kernels_match_reference(built)
 
-    @pytest.mark.parametrize("build", [
-        lambda: tmsv_fock(0.6, 40),
-        lambda: squeezed_thermal_fock(0.2, 0.6, 40),
-        lambda: photon_added_sts_fock(0.5, 0.6, 40),
-    ], ids=["tmsv", "squeezed_thermal", "photon_added"])
-    def test_peak_memory_is_one_dense_matrix(self, build):
-        dense_bytes = (41 * 41) ** 2 * 8
+    @pytest.mark.parametrize("build,kernels", [
+        (lambda: tmsv_fock(0.6, 40), ()),
+        (lambda: squeezed_thermal_fock(0.2, 0.6, 40), ()),
+        (lambda: photon_added_sts_fock(0.5, 0.6, 40), ()),
+        (lambda: coherent_mixture_fock(0.6, 1.0, -1.0, 40), ()),
+        (lambda: squeezed_thermal_fock(0.2, 0.6, 40), (negativity_fock,)),
+        (lambda: squeezed_thermal_fock(0.2, 0.6, 40), (realignment_trace_norm_fock,)),
+        (lambda: coherent_mixture_fock(0.6, 1.0, -1.0, 40), (negativity_fock,)),
+        (lambda: coherent_mixture_fock(0.6, 1.0, -1.0, 40), (realignment_trace_norm_fock,)),
+        (lambda: coherent_mixture_fock(0.6, 1.0, -1.0, 64), (negativity_fock,)),
+    ], ids=["tmsv", "squeezed_thermal", "photon_added", "mixture", "squeezed_thermal-negativity",
+            "squeezed_thermal-realignment", "mixture-negativity", "mixture-realignment",
+            "mixture64-negativity"])
+    def test_peak_memory_in_entry_bytes(self, build, kernels):
+        # a real entry takes 12 bytes (an int32 index and a float64 value);
+        # building the state and running a kernel on it may peak at 5 times
+        # that, plus 1 MiB for the per-index tables of (N+1)^2 entries.  The
+        # dense matrix alone takes 22.6 MB at cutoff 40 and 143 MB at 64.
         tracemalloc.start()
         try:
             rho = build()
+            for kernel in kernels:
+                kernel(rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rho.matrix.nbytes == dense_bytes
-        assert peak <= 1.25 * dense_bytes, f"peak {peak / dense_bytes:.2f} dense matrices"
+        entry_bytes = 12 * rho.support.size
+        assert peak <= 5 * entry_bytes + 2**20, f"peak {peak / entry_bytes:.2f} entry bytes"
+
+    @pytest.mark.parametrize("cutoff,dtype", [(214, np.int32), (215, np.int64)])
+    def test_index_type_fits_the_cutoff(self, cutoff, dtype):
+        # the (N+1)^4 flat indices outgrow int32 from cutoff 215 on
+        rho = tmsv_fock(0.3, cutoff)
+        assert rho.support.dtype == dtype
+        assert abs(negativity_fock(rho) - (math.exp(0.6) - 1)) < 1e-12
+        assert abs(realignment_trace_norm_fock(rho) - math.exp(0.6)) < 1e-12
+        assert abs(witness_fock(rho, "W01") - (1 - math.exp(0.6))) < 1e-12
+        assert witness_fock(rho, "SWAP") == 1.0
 
     @pytest.mark.parametrize("cutoff,rmax,code", [
         ("40", "0.6", 0), ("8", "0.3", 3), ("6", "0.6", 5),

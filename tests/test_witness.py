@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,8 +279,22 @@ class TestSliceIntegral:
             V = random_physical_cov(rng, 2)
             d_minus, d_plus = rng.uniform(-2.0, 2.0, size=2)
             T = np.array([[-d_minus, 0.0], [0.0, -d_plus], [1.0, 0.0], [0.0, 1.0]])
-            ref = moments_slice_integral(WignerSpec(V), T)
+            ref = math.pi * moments_slice_integral(WignerSpec(V), T)
             assert abs(slice_integral(V, d_minus, d_plus) - ref) <= 1e-12 * ref
+
+    def test_body_rounding_against_mpmath(self, rng):
+        # the exact 1 - sqrt|mu- mu+| / (2 sqrt(K- K+)) at 50 digits, on the
+        # same float slice entries: what remains is the body's own rounding
+        u = 2.0**-53
+        with mpmath.workdps(50):
+            for i in range(500):
+                s = random_standard_form(rng, margin=1e-3)
+                w = WitnessParams(0.0, 1.0) if i % 2 else random_params(rng)
+                k_minus, _, _, k_plus = s.slice_matrix(w.mu_minus, w.mu_plus)
+                exact = 1 - (mpmath.sqrt(abs(mpmath.mpf(w.mu_minus) * w.mu_plus))
+                             / (2 * mpmath.sqrt(mpmath.mpf(k_minus) * k_plus)))
+                error = abs(witness_expectation_gaussian(s, w) - exact)
+                assert error <= 4 * u * max(1, abs(exact)), (s, w)
 
     def test_determinant_beyond_the_float_range(self):
         # det(2e200 I) = 4e400 overflows unscaled; pytest turns the numpy
