@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the parameter checks and
-JSON field decoders that more than one module applies.
+"""Exception types shared across the library, and the parameter checks, JSON
+field decoders and float guards that more than one module applies.
 
 The CLI maps these onto exit codes: invalid input -> 2, numeric/domain
 failures -> 3, I/O -> 4 (see :mod:`cventangle.cli`).
@@ -46,6 +46,15 @@ def require_nonnegative_nr(n: float, r: float) -> None:
     """Reject a negative (or NaN) thermal photon number n or squeezing r."""
     if not (n >= 0 and r >= 0):
         raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
+
+
+def abs_square(z: complex) -> float:
+    """|z|^2 as ``abs(z) ** 2``, read as inf where it overflows (Python
+    raises OverflowError there, past |z| ~ 1.3e154)."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def real_field(name: str, value) -> float:

@@ -9,8 +9,8 @@ Constructors self-report the trace lost to truncation and refuse to build
 states that lose more than 1%.  Each builder hands the sorted flat indices
 and values of its nonzero entries to one constructor core,
 :func:`_from_entries`: the non-finite check, the Hermiticity gate and the
-symmetrization read only those entries and their mirrors, which one sort of
-the mirrored indices pairs up.  A dense matrix passed to
+symmetrization read only those entries and their mirrors, which one stable
+sort of the column indices pairs up.  A dense matrix passed to
 :class:`FockDensityMatrix` goes through the same core after one scan for its
 nonzero entries.  A builder's trace is summed over a dense diagonal vector,
 the same pairwise sum ``np.trace`` takes.  Witness and SWAP expectations
@@ -36,6 +36,7 @@ from .errors import (
     InvalidArgumentError,
     NumericDomainError,
     TruncationError,
+    abs_square,
     require_nonnegative_nr,
 )
 
@@ -110,10 +111,15 @@ def _index_dtype(cutoff: int) -> type:
     return np.int32 if (cutoff + 1) ** 4 <= np.iinfo(np.int32).max else np.int64
 
 
-def _digit(flat: np.ndarray, d: int, axis: int) -> np.ndarray:
-    """Digit ``axis`` (0 to 3, most significant first) of the 4-digit
-    base-``d`` numbers ``flat``."""
-    return flat // d ** (3 - axis) % d
+def _digits(flat: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    """The digits i, j, k, l of the 4-digit base-``d`` numbers
+    ``flat`` = ((i d + j) d + k) d + l, most significant first, from one
+    in-place ``divmod`` chain."""
+    high, l = np.divmod(flat, d)
+    k, j = np.empty_like(l), np.empty_like(l)
+    np.divmod(high, d, out=(high, k))
+    np.divmod(high, d, out=(high, j))
+    return high, j, k, l
 
 
 def _lookup(support: np.ndarray, values: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -128,8 +134,22 @@ def _lookup(support: np.ndarray, values: np.ndarray, flat: np.ndarray) -> np.nda
     return out
 
 
+def _mirrors(support: np.ndarray, n: int, order=None) -> tuple[np.ndarray, np.ndarray]:
+    """The mirrored indices col * n + row of the flat indices ``support`` into
+    an n x n matrix, sorted by (row, col), and ``order``, by default the
+    stable order that sorts them: a stable sort of the columns alone, which
+    takes one radix pass on 16-bit keys while the columns fit (n <= 65,536,
+    through cutoff 255)."""
+    row, mirror = np.divmod(support, n)
+    if order is None:
+        order = np.argsort(mirror.astype(np.uint16) if n <= 1 << 16 else mirror, kind="stable")
+    mirror *= n
+    mirror += row
+    return mirror, order
+
+
 def _from_entries(
-    cutoff, support: np.ndarray, values: np.ndarray, trace_deficit
+    cutoff, support: np.ndarray, values: np.ndarray, trace_deficit, order=None
 ) -> FockDensityMatrix:
     """The state whose matrix m holds ``values`` at the sorted flat indices
     ``support`` and 0 elsewhere, stored as the entries of (m + m^H)/2; every
@@ -140,9 +160,12 @@ def _from_entries(
     mirror within 1e-12 of the largest magnitude (or of 1).  An entry that
     is 0 along with its mirror adds nothing to the scale or the asymmetry and
     stays 0 in (m + m^H)/2, so the entries and their mirrors carry the whole
-    computation.  Each entry finds its mirror by sorting the mirrored
-    indices: a symmetric pattern, as every builder's is, maps onto itself
-    and the sort pairs the entries; any other pattern looks its mirrors up.
+    computation.  Each entry finds its mirror through :func:`_mirrors`: a
+    symmetric pattern, as every builder's is, maps onto itself and the sort
+    of the mirrored indices pairs the entries; any other pattern looks its
+    mirrors up.  A builder that knows the pairing may pass it as ``order``
+    (entry order[i] mirrors entry i) in place of the sort; it is checked the
+    same way, and dropped along with any entry equal to 0.
     """
     cutoff, deficit = _valid_cutoff(cutoff), _valid_deficit(trace_deficit)
     n = (cutoff + 1) ** 2
@@ -151,15 +174,12 @@ def _from_entries(
     values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
     keep = values != 0
     if not keep.all():
-        support, values = support[keep], values[keep]
+        support, values, order = support[keep], values[keep], None
     if np.iscomplexobj(values) and not values.imag.any():
         values = values.real
     if not np.isfinite(values).all():
         raise InvalidArgumentError("density matrix has a non-finite entry")
-    row = support // n
-    mirror = (support - row * n) * n + row  # (row, col) -> (col, row)
-    del row
-    order = np.argsort(mirror, kind="stable")
+    mirror, order = _mirrors(support, n, order)
     if np.array_equal(mirror[order], support):  # entry order[i] mirrors entry i
         mirrored = values[order]
     else:
@@ -170,10 +190,15 @@ def _from_entries(
     tail = mirrored[lonely] + np.conjugate(values[lonely])
     tail /= 2.0
     del mirror, lonely
-    np.conjugate(mirrored, out=mirrored)
+    if np.iscomplexobj(mirrored):
+        np.conjugate(mirrored, out=mirrored)
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    if float(np.abs(values - mirrored).max(initial=0.0)) > _HERMITICITY_TOL * scale:
+    # |.| in place where real: a fresh array costs more than the pass
+    asymmetry = values - mirrored
+    asymmetry = np.abs(asymmetry, out=None if np.iscomplexobj(asymmetry) else asymmetry)
+    if float(asymmetry.max(initial=0.0)) > _HERMITICITY_TOL * scale:
         raise InvalidArgumentError("density matrix is not Hermitian within 1e-12")
+    del asymmetry
     values = np.add(values, mirrored, out=mirrored)
     values /= 2.0
     nonzero = values != 0
@@ -192,9 +217,11 @@ def _from_entries(
     return rho
 
 
-def _require_cutoff(cutoff: int) -> None:
+def _require_cutoff(cutoff) -> int:
+    cutoff = _valid_cutoff(cutoff)
     if cutoff < 4:
         raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
+    return cutoff
 
 
 def _check_deficit(deficit: float, label: str) -> float:
@@ -216,7 +243,7 @@ def tmsv_fock(r: float, cutoff: int) -> FockDensityMatrix:
     r = float(r)
     if r < 0:
         raise InvalidArgumentError(f"squeezing must be nonnegative, got {r}")
-    _require_cutoff(cutoff)
+    cutoff = _require_cutoff(cutoff)
     d = cutoff + 1
     deficit = _check_deficit(math.tanh(r) ** (2 * (cutoff + 1)), f"TMSV r={r}")
     amps = np.array([math.tanh(r) ** k / math.cosh(r) for k in range(d)])
@@ -235,7 +262,8 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 
     The phase (alpha/|alpha|)^k is a running product, exact for real and
     imaginary alpha, so those states keep their exact zeros and real entries;
-    the amplitudes are a real array when every phase is exactly real.
+    the amplitudes are a real array when every phase is exactly real.  Where
+    |alpha|^2 overflows, e^{-|alpha|^2/2} and every amplitude are 0.
     """
     k = np.arange(cutoff + 1)
     alpha = complex(alpha)
@@ -243,7 +271,10 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         amps = np.zeros(cutoff + 1)
         amps[0] = 1.0
         return amps
-    logmag = k * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff) - 0.5 * abs(alpha) ** 2
+    square = abs_square(alpha)
+    if square == math.inf:
+        return np.zeros(cutoff + 1)
+    logmag = k * math.log(abs(alpha)) - 0.5 * _log_factorials(cutoff) - 0.5 * square
     phase = np.cumprod(np.r_[1.0, np.full(cutoff, alpha / abs(alpha))])
     if not phase.imag.any():
         phase = phase.real
@@ -264,8 +295,8 @@ def coherent_mixture_fock(
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
-    _require_cutoff(cutoff)
-    overlap2 = math.exp(-abs(complex(alpha1) - complex(alpha2)) ** 2)
+    cutoff = _require_cutoff(cutoff)
+    overlap2 = math.exp(-abs_square(complex(alpha1) - complex(alpha2)))
     intended_trace = 1.0 - p * overlap2
     if intended_trace <= 1e-15:
         raise InvalidArgumentError(
@@ -295,7 +326,11 @@ def coherent_mixture_fock(
         1.0 - float(diagonal.sum().real) / intended_trace,
         f"coherent mixture |alpha1|={abs(alpha1)}, |alpha2|={abs(alpha2)}",
     )
-    return _from_entries(cutoff, support, values, deficit)
+    # the mirror of entry 1 + a k + b is entry 1 + b k + a; the vacuum term is its own
+    order = np.empty(k * k + 1, dtype=np.intp)
+    order[0] = 0
+    np.add.outer(np.arange(1, k + 1), np.arange(k) * k, out=order[1:].reshape(k, k))
+    return _from_entries(cutoff, support, values, deficit, order)
 
 
 def _thermal_weights(n: float, cutoff: int) -> np.ndarray:
@@ -314,31 +349,41 @@ def _log_cosh(r: float) -> float:
     return r + math.log1p(math.exp(-2.0 * r)) - math.log(2.0)
 
 
-def _squeezer_ladder_block(r: float, cutoff: int, delta: int, lg: np.ndarray) -> np.ndarray:
-    """Action of exp(r (a1†a2† - a1 a2)) on the photon-number-difference-delta
-    ladder: B[m, l] = <m+delta, m| U |l+delta, l>, truncated at the cutoff;
-    ``lg`` holds log k! for k = 0 .. cutoff.
+def _squeezer_ladders(r: float, cutoff: int, lg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of U = exp(r (a1†a2† - a1 a2)) on every photon-number-
+    difference ladder, stacked: ``ladder[delta, m, l]`` and
+    ``lowering[delta, m, l]``.  Over the leading cutoff + 1 - delta rows and
+    columns, ``ladder[delta].T @ lowering[delta]`` is
+    B[m, l] = <m+delta, m| U |l+delta, l> truncated at the cutoff; the
+    entries beyond them are padding.  ``lg`` holds log k! for k = 0 .. cutoff.
 
     Uses the normal-ordered factorization exp(t K+) exp(-2s K0) exp(-t K-)
-    with t = tanh r, s = ln cosh r; each column is the exact projection of the
-    untruncated column onto the cutoff space.
+    with t = tanh r, s = ln cosh r; each column of B is the exact projection of
+    the untruncated column onto the cutoff space.  Every entry is formed by
+    the same operations, in the same order, as in a ladder-by-ladder pass.
     """
-    size = cutoff + 1 - delta
+    d = cutoff + 1
     t, s = math.tanh(r), _log_cosh(r)
     logt = math.log(t) if t > 0.0 else -math.inf
-    m = np.arange(size)
+    m = np.arange(d)
     steps = m[None, :] - m[:, None]  # column index minus row index
-    valid = steps >= 0
     st = np.clip(steps, 0, None)
     with np.errstate(invalid="ignore"):
         logmag = np.where(st == 0, 0.0, st * logt) - lg[st]
-    half = 0.5 * (
-        lg[m + delta][None, :] + lg[m][None, :] - lg[m + delta][:, None] - lg[m][:, None]
-    )
-    ladder = np.where(valid, np.exp(logmag + half), 0.0)
+    shifted = lg[np.minimum(m[:, None] + m, cutoff)]  # [delta, m]: log (m+delta)!, padded
+    ladder = (shifted + lg)[:, None, :] - shifted[:, :, None]
+    ladder -= lg[:, None]
+    ladder *= 0.5
+    ladder += logmag
+    np.exp(ladder, out=ladder)
+    ladder[:, steps < 0] = 0.0
     lowering = ladder * np.where(st % 2 == 1, -1.0, 1.0)
-    k0 = np.exp(-s * (2 * m + delta + 1))
-    return ladder.T @ (k0[:, None] * lowering)
+    # -s (2m + delta + 1) overflows to -inf once s passes about 1e308 / (2 cutoff):
+    # exp(-inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        k0 = np.exp(-s * (2 * m + m[:, None] + 1))
+    lowering *= k0[:, :, None]
+    return ladder, lowering
 
 
 def _sts_raw(n: float, r: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,27 +391,38 @@ def _sts_raw(n: float, r: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, n
     its sorted flat indices, their values and its dense diagonal.
 
     Two-mode squeezing preserves the photon-number difference, so the state is
-    assembled blockwise over that difference; cost is O(cutoff^4).
+    assembled blockwise over that difference; cost is O(cutoff^4).  The block
+    of difference delta sits on the rows and columns |m+delta, m> and on their
+    mirrors |m, m+delta>.  Row |i, j> of the state holds its block's row
+    min(i, j) at the columns |l + max(i-j, 0), l + max(j-i, 0)>, l = 0, 1, ..,
+    which ascend with l: laid out as a (d^2, d) table, the rows give the
+    sorted support under one mask.
     """
     d = cutoff + 1
     size = d * d
-    pk = _thermal_weights(n, cutoff)
     lg = _log_factorials(cutoff)
-    diagonal = np.zeros(size)
-    indices, blocks = [], []
+    ladder, lowering = _squeezer_ladders(r, cutoff, lg)
+    pk = _thermal_weights(n, cutoff)
+    m = np.arange(d)
+    weights = pk[np.minimum(m[:, None] + m, cutoff)] * pk  # [delta, m]: p_{m+delta} p_m, padded
+    table = np.zeros((size, d))  # [row |i, j>, l]
     for delta in range(d):
-        B = _squeezer_ladder_block(r, cutoff, delta, lg)
-        m = np.arange(d - delta, dtype=_index_dtype(cutoff))
-        weights = pk[m + delta] * pk[m]
-        block = (B * weights[None, :]) @ B.T
-        # rows and columns |m+delta, m>, and their mirror |m, m+delta>
-        for idx in [(m + delta) * d + m, m * d + m + delta][: 2 if delta else 1]:
-            indices.append((idx[:, None] * size + idx).ravel())
-            blocks.append(block.ravel())
-            diagonal[idx] = block.diagonal()
-    support = np.concatenate(indices)
-    order = np.argsort(support)
-    return support[order], np.concatenate(blocks)[order], diagonal
+        width = d - delta
+        B = ladder[delta, :width, :width].T @ lowering[delta, :width, :width]
+        block = (B * weights[delta, :width]) @ B.T
+        table[delta * d::d + 1][:width, :width] = block  # rows |m+delta, m>
+        if delta:
+            table[delta::d + 1][:width, :width] = block  # rows |m, m+delta>
+    del ladder, lowering
+    i, j = np.divmod(np.arange(size), d)
+    diagonal = table[np.arange(size), np.minimum(i, j)]
+    mask = m < (d - np.abs(i - j))[:, None]
+    # row |i, j> holds the columns |l + a, l + b>, flat index l (d + 1) + a d + b,
+    # with a = max(i - j, 0) and b = max(j - i, 0)
+    start = np.arange(size) * size + np.maximum(i - j, 0) * d + np.maximum(j - i, 0)
+    dtype = _index_dtype(cutoff)
+    support = (start.astype(dtype)[:, None] + (m * (d + 1)).astype(dtype))[mask]
+    return support, table[mask], diagonal
 
 
 def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
@@ -374,7 +430,7 @@ def squeezed_thermal_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     a truncated thermal product through the exact ladder expansion."""
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
-    _require_cutoff(cutoff)
+    cutoff = _require_cutoff(cutoff)
     support, values, diagonal = _sts_raw(n, r, cutoff)
     trace = float(diagonal.sum())
     deficit = _check_deficit(1.0 - trace, f"squeezed thermal n={n}, r={r}")
@@ -391,14 +447,14 @@ def photon_added_sts_fock(n: float, r: float, cutoff: int) -> FockDensityMatrix:
     """
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
-    _require_cutoff(cutoff)
+    cutoff = _require_cutoff(cutoff)
     d = cutoff + 1
     support, values, diagonal = _sts_raw(n, r, cutoff)
     # sandwich with the mode-2 creation operator: entry (i, j, k, l) moves to
     # (i, j+1, k, l+1), flat index + d^2 + 1, scaled by sqrt(j+1) sqrt(l+1);
     # an entry with j or l at the cutoff leaves the space
     root = np.sqrt(np.arange(1.0, d))
-    j, l = _digit(support, d, 1), _digit(support, d, 3)
+    _, j, _, l = _digits(support, d)
     kept = (j < cutoff) & (l < cutoff)
     j, l = j[kept], l[kept]
     support = support[kept] + (d * d + 1)
@@ -477,6 +533,20 @@ def _component_labels(u: np.ndarray, v: np.ndarray, nodes: int) -> np.ndarray:
     return label
 
 
+def _permuted_rows_cols(support: np.ndarray, d: int, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each flat index ``support`` = ((i d + j) d + k) d + l
+    in the matrix whose 4-index view is the (d, d, d, d) one transposed by
+    ``axes``; the digits are reused in place, so at most four index arrays of
+    the support's length are alive at once."""
+    digit = list(_digits(support, d))
+    rows, cols = digit[axes[0]], digit[axes[2]]
+    rows *= d
+    rows += digit[axes[1]]
+    cols *= d
+    cols += digit[axes[3]]
+    return rows, cols
+
+
 def _trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
     """Sum of the singular values of the matrix M whose 4-index view is
     ``rho.matrix.reshape(d, d, d, d).transpose(axes)``, for a permutation
@@ -494,8 +564,7 @@ def _trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
     """
     d = rho.dim
     n = d * d
-    rows = _digit(rho.support, d, axes[0]) * d + _digit(rho.support, d, axes[1])
-    cols = _digit(rho.support, d, axes[2]) * d + _digit(rho.support, d, axes[3])
+    rows, cols = _permuted_rows_cols(rho.support, d, axes)
     if not hermitian:
         cols += n  # columns are nodes n .. 2n-1, after the rows
     nodes = n if hermitian else 2 * n

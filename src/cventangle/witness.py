@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import phase_space
-from .errors import InvalidArgumentError, NumericDomainError, real_field, require_nonnegative_nr
+from .errors import (InvalidArgumentError, NumericDomainError, abs_square, real_field,
+                     require_nonnegative_nr)
 from .realignment import DETECTION_TOL, NAN_OR_ONE, realignment_norm_two_mode
 
 if TYPE_CHECKING:
@@ -198,7 +199,7 @@ def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:
     """exp(-|alpha1 - alpha2|^2) of the coherent mixture, after checking p."""
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
-    return math.exp(-abs(complex(alpha1) - complex(alpha2)) ** 2)
+    return math.exp(-abs_square(complex(alpha1) - complex(alpha2)))
 
 
 def witness_coherent_mixture_closed(p: float, alpha1: complex, alpha2: complex) -> float:

@@ -187,11 +187,6 @@ class TestEval:
         [
             ({"family": "photon_added_sts", "n": 1.0, "r": 200.0}, "witness01"),
             ({"family": "photon_added_sts", "n": 1.0, "r": 400.0}, "swap"),
-            (
-                {"family": "coherent_mixture", "p": 0.5, "alpha1": [1e200, 0.0],
-                 "alpha2": [0.0, 0.0]},
-                "swap",
-            ),
             # the slice entry a + b overflows: refused, not read as SWAP 0.0
             *(({"family": "standard2", "a": 1e308, "b": 1e308, "c1": 0.0, "c2": 0.0}, quantity)
               for quantity in ("swap", "witness01", "bounds")),
@@ -206,6 +201,20 @@ class TestEval:
         code = main(["eval", "--state", json.dumps(doc), "--quantity", quantity])
         assert code == EXIT_NUMERIC
         assert "NumericDomainError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha1", [[1e200, 0.0], [1e308, 1e308]])
+    def test_coherent_mixture_overlap_underflows_to_zero(self, alpha1, capsys):
+        # |alpha1 - alpha2|^2 overflows a double: it reads as inf, so the
+        # overlap exp(-|alpha1 - alpha2|^2) is exactly 0, W01 = p and SWAP = 1 - 2p
+        doc = json.dumps({"family": "coherent_mixture", "p": 0.25, "alpha1": alpha1,
+                          "alpha2": [0.0, 0.0]})
+        values = {}
+        for quantity in ("witness01", "swap", "bounds"):
+            assert main(["eval", "--state", doc, "--quantity", quantity]) == EXIT_OK
+            values[quantity] = json.loads(capsys.readouterr().out)
+        assert values["witness01"]["value"] == 0.25
+        assert values["swap"]["value"] == 0.5
+        assert values["bounds"]["inputs"] == {"witnessValue01": 0.25, "swapValue": 0.5}
 
     def test_swap_photon_added_prints_json(self, capsys):
         doc = json.dumps({"family": "photon_added_sts", "n": 0.6, "r": 0.4})
@@ -777,6 +786,18 @@ class TestVerify:
             assert check["error"].startswith("TruncationError")
             if check["name"].startswith(squeezed):
                 assert "trace deficit 1 " in check["error"]
+
+    def test_overflowing_squeezer_exponent_is_truncation(self, capsys):
+        # at r ~ 1e308 the squeezer exponent -s (2m + delta + 1) overflows; its
+        # exponential is exactly 0, so the states are refused as truncated,
+        # with no overflow warning on the way
+        code = main(["verify", "--cutoff", "4", "--rmax", "1e308"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        checks = json.loads(captured.out)["checks"]
+        assert all(c["error"].startswith("TruncationError") for c in checks)
+        names = ", ".join(c["name"] for c in checks)
+        assert captured.err == f"verification failed by truncation only: {names}; raise --cutoff\n"
 
     def test_zero_squeezing_trivial(self, capsys):
         code = main(["verify", "--cutoff", "12", "--rmax", "0.0"])

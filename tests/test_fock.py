@@ -29,9 +29,13 @@ from cventangle.fock import (
     FockDensityMatrix,
     _check_deficit,
     _component_labels,
+    _index_dtype,
+    _log_cosh,
     _log_factorials,
+    _mirrors,
+    _permuted_rows_cols,
     _require_cutoff,
-    _squeezer_ladder_block,
+    _squeezer_ladders,
     _thermal_weights,
     coherent_amplitudes,
 )
@@ -282,6 +286,30 @@ class TestHugeSqueezing:
         with pytest.raises(TruncationError, match="trace deficit 1 "):
             build()
 
+    def test_squeezer_factor_overflow_is_exact_zero(self):
+        # -s (2m + delta + 1) overflows a double for s ~ 1e308; the factor
+        # exp(-s (2m + delta + 1)) is then exactly 0, with no overflow warning
+        ladder, lowering = _squeezer_ladders(1e308, 4, _log_factorials(4))
+        assert np.isfinite(ladder).all()
+        assert not lowering.any()
+        with pytest.raises(TruncationError, match="trace deficit 1 "):
+            squeezed_thermal_fock(0.2, 1e308, 4)
+
+
+class TestHugeCoherentAmplitude:
+    """Past |alpha| ~ 1.3e154, |alpha|^2 overflows a double: it is read as inf,
+    so e^{-|alpha|^2} and every Fock amplitude are exactly 0."""
+
+    @pytest.mark.parametrize("alpha", [1e200, -1e200j, 1e308 + 1e308j, 1.4e154])
+    def test_amplitudes_vanish(self, alpha):
+        amps = coherent_amplitudes(alpha, 8)
+        assert amps.dtype == np.float64 and not amps.any()
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e308 + 1e308j])
+    def test_mixture_refused_as_truncation(self, alpha):
+        with pytest.raises(TruncationError, match="trace deficit 0.5 "):
+            coherent_mixture_fock(0.5, alpha, 0.0, 8)
+
 
 class TestWitnessFock:
     def test_vacuum_w01_vanishes(self):
@@ -375,21 +403,38 @@ class TestOracleInequalities:
         assert abs(cren - negativity_fock(rho)) < 1e-3
 
 
+BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda cutoff: tmsv_fock(0.3, cutoff),
+        lambda cutoff: squeezed_thermal_fock(0.2, 0.3, cutoff),
+        lambda cutoff: photon_added_sts_fock(0.2, 0.3, cutoff),
+        lambda cutoff: coherent_mixture_fock(0.5, 1.0, -1.0, cutoff),
+    ],
+    ids=["tmsv", "squeezed_thermal", "photon_added", "coherent_mixture"],
+)
+
+
 class TestBuilderArguments:
     @pytest.mark.parametrize("cutoff", [3, -3])
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda cutoff: tmsv_fock(0.3, cutoff),
-            lambda cutoff: squeezed_thermal_fock(0.2, 0.3, cutoff),
-            lambda cutoff: photon_added_sts_fock(0.2, 0.3, cutoff),
-            lambda cutoff: coherent_mixture_fock(0.5, 1.0, -1.0, cutoff),
-        ],
-        ids=["tmsv", "squeezed_thermal", "photon_added", "coherent_mixture"],
-    )
+    @BUILDS
     def test_cutoff_below_4_rejected(self, build, cutoff):
         with pytest.raises(InvalidArgumentError, match="cutoff"):
             build(cutoff)
+
+    @pytest.mark.parametrize("cutoff", [8.0, "8", None, True], ids=["float", "str", "none", "bool"])
+    @BUILDS
+    def test_non_integer_cutoff_rejected(self, build, cutoff):
+        with pytest.raises(InvalidArgumentError, match="cutoff must be an integer"):
+            build(cutoff)
+
+    @BUILDS
+    def test_numpy_integer_cutoff_accepted(self, build):
+        rho, reference = build(np.int64(8)), build(8)
+        assert type(rho.cutoff) is int and rho.cutoff == 8
+        assert rho.support.dtype == reference.support.dtype
+        assert np.array_equal(rho.support, reference.support)
+        assert rho.values.tobytes() == reference.values.tobytes()
 
 
 def dense_negativity(rho: FockDensityMatrix) -> float:
@@ -746,6 +791,29 @@ def dense_coherent_mixture(p, alpha1, alpha2, cutoff):
     return FockDensityMatrix(cutoff=cutoff, matrix=rho, trace_deficit=deficit)
 
 
+def _squeezer_ladder_block(r: float, cutoff: int, delta: int, lg: np.ndarray) -> np.ndarray:
+    """Action of exp(r (a1†a2† - a1 a2)) on the photon-number-difference-delta
+    ladder: B[m, l] = <m+delta, m| U |l+delta, l>, truncated at the cutoff;
+    ``lg`` holds log k! for k = 0 .. cutoff.  One ladder per call, each at
+    its own size: the reference for the stacked ladders."""
+    size = cutoff + 1 - delta
+    t, s = math.tanh(r), _log_cosh(r)
+    logt = math.log(t) if t > 0.0 else -math.inf
+    m = np.arange(size)
+    steps = m[None, :] - m[:, None]  # column index minus row index
+    valid = steps >= 0
+    st = np.clip(steps, 0, None)
+    with np.errstate(invalid="ignore"):
+        logmag = np.where(st == 0, 0.0, st * logt) - lg[st]
+    half = 0.5 * (
+        lg[m + delta][None, :] + lg[m][None, :] - lg[m + delta][:, None] - lg[m][:, None]
+    )
+    ladder = np.where(valid, np.exp(logmag + half), 0.0)
+    lowering = ladder * np.where(st % 2 == 1, -1.0, 1.0)
+    k0 = np.exp(-s * (2 * m + delta + 1))
+    return ladder.T @ (k0[:, None] * lowering)
+
+
 def dense_sts_raw(n, r, cutoff):
     d = cutoff + 1
     pk = _thermal_weights(n, cutoff)
@@ -913,3 +981,82 @@ class TestEntryBuilders:
             monkeypatch.setattr(fock, name, build)
         assert cli.main(argv) == code
         assert capsys.readouterr().out == built
+
+
+def _digit(flat: np.ndarray, d: int, axis: int) -> np.ndarray:
+    """Digit ``axis`` (0 to 3, most significant first) of the 4-digit
+    base-``d`` numbers ``flat``: the reference for the divmod chain."""
+    return flat // d ** (3 - axis) % d
+
+
+@st.composite
+def symmetric_supports(draw):
+    """A sorted flat-index support of a symmetric pattern in an n x n matrix."""
+    n = draw(st.integers(1, 60))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120))
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    flat = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    return flat.astype(draw(st.sampled_from([np.int32, np.int64]))), n
+
+
+def mirror_sort(support: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mirrored indices and the stable sort of them themselves."""
+    row = support // n
+    mirror = (support - row * n) * n + row
+    return mirror, np.argsort(mirror, kind="stable")
+
+
+class TestOracleMechanisms:
+    """The stacked ladders, the radix mirror pairing and the divmod index map
+    must give what the ladder-by-ladder pass, the mirror sort and the
+    per-digit map give, bit for bit."""
+
+    @pytest.mark.parametrize("cutoff", [4, 12, 40, 64])
+    @pytest.mark.parametrize("r", [0.0, 1e-3, 0.6, 1.0, 30.0])
+    def test_stacked_ladders_equal_each_ladder(self, cutoff, r):
+        lg = _log_factorials(cutoff)
+        ladder, lowering = _squeezer_ladders(r, cutoff, lg)
+        for delta in range(cutoff + 1):
+            width = cutoff + 1 - delta
+            product = ladder[delta, :width, :width].T @ lowering[delta, :width, :width]
+            reference = _squeezer_ladder_block(r, cutoff, delta, lg)
+            assert product.tobytes() == reference.tobytes(), f"delta {delta}"
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=symmetric_supports())
+    def test_radix_pairing_is_mirror_sort(self, case):
+        support, n = case
+        mirror, order = _mirrors(support, n)
+        reference, reference_order = mirror_sort(support, n)
+        assert mirror.dtype == support.dtype
+        assert np.array_equal(mirror, reference)
+        assert np.array_equal(order, reference_order)
+        assert np.array_equal(mirror[order], support)
+
+    @pytest.mark.parametrize("cutoff", [255, 256])
+    def test_pairing_on_both_sides_of_16_bit_columns(self, cutoff):
+        # (N+1)^2 = 65,536 column indices fit 16 bits at cutoff 255, not at 256
+        rho = tmsv_fock(0.3, cutoff)
+        d = cutoff + 1
+        diag = np.arange(d) * (d + 1)
+        assert np.array_equal(rho.support, (diag[:, None] * (d * d) + diag).ravel())
+        mirror, order = _mirrors(rho.support, d * d)
+        reference, reference_order = mirror_sort(rho.support, d * d)
+        assert np.array_equal(mirror, reference) and np.array_equal(order, reference_order)
+        transposed = rho.values.reshape(d, d).T.ravel()
+        assert rho.values.tobytes() == transposed.tobytes()
+        assert abs(witness_fock(rho, "W01") - (1 - math.exp(0.6))) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [4, 40, 214, 215])
+    @pytest.mark.parametrize("axes", [(0, 3, 2, 1), (0, 2, 1, 3)], ids=["partial", "realigned"])
+    def test_divmod_map_equals_digit_map(self, cutoff, axes):
+        d = cutoff + 1
+        dtype = _index_dtype(cutoff)
+        rng = np.random.default_rng(cutoff)
+        flat = np.unique(np.concatenate([
+            [0, d**4 - 1, d**3, d**2 - 1], rng.integers(0, d**4, size=5000)])).astype(dtype)
+        rows, cols = _permuted_rows_cols(flat, d, axes)
+        expected_rows = _digit(flat, d, axes[0]) * d + _digit(flat, d, axes[1])
+        expected_cols = _digit(flat, d, axes[2]) * d + _digit(flat, d, axes[3])
+        assert rows.dtype == cols.dtype == dtype
+        assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)

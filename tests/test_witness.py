@@ -506,6 +506,22 @@ class TestCoherentMixture:
         with pytest.raises(InvalidArgumentError):
             witness_coherent_mixture_closed(-0.1, 1.0, -1.0)
 
+    @pytest.mark.parametrize("alpha1,alpha2", [(1e200, 0.0), (1e154, -1e154), (1e308, -1e308j)])
+    def test_overflowing_separation(self, alpha1, alpha2):
+        # |alpha1 - alpha2|^2 overflows and reads as inf: the overlap is exactly 0
+        for p in (0.0, 0.25, 1.0):
+            assert witness_coherent_mixture_closed(p, alpha1, alpha2) == p
+            assert swap_expectation_coherent_mixture(p, alpha1, alpha2) == 1.0 - 2.0 * p
+
+    def test_finite_overlap_keeps_its_bits(self, rng):
+        # the square stays abs(d) ** 2, whose rounding differs from d * d
+        for _ in range(2000):
+            a1, a2 = (complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-3, 1.2)) for _ in range(2))
+            p = float(rng.uniform())
+            overlap = math.exp(-abs(a1 - a2) ** 2)
+            assert swap_expectation_coherent_mixture(p, a1, a2) == p * (overlap - 1.0) + 1.0 - p
+            assert witness_coherent_mixture_closed(p, a1, a2) == p * (1.0 - overlap)
+
     def test_w01_closed_form_matches_oracle(self, rng):
         # p (1 - exp(-|a1 - a2|^2)) against the cutoff-40 Fock state, p = 0
         # and p = 1 included
