@@ -1000,7 +1000,8 @@ def symmetric_supports(draw):
 
 
 def mirror_sort(support: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mirrored indices and the stable sort of them themselves."""
+    """The mirrored indices of ``support`` and their own stable argsort: the
+    reference pairing."""
     row = support // n
     mirror = (support - row * n) * n + row
     return mirror, np.argsort(mirror, kind="stable")
