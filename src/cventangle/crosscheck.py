@@ -118,10 +118,11 @@ def failed_by_truncation(record: dict) -> bool:
 def run_verification(cutoff: int, r_max: float) -> dict:
     """Run every oracle cross-check at the given truncation.
 
-    ``cutoff`` must lie in [4, 64] and ``r_max`` must be finite; ``r_max <= 0``
-    checks r = 0 only.  Returns a JSON-ready report; ``all_pass`` is true iff
-    every check stayed within its tolerance.
+    ``cutoff`` must be an integer in [4, 64] and ``r_max`` must be finite;
+    ``r_max <= 0`` checks r = 0 only.  Returns a JSON-ready report;
+    ``all_pass`` is true iff every check stayed within its tolerance.
     """
+    cutoff = fock._valid_cutoff(cutoff)
     if not 4 <= cutoff <= 64:
         raise InvalidArgumentError(f"cutoff must lie in [4, 64], got {cutoff}")
     if not math.isfinite(r_max):

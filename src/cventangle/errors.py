@@ -48,6 +48,14 @@ def require_nonnegative_nr(n: float, r: float) -> None:
         raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
 
 
+def require_probability(p) -> float:
+    """The mixing probability p as a float in [0, 1] (NaN rejected)."""
+    p = float(p)
+    if not (0.0 <= p <= 1.0):
+        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+    return p
+
+
 def abs_square(z: complex) -> float:
     """|z|^2 as ``abs(z) ** 2``, read as inf where it overflows (Python
     raises OverflowError there, past |z| ~ 1.3e154)."""

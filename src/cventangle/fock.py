@@ -7,22 +7,23 @@ entry is real.  No builder or kernel allocates an array of (N+1)^4
 elements; ``FockDensityMatrix.matrix`` assembles the dense array on demand.
 Constructors self-report the trace lost to truncation and refuse to build
 states that lose more than 1%.  Each builder hands the sorted flat indices
-and values of its nonzero entries to one constructor core,
-:func:`_from_entries`: the non-finite check, the Hermiticity gate and the
-symmetrization read only those entries and their mirrors, which one stable
-sort of the column indices pairs up.  A dense matrix passed to
-:class:`FockDensityMatrix` goes through the same core after one scan for its
-nonzero entries.  A builder's trace is summed over a dense diagonal vector,
-the same pairwise sum ``np.trace`` takes.  Witness and SWAP expectations
-look up the O(d^2) entries they read in the support.  Negativity and the
-realigned trace norm map the pattern through the axis permutation that turns
-rho into the partial transpose or the realigned matrix, split that matrix
-into the connected components of the mapped pattern, a permutation rather
-than an approximation, and scatter the entries straight into their blocks;
-equal-shape blocks share one stacked LAPACK call.  No symmetry of the state
-(such as conservation of the photon-number difference) is assumed; it is
-only observed in the zeros, so the oracle stays independent of every
-analytic path in the package.
+and values of its entries, a symmetric pattern, to one constructor core,
+:func:`_from_entries`: one stable sort of the column indices pairs each entry
+with its mirror, the non-finite check, the Hermiticity gate and the
+symmetrization read only those pairs, and the entries that are 0 after the
+symmetrization are dropped.  A dense matrix passed to
+:class:`FockDensityMatrix` goes through the same core after one scan for the
+entries where it or its transpose is nonzero.  A builder's trace is summed
+over a dense diagonal vector, the same pairwise sum ``np.trace`` takes.
+Witness and SWAP expectations look up the O(d^2) entries they read in the
+support.  Negativity and the realigned trace norm map the pattern through
+the axis permutation that turns rho into the partial transpose or the
+realigned matrix, split that matrix into the connected components of the
+mapped pattern, a permutation rather than an approximation, and scatter the
+entries straight into their blocks; equal-shape blocks share one stacked
+LAPACK call.  No symmetry of the state (such as conservation of the
+photon-number difference) is assumed; it is only observed in the zeros, so
+the oracle stays independent of every analytic path in the package.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     TruncationError,
     abs_square,
     require_nonnegative_nr,
+    require_probability,
 )
 
 #: Constructors fail when more than this fraction of the trace is truncated away.
@@ -53,10 +55,10 @@ class FockDensityMatrix:
 
     ``FockDensityMatrix(cutoff, matrix, trace_deficit)`` takes a dense
     ``matrix``; ``cutoff`` must be an integer >= 0 and ``trace_deficit`` a
-    number in [0, 1].  The matrix is scanned once for its nonzero entries,
-    which then take the builders' path (:func:`_from_entries`): the state is
-    (m + m^H)/2.  ``matrix`` assembles the dense array on each access; every
-    kernel reads the entries instead.
+    number in [0, 1].  The matrix is scanned once for the entries where m or
+    m^T is nonzero, a symmetric pattern, which then take the builders' path
+    (:func:`_from_entries`): the state is (m + m^H)/2.  ``matrix`` assembles
+    the dense array on each access; every kernel reads the entries instead.
     """
 
     cutoff: int
@@ -70,7 +72,7 @@ class FockDensityMatrix:
         if m.shape != (d, d):
             raise InvalidArgumentError(f"matrix shape {m.shape} does not match cutoff {cutoff}")
         flat = m.ravel()
-        support = np.flatnonzero(flat)
+        support = np.flatnonzero((m != 0) | (m.T != 0))
         built = _from_entries(cutoff, support, flat[support], trace_deficit)
         vars(self).update(vars(built))  # vars() bypasses the frozen __setattr__
 
@@ -152,44 +154,34 @@ def _from_entries(
     cutoff, support: np.ndarray, values: np.ndarray, trace_deficit, order=None
 ) -> FockDensityMatrix:
     """The state whose matrix m holds ``values`` at the sorted flat indices
-    ``support`` and 0 elsewhere, stored as the entries of (m + m^H)/2; every
-    constructor ends here.
+    ``support`` and 0 elsewhere, stored as the nonzero entries of
+    (m + m^H)/2; every constructor ends here.
 
-    Entries equal to 0 are dropped.  The rest are stored real when none has
-    an imaginary part, must be finite, and must match the conjugate of their
-    mirror within 1e-12 of the largest magnitude (or of 1).  An entry that
-    is 0 along with its mirror adds nothing to the scale or the asymmetry and
-    stays 0 in (m + m^H)/2, so the entries and their mirrors carry the whole
-    computation.  Each entry finds its mirror through :func:`_mirrors`: a
-    symmetric pattern, as every builder's is, maps onto itself and the sort
-    of the mirrored indices pairs the entries; any other pattern looks its
-    mirrors up.  A builder that knows the pairing may pass it as ``order``
-    (entry order[i] mirrors entry i) in place of the sort; it is checked the
-    same way, and dropped along with any entry equal to 0.
+    The pattern ``support`` must be symmetric: it holds the mirror of each of
+    its indices, with explicit zeros where m is 0 on one side only.  Off the
+    pattern m and m^H are both 0, so the entries and their mirrors carry the
+    whole computation.  :func:`_mirrors` pairs each entry with its mirror, or
+    a builder that knows the pairing passes it as ``order`` (entry order[i]
+    mirrors entry i); either pairing is checked, and a pattern it does not
+    pair is refused.  The entries are stored real when none has an imaginary
+    part, must be finite, and must match the conjugate of their mirror within
+    1e-12 of the largest magnitude (or of 1).  The entries that are 0 after
+    the symmetrization are dropped.
     """
     cutoff, deficit = _valid_cutoff(cutoff), _valid_deficit(trace_deficit)
-    n = (cutoff + 1) ** 2
     support = np.asarray(support).astype(_index_dtype(cutoff), copy=False)
     values = np.asarray(values)
     values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
-    keep = values != 0
-    if not keep.all():
-        support, values, order = support[keep], values[keep], None
     if np.iscomplexobj(values) and not values.imag.any():
         values = values.real
+    mirror, order = _mirrors(support, (cutoff + 1) ** 2, order)
+    if not np.array_equal(mirror[order], support):  # entry order[i] mirrors entry i
+        raise InvalidArgumentError("entry pattern is not symmetric")
+    del mirror
     if not np.isfinite(values).all():
         raise InvalidArgumentError("density matrix has a non-finite entry")
-    mirror, order = _mirrors(support, n, order)
-    if np.array_equal(mirror[order], support):  # entry order[i] mirrors entry i
-        mirrored = values[order]
-    else:
-        mirrored = _lookup(support, values, mirror)  # 0 exactly where the mirror is no entry
+    mirrored = values[order]
     del order
-    lonely = mirrored == 0
-    target = mirror[lonely]  # off the given pattern, yet half an entry in (m + m^H)/2
-    tail = mirrored[lonely] + np.conjugate(values[lonely])
-    tail /= 2.0
-    del mirror, lonely
     if np.iscomplexobj(mirrored):
         np.conjugate(mirrored, out=mirrored)
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
@@ -202,13 +194,7 @@ def _from_entries(
     values = np.add(values, mirrored, out=mirrored)
     values /= 2.0
     nonzero = values != 0
-    if target.size:
-        lone = tail != 0
-        support = np.concatenate([support[nonzero], target[lone]])
-        values = np.concatenate([values[nonzero], tail[lone]])
-        order = np.argsort(support)
-        support, values = support[order], values[order]
-    elif not nonzero.all():
+    if not nonzero.all():
         support, values = support[nonzero], values[nonzero]
     for array in (support, values):
         array.setflags(write=False)
@@ -292,11 +278,10 @@ def coherent_mixture_fock(
     :func:`cventangle.witness.swap_expectation_coherent_mixture`);
     ``trace_deficit`` reports only the truncation loss relative to that trace.
     """
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+    p = require_probability(p)
     cutoff = _require_cutoff(cutoff)
-    overlap2 = math.exp(-abs_square(complex(alpha1) - complex(alpha2)))
+    alpha1, alpha2 = complex(alpha1), complex(alpha2)
+    overlap2 = math.exp(-abs_square(alpha1 - alpha2))
     intended_trace = 1.0 - p * overlap2
     if intended_trace <= 1e-15:
         raise InvalidArgumentError(
@@ -324,7 +309,9 @@ def coherent_mixture_fock(
     diagonal[0] = values[0]
     deficit = _check_deficit(
         1.0 - float(diagonal.sum().real) / intended_trace,
-        f"coherent mixture |alpha1|={abs(alpha1)}, |alpha2|={abs(alpha2)}",
+        # hypot reads an overflowing modulus as inf, where abs() of a complex raises
+        f"coherent mixture |alpha1|={math.hypot(alpha1.real, alpha1.imag)}, "
+        f"|alpha2|={math.hypot(alpha2.real, alpha2.imag)}",
     )
     # the mirror of entry 1 + a k + b is entry 1 + b k + a; the vacuum term is its own
     order = np.empty(k * k + 1, dtype=np.intp)

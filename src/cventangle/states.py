@@ -22,7 +22,8 @@ import numpy as np
 
 from . import realignment, witness
 from .errors import (InvalidArgumentError, complex_field, matrix_field, real_field,
-                     require_nonnegative_nr, require_vacuum_bound, text_field)
+                     require_nonnegative_nr, require_probability, require_vacuum_bound,
+                     text_field)
 from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, is_physical
 
@@ -163,9 +164,7 @@ class CoherentMixture:
     alpha2: complex
 
     def __post_init__(self):
-        p = float(self.p)
-        if not (0.0 <= p <= 1.0):
-            raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+        p = require_probability(self.p)
         alpha1, alpha2 = complex(self.alpha1), complex(self.alpha2)
         if p == 1.0 and alpha1 == alpha2:
             raise InvalidArgumentError(

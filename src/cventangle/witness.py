@@ -21,7 +21,7 @@ import numpy as np
 
 from . import phase_space
 from .errors import (InvalidArgumentError, NumericDomainError, abs_square, real_field,
-                     require_nonnegative_nr)
+                     require_nonnegative_nr, require_probability)
 from .realignment import DETECTION_TOL, NAN_OR_ONE, realignment_norm_two_mode
 
 if TYPE_CHECKING:
@@ -197,8 +197,7 @@ def swap_expectation(state: TwoModeStandardForm | CovarianceMatrix) -> float:
 
 def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:
     """exp(-|alpha1 - alpha2|^2) of the coherent mixture, after checking p."""
-    if not (0.0 <= p <= 1.0):
-        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+    require_probability(p)
     return math.exp(-abs_square(complex(alpha1) - complex(alpha2)))
 
 

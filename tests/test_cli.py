@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cventangle import classify_two_two, fock
+from cventangle import InvalidArgumentError, classify_two_two, crosscheck, fock
 from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
                             main)
 from cventangle.states import FAMILIES
@@ -742,6 +742,17 @@ class TestQuantityTable:
             assert list(record["inputs"]) == ["witnessValue01", "swapValue"]
 
 
+@pytest.fixture
+def no_builds(monkeypatch):
+    """Make building any oracle state fail the test."""
+    def no_build(*_args):
+        raise AssertionError("a state was built")
+
+    for builder in ("tmsv_fock", "squeezed_thermal_fock", "photon_added_sts_fock",
+                    "coherent_mixture_fock"):
+        monkeypatch.setattr(fock, builder, no_build)
+
+
 class TestVerify:
     def test_small_cutoff_suite_passes(self, capsys):
         code = main(["verify", "--cutoff", "25", "--rmax", "0.4"])
@@ -814,15 +825,19 @@ class TestVerify:
         [["--cutoff", "-3"], ["--cutoff", "2"], ["--rmax", "nan"], ["--rmax", "inf"]],
         ids=["negative-cutoff", "cutoff-below-4", "nan-rmax", "infinite-rmax"],
     )
-    def test_bad_arguments_exit_2_before_building(self, args, capsys, monkeypatch):
-        def no_build(*_args):
-            raise AssertionError("a state was built")
-
-        for builder in ("tmsv_fock", "squeezed_thermal_fock", "photon_added_sts_fock",
-                        "coherent_mixture_fock"):
-            monkeypatch.setattr(fock, builder, no_build)
+    def test_bad_arguments_exit_2_before_building(self, args, capsys, no_builds):
         assert main(["verify", *args]) == EXIT_INVALID
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cutoff", [8.5, "8", None, True], ids=["float", "str", "none", "bool"])
+    def test_non_integer_cutoff_refused_before_building(self, cutoff, no_builds):
+        with pytest.raises(InvalidArgumentError, match="cutoff must be an integer"):
+            crosscheck.run_verification(cutoff, 0.3)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        report = crosscheck.run_verification(np.int64(40), 0.6)
+        assert type(report["cutoff"]) is int
+        assert report == crosscheck.run_verification(40, 0.6)
 
     def test_default_suite_passes(self, capsys):
         code = main(["verify"])

@@ -20,6 +20,7 @@ from cventangle import (
     squeezed_thermal_params,
     swap_expectation_coherent_mixture,
     tmsv_fock,
+    witness_coherent_mixture_closed,
     witness_expectation_gaussian,
     witness_fock,
     witness_photon_added_closed,
@@ -29,6 +30,7 @@ from cventangle.fock import (
     FockDensityMatrix,
     _check_deficit,
     _component_labels,
+    _from_entries,
     _index_dtype,
     _log_cosh,
     _log_factorials,
@@ -309,6 +311,17 @@ class TestHugeCoherentAmplitude:
     def test_mixture_refused_as_truncation(self, alpha):
         with pytest.raises(TruncationError, match="trace deficit 0.5 "):
             coherent_mixture_fock(0.5, alpha, 0.0, 8)
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    def test_overflowing_modulus_refused_as_truncation(self, slot):
+        # |alpha| = 2.4e308 itself leaves the double range, where abs() raises
+        alphas = [0.0, 0.0]
+        alphas[slot - 1] = 1.7e308 + 1.7e308j
+        with pytest.raises(TruncationError, match="trace deficit 0.25 ") as info:
+            coherent_mixture_fock(0.25, *alphas, 8)
+        assert f"|alpha{slot}|=inf" in str(info.value)
+        assert witness_coherent_mixture_closed(0.25, *alphas) == 0.25
+        assert swap_expectation_coherent_mixture(0.25, *alphas) == 0.5
 
 
 class TestWitnessFock:
@@ -630,10 +643,42 @@ class TestComponentLabels:
         assert np.array_equal(_component_labels(u, v, 21), reference_labels(u, v, 21))
 
 
+@st.composite
+def symmetric_entries(draw):
+    """A state's entries for :func:`_from_entries` at a cutoff of 0 to 3: a
+    sorted symmetric support, real or complex values off a Hermitian matrix by
+    at most 1e-13 of its scale, explicit zeros on one side of some mirror
+    pairs (facing at most 1e-14) and on both sides of others, and either no
+    ``order`` or the valid one."""
+    cutoff = draw(st.integers(0, 3))
+    n = (cutoff + 1) ** 2
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    support = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(n, n))
+    if draw(st.booleans()):
+        m = m + 1j * rng.normal(size=(n, n))
+    m = m + m.conj().T + 1e-13 * rng.uniform(-1, 1, size=(n, n))
+    row, col = np.divmod(support, n)
+    upper = row <= col  # one cell of each mirror pair
+    row, col = row[upper], col[upper]
+    fate = rng.integers(0, 3, size=row.size)  # kept, 0 on one side, 0 on both sides
+    swap = rng.random(row.size) < 0.5
+    row, col = np.where(swap, col, row), np.where(swap, row, col)
+    m[row[fate > 0], col[fate > 0]] = 0.0
+    m[col[fate == 1], row[fate == 1]] = 1e-14
+    m[col[fate == 2], row[fate == 2]] = 0.0
+    m *= draw(st.sampled_from([1.0, 2.0**-1070]))  # subnormal pairs may halve to 0
+    order = mirror_sort(support, n)[1] if draw(st.booleans()) else None
+    return cutoff, support, m.ravel()[support], order
+
+
 class TestConstructionGate:
     """The Hermiticity gate, the symmetrization and the non-finite check read
-    only the nonzero pattern and its mirror; each must agree with the dense
-    definition."""
+    only the entries and their mirrors; each must agree with the dense
+    definition.  The constructor core takes a symmetric pattern, explicit
+    zeros included, and refuses any other."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
     def test_non_finite_entry_rejected(self, bad):
@@ -691,6 +736,31 @@ class TestConstructionGate:
         assert rho.matrix[0, 1] == rho.matrix[1, 0] == 0.0
         assert 1 not in rho.support and 25 not in rho.support
         assert np.array_equal(rho.support, np.arange(25) * 26)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=symmetric_entries())
+    def test_dense_formula_without_zeros_bitwise(self, case):
+        cutoff, support, values, order = case
+        rho = _from_entries(cutoff, support, values, 0.0, order)
+        n = (cutoff + 1) ** 2
+        m = np.zeros(n * n, dtype=values.dtype if values.imag.any() else float)
+        m[support] = values.real if m.dtype == float else values  # real unless some entry is not
+        m = m.reshape(n, n)
+        expected = ((m + m.conj().T) / 2.0).ravel()
+        nonzero = np.flatnonzero(expected)
+        assert np.array_equal(rho.support, nonzero)
+        assert rho.values.dtype == expected.dtype
+        assert rho.values.tobytes() == expected[nonzero].tobytes()
+
+    @pytest.mark.parametrize("support,order", [
+        ([0, 1, 26], None),  # entry (0, 1) of a 25 x 25 matrix, without (1, 0)
+        ([0, 1, 25, 26], [0, 1, 2, 3]),  # a symmetric pattern with a wrong pairing
+    ], ids=["asymmetric-pattern", "wrong-order"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_unpaired_pattern_rejected(self, support, order, dtype):
+        values = np.full(len(support), 0.25, dtype=dtype)
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            _from_entries(4, np.array(support), values, 0.0, order)
 
 
 class TestConstructorArguments:

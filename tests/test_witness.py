@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cventangle import (
+    CoherentMixture,
     CovarianceMatrix,
     InvalidArgumentError,
     TwoModeStandardForm,
@@ -505,6 +506,15 @@ class TestCoherentMixture:
             swap_expectation_coherent_mixture(1.5, 1.0, -1.0)
         with pytest.raises(InvalidArgumentError):
             witness_coherent_mixture_closed(-0.1, 1.0, -1.0)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan, math.inf])
+    def test_every_mixture_entry_point_refuses_p_alike(self, p):
+        # the descriptor, the Fock builder and both closed forms share one check
+        for call in (CoherentMixture, lambda *a: coherent_mixture_fock(*a, 8),
+                     witness_coherent_mixture_closed, swap_expectation_coherent_mixture):
+            with pytest.raises(InvalidArgumentError) as info:
+                call(p, 1.0, -1.0)
+            assert str(info.value) == f"mixing probability must lie in [0, 1], got {p}"
 
     @pytest.mark.parametrize("alpha1,alpha2", [(1e200, 0.0), (1e154, -1e154), (1e308, -1e308j)])
     def test_overflowing_separation(self, alpha1, alpha2):
