@@ -285,12 +285,14 @@ def run_scan(
 
 
 def _load_descriptor(text: str) -> dict:
-    """The state descriptor given inline as JSON or as a file path."""
+    """The state descriptor given inline as JSON or as a file path.  Malformed
+    JSON, bytes that are not UTF-8, an integer past the digit limit (each a
+    ValueError) and nesting too deep for the parser are invalid input."""
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidArgumentError(f"invalid state JSON: {exc}") from exc
     else:
         try:
@@ -298,7 +300,7 @@ def _load_descriptor(text: str) -> dict:
                 doc = json.load(fh)
         except OSError as exc:
             raise IOError(f"cannot read state file {stripped}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InvalidArgumentError(f"invalid state JSON in {stripped}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidArgumentError("state descriptor must be a JSON object")

@@ -4,16 +4,14 @@ A state is its exactly nonzero entries: the sorted flat indices
 (``support``) into the (N+1)^2 x (N+1)^2 density matrix, basis index
 i*(N+1)+j for |i>_A |j>_B, and their ``values``, stored real whenever every
 entry is real.  No builder or kernel allocates an array of (N+1)^4
-elements; ``FockDensityMatrix.matrix`` assembles the dense array on demand.
-Constructors self-report the trace lost to truncation and refuse to build
-states that lose more than 1%.  Each builder hands the sorted flat indices
-and values of its entries, a symmetric pattern, to one constructor core,
+elements.  The four builders are the only way to a state: each checks its
+arguments and cutoff, self-reports the trace lost to truncation and refuses
+states that lose more than 1%, then hands the sorted flat indices and
+values of its entries, a symmetric pattern, to one constructor core,
 :func:`_from_entries`: one stable sort of the column indices pairs each entry
 with its mirror, the non-finite check, the Hermiticity gate and the
 symmetrization read only those pairs, and the entries that are 0 after the
-symmetrization are dropped.  A dense matrix passed to
-:class:`FockDensityMatrix` goes through the same core after one scan for the
-entries where it or its transpose is nonzero.  A builder's trace is summed
+symmetrization are dropped.  A builder's trace is summed
 over a dense diagonal vector, the same pairwise sum ``np.trace`` takes.
 Witness and SWAP expectations look up the O(d^2) entries they read in the
 support.  Negativity and the realigned trace norm map the pattern through
@@ -53,12 +51,8 @@ class FockDensityMatrix:
     stored as its exactly nonzero entries: their sorted flat indices
     ``support`` into the (N+1)^2 x (N+1)^2 matrix and their ``values``.
 
-    ``FockDensityMatrix(cutoff, matrix, trace_deficit)`` takes a dense
-    ``matrix``; ``cutoff`` must be an integer >= 0 and ``trace_deficit`` a
-    number in [0, 1].  The matrix is scanned once for the entries where m or
-    m^T is nonzero, a symmetric pattern, which then take the builders' path
-    (:func:`_from_entries`): the state is (m + m^H)/2.  ``matrix`` assembles
-    the dense array on each access; every kernel reads the entries instead.
+    States come from the four builders only, through :func:`_from_entries`;
+    the class takes no constructor arguments.
     """
 
     cutoff: int
@@ -66,45 +60,15 @@ class FockDensityMatrix:
     support: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
-    def __init__(self, cutoff, matrix, trace_deficit):
-        d = (_valid_cutoff(cutoff) + 1) ** 2
-        m = np.asarray(matrix)
-        if m.shape != (d, d):
-            raise InvalidArgumentError(f"matrix shape {m.shape} does not match cutoff {cutoff}")
-        flat = m.ravel()
-        support = np.flatnonzero((m != 0) | (m.T != 0))
-        built = _from_entries(cutoff, support, flat[support], trace_deficit)
-        vars(self).update(vars(built))  # vars() bypasses the frozen __setattr__
-
     @property
     def dim(self) -> int:
         return self.cutoff + 1
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (N+1)^2 x (N+1)^2 matrix (read-only), assembled from the
-        entries on each access."""
-        n = self.dim**2
-        dense = np.zeros(n * n, dtype=self.values.dtype)
-        dense[self.support] = self.values
-        dense.setflags(write=False)
-        return dense.reshape(n, n)
 
 
 def _valid_cutoff(cutoff) -> int:
     if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
         raise InvalidArgumentError(f"cutoff must be an integer >= 0, got {cutoff!r}")
     return int(cutoff)
-
-
-def _valid_deficit(deficit) -> float:
-    try:
-        deficit = float(deficit)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"trace deficit must be a number, got {deficit!r}") from None
-    if not 0.0 <= deficit <= 1.0:
-        raise InvalidArgumentError(f"trace deficit must lie in [0, 1], got {deficit}")
-    return deficit
 
 
 def _index_dtype(cutoff: int) -> type:
@@ -151,11 +115,12 @@ def _mirrors(support: np.ndarray, n: int, order=None) -> tuple[np.ndarray, np.nd
 
 
 def _from_entries(
-    cutoff, support: np.ndarray, values: np.ndarray, trace_deficit, order=None
+    cutoff: int, support: np.ndarray, values: np.ndarray, trace_deficit: float, order=None
 ) -> FockDensityMatrix:
     """The state whose matrix m holds ``values`` at the sorted flat indices
     ``support`` and 0 elsewhere, stored as the nonzero entries of
-    (m + m^H)/2; every constructor ends here.
+    (m + m^H)/2; every builder ends here, with the cutoff and trace deficit
+    it has checked (:func:`_require_cutoff`, :func:`_check_deficit`).
 
     The pattern ``support`` must be symmetric: it holds the mirror of each of
     its indices, with explicit zeros where m is 0 on one side only.  Off the
@@ -168,7 +133,6 @@ def _from_entries(
     1e-12 of the largest magnitude (or of 1).  The entries that are 0 after
     the symmetrization are dropped.
     """
-    cutoff, deficit = _valid_cutoff(cutoff), _valid_deficit(trace_deficit)
     support = np.asarray(support).astype(_index_dtype(cutoff), copy=False)
     values = np.asarray(values)
     values = values.astype(complex if np.iscomplexobj(values) else float, copy=False)
@@ -199,7 +163,7 @@ def _from_entries(
     for array in (support, values):
         array.setflags(write=False)
     rho = object.__new__(FockDensityMatrix)
-    vars(rho).update(cutoff=cutoff, trace_deficit=deficit, support=support, values=values)
+    vars(rho).update(cutoff=cutoff, trace_deficit=trace_deficit, support=support, values=values)
     return rho
 
 
@@ -212,6 +176,8 @@ def _require_cutoff(cutoff) -> int:
 
 def _check_deficit(deficit: float, label: str) -> float:
     deficit = float(max(deficit, 0.0))
+    if math.isnan(deficit):  # a NaN normalizer, e.g. from an infinite n or amplitude
+        raise InvalidArgumentError(f"trace deficit of {label} is not a number")
     if deficit > MAX_TRACE_DEFICIT:
         raise TruncationError(
             f"truncation insufficient for {label}: trace deficit {deficit:.3g} "
@@ -227,7 +193,7 @@ def tmsv_fock(r: float, cutoff: int) -> FockDensityMatrix:
     as ``trace_deficit``; the returned matrix is renormalized to trace 1.
     """
     r = float(r)
-    if r < 0:
+    if not r >= 0:  # NaN included
         raise InvalidArgumentError(f"squeezing must be nonnegative, got {r}")
     cutoff = _require_cutoff(cutoff)
     d = cutoff + 1
@@ -476,7 +442,7 @@ def witness_fock(rho: FockDensityMatrix, which: str) -> float:
     ``np.trace(m) - m[np.ix_(diag, diag)].sum()`` and
     ``np.einsum("ijji->", m)``: row by row, one running sum per row.
     """
-    if which.upper() not in ("W01", "SWAP"):
+    if not isinstance(which, str) or which.upper() not in ("W01", "SWAP"):
         raise InvalidArgumentError(f"unknown witness operator {which!r} (use 'W01' or 'SWAP')")
     d = rho.dim
     n = d * d
@@ -535,9 +501,9 @@ def _permuted_rows_cols(support: np.ndarray, d: int, axes: tuple) -> tuple[np.nd
 
 
 def _trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
-    """Sum of the singular values of the matrix M whose 4-index view is
-    ``rho.matrix.reshape(d, d, d, d).transpose(axes)``, for a permutation
-    ``axes`` that is its own inverse.
+    """Sum of the singular values of the matrix M whose 4-index view is the
+    (d, d, d, d) view of rho transposed by ``axes``, a permutation that is
+    its own inverse.
 
     M is never formed: ``rho.support`` mapped through ``axes`` is M's nonzero
     pattern, whose connected components (over M's indices if ``hermitian``,

@@ -101,6 +101,27 @@ class TestEval:
         assert main(["eval", "--state", str(path), "--quantity", "classify"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["verdict"] == "bound_entangled"
 
+    def test_state_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["eval", "--state", str(path), "--quantity", "classify"]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: invalid state JSON in {path}: ")
+
+    @pytest.mark.parametrize("route", ["inline", "file"])
+    @pytest.mark.parametrize("body,reason", [
+        ("[" * 100_000 + "]" * 100_000, "recursion"),
+        ("1" * 5000, "digits"),  # past the int-to-str conversion limit
+    ], ids=["deep-nesting", "long-integer"])
+    def test_unparseable_state_exits_2(self, route, body, reason, tmp_path, capsys):
+        state = '{"a": ' + body + "}"
+        if route == "file":
+            path = tmp_path / "state.json"
+            path.write_text(state)
+            state = str(path)
+        assert main(["eval", "--state", state, "--quantity", "classify"]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid state JSON") and reason in err
+
     def test_invalid_family_exits_2(self, capsys):
         code = main(["eval", "--state", '{"family": "bogus"}', "--quantity", "classify"])
         assert code == EXIT_INVALID

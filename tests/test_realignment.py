@@ -6,6 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cventangle import (
     CovarianceMatrix,
@@ -154,6 +156,22 @@ class TestRealignmentNorm:
             pa = 0.25 / math.sqrt(np.linalg.det(cov.matrix[:2, :2]))
             pb = 0.25 / math.sqrt(np.linalg.det(cov.matrix[2:, 2:]))
             assert abs(realignment_norm(cov).norm - math.sqrt(pa * pb)) < 1e-12
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), modes=st.sampled_from([2, 4]),
+           log_scale=st.floats(-6.0, 0.0))
+    def test_noise_never_raises_pure_core_norm(self, seed, modes, log_scale):
+        # a pure 1+1 or 2+2 core V_p = S S^T / 4 plus classical noise Y = G G^T
+        # (spectral norm 1e-6 to 1): the realigned norm of V_p + Y stays at or
+        # below the pure core's, so ||R||_1 - 1 never exceeds its negativity
+        rng = np.random.default_rng(seed)
+        S = random_symplectic(rng, modes)
+        G = rng.normal(size=(2 * modes, 2 * modes))
+        Y = G @ G.T
+        Y *= 10.0**log_scale / np.linalg.norm(Y, 2)
+        pure = realignment_norm(CovarianceMatrix(S @ S.T / 4)).norm
+        noisy = realignment_norm(CovarianceMatrix(S @ S.T / 4 + Y)).norm
+        assert noisy <= pure * (1 + 1e-12)
 
 
 def raw_eval(V):
