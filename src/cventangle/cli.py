@@ -285,11 +285,13 @@ def run_scan(
 
 
 def _load_descriptor(text: str) -> dict:
-    """The state descriptor given inline as JSON or as a file path.  Malformed
-    JSON, bytes that are not UTF-8, an integer past the digit limit (each a
-    ValueError) and nesting too deep for the parser are invalid input."""
+    """The state descriptor given inline as JSON (text that starts with
+    ``{``, ``[`` or ``"`` once stripped) or as a file path.  Malformed JSON,
+    bytes that are not UTF-8, an integer past the digit limit (each a
+    ValueError), nesting too deep for the parser and JSON other than an
+    object are invalid input."""
     stripped = text.strip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[", '"')):
         try:
             doc = json.loads(stripped)
         except (ValueError, RecursionError) as exc:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, NumericDomainError, SingularLimitError,
                      require_vacuum_bound)
-from .symplectic import CovarianceMatrix, WilliamsonSpectrum, is_physical
+from .symplectic import CovarianceMatrix, WilliamsonSpectrum, require_physical
 
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
@@ -93,8 +93,7 @@ def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, fl
     m = V.modes
     if m % 2:
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {m} modes")
-    if not is_physical(V):
-        raise InvalidArgumentError("realignment requires a physical covariance matrix")
+    require_physical(V)
     n = m // 2
     dim = 2 * m
     L = np.zeros((dim, dim))
@@ -132,8 +131,10 @@ def _gram_spectrum(g: float, gaps) -> WilliamsonSpectrum:
 
 def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     """Realigned trace norm and Gram spectrum of an n+n mode Gaussian state
-    from its canonical correlations (module docstring).  V must be physical,
-    as the ``raw_covariance`` descriptor build ensures.
+    from its canonical correlations (module docstring).  V must be physical:
+    the ``raw_covariance`` descriptor build refuses an unphysical V through
+    :func:`cventangle.symplectic.require_physical`, but this function does
+    not call it and trusts its input.
 
     Refusal bound.  With k = 2n, u = 2^-53 and kappa_X = ||V_X|| ||V_X^{-1}||,
     the computed s_i are, to first order in u, within 3 k^2 u
@@ -303,12 +304,9 @@ def family_threshold(a: float, b: float) -> float:
     require_vacuum_bound(a=a, b=b)
     threshold = float(family_threshold_array(a, b))
     if math.isnan(threshold):
-        raise NumericDomainError(_lost_threshold(a, b))
+        raise NumericDomainError(
+            f"2+2 family threshold lost to rounding or overflow at a={a}, b={b}")
     return threshold
-
-
-def _lost_threshold(a: float, b: float) -> str:
-    return f"2+2 family threshold lost to rounding or overflow at a={a}, b={b}"
 
 
 @dataclass(frozen=True)
@@ -352,7 +350,11 @@ def classify_two_two_array(a, b, c):
 
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
-    """:func:`classify_two_two_array` at one point.
+    """:func:`classify_two_two_array` at one point, read from
+    :func:`family_threshold` and, only where |c| is within it,
+    :func:`realignment_norm_two_two`.  Each is an array form at one point,
+    so values and verdicts match the array form bit for bit, and a point it
+    calls ``invalid`` raises here.
 
     Raises:
         InvalidArgumentError: below the vacuum bound.
@@ -361,13 +363,9 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
             diverges or leaves the float range.
     """
     a, b, c = float(a), float(b), float(c)
-    require_vacuum_bound(a=a, b=b)
-    verdict, norm, threshold = classify_two_two_array(a, b, c)
-    if math.isnan(threshold):
-        raise NumericDomainError(_lost_threshold(a, b))
-    verdict = str(verdict)
-    if verdict == "invalid":
-        raise SingularLimitError(f"realigned norm diverges or leaves the float range "
-                                 f"(a={a}, b={b}, c={c})")
-    norm = None if verdict == "unphysical" else float(norm)
-    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=float(threshold))
+    threshold = family_threshold(a, b)
+    if abs(c) > threshold:
+        return TwoTwoClassification(verdict="unphysical", norm=None, threshold=threshold)
+    norm = realignment_norm_two_two(a, b, c)
+    verdict = "bound_entangled" if norm > 1.0 + DETECTION_TOL else "undetected"
+    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=threshold)

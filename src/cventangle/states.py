@@ -25,7 +25,7 @@ from .errors import (InvalidArgumentError, complex_field, matrix_field, real_fie
                      require_nonnegative_nr, require_probability, require_vacuum_bound,
                      text_field)
 from .realignment import two_two_family
-from .symplectic import CovarianceMatrix, is_physical
+from .symplectic import CovarianceMatrix, require_physical
 
 
 def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
@@ -228,15 +228,6 @@ class Family:
     grid: Mapping[str, Callable] = dataclasses.field(default_factory=dict)
 
 
-def _physical(V: CovarianceMatrix) -> CovarianceMatrix:
-    """``V``, refused unless it passes the physicality test V + iJ/4 >= 0."""
-    if not is_physical(V):
-        raise InvalidArgumentError(
-            "constraint violated: covariance fails the physicality test V + iJ/4 >= 0"
-        )
-    return V
-
-
 def _two_two_classify(s: TwoTwoFamilyParams) -> realignment.TwoTwoClassification:
     """The classification of a 2+2 state with, at a physical point, the Gram
     spectrum of its realigned norm."""
@@ -249,16 +240,14 @@ def _two_two_classify(s: TwoTwoFamilyParams) -> realignment.TwoTwoClassification
 
 
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
-    """The realignment result of a 2+2 state, refused above the family threshold."""
-    threshold = realignment.family_threshold(s.a, s.b)
-    if abs(s.c) > threshold:
+    """The realignment result of a 2+2 state, refused where it is unphysical."""
+    result = _two_two_classify(s)
+    if result.verdict == "unphysical":
         raise InvalidArgumentError(
             f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
-            f"{threshold} of the 2+2 family (a={s.a}, b={s.b})"
+            f"{result.threshold} of the 2+2 family (a={s.a}, b={s.b})"
         )
-    return realignment.RealignmentResult(
-        norm=realignment.realignment_norm_two_two(s.a, s.b, s.c),
-        spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c,) * 4))
+    return realignment.RealignmentResult(norm=result.norm, spectrum=result.spectrum)
 
 
 _W01 = witness.WitnessParams(0.0, 1.0)
@@ -299,7 +288,7 @@ FAMILIES = (
         "witness01": lambda V: witness.witness_expectation_gaussian(V, _W01),
         "swap": lambda V: witness.swap_expectation(V),
         "realignment_norm": lambda V: realignment.realignment_norm(V),
-    }, build=lambda **fields: _physical(CovarianceMatrix.from_fields(**fields))),
+    }, build=lambda **fields: require_physical(CovarianceMatrix.from_fields(**fields))),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}

@@ -131,22 +131,26 @@ def _quarter_iJ(modes: int) -> np.ndarray:
     return term
 
 
-def physical_mask(matrices) -> np.ndarray:
-    """Physicality test of a stack of real symmetric 2m x 2m matrices (shape
-    (..., 2m, 2m), unvalidated): true where V + iJ/4 has minimum eigenvalue
-    >= -PHYSICALITY_TOL, with one stacked eigen-solve.
-    """
-    matrices = np.asarray(matrices, dtype=float)
-    vacuum = _quarter_iJ(matrices.shape[-1] // 2)
-    return np.linalg.eigvalsh(matrices + vacuum).min(axis=-1) >= -PHYSICALITY_TOL
-
-
 def is_physical(V: CovarianceMatrix) -> bool:
     """True iff the Hermitian matrix V + iJ/4 has minimum eigenvalue >= -PHYSICALITY_TOL.
 
     Boundary (pure) states pass: vacuum saturates the bound exactly.
     """
-    return bool(physical_mask(V.matrix))
+    return bool(np.linalg.eigvalsh(V.matrix + _quarter_iJ(V.modes)).min() >= -PHYSICALITY_TOL)
+
+
+def require_physical(V: CovarianceMatrix) -> CovarianceMatrix:
+    """``V``, refused unless :func:`is_physical`: the one place that refuses
+    a covariance for physicality.
+
+    Raises:
+        InvalidArgumentError: where V + iJ/4 >= 0 fails.
+    """
+    if not is_physical(V):
+        raise InvalidArgumentError(
+            "constraint violated: covariance fails the physicality test V + iJ/4 >= 0"
+        )
+    return V
 
 
 def symplectic_eigenvalues(V: CovarianceMatrix) -> WilliamsonSpectrum:

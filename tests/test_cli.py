@@ -122,6 +122,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid state JSON") and reason in err
 
+    @pytest.mark.parametrize("command", ["eval", "scan"])
+    @pytest.mark.parametrize("state", ["[1, 2]", '"x"', ' \n[1, 2]', "file"])
+    def test_state_json_not_an_object_exits_2(self, command, state, tmp_path, capsys):
+        # inline JSON that is not an object is invalid input, not a file path
+        if state == "file":
+            path = tmp_path / "state.json"
+            path.write_text("[1, 2]")
+            state = str(path)
+        out = tmp_path / "grid.csv"
+        argv = {"eval": ["eval", "--state", state, "--quantity", "classify"],
+                "scan": ["scan", "--state", state, "--quantity", "classify", "--axes",
+                         "a:1:2:2", "--axes", "c:0:1:2", "--out", str(out)]}[command]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: state descriptor must be a JSON object\n"
+        assert not out.exists()
+
     def test_invalid_family_exits_2(self, capsys):
         code = main(["eval", "--state", '{"family": "bogus"}', "--quantity", "classify"])
         assert code == EXIT_INVALID
@@ -632,7 +648,7 @@ class TestQuantityTable:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("an eigen-solve ran on a closed-form family")
 
-        monkeypatch.setattr(symplectic, "physical_mask", forbidden)
+        monkeypatch.setattr(symplectic, "is_physical", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         tmsv = json.dumps(state_descriptor(tmsv_params(0.6)))
         for quantity in ("optimal_witness", "witness01", "swap", "bounds", "realignment_norm"):
@@ -648,11 +664,11 @@ class TestQuantityTable:
         monkeypatch.undo()
         calls = []
 
-        def counted(matrices, _original=symplectic.physical_mask):
+        def counted(V, _original=symplectic.is_physical):
             calls.append(1)
-            return _original(matrices)
+            return _original(V)
 
-        monkeypatch.setattr(symplectic, "physical_mask", counted)
+        monkeypatch.setattr(symplectic, "is_physical", counted)
         raw = json.dumps(state_descriptor(tmsv_params(0.6).covariance()))
         for quantity in ("witness01", "swap", "bounds", "realignment_norm"):
             assert main(["eval", "--state", raw, "--quantity", quantity]) == EXIT_OK

@@ -458,32 +458,46 @@ class TestClassifyTwoTwo:
         assert classify_two_two(1.0, 1.0, math.nextafter(thr, 1.0)).verdict == "unphysical"
 
     def test_refusals_read_the_array_form_once(self, monkeypatch):
-        # the scalar refusal follows from the NaN the array form returned: the
-        # threshold at (1e200, 1e200), where ab overflows, and the norm at
-        # (1e20, 1e20, threshold), where |c| = sqrt(ab) in floats
+        # the scalar verdict and refusal follow from one threshold and, at a
+        # physical point only, one norm, each the array form at one point:
+        # the threshold is NaN at (1e200, 1e200), where ab overflows, and
+        # the norm at (1e20, 1e20, threshold), where |c| = sqrt(ab) in floats
         from cventangle import realignment
 
         thr = family_threshold(1e20, 1e20)
         calls = []
-        array_form = realignment.classify_two_two_array
 
-        def counted(*args):
-            calls.append(args)
-            return array_form(*args)
+        def counted(name):
+            original = getattr(realignment, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
 
         def fail(*_args):
-            raise AssertionError("classify_two_two re-derived its refusal")
+            raise AssertionError("classify_two_two ran the whole array form")
 
-        monkeypatch.setattr(realignment, "classify_two_two_array", counted)
-        monkeypatch.setattr(realignment, "family_threshold", fail)
-        monkeypatch.setattr(realignment, "realignment_norm_two_two", fail)
+        for name in ("family_threshold_array", "standard_form_norm"):
+            monkeypatch.setattr(realignment, name, counted(name))
+        monkeypatch.setattr(realignment, "classify_two_two_array", fail)
         with pytest.raises(SingularLimitError):
             classify_two_two(1e20, 1e20, thr)
+        assert calls == ["family_threshold_array", "standard_form_norm"]
+        calls.clear()
         with pytest.raises(NumericDomainError):
             classify_two_two(1e200, 1e200, 0.0)
+        assert calls == ["family_threshold_array"]
+        calls.clear()
         with pytest.raises(InvalidArgumentError):
             classify_two_two(0.2, 1.0, 0.0)
-        assert len(calls) == 2
+        assert calls == []
+        assert classify_two_two(1.0, 1.0, 0.82).verdict == "unphysical"
+        assert calls == ["family_threshold_array"]
+        calls.clear()
+        assert classify_two_two(1.0, 1.0, 0.78).verdict == "bound_entangled"
+        assert calls == ["family_threshold_array", "standard_form_norm"]
 
     def test_scalar_closed_forms_call_no_np_where(self, monkeypatch):
         # on numbers, a 0-d np.where costs more than the closed form it selects from

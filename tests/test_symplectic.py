@@ -15,6 +15,7 @@ from cventangle import (
     family_threshold,
     is_physical,
     parse_state_descriptor,
+    realigned_gram_covariance,
     squeezed_thermal_params,
     state_descriptor,
     symplectic_eigenvalues,
@@ -244,6 +245,22 @@ class TestIsPhysical:
 
     def test_below_vacuum_noise(self):
         assert not is_physical(CovarianceMatrix(np.eye(4) / 8))
+
+    def test_one_gate_refuses_for_every_route(self):
+        # the raw descriptor build and the Gram covariance refuse through
+        # require_physical, with its message
+        from cventangle.symplectic import require_physical
+
+        V = CovarianceMatrix(np.eye(4) / 8)
+        refusals = []
+        for route in (require_physical, realigned_gram_covariance,
+                      lambda V: parse_state_descriptor(state_descriptor(V))):
+            with pytest.raises(InvalidArgumentError) as info:
+                route(V)
+            refusals.append(str(info.value))
+        assert refusals == ["constraint violated: covariance fails the physicality test "
+                            "V + iJ/4 >= 0"] * 3
+        assert require_physical(two_two_family(1.0, 1.0, 0.78)).modes == 4
 
     def test_two_two_family_threshold_sides(self):
         # threshold at a = b = 1 is 0.8074742889548395
