@@ -73,7 +73,6 @@ from .witness import (
     swap_expectation_coherent_mixture,
     swap_photon_added_closed,
     witness_coherent_mixture_closed,
-    witness_expectation_covariance,
     witness_expectation_gaussian,
     witness_photon_added_closed,
 )

@@ -122,9 +122,9 @@ def run_verification(cutoff: int, r_max: float) -> dict:
     ``r_max <= 0`` checks r = 0 only.  Returns a JSON-ready report;
     ``all_pass`` is true iff every check stayed within its tolerance.
     """
-    cutoff = fock._valid_cutoff(cutoff)
-    if not 4 <= cutoff <= 64:
-        raise InvalidArgumentError(f"cutoff must lie in [4, 64], got {cutoff}")
+    cutoff = fock._require_cutoff(cutoff)
+    if cutoff > 64:
+        raise InvalidArgumentError(f"cutoff must be at most 64, got {cutoff}")
     if not math.isfinite(r_max):
         raise InvalidArgumentError(f"rmax must be finite, got {r_max}")
     checks = _checks(r_max)

@@ -48,12 +48,21 @@ def require_nonnegative_nr(n: float, r: float) -> None:
         raise InvalidArgumentError(f"n and r must be nonnegative (got n={n}, r={r})")
 
 
-def require_probability(p) -> float:
-    """The mixing probability p as a float in [0, 1] (NaN rejected)."""
+def require_mixture(p, alpha1, alpha2) -> tuple[float, complex, complex, float]:
+    """The coherent mixture's (p, alpha1, alpha2) as float and complexes, with
+    its overlap exp(-|alpha1 - alpha2|^2): p must lie in [0, 1] (NaN
+    rejected), and the operator trace 1 - p * overlap must exceed 1e-15."""
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
-    return p
+    alpha1, alpha2 = complex(alpha1), complex(alpha2)
+    overlap = math.exp(-abs_square(alpha1 - alpha2))
+    if 1.0 - p * overlap <= 1e-15:
+        raise InvalidArgumentError(
+            f"degenerate mixture: the trace 1 - p exp(-|alpha1 - alpha2|^2) is at most 1e-15 "
+            f"(p={p}, alpha1={alpha1}, alpha2={alpha2})"
+        )
+    return p, alpha1, alpha2, overlap
 
 
 def abs_square(z: complex) -> float:

@@ -36,8 +36,8 @@ from .errors import (
     NumericDomainError,
     TruncationError,
     abs_square,
+    require_mixture,
     require_nonnegative_nr,
-    require_probability,
 )
 
 #: Constructors fail when more than this fraction of the trace is truncated away.
@@ -63,12 +63,6 @@ class FockDensityMatrix:
     @property
     def dim(self) -> int:
         return self.cutoff + 1
-
-
-def _valid_cutoff(cutoff) -> int:
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
-        raise InvalidArgumentError(f"cutoff must be an integer >= 0, got {cutoff!r}")
-    return int(cutoff)
 
 
 def _index_dtype(cutoff: int) -> type:
@@ -168,10 +162,10 @@ def _from_entries(
 
 
 def _require_cutoff(cutoff) -> int:
-    cutoff = _valid_cutoff(cutoff)
-    if cutoff < 4:
-        raise InvalidArgumentError(f"cutoff must be at least 4, got {cutoff}")
-    return cutoff
+    """The cutoff as an int: an integer >= 4, numpy integers included and bools refused."""
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 4:
+        raise InvalidArgumentError(f"cutoff must be an integer >= 4, got {cutoff!r}")
+    return int(cutoff)
 
 
 def _check_deficit(deficit: float, label: str) -> float:
@@ -243,17 +237,13 @@ def coherent_mixture_fock(
     1 - p exp(-|alpha1 - alpha2|^2) (matching the closed-form SWAP value in
     :func:`cventangle.witness.swap_expectation_coherent_mixture`);
     ``trace_deficit`` reports only the truncation loss relative to that trace.
+    A mixture whose trace is at most 1e-15 is refused, as by
+    :class:`cventangle.states.CoherentMixture` and both closed forms
+    (:func:`cventangle.errors.require_mixture`).
     """
-    p = require_probability(p)
+    p, alpha1, alpha2, overlap = require_mixture(p, alpha1, alpha2)
     cutoff = _require_cutoff(cutoff)
-    alpha1, alpha2 = complex(alpha1), complex(alpha2)
-    overlap2 = math.exp(-abs_square(alpha1 - alpha2))
-    intended_trace = 1.0 - p * overlap2
-    if intended_trace <= 1e-15:
-        raise InvalidArgumentError(
-            "degenerate mixture: the antisymmetric branch vanishes at p=1 with "
-            "alpha1 = alpha2"
-        )
+    intended_trace = 1.0 - p * overlap
     size = (cutoff + 1) ** 2
     c1 = coherent_amplitudes(alpha1, cutoff)
     c2 = coherent_amplitudes(alpha2, cutoff)

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import realignment, witness
 from .errors import (InvalidArgumentError, complex_field, matrix_field, real_field,
-                     require_nonnegative_nr, require_probability, require_vacuum_bound,
-                     text_field)
+                     require_mixture, require_nonnegative_nr, require_vacuum_bound, text_field)
 from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, require_physical
 
@@ -155,8 +154,8 @@ class CoherentMixture:
     The antisymmetric branch (|a1 a2> - |a2 a1|)/sqrt(2) is weighted by p as
     written, without dividing out the coherent overlap, so the operator trace
     is 1 - p exp(-|a1 - a2|^2); the closed-form expectation values in
-    :mod:`cventangle.witness` follow the same convention.  At p = 1 with
-    a1 = a2 that operator is zero, and the mixture is rejected.
+    :mod:`cventangle.witness` follow the same convention.  A mixture whose
+    trace is at most 1e-15 is rejected (:func:`cventangle.errors.require_mixture`).
     """
 
     p: float
@@ -164,12 +163,7 @@ class CoherentMixture:
     alpha2: complex
 
     def __post_init__(self):
-        p = require_probability(self.p)
-        alpha1, alpha2 = complex(self.alpha1), complex(self.alpha2)
-        if p == 1.0 and alpha1 == alpha2:
-            raise InvalidArgumentError(
-                "degenerate mixture: at p = 1 with alpha1 = alpha2 the state is the zero operator"
-            )
+        p, alpha1, alpha2, _overlap = require_mixture(self.p, self.alpha1, self.alpha2)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "alpha1", alpha1)
         object.__setattr__(self, "alpha2", alpha2)

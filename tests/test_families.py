@@ -186,11 +186,11 @@ amplitude = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 def test_coherent_mixture(p, a1, a2, same):
     a2 = a1 if same else a2
     doc = {"family": "coherent_mixture", "p": p, "alpha1": list(a1), "alpha2": list(a2)}
-    if p == 1.0 and a1 == a2:
+    overlap = math.exp(-abs(complex(*a1) - complex(*a2)) ** 2)
+    if 1.0 - p * overlap <= 1e-15:  # the operator trace
         with pytest.raises(InvalidArgumentError, match="degenerate"):
             parse_state_descriptor(doc)
         return
-    overlap = math.exp(-((a1[0] - a2[0]) ** 2 + (a1[1] - a2[1]) ** 2))
     w01 = evaluate(doc, "witness01")["value"]
     assert close(w01, p * (1.0 - overlap), 1e-12) and w01 >= 0.0
     swap = evaluate(doc, "swap")

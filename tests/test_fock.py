@@ -25,7 +25,8 @@ from cventangle import (
     witness_fock,
     witness_photon_added_closed,
 )
-from cventangle import cli, fock
+from cventangle import cli, crosscheck, fock
+from cventangle.errors import require_mixture
 from cventangle.fock import (
     FockDensityMatrix,
     _check_deficit,
@@ -438,16 +439,13 @@ class TestOracleInequalities:
         assert abs(cren - negativity_fock(rho)) < 1e-3
 
 
-BUILDS = pytest.mark.parametrize(
-    "build",
-    [
-        lambda cutoff: tmsv_fock(0.3, cutoff),
-        lambda cutoff: squeezed_thermal_fock(0.2, 0.3, cutoff),
-        lambda cutoff: photon_added_sts_fock(0.2, 0.3, cutoff),
-        lambda cutoff: coherent_mixture_fock(0.5, 1.0, -1.0, cutoff),
-    ],
-    ids=["tmsv", "squeezed_thermal", "photon_added", "coherent_mixture"],
-)
+BUILDERS = {
+    "tmsv": lambda cutoff: tmsv_fock(0.3, cutoff),
+    "squeezed_thermal": lambda cutoff: squeezed_thermal_fock(0.2, 0.3, cutoff),
+    "photon_added": lambda cutoff: photon_added_sts_fock(0.2, 0.3, cutoff),
+    "coherent_mixture": lambda cutoff: coherent_mixture_fock(0.5, 1.0, -1.0, cutoff),
+}
+BUILDS = pytest.mark.parametrize("build", list(BUILDERS.values()), ids=list(BUILDERS))
 
 
 class TestBuilderArguments:
@@ -463,6 +461,18 @@ class TestBuilderArguments:
     def test_non_integer_cutoff_rejected(self, build, cutoff):
         with pytest.raises(InvalidArgumentError, match="cutoff must be an integer"):
             build(cutoff)
+
+    @pytest.mark.parametrize("cutoff", [-3, 0, 3, np.int64(3), 8.0, "8", None, True, np.True_],
+                             ids=["negative", "zero", "three", "numpy-three", "float", "str",
+                                  "none", "bool", "numpy-bool"])
+    @pytest.mark.parametrize(
+        "build", [*BUILDERS.values(), lambda cutoff: crosscheck.run_verification(cutoff, 0.3)],
+        ids=[*BUILDERS, "verify"])
+    def test_one_cutoff_message(self, build, cutoff):
+        # every builder and verify refuse a cutoff that is not an integer >= 4 alike
+        with pytest.raises(InvalidArgumentError) as info:
+            build(cutoff)
+        assert str(info.value) == f"cutoff must be an integer >= 4, got {cutoff!r}"
 
     @BUILDS
     def test_numpy_integer_cutoff_accepted(self, build):
@@ -850,14 +860,9 @@ def dense_tmsv(r, cutoff):
 
 
 def dense_coherent_mixture(p, alpha1, alpha2, cutoff):
-    p = float(p)
-    if not (0.0 <= p <= 1.0):
-        raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
+    p, alpha1, alpha2, overlap = require_mixture(p, alpha1, alpha2)
     _require_cutoff(cutoff)
-    overlap2 = math.exp(-abs(complex(alpha1) - complex(alpha2)) ** 2)
-    intended_trace = 1.0 - p * overlap2
-    if intended_trace <= 1e-15:
-        raise InvalidArgumentError("degenerate mixture")
+    intended_trace = 1.0 - p * overlap
     c1 = coherent_amplitudes(alpha1, cutoff)
     c2 = coherent_amplitudes(alpha2, cutoff)
     phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)

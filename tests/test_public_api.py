@@ -54,7 +54,6 @@ PUBLIC_API = [
     "tmsv_params",
     "two_two_family",
     "witness_coherent_mixture_closed",
-    "witness_expectation_covariance",
     "witness_expectation_gaussian",
     "witness_fock",
     "witness_photon_added_closed",

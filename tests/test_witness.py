@@ -27,7 +27,6 @@ from cventangle import (
     swap_expectation_coherent_mixture,
     swap_photon_added_closed,
     tmsv_params,
-    witness_expectation_covariance,
     witness_expectation_gaussian,
     witness_photon_added_closed,
 )
@@ -153,7 +152,7 @@ class TestOptimalWitness:
         for _ in range(30):
             s = random_standard_form(rng, margin=1e-3)
             opt = optimal_witness(s)
-            at_opt = witness_expectation_gaussian(s, opt.params)
+            at_opt = witness_expectation_gaussian(s, WitnessParams(opt.mu1, opt.mu2))
             assert abs(at_opt - opt.value) < 1e-12
 
     def test_global_minimum_property(self, rng):
@@ -208,11 +207,11 @@ class TestOptimalWitness:
 class TestWignerRoute:
     def test_vacuum(self):
         V = squeezed_thermal_params(0.0, 0.0).covariance()
-        assert abs(witness_expectation_covariance(V, WitnessParams(0.0, 1.0))) < 1e-9
+        assert abs(witness_expectation_gaussian(V, WitnessParams(0.0, 1.0))) < 1e-9
 
     def test_tmsv_matches_closed_form(self):
         V = tmsv_params(0.5).covariance()
-        value = witness_expectation_covariance(V, WitnessParams(0.0, 1.0))
+        value = witness_expectation_gaussian(V, WitnessParams(0.0, 1.0))
         assert abs(value - (1.0 - math.e)) < 1e-6
 
     def test_photon_added_all_routes_agree(self):
@@ -251,14 +250,14 @@ class TestWignerRoute:
         integral, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-11)
         oracle = 1.0 - math.pi * math.sqrt(abs(w.mu_minus * w.mu_plus)) * integral
         assert err < 1e-8
-        assert abs(witness_expectation_covariance(V, w) - oracle) < 1e-9
+        assert abs(witness_expectation_gaussian(V, w) - oracle) < 1e-9
 
     def test_quadrature_vs_closed_sweep(self, rng):
         for _ in range(100):
             s = random_standard_form(rng, margin=1e-3)
             w = random_params(rng)
             closed = witness_expectation_gaussian(s, w)
-            gh = witness_expectation_covariance(s.covariance(), w)
+            gh = witness_expectation_gaussian(s.covariance(), w)
             assert abs(gh - closed) <= 1e-6
 
     def test_matches_moments_reference(self, rng):
@@ -266,12 +265,12 @@ class TestWignerRoute:
             V = random_physical_cov(rng, 2)
             w = random_params(rng)
             ref = moments_witness(WignerSpec(V), w)
-            assert abs(witness_expectation_covariance(V, w) - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(witness_expectation_gaussian(V, w) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_requires_two_modes(self):
         single = CovarianceMatrix(np.eye(2) / 4)
         with pytest.raises(InvalidArgumentError):
-            witness_expectation_covariance(single, WitnessParams(0.0, 1.0))
+            witness_expectation_gaussian(single, WitnessParams(0.0, 1.0))
 
 
 class TestSliceIntegral:
@@ -326,7 +325,7 @@ class TestSliceIntegral:
         with pytest.raises(NumericDomainError, match="positive definite"):
             swap_expectation(V)
         with pytest.raises(NumericDomainError, match="positive definite"):
-            witness_expectation_covariance(V, WitnessParams(0.0, 1.0))
+            witness_expectation_gaussian(V, WitnessParams(0.0, 1.0))
         with pytest.raises(NumericDomainError, match="positive definite"):
             swap_expectation(unvalidated_standard_form(0.25, 0.25, 0.5, 0.5))
 
@@ -375,7 +374,7 @@ def test_standard_form_slice_matches_covariance(nu_a, nu_b, r, noise_a, noise_b,
                    for d, ci, k in ((d_minus, s.c1, k_minus), (d_plus, s.c2, k_plus)))
         return max(1e-13, 16 * 2.0**-53 * cond)
 
-    ref = witness_expectation_covariance(V, w)
+    ref = witness_expectation_gaussian(V, w)
     assert abs(witness_expectation_gaussian(s, w) - ref) <= (tol(w.mu_minus, w.mu_plus)
                                                              * max(1.0, abs(ref)))
     ref = swap_expectation(V)
@@ -507,14 +506,37 @@ class TestCoherentMixture:
         with pytest.raises(InvalidArgumentError):
             witness_coherent_mixture_closed(-0.1, 1.0, -1.0)
 
+    #: The descriptor, the Fock builder and both closed forms share one check.
+    ENTRY_POINTS = (CoherentMixture, lambda *a: coherent_mixture_fock(*a, 8),
+                    witness_coherent_mixture_closed, swap_expectation_coherent_mixture)
+
     @pytest.mark.parametrize("p", [1.5, -0.1, math.nan, math.inf])
     def test_every_mixture_entry_point_refuses_p_alike(self, p):
-        # the descriptor, the Fock builder and both closed forms share one check
-        for call in (CoherentMixture, lambda *a: coherent_mixture_fock(*a, 8),
-                     witness_coherent_mixture_closed, swap_expectation_coherent_mixture):
+        for call in self.ENTRY_POINTS:
             with pytest.raises(InvalidArgumentError) as info:
                 call(p, 1.0, -1.0)
             assert str(info.value) == f"mixing probability must lie in [0, 1], got {p}"
+
+    @pytest.mark.parametrize("p,alpha1,alpha2", [(1.0, 0.0, 0.0), (1.0, 0.0, 1e-9),
+                                                 (1.0, 0.0, 3e-8)])
+    def test_every_mixture_entry_point_refuses_degenerate_alike(self, p, alpha1, alpha2):
+        # the trace 1 - p exp(-|alpha1 - alpha2|^2) is at most 1e-15 in floats
+        messages = set()
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(InvalidArgumentError, match="^degenerate mixture: ") as info:
+                call(p, alpha1, alpha2)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("p,alpha1,alpha2", [(1.0, 0.0, 1e-7), (1.0 - 1e-9, 0.0, 0.0)])
+    def test_every_mixture_entry_point_accepts_trace_above_floor(self, p, alpha1, alpha2):
+        overlap = math.exp(-abs(alpha1 - alpha2) ** 2)
+        assert 1.0 - p * overlap > 1e-15
+        state, rho, w01, swap = (call(p, alpha1, alpha2) for call in self.ENTRY_POINTS)
+        assert (state.p, state.alpha1, state.alpha2) == (p, alpha1, alpha2)
+        assert rho.trace_deficit <= 0.01
+        assert w01 == p * (1.0 - overlap)
+        assert swap == p * (overlap - 1.0) + 1.0 - p
 
     @pytest.mark.parametrize("alpha1,alpha2", [(1e200, 0.0), (1e154, -1e154), (1e308, -1e308j)])
     def test_overflowing_separation(self, alpha1, alpha2):
