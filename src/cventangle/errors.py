@@ -51,11 +51,15 @@ def require_nonnegative_nr(n: float, r: float) -> None:
 def require_mixture(p, alpha1, alpha2) -> tuple[float, complex, complex, float]:
     """The coherent mixture's (p, alpha1, alpha2) as float and complexes, with
     its overlap exp(-|alpha1 - alpha2|^2): p must lie in [0, 1] (NaN
-    rejected), and the operator trace 1 - p * overlap must exceed 1e-15."""
+    rejected), both amplitudes must be finite (huge ones are fine), and the
+    operator trace 1 - p * overlap must exceed 1e-15."""
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
     alpha1, alpha2 = complex(alpha1), complex(alpha2)
+    if not all(map(math.isfinite, (alpha1.real, alpha1.imag, alpha2.real, alpha2.imag))):
+        raise InvalidArgumentError(
+            f"coherent amplitudes must be finite, got alpha1={alpha1}, alpha2={alpha2}")
     overlap = math.exp(-abs_square(alpha1 - alpha2))
     if 1.0 - p * overlap <= 1e-15:
         raise InvalidArgumentError(

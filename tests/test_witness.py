@@ -517,6 +517,20 @@ class TestCoherentMixture:
                 call(p, 1.0, -1.0)
             assert str(info.value) == f"mixing probability must lie in [0, 1], got {p}"
 
+    @pytest.mark.parametrize("alpha1,alpha2", [
+        (math.inf, math.inf), (math.nan, 0.0), (complex(math.nan, 0.0), 0.0),
+        (0.0, complex(0.0, -math.inf)), (1e200, complex(1.0, math.nan)),
+    ], ids=["mixture-inf-inf", "mixture-nan", "nan-real-part", "inf-imaginary-part",
+            "huge-and-nan"])
+    def test_every_mixture_entry_point_refuses_non_finite_amplitudes_alike(self, alpha1, alpha2):
+        # a NaN amplitude once read SWAP NaN, "not entangled"; each entry point
+        # refuses it, and an infinite one, before any overlap is formed
+        for call in self.ENTRY_POINTS:
+            with pytest.raises(InvalidArgumentError) as info:
+                call(0.5, alpha1, alpha2)
+            assert str(info.value) == (f"coherent amplitudes must be finite, got "
+                                       f"alpha1={complex(alpha1)}, alpha2={complex(alpha2)}")
+
     @pytest.mark.parametrize("p,alpha1,alpha2", [(1.0, 0.0, 0.0), (1.0, 0.0, 1e-9),
                                                  (1.0, 0.0, 3e-8)])
     def test_every_mixture_entry_point_refuses_degenerate_alike(self, p, alpha1, alpha2):
