@@ -178,6 +178,16 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     return RealignmentResult(norm=norm, spectrum=spectrum)
 
 
+def standard_form_gaps(a, b, couplings):
+    """sqrt(ab) and the gaps sqrt(ab) - |c_i| of a standard form, on numbers or
+    arrays that broadcast together (:func:`standard_form_norm` silences their
+    floating-point warnings).  sqrt(ab) is sqrt(a) sqrt(b) where ab overflows
+    (b ** overflow is b or 1 exactly; np.where would cost more on numbers)."""
+    overflow = a * b == np.inf
+    sab = np.sqrt(a * b ** (1 - overflow)) * np.sqrt(b ** overflow)
+    return sab, [sab - abs(c) for c in couplings]
+
+
 @np.errstate(all="ignore")
 def standard_form_norm(a, b, couplings):
     """Realigned norm of a standard form with local blocks a I, b I and
@@ -187,14 +197,8 @@ def standard_form_norm(a, b, couplings):
         prod_i 1 / (2 sqrt(sqrt(ab) - |c_i|)),
 
     NaN where it is not positive and finite (|c_i| >= sqrt(ab), overflow or
-    underflow).  sqrt(ab) is sqrt(a*b), and sqrt(a) sqrt(b) where ab
-    overflows, as in :func:`cventangle.states.standard_form_is_physical`;
-    b ** overflow is b or 1, exactly.  No np.where: on numbers it would cost
-    more than the formula.
-    """
-    overflow = a * b == np.inf
-    sab = np.sqrt(a * b ** (1 - overflow)) * np.sqrt(b ** overflow)
-    norm = math.prod(0.5 / np.sqrt(sab - abs(c)) for c in couplings)
+    underflow), from the gaps of :func:`standard_form_gaps`."""
+    norm = math.prod(0.5 / np.sqrt(gap) for gap in standard_form_gaps(a, b, couplings)[1])
     return norm / norm * norm  # 0/0 and inf/inf are NaN
 
 
@@ -221,20 +225,17 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
     """Gram spectrum of a standard-form state with local blocks a I, b I and
     one coupling c_i per side-A quadrature: g = sqrt(ab) and
     1 - s_i = (sqrt(ab) - |c_i|) / sqrt(ab) (module docstring), so a product
-    gets nu_i = 1/4 exactly.  sqrt(ab) is taken as in :func:`standard_form_norm`.
+    gets nu_i = 1/4 exactly.  Both come from :func:`standard_form_gaps`.
 
     Raises:
         SingularLimitError: where some |c_i| >= sqrt(ab).
         NumericDomainError: where a0 underflows to 0.
     """
-    sab = math.sqrt(a * b)
-    if math.isinf(sab):  # ab overflows
-        sab = math.sqrt(a) * math.sqrt(b)
-    if not sab > max(abs(c) for c in couplings):
-        raise SingularLimitError(
-            f"Gram spectrum diverges at sqrt(ab) <= |c_i| (sqrt(ab)={sab}, c={tuple(couplings)})"
-        )
-    return _gram_spectrum(sab, [(sab - abs(c)) / sab for c in couplings])
+    sab, gaps = standard_form_gaps(a, b, couplings)
+    if not all(gap > 0 for gap in gaps):
+        raise SingularLimitError(f"Gram spectrum diverges at sqrt(ab) <= |c_i| "
+                                 f"(sqrt(ab)={sab}, c={tuple(couplings)})")
+    return _gram_spectrum(float(sab), [gap / sab for gap in gaps])
 
 
 def realignment_norm_two_two(a: float, b: float, c: float) -> float:

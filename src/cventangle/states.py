@@ -57,13 +57,12 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
     (alpha + beta)), so an accepted state has k < 2 and its computed
     eigenvalue is at least -192 u L.
     """
-    s = math.sqrt(a * b)
-    if math.isinf(s):  # ab overflows
-        s = math.sqrt(a) * math.sqrt(b)
-    if not (abs(c1) < s and abs(c2) < s):
+    s, (gap1, gap2) = realignment.standard_form_gaps(a, b, (c1, c2))
+    if not (gap1 > 0 and gap2 > 0):
         return False
+    s, gap1 = float(s), float(gap1)
     alpha, beta, g1, g2 = a / s, b / s, c1 / s, c2 / s
-    delta1 = (s - abs(c1)) / s * ((s + abs(c1)) / s)
+    delta1 = gap1 / s * ((s + abs(c1)) / s)
     k = (0.25 / s) ** 2 / (delta1 + 2.0**-48)
     lowest = (0.5 * (alpha + beta) * (1.0 - k)
               - math.hypot(0.5 * (alpha - beta) * (1.0 + k), g2 + g1 * k))
