@@ -28,9 +28,11 @@ have g = sqrt(ab) and s_i = |c_i| / sqrt(ab), so
 
     ||R(rho)||_1 = prod_i 1 / (2 sqrt(sqrt(ab) - |c_i|)),
 
-evaluated factor by factor by :func:`standard_form_norm`: its one
-subtraction, sqrt(ab) - |c_i|, has exact operands at a = b.  A 2+2 threshold
-lost to rounding is a numeric-domain failure (the CLI exits 3), not invalid input.
+evaluated factor by factor by :func:`standard_form_norm` from the gaps
+sqrt(ab) - |c_i| of :func:`standard_form_gaps`: exact two-products correct
+the rounded sqrt(ab), so each gap is within a few ulps at every scale, and at
+a = b it is a - |c_i| rounded once.  A 2+2 threshold lost to rounding is a
+numeric-domain failure (the CLI exits 3), not invalid input.
 
 The 2+2 family needs no PPT check.  Its partial transpose on side B flips
 the momenta p3 and p4, which maps V to D V D with
@@ -178,14 +180,53 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     return RealignmentResult(norm=norm, spectrum=spectrum)
 
 
+#: 2^27 + 1: x * _SPLIT splits a double x into two halves of at most 26
+#: significant bits each (Veltkamp), whose products are exact.
+_SPLIT = 134217729.0
+
+
+def _two_product(x, y):
+    """(p, e) with p = fl(xy) and p + e = xy exactly (Dekker, Numer. Math. 18,
+    224 (1971)) for |x|, |y| below 2^996 and xy clear of underflow.  Only +,
+    - and *, so it runs on numbers and arrays alike (math.fma needs Python 3.13)."""
+    p = x * y
+    t = _SPLIT * x
+    xh = t - (t - x)
+    t = _SPLIT * y
+    yh = t - (t - y)
+    xl, yl = x - xh, y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _sqrt(x):
+    """Correctly rounded square root where x > 0, NaN elsewhere.  A float stays
+    a float: every later step costs several times more on a numpy scalar."""
+    if isinstance(x, float):
+        return math.sqrt(x) if x > 0.0 else math.nan
+    return np.sqrt(x)
+
+
 def standard_form_gaps(a, b, couplings):
     """sqrt(ab) and the gaps sqrt(ab) - |c_i| of a standard form, on numbers or
-    arrays that broadcast together (:func:`standard_form_norm` silences their
-    floating-point warnings).  sqrt(ab) is sqrt(a) sqrt(b) where ab overflows
-    (b ** overflow is b or 1 exactly; np.where would cost more on numbers)."""
-    overflow = a * b == np.inf
-    sab = np.sqrt(a * b ** (1 - overflow)) * np.sqrt(b ** overflow)
-    return sab, [sab - abs(c) for c in couplings]
+    arrays that broadcast together, each within a few ulps for any a, b >= 1/4;
+    NaN where ab is not positive and finite (:func:`standard_form_norm`
+    silences the floating-point warnings of arrays).
+
+    With p + e = ab and q + f = s^2 exact two-products and s = sqrt(p),
+    sqrt(ab) = s + r / (2s) to second order in the small r = (p - q) - f + e,
+    and each gap is (s - |c_i|) + r / (2s), with s - |c_i| exact where it
+    cancels (Sterbenz).  At a = b, s = a and r = 0, so the gap is a - |c_i|
+    rounded once; at c_i = 0 it is sqrt(ab), bit for bit.  Where a or b
+    exceeds 2^500 both are first scaled by 2^-600, exactly, to keep ab and the
+    splits in range.  No np.where: on numbers it costs more than the formula.
+    """
+    unscale = 2.0 ** (600 * ((a > 2.0**500) | (b > 2.0**500)))
+    p, e = _two_product(a / unscale, b / unscale)
+    s = _sqrt(p)
+    q, f = _two_product(s, s)
+    correction = ((p - q) - f + e) / (s + s) * unscale
+    s *= unscale
+    return s + correction, [(s - abs(c)) + correction for c in couplings]
 
 
 @np.errstate(all="ignore")
@@ -235,7 +276,7 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
     if not all(gap > 0 for gap in gaps):
         raise SingularLimitError(f"Gram spectrum diverges at sqrt(ab) <= |c_i| "
                                  f"(sqrt(ab)={sab}, c={tuple(couplings)})")
-    return _gram_spectrum(float(sab), [gap / sab for gap in gaps])
+    return _gram_spectrum(sab, [gap / sab for gap in gaps])
 
 
 def realignment_norm_two_two(a: float, b: float, c: float) -> float:

@@ -40,7 +40,8 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
     smaller eigenvalue of M, (a + b)(1 - k)/2 - hypot((a - b)(1 + k)/2,
     c2 + c1 k), not det M: M -> 0 near a pure state, where det M is a product
     of two small numbers.  All terms are divided by s = sqrt(ab), and
-    delta1 = d1 / s^2 is (s - |c1|)(s + |c1|) / s^2.
+    delta1 = d1 / s^2 is (s - |c1|)(s + |c1|) / s^2, with s and s - |c1|
+    from :func:`cventangle.realignment.standard_form_gaps`.
 
     Inputs within two roundings of a physical state (a, b, c1, c2 each moved
     by up to 2u relative, u = 2^-53), such as cosh(2r)/4, sinh(2r)/4, are
@@ -48,19 +49,19 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
     decreases with k (its k-derivative is -(alpha + beta)/2 +
     hypot((alpha - beta)/2, g1) < 0, as g1^2 < 1 = alpha beta), and k is
     computed with delta1 + 32u: delta1 <= 1 moves by at most 8u under the
-    input change and by at most 8u under its own rounding (that of s
-    included).  The other errors (the rounding of s, alpha, beta, g_i, k and
-    of the eigenvalue, and the input change of all but delta1) are first
-    order in u with coefficients at most L (1 + k), L = max(alpha, beta) +
-    |g1| + |g2|; the test allows 64 u L (1 + k).  Once k >= 2 the eigenvalue
-    lies below -(alpha + beta) k / 4, far under that allowance (L <= 2
-    (alpha + beta)), so an accepted state has k < 2 and its computed
-    eigenvalue is at least -192 u L.
+    input change and by at most 8u under its own rounding (that of s and of
+    s - |c1|, each within a few ulps of itself, included).  The other errors
+    (the rounding of s, alpha, beta, g_i, k and of the eigenvalue, and the
+    input change of all but delta1) are first order in u with coefficients
+    at most L (1 + k), L = max(alpha, beta) + |g1| + |g2|; the test allows
+    64 u L (1 + k).  Once k >= 2 the eigenvalue lies below
+    -(alpha + beta) k / 4, far under that allowance (L <= 2 (alpha + beta)),
+    so an accepted state has k < 2 and its computed eigenvalue is at least
+    -192 u L.
     """
     s, (gap1, gap2) = realignment.standard_form_gaps(a, b, (c1, c2))
     if not (gap1 > 0 and gap2 > 0):
         return False
-    s, gap1 = float(s), float(gap1)
     alpha, beta, g1, g2 = a / s, b / s, c1 / s, c2 / s
     delta1 = gap1 / s * ((s + abs(c1)) / s)
     k = (0.25 / s) ** 2 / (delta1 + 2.0**-48)

@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -27,7 +29,8 @@ from cventangle import (
     two_two_family,
 )
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
-from cventangle.realignment import standard_form_gram_spectrum, standard_form_norm
+from cventangle.realignment import (classify_two_two_array, standard_form_gram_spectrum,
+                                    standard_form_norm)
 from cventangle.witness import (DETECTION_TOL, swap_photon_added_closed,
                                 witness_photon_added_closed)
 from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
@@ -322,6 +325,25 @@ def exact_standard_form_norm(a, b, couplings):
         return mpmath.fprod(1 / (2 * mpmath.sqrt(sab - abs(mpmath.mpf(c)))) for c in couplings)
 
 
+def exact_two_two_threshold(a, b):
+    """sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4) of the float inputs, in 60 digits."""
+    with mpmath.workdps(60):
+        A, B = mpmath.mpf(a), mpmath.mpf(b)
+        return mpmath.sqrt(A * B - mpmath.sqrt(A * A + B * B - mpmath.mpf(1) / 16) / 4)
+
+
+def nearest_float(x):
+    """The 60-digit value x rounded to a float."""
+    with mpmath.workdps(60):
+        return float(x)
+
+
+def step_ulps(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
 def eval_doc(doc, quantity):
     """Exit code, stdout and stderr of ``eval`` on one descriptor."""
     out, err = io.StringIO(), io.StringIO()
@@ -383,6 +405,95 @@ class TestStandardFormNorm:
         assert norm[:2].tolist() == [0.25, 1.0] and np.isnan(norm[2:4]).all()
         assert norm[4] == 2.5e-201
         assert np.isnan(standard_form_norm(1e200, 1e200, (0.0,) * 4))  # underflows
+
+
+    def test_cancelling_point_above_two_ulps_of_sqrt_ab_is_detected(self):
+        # sqrt(ab) - |c| is 0.2499999997 at sqrt(ab) = 3.4e6: a rounded sqrt(ab)
+        # is off by up to 2.3e-10 there, which read the norm as 1.0
+        a, b, c = 1885451.2094971663, 6207141.117814967, 3421002.7795373644
+        exact = exact_standard_form_norm(a, b, (c,) * 4)
+        code, out, _ = eval_doc({"family": "two_two", "a": a, "b": b, "c": c}, "classify")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["verdict"] == "bound_entangled"
+        assert abs(record["norm"] / exact - 1) <= 1e-14
+
+    def test_large_scale_audit_against_mpmath(self):
+        # a, b log-uniform on [1e6, 1e12] and |c| = sqrt(ab) - U(1/8, 3/8):
+        # sqrt(ab) - |c| cancels 20 to 40 bits of sqrt(ab).  Verdicts are
+        # compared where |c| is clear of the threshold, which is rounded, by
+        # 1e-15 relative, and the norm clear of 1 + DETECTION_TOL by 1e-12.
+        rng = np.random.default_rng(25)
+        worst, verdicts = 0.0, 0
+        for _ in range(3000):
+            a, b = (float(x) for x in 10.0 ** rng.uniform(6.0, 12.0, size=2))
+            c = float(math.sqrt(a * b) - rng.uniform(0.125, 0.375)) * float(rng.choice([-1.0, 1.0]))
+            exact = exact_standard_form_norm(a, b, (c,) * 4)
+            worst = max(worst, abs(realignment_norm_two_two(a, b, c) / exact - 1))
+            threshold = exact_two_two_threshold(a, b)
+            if abs(abs(c) / threshold - 1) <= 1e-15 or abs(exact / (1 + DETECTION_TOL) - 1) <= 1e-12:
+                continue
+            verdicts += 1
+            if abs(c) > threshold:
+                expected = "unphysical"
+            else:
+                expected = "bound_entangled" if exact > 1 + DETECTION_TOL else "undetected"
+            assert classify_two_two(a, b, c).verdict == expected, (a, b, c)
+        assert worst <= 1e-14
+        assert verdicts > 2990
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        a=st.one_of(st.sampled_from([0.25, 1.0, 1e154, 1e300]),
+                    st.floats(-0.6, 300.0).map(lambda e: max(0.25, 10.0**e))),
+        ratio=st.one_of(st.just(1.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+        near=st.sampled_from(["sqrt_ab", "threshold", "fraction"]),
+        ulps=st.integers(-4, 4),
+        frac=st.floats(0.0, 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_every_scale_against_mpmath(self, a, ratio, near, ulps, frac, sign):
+        # a, b from 1/4 to 1e300, with a = b (ratio 1), ab overflowing, and |c|
+        # within a few ulps of sqrt(ab) or of the 2+2 threshold
+        b = min(max(0.25, a * ratio), 1e300)
+        with mpmath.workdps(60):
+            sab = mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
+        if near == "sqrt_ab":
+            c = step_ulps(nearest_float(sab), ulps)
+        elif near == "threshold":
+            c = step_ulps(nearest_float(exact_two_two_threshold(a, b)), ulps)
+        else:
+            c = frac * nearest_float(sab)
+        c *= sign
+        c2 = frac * c
+
+        # one point of the array forms against the scalar forms, bit for bit
+        verdicts, norms, thresholds = classify_two_two_array(np.array([a]), np.array([b]),
+                                                             np.array([c]))
+        try:
+            result = classify_two_two(a, b, c)
+        except (NumericDomainError, SingularLimitError):
+            assert verdicts[0] == "invalid"
+        else:
+            assert (result.verdict, result.threshold) == (verdicts[0], thresholds[0])
+            if result.norm is None:
+                assert math.isnan(norms[0])
+            else:
+                assert result.norm == norms[0]
+        norm = standard_form_norm(np.array([a]), np.array([b]), (np.array([c]), np.array([c2])))[0]
+        try:
+            scalar = realignment_norm_two_mode(SimpleNamespace(a=a, b=b, c1=c, c2=c2))
+        except SingularLimitError:
+            assert math.isnan(norm)
+        else:
+            assert scalar == norm
+
+        # every norm in the normal float range against 60 digits
+        for couplings in ((c,) * 4, (c, c2)):
+            value = float(standard_form_norm(a, b, couplings))
+            if value >= sys.float_info.min and not math.isinf(value):
+                exact = exact_standard_form_norm(a, b, couplings)
+                assert abs(value / exact - 1) <= 1e-14, (a, b, couplings)
 
 
 class TestClosedGramSpectrum:
