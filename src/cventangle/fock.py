@@ -109,8 +109,11 @@ def _mirrors(support: np.ndarray, n: int, order=None) -> tuple[np.ndarray, np.nd
     an n x n matrix, sorted by (row, col), and ``order``, by default the
     stable order that sorts them: a stable sort of the columns alone, which
     takes one radix pass on 16-bit keys while the columns fit (n <= 65,536,
-    through cutoff 255)."""
-    row, mirror = np.divmod(support, n)
+    through cutoff 255).  The column is the remainder support - row n, as in
+    :func:`_digits`."""
+    row = support // n
+    mirror = row * n
+    np.subtract(support, mirror, out=mirror)  # the column
     if order is None:
         order = np.argsort(mirror.astype(np.uint16) if n <= 1 << 16 else mirror, kind="stable")
     mirror *= n
