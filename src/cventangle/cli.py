@@ -45,7 +45,7 @@ def _value_fields(value: float) -> dict:
     return {"value": value, "entangled": witness.detects_entanglement(value)}
 
 
-def _classify_fields(state, result) -> dict:
+def _classify_fields(result) -> dict:
     """The closed-form verdict, plus at physical points its Gram spectrum
     (``eval`` only; a scan cell reads the grid, which has none)."""
     fields = {"verdict": result.verdict, "norm": result.norm, "threshold": result.threshold}
@@ -82,14 +82,14 @@ class _Quantity(NamedTuple):
 
 
 #: What each quantity reports, from the value its family evaluator returns:
-#: ``record(state, value)`` gives the ``eval`` JSON fields in output order and
+#: ``record(value)`` gives the ``eval`` JSON fields in output order and
 #: ``cell(value)`` the scan CSV ``(value, verdict)``.  ``grid(value)`` gives
 #: the CSV ``(values, verdicts)`` arrays from the value of a grid evaluator
 #: (:attr:`cventangle.states.Family.grid`), ``invalid`` where that value marks
 #: a refused point.  Nothing else in the package knows the record format.
 _QUANTITIES = {
     "optimal_witness": _Quantity(
-        lambda state, opt: {
+        lambda opt: {
             "mu1": opt.mu1,
             "mu2": opt.mu2,
             "muMinus": opt.mu_minus,
@@ -99,12 +99,12 @@ _QUANTITIES = {
         lambda opt: _value_cell(opt.value),
     ),
     "witness01": _Quantity(
-        lambda state, value: {"mu1": 0.0, "mu2": 1.0, **_value_fields(value)}, _value_cell,
+        lambda value: {"mu1": 0.0, "mu2": 1.0, **_value_fields(value)}, _value_cell,
         _value_grid,
     ),
-    "swap": _Quantity(lambda state, value: _value_fields(value), _value_cell, _value_grid),
+    "swap": _Quantity(_value_fields, _value_cell, _value_grid),
     "realignment_norm": _Quantity(
-        lambda state, result: {
+        lambda result: {
             "norm": result.norm,
             "nus": list(result.spectrum.nus),
             "a0": result.spectrum.a0,
@@ -118,7 +118,7 @@ _QUANTITIES = {
         lambda result: (result[1], result[0]),
     ),
     "bounds": _Quantity(
-        lambda state, report: {
+        lambda report: {
             "crenLower": report.cren_lower,
             "concurrenceLower": report.concurrence_lower,
             "eofLower": report.eof_lower,
@@ -167,7 +167,7 @@ def _evaluate(state, quantity: str):
 def evaluate_quantity(state, quantity: str) -> dict:
     """The ``eval`` JSON record of one state/quantity pair."""
     record = _quantity(quantity).record
-    fields = record(state, _evaluate(state, quantity))
+    fields = record(_evaluate(state, quantity))
     return {"state": state_descriptor(state), "quantity": quantity, **fields}
 
 
