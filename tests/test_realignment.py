@@ -332,12 +332,6 @@ def exact_two_two_threshold(a, b):
         return mpmath.sqrt(A * B - mpmath.sqrt(A * A + B * B - mpmath.mpf(1) / 16) / 4)
 
 
-def nearest_float(x):
-    """The 60-digit value x rounded to a float."""
-    with mpmath.workdps(60):
-        return float(x)
-
-
 def step_ulps(x, ulps):
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
@@ -459,11 +453,11 @@ class TestStandardFormNorm:
         with mpmath.workdps(60):
             sab = mpmath.sqrt(mpmath.mpf(a) * mpmath.mpf(b))
         if near == "sqrt_ab":
-            c = step_ulps(nearest_float(sab), ulps)
+            c = step_ulps(float(sab), ulps)
         elif near == "threshold":
-            c = step_ulps(nearest_float(exact_two_two_threshold(a, b)), ulps)
+            c = step_ulps(float(exact_two_two_threshold(a, b)), ulps)
         else:
-            c = frac * nearest_float(sab)
+            c = frac * float(sab)
         c *= sign
         c2 = frac * c
 
