@@ -18,12 +18,14 @@ support.  Negativity and the realigned trace norm map the pattern through
 the axis permutation that turns rho into the partial transpose or the
 realigned matrix and leave out the nodes (rows and columns) whose 2-norms
 bound their effect on the result to 2^-52 ||rho||_F, at most 2^-52 of the
-trace norm itself.  They split the rest into the connected components of its
-pattern, a permutation rather than an approximation, and scatter the
-entries straight into their blocks; equal-shape blocks share one stacked
-LAPACK call.  No symmetry of the state (such as conservation of the
-photon-number difference) is assumed; it is only observed in the zeros, so
-the oracle stays independent of every analytic path in the package.
+trace norm itself (2^-51 with the amplitudes that the coherent mixture
+leaves out).  Each star of leaves on one hub becomes one leaf, a unitary
+map.  They split the rest into the connected components of its pattern, a
+permutation rather than an approximation, and scatter the entries straight
+into their blocks; equal-shape blocks share one stacked LAPACK call.  No
+symmetry of the state (such as conservation of the photon-number
+difference) is assumed; it is only observed in the zeros, so the oracle
+stays independent of every analytic path in the package.
 """
 
 from __future__ import annotations
@@ -253,6 +255,12 @@ def coherent_mixture_fock(
     A mixture whose trace is at most 1e-15 is refused, as by
     :class:`cventangle.states.CoherentMixture` and both closed forms
     (:func:`cventangle.errors.require_mixture`).
+
+    The outer product leaves out the longest run of phi's smallest
+    amplitudes of 2-norm ||delta|| with 3 p ||phi|| ||delta|| <= B =
+    2^-52 ||rho||_F / (N+1): the part left out has ||E||_F <= B, so a trace
+    norm moves by at most (N+1) B, W01 by 2 (N+1) B and SWAP by (N+1) B.
+    The trace deficit counts every amplitude.
     """
     p, alpha1, alpha2, overlap = require_mixture(p, alpha1, alpha2)
     cutoff = _require_cutoff(cutoff)
@@ -261,10 +269,19 @@ def coherent_mixture_fock(
     c1 = coherent_amplitudes(alpha1, cutoff)
     c2 = coherent_amplitudes(alpha2, cutoff)
     phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)
+    nz = np.flatnonzero(phi).astype(_index_dtype(cutoff))
+    weight = (phi[nz] * phi[nz].conj()).real  # |phi_a|^2
+    diagonal = np.zeros(size, dtype=phi.dtype)
+    diagonal[nz] = weight * p
+    diagonal[0] = 1.0 - p
+    norm = math.sqrt(weight.sum())  # ||phi||, and ||rho||_F = hypot(1 - p, p ||phi||^2)
+    budget = 2.0**-52 * math.hypot(1.0 - p, p * norm * norm) / (cutoff + 1)
+    ascending = np.argsort(weight, kind="stable")
+    run = np.searchsorted(3.0 * p * norm * np.sqrt(np.cumsum(weight[ascending])), budget, "right")
+    nz = nz[np.sort(ascending[run:])]
     # phi[0] = (c1[0] c2[0] - c2[0] c1[0]) / sqrt 2 is exactly 0, so the
     # vacuum term is the first entry, ahead of the outer product p phi phi^H
-    # over phi's nonzero amplitudes
-    nz = np.flatnonzero(phi).astype(_index_dtype(cutoff))
+    # over the amplitudes kept
     k = nz.size
     support = np.empty(k * k + 1, dtype=nz.dtype)
     values = np.empty(k * k + 1, dtype=phi.dtype)
@@ -273,9 +290,6 @@ def coherent_mixture_fock(
     outer = values[1:].reshape(k, k)
     np.multiply(phi[nz, None], phi[nz].conj(), out=outer)
     outer *= p
-    diagonal = np.zeros(size, dtype=phi.dtype)
-    diagonal[nz] = outer.diagonal()
-    diagonal[0] = values[0]
     deficit = _check_deficit(
         1.0 - float(diagonal.sum().real) / intended_trace,
         # hypot reads an overflowing modulus as inf, where abs() of a complex raises
@@ -544,6 +558,41 @@ def _dropped_nodes(
     return dropped, bool(last > 0.0) or not square.all()
 
 
+def _merge_stars(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, alive: np.ndarray,
+                 hermitian: bool) -> tuple[np.ndarray, ...]:
+    """The entries of M once each star is merged, its merged leaves marked
+    dead in ``alive``.  A leaf is a node holding one entry, off the diagonal
+    (a node of a Hermitian M holds its column); a star is two or more leaves
+    sharing the other end, their hub h.  It holds e_h v^T (and its mirror
+    where M is Hermitian), which a unitary on the leaves maps to ||v||_2 on
+    the smallest leaf, keeping every eigenvalue and singular value; |v|^2 is
+    summed by one ``bincount`` in support order."""
+    nodes = alive.size
+    degree = np.bincount(cols, minlength=nodes)
+    if not hermitian:
+        degree += np.bincount(rows, minlength=nodes)
+    # each leaf's hub, ``nodes`` for none; a lone diagonal entry is its own hub, alone
+    hub = np.full(nodes, nodes, dtype=rows.dtype)
+    for near, far in ((rows, cols), (cols, rows)):
+        end = degree.take(far) == 1
+        hub[far[end]] = near[end]
+    star = (np.bincount(hub, minlength=nodes + 1).take(hub) > 1) & (hub < nodes)
+    if not star.any():
+        return rows, cols, values
+    leaf = cols if hermitian else np.where(star.take(cols), cols, rows)
+    at = star.take(leaf)
+    square = values[at].real ** 2 + (values[at].imag ** 2 if np.iscomplexobj(values) else 0.0)
+    norm = np.sqrt(np.bincount(hub.take(leaf[at]), square, minlength=nodes))  # 0 off the hubs
+    leaves = np.flatnonzero(star)
+    stays = leaves[np.unique(hub.take(leaves), return_index=True)[1]]
+    alive[np.setdiff1d(leaves, stays)] = False
+    kept = alive.take(rows) & alive.take(cols)
+    rows, cols, values = rows[kept], cols[kept], values[kept]
+    at = np.isin(rows, stays) | np.isin(cols, stays)
+    values[at] = norm.take(rows[at]) + norm.take(cols[at])
+    return rows, cols, values
+
+
 def _blocks(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> tuple[np.ndarray, ...]:
     """The blocks of the trace norm of :func:`_trace_norm`, laid out in one
     flat buffer: the buffer position and value of each entry that is kept,
@@ -564,6 +613,7 @@ def _blocks(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> tuple[np.nd
         kept &= alive.take(cols)
         rows, cols, values = rows[kept], cols[kept], values[kept]
         del kept
+    rows, cols, values = _merge_stars(rows, cols, values, alive, hermitian)
     if hermitian:  # M's pattern is symmetric: one entry of each mirror pair links the two
         upper = rows < cols
         label = _component_labels(rows[upper], cols[upper], nodes)

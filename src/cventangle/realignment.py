@@ -128,7 +128,9 @@ def _gram_spectrum(g: float, gaps) -> WilliamsonSpectrum:
     a0 = math.prod(0.25 / (g * root) for root in roots)
     if a0 == 0.0:
         raise NumericDomainError(f"Gram prefactor a0 underflows at scale g={g}")
-    return WilliamsonSpectrum(nus=sorted(0.25 / root for root in roots), a0=a0)
+    # positive gaps (checked by the callers) give positive float nus: no re-check
+    nus = tuple(sorted(0.25 / root for root in roots))
+    return object.__new__(WilliamsonSpectrum)._set(nus, a0)
 
 
 def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:

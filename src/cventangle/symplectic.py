@@ -117,10 +117,14 @@ class WilliamsonSpectrum:
             raise InvalidArgumentError("symplectic eigenvalues must be finite and nonnegative")
         if list(nus) != sorted(nus):
             raise InvalidArgumentError("symplectic eigenvalues must be sorted ascending")
-        if not (self.a0 > 0 and math.isfinite(self.a0)):
+        self._set(nus, self.a0)
+
+    def _set(self, nus: tuple, a0) -> "WilliamsonSpectrum":
+        """Sets ``nus``, finite, nonnegative, sorted floats, and a0, checked."""
+        if not (a0 > 0 and math.isfinite(a0)):
             raise InvalidArgumentError("prefactor a0 must be positive")
-        object.__setattr__(self, "nus", nus)
-        object.__setattr__(self, "a0", float(self.a0))
+        vars(self).update(nus=nus, a0=float(a0))
+        return self
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -557,10 +558,39 @@ def reference_dropped_nodes(rho: FockDensityMatrix, axes: tuple, hermitian: bool
     return order[:np.searchsorted(np.cumsum(bounds[order]), budget, side="right")]
 
 
+def reference_star_merge(rows: np.ndarray, cols: np.ndarray, square: np.ndarray,
+                         hermitian: bool) -> tuple[dict, list]:
+    """Reference star merge on the entries (``rows``, ``cols``) of M, in
+    support order, of squared moduli ``square``.  A leaf is a node holding
+    one entry, off the diagonal: a column of a Hermitian M, otherwise a row
+    or a column.  The leaves that share that entry's other end, two or more,
+    merge into the smallest, whose entries become the square root of their
+    ``square`` added one at a time in support order.  Returns {leaf that
+    stays: its value} and the leaves merged away."""
+    held = {}
+    for e, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        for node in (c,) if hermitian else (r, c):
+            held.setdefault(node, []).append(e)
+    stars = {}
+    for node, es in sorted(held.items()):
+        if len(es) == 1 and rows[es[0]] != cols[es[0]]:
+            hub = int(rows[es[0]] if cols[es[0]] == node else cols[es[0]])
+            stars.setdefault(hub, []).append((node, es[0]))
+    stays, merged = {}, []
+    for leaves in stars.values():
+        if len(leaves) > 1:
+            total = 0.0
+            for _, e in sorted(leaves, key=lambda leaf: leaf[1]):
+                total += float(square[e])
+            stays[leaves[0][0]] = math.sqrt(total)
+            merged += [node for node, _ in leaves[1:]]
+    return stays, merged
+
+
 def dense_gather_trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool) -> float:
-    """Reference for the sector kernels: the same node rule, components,
-    block order and stacked LAPACK calls, with the node norms summed and
-    every block gathered from the dense matrix.  Equal blocks give equal
+    """Reference for the sector kernels: the same node rule, star merge,
+    components, block order and stacked LAPACK calls, with the node norms
+    summed and every block gathered from the dense matrix.  Equal blocks give equal
     bits, so the kernels must match it exactly."""
     d = rho.dim
     n = d * d
@@ -572,7 +602,15 @@ def dense_gather_trace_norm(rho: FockDensityMatrix, axes: tuple, hermitian: bool
     alive = np.ones(n if hermitian else 2 * n, dtype=bool)
     alive[reference_dropped_nodes(rho, axes, hermitian)] = False
     kept = alive[rows] & alive[cols]
-    rows, cols = rows[kept], cols[kept]
+    rows, cols, entries = rows[kept], cols[kept], rho.support[kept]
+    v = flat[entries]
+    stays, merged = reference_star_merge(rows, cols, v.real * v.real + v.imag * v.imag, hermitian)
+    alive[merged] = False
+    kept = alive[rows] & alive[cols]
+    rows, cols, entries = rows[kept], cols[kept], entries[kept]
+    flat = flat.copy()
+    for leaf, value in stays.items():
+        flat[entries[(rows == leaf) | (cols == leaf)]] = value
     if hermitian:
         label = reference_labels(rows, cols, n)
         sides = (label, label)
@@ -706,7 +744,9 @@ class TestSectorKernels:
     @pytest.mark.parametrize("factor", [1 - 2**-10, 1 + 2**-10], ids=["under", "over"])
     @pytest.mark.parametrize("axes,hermitian,corner,kept_over,block_over", [
         ((0, 3, 2, 1), True, {4}, {4}, (2, 2)),  # node |0,4> holds x alone and weighs 2x
-        ((0, 2, 1, 3), False, {29, 45}, {45}, (1, 2)),  # columns |0,4>, |4,0> hold x each
+        # columns |0,4>, |4,0> hold x each; over the budget, |4,0> and |0,0>
+        # hold the only entries of their columns in row |0,0>, and merge
+        ((0, 2, 1, 3), False, {29, 45}, {45}, (1, 1)),
     ], ids=["partial", "realigned"])
     def test_weak_corner_at_the_budget(self, factor, axes, hermitian, corner, kept_over,
                                        block_over):
@@ -731,6 +771,96 @@ class TestSectorKernels:
         assert sorted(zip(a.tolist(), b.tolist())) == [(1, 1), (1, 1) if factor < 1 else block_over]
         assert_kernels_match_reference(rho)
         assert_sectors_match_dense(rho)
+
+
+@st.composite
+def small_amplitudes(draw):
+    """A coherent amplitude of modulus 1e-3 to 0.3: real, imaginary or complex."""
+    modulus = draw(st.floats(1e-3, 0.3)) * draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    if kind == "real":
+        return modulus
+    if kind == "imaginary":
+        return complex(0.0, modulus)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    return modulus * complex(math.cos(angle), math.sin(angle))
+
+
+class TestAmplitudeBudget:
+    """The coherent mixture leaves phi's negligible amplitudes out of its
+    outer product; every oracle value stays within 1e-12 of the full
+    pattern's dense references."""
+
+    @pytest.mark.parametrize("p,alpha1,alpha2,cutoff", [
+        (1.0, 0.3, -0.3, 24), (0.5, 1e-3, 0.3j, 8), (0.6, 0.2 + 0.1j, -0.05, 16), (0.3, 0.3, 0.0, 24),
+    ])
+    def test_rule_drops_amplitudes_here(self, p, alpha1, alpha2, cutoff):
+        c1, c2 = coherent_amplitudes(alpha1, cutoff), coherent_amplitudes(alpha2, cutoff)
+        phi = (np.kron(c1, c2) - np.kron(c2, c1)) / math.sqrt(2.0)
+        kept = np.count_nonzero(phi) - len(negligible_amplitudes(phi, p, cutoff))
+        assert 0 < kept < np.count_nonzero(phi)
+        rho = coherent_mixture_fock(p, alpha1, alpha2, cutoff)
+        assert rho.support.size == kept**2 + (p < 1)  # and the vacuum term
+        assert rho.support.size < dense_coherent_mixture(p, alpha1, alpha2, cutoff).support.size
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(p=st.one_of(st.sampled_from([0.0, 1.0]), unit), alpha1=small_amplitudes(),
+           alpha2=small_amplitudes(), cutoff=st.integers(8, 24))
+    def test_oracle_values_match_full_pattern(self, p, alpha1, alpha2, cutoff):
+        try:
+            rho = coherent_mixture_fock(p, alpha1, alpha2, cutoff)
+        except InvalidArgumentError:  # a mixture of trace <= 1e-15
+            reject()
+        full = dense_coherent_mixture(p, alpha1, alpha2, cutoff)
+        assert abs(negativity_fock(rho) - dense_negativity(full)) <= 1e-12
+        assert abs(realignment_trace_norm_fock(rho) - dense_realignment(full)) <= 1e-12
+        for which in ("W01", "SWAP"):
+            assert abs(witness_fock(rho, which) - dense_witness(full, which)) <= 1e-12
+
+
+class TestStarMerge:
+    """Leaves that share their hub merge into one node of their 2-norm:
+    a unitary map, so both kernels keep every eigenvalue and singular value."""
+
+    @SECTORS
+    @given(seed=st.integers(0, 2**32 - 1), cutoff=st.integers(4, 6), hermitian=st.booleans(),
+           complex_=st.booleans())
+    def test_stars_and_arrowheads_match_dense(self, seed, cutoff, hermitian, complex_):
+        # M, the partial transpose or the realigned matrix, holds three stars:
+        # leaf values of both signs, some below the node budget, some hubs
+        # with a diagonal entry, some leaves with one (arrowheads)
+        rng = np.random.default_rng(seed)
+        d = cutoff + 1
+        n = d * d
+        axes = (0, 3, 2, 1) if hermitian else (0, 2, 1, 3)
+        M = np.zeros((n, n), dtype=complex if complex_ else float)
+        nodes = rng.permutation(n)
+        pool = nodes[3:3 + rng.integers(6, n - 3)]
+        for hub, leaves in zip(nodes[:3], np.array_split(pool, 3)):
+            value = rng.normal(size=leaves.size) + (1j * rng.normal(size=leaves.size) if complex_ else 0)
+            value[rng.random(leaves.size) < 0.3] *= 1e-20
+            if hermitian or rng.random() < 0.5:
+                M[hub, leaves] = value
+            else:  # a star of rows sharing a column
+                M[leaves, hub] = value
+            if rng.random() < 0.5:
+                M[hub, hub] = rng.normal()
+            arrow = leaves[rng.random(leaves.size) < 0.3]
+            M[arrow, arrow] = rng.normal(size=arrow.size)
+        m = M.reshape(d, d, d, d).transpose(axes).reshape(n, n)
+        # a Hermitian rho: the partial transpose becomes (M + M^H)/2, and the
+        # realigned matrix gains the mirror of each star
+        rho = dense_state(cutoff, (m + m.conj().T) / 2)
+        assert_kernels_match_reference(rho)
+        assert_sectors_match_dense(rho)
+
+    def test_star64_blocks(self):
+        # in the full pattern, the vacuum row of the partial transpose links
+        # 4,097 nodes, and the realigned matrix holds the same star
+        rho = coherent_mixture_fock(0.5, 0.0, 0.8, 64)
+        for axes, hermitian in (((0, 3, 2, 1), True), ((0, 2, 1, 3), False)):
+            _flat, _values, a, b = fock._blocks(rho, axes, hermitian)
+            assert a.max() == b.max() == 26
 
 
 class TestComponentLabels:
@@ -921,7 +1051,29 @@ def dense_tmsv(r, cutoff):
     return dense_state(cutoff, rho, deficit)
 
 
-def dense_coherent_mixture(p, alpha1, alpha2, cutoff):
+def negligible_amplitudes(phi: np.ndarray, p: float, cutoff: int) -> list[int]:
+    """Reference amplitude rule: the indices of the longest run of phi's
+    smallest nonzero amplitudes, in the stable order of |phi_a|^2, whose
+    2-norm ||delta|| has 3 p ||phi|| ||delta|| <= 2^-52 ||rho||_F / (N+1),
+    where ||rho||_F = hypot(1 - p, p ||phi||^2); the run's |phi_a|^2 are
+    added one at a time."""
+    nz = np.flatnonzero(phi)
+    weight = (phi[nz] * phi[nz].conj()).real
+    norm = math.sqrt(weight.sum())
+    budget = 2.0**-52 * math.hypot(1.0 - p, p * norm * norm) / (cutoff + 1)
+    run, total = [], 0.0
+    for a in sorted(range(nz.size), key=lambda a: weight[a]):
+        total += weight[a]
+        if 3.0 * p * norm * math.sqrt(total) > budget:
+            break
+        run.append(int(nz[a]))
+    return run
+
+
+def dense_coherent_mixture(p, alpha1, alpha2, cutoff, amplitude_rule=False):
+    """The mixture assembled densely over every amplitude of phi, or with
+    the ``amplitude_rule`` applied to phi first (:func:`negligible_amplitudes`);
+    the trace deficit is the full pattern's either way."""
     p, alpha1, alpha2, overlap = require_mixture(p, alpha1, alpha2)
     _require_cutoff(cutoff)
     intended_trace = 1.0 - p * overlap
@@ -935,6 +1087,11 @@ def dense_coherent_mixture(p, alpha1, alpha2, cutoff):
         1.0 - float(np.trace(rho).real) / intended_trace,
         f"coherent mixture |alpha1|={abs(alpha1)}, |alpha2|={abs(alpha2)}",
     )
+    if amplitude_rule:
+        phi[negligible_amplitudes(phi, p, cutoff)] = 0.0
+        rho = np.outer(phi, phi.conj())
+        rho *= p
+        rho[0, 0] += 1.0 - p
     return dense_state(cutoff, rho, deficit)
 
 
@@ -1014,7 +1171,7 @@ DENSE_BUILDERS = {
     "tmsv_fock": dense_tmsv,
     "squeezed_thermal_fock": dense_squeezed_thermal,
     "photon_added_sts_fock": dense_photon_added,
-    "coherent_mixture_fock": dense_coherent_mixture,
+    "coherent_mixture_fock": partial(dense_coherent_mixture, amplitude_rule=True),
 }
 
 # builder arguments before the cutoff; ``sparse`` cases also run at cutoff 64,
@@ -1125,7 +1282,8 @@ class TestEntryBuilders:
         argv = ["verify", "--cutoff", cutoff, "--rmax", rmax]
         assert cli.main(argv) == code
         built = capsys.readouterr().out
-        for name, build in DENSE_BUILDERS.items():
+        # the full-pattern mixture: ``verify`` prints the bytes it reads
+        for name, build in {**DENSE_BUILDERS, "coherent_mixture_fock": dense_coherent_mixture}.items():
             monkeypatch.setattr(fock, name, build)
         assert cli.main(argv) == code
         assert capsys.readouterr().out == built

@@ -16,6 +16,7 @@ from cventangle import (
     InvalidArgumentError,
     NumericDomainError,
     SingularLimitError,
+    WilliamsonSpectrum,
     classify_two_two,
     family_threshold,
     optimal_witness,
@@ -527,6 +528,32 @@ class TestClosedGramSpectrum:
             standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0))
         with pytest.raises(NumericDomainError, match="underflows"):
             standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4)
+        # sqrt(ab) = 1e-100: a0 = (0.25 / 1e-100)^4 overflows
+        with pytest.raises(InvalidArgumentError, match="prefactor a0 must be positive"):
+            standard_form_gram_spectrum(1e-100, 1e-100, (0.0,) * 4)
+
+    def test_spectrum_is_what_the_checking_constructor_builds(self, rng):
+        # the nus skip the constructor's re-check, and keep its types and bits
+        for _ in range(100):
+            s = random_standard_form(rng)
+            for spectrum in (standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2)),
+                             realignment_norm(s.covariance()).spectrum):
+                rebuilt = WilliamsonSpectrum(nus=spectrum.nus, a0=spectrum.a0)
+                assert type(spectrum.nus) is tuple and type(spectrum.a0) is float
+                assert all(type(nu) is float for nu in spectrum.nus)
+                assert repr(spectrum) == repr(rebuilt)
+
+    @pytest.mark.parametrize("nus,a0,message", [
+        ((0.3, 0.25), 1.0, "sorted ascending"),
+        ((-0.1, 0.25), 1.0, "finite and nonnegative"),
+        ((0.25, math.inf), 1.0, "finite and nonnegative"),
+        ((math.nan,), 1.0, "finite and nonnegative"),
+        ((0.25,), math.inf, "a0 must be positive"),
+        ((0.25,), 0.0, "a0 must be positive"),
+    ])
+    def test_public_constructor_checks_every_field(self, nus, a0, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            WilliamsonSpectrum(nus=nus, a0=a0)
 
     def test_overflowing_ab_takes_sqrt_a_sqrt_b(self):
         # ab = 1e310 overflows; sqrt(ab) is taken as in standard_form_norm,
