@@ -33,14 +33,6 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 
 
-def _verdict(entangled: bool) -> str:
-    return "entangled" if entangled else "undetected"
-
-
-def _value_cell(value: float) -> tuple[float, str]:
-    return value, _verdict(witness.detects_entanglement(value))
-
-
 def _value_fields(value: float) -> dict:
     return {"value": value, "entangled": witness.detects_entanglement(value)}
 
@@ -52,11 +44,6 @@ def _classify_fields(result) -> dict:
     if result.spectrum is not None:
         fields.update(nus=list(result.spectrum.nus), a0=result.spectrum.a0)
     return fields
-
-
-def _bounds_entangled(report) -> bool:
-    detects = witness.detects_entanglement
-    return detects(report.witness_value_01) or detects(report.swap_value)
 
 
 def _grid_verdicts(entangled, invalid) -> np.ndarray:
@@ -77,14 +64,13 @@ def _bounds_grid(inputs) -> tuple:
 
 class _Quantity(NamedTuple):
     record: Callable
-    cell: Callable
     grid: Optional[Callable] = None
 
 
 #: What each quantity reports, from the value its family evaluator returns:
-#: ``record(value)`` gives the ``eval`` JSON fields in output order and
-#: ``cell(value)`` the scan CSV ``(value, verdict)``.  ``grid(value)`` gives
-#: the CSV ``(values, verdicts)`` arrays from the value of a grid evaluator
+#: ``record(value)`` gives the ``eval`` JSON fields in output order, from
+#: which :func:`_cell` reads a scan cell.  ``grid(value)`` gives the CSV
+#: ``(values, verdicts)`` arrays from the value of a grid evaluator
 #: (:attr:`cventangle.states.Family.grid`), ``invalid`` where that value marks
 #: a refused point.  Nothing else in the package knows the record format.
 _QUANTITIES = {
@@ -96,13 +82,10 @@ _QUANTITIES = {
             "muPlus": opt.mu_plus,
             **_value_fields(opt.value),
         },
-        lambda opt: _value_cell(opt.value),
     ),
-    "witness01": _Quantity(
-        lambda value: {"mu1": 0.0, "mu2": 1.0, **_value_fields(value)}, _value_cell,
-        _value_grid,
-    ),
-    "swap": _Quantity(_value_fields, _value_cell, _value_grid),
+    "witness01": _Quantity(lambda value: {"mu1": 0.0, "mu2": 1.0, **_value_fields(value)},
+                           _value_grid),
+    "swap": _Quantity(_value_fields, _value_grid),
     "realignment_norm": _Quantity(
         lambda result: {
             "norm": result.norm,
@@ -110,13 +93,8 @@ _QUANTITIES = {
             "a0": result.spectrum.a0,
             "verdict": result.verdict,
         },
-        lambda result: (result.norm, result.verdict),
     ),
-    "classify": _Quantity(
-        _classify_fields,
-        lambda result: (math.nan if result.norm is None else result.norm, result.verdict),
-        lambda result: (result[1], result[0]),
-    ),
+    "classify": _Quantity(_classify_fields, lambda result: (result[1], result[0])),
     "bounds": _Quantity(
         lambda report: {
             "crenLower": report.cren_lower,
@@ -124,9 +102,9 @@ _QUANTITIES = {
             "eofLower": report.eof_lower,
             "tangleLower": report.tangle_lower,
             "inputs": {"witnessValue01": report.witness_value_01, "swapValue": report.swap_value},
-            "entangled": _bounds_entangled(report),
+            "entangled": (witness.detects_entanglement(report.witness_value_01)
+                          or witness.detects_entanglement(report.swap_value)),
         },
-        lambda report: (report.cren_lower, _verdict(_bounds_entangled(report))),
         _bounds_grid,
     ),
 }
@@ -138,6 +116,15 @@ def _quantity(quantity: str) -> _Quantity:
     if quantity not in _QUANTITIES:
         raise InvalidArgumentError(f"unknown quantity {quantity!r} (choose from {QUANTITIES})")
     return _QUANTITIES[quantity]
+
+
+def _cell(record: dict) -> tuple:
+    """The scan CSV ``(value, verdict)`` read from an ``eval`` record: its
+    ``value``, ``norm`` (None as NaN) or ``crenLower``, and its ``verdict``
+    or, where it has none, its ``entangled`` flag."""
+    value = record.get("value", record.get("norm", record.get("crenLower")))
+    verdict = record.get("verdict") or ("entangled" if record["entangled"] else "undetected")
+    return (math.nan if value is None else value), verdict
 
 
 def _evaluator(family, quantity: str):
@@ -227,8 +214,9 @@ def run_scan(
     decode makes every cell invalid.
     A quantity with a grid evaluator in the family table is evaluated on the
     whole grid at once; any other is evaluated cell by cell, on states built
-    from the decoded fields and the cell's axis values.  Every scan runs in
-    this process: ``workers`` is accepted and ignored.
+    from the decoded fields and the cell's axis values, and each cell is read
+    from the state's ``eval`` record.  Every scan runs in this process:
+    ``workers`` is accepted and ignored.
     """
     family = family_named(base_descriptor.get("family"))
     if not family.axes:
@@ -263,7 +251,7 @@ def run_scan(
                 for v2 in values2:
                     try:
                         state = build(**{**fields, axis1.name: v1, axis2.name: v2})
-                        cells.append(entry.cell(_evaluate(state, quantity)))
+                        cells.append(_cell(entry.record(_evaluate(state, quantity))))
                     except CVEntangleError:
                         cells.append((math.nan, "invalid"))
                 rows.append(zip(*cells))

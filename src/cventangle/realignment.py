@@ -122,15 +122,14 @@ def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, fl
 
 def _gram_spectrum(g: float, gaps) -> WilliamsonSpectrum:
     """The nu_i and a0 of the module docstring from the scale g and the gaps
-    1 - s_i, with 1 - s_i^2 = gap (2 - gap).  Raises NumericDomainError where
-    a0 underflows to 0."""
+    1 - s_i in (0, 1], with 1 - s_i^2 = gap (2 - gap).  Raises
+    NumericDomainError where a0 underflows to 0 or overflows."""
     roots = [math.sqrt(gap * (2.0 - gap)) for gap in gaps]
     a0 = math.prod(0.25 / (g * root) for root in roots)
-    if a0 == 0.0:
-        raise NumericDomainError(f"Gram prefactor a0 underflows at scale g={g}")
-    # positive gaps (checked by the callers) give positive float nus: no re-check
-    nus = tuple(sorted(0.25 / root for root in roots))
-    return object.__new__(WilliamsonSpectrum)._set(nus, a0)
+    if not 0.0 < a0 < math.inf:
+        raise NumericDomainError(f"Gram prefactor a0 {'underflows' if a0 == 0.0 else 'overflows'}"
+                                 f" at scale g={g}")
+    return WilliamsonSpectrum(nus=tuple(sorted(0.25 / root for root in roots)), a0=float(a0))
 
 
 def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
@@ -158,7 +157,7 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
         InvalidArgumentError: for an odd mode split or a local block that is
             not positive definite.
         SingularLimitError: where some 1 - s_i is within the allowance.
-        NumericDomainError: where a0 underflows to 0.
+        NumericDomainError: where a0 underflows to 0 or overflows.
     """
     k = V.modes  # 2n: the dimension of each side
     if k % 2:
@@ -170,7 +169,10 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
         raise InvalidArgumentError("covariance matrix must be positive definite") from exc
     W = np.linalg.inv(R)
     s = np.linalg.svd(W[0] @ V.matrix[:k, k:] @ W[1].T, compute_uv=False)
-    kappa = np.sqrt((local * local).sum(axis=(1, 2))) * np.sqrt((W * W).sum(axis=(1, 2))) ** 2
+    # Frobenius norms as running hypots: squaring the entries of V_X would
+    # overflow past 1.34e154.  ||R_X^-1||_F^2 = tr(V_X^-1) stays in range
+    frobenius = np.hypot.reduce(np.array([local, W]).reshape(2, 2, -1), axis=2)
+    kappa = frobenius[0] * frobenius[1] ** 2
     allowance = 4.0 * k * k * 2.0**-53 * float(kappa.sum())
     gaps = (1.0 - s).tolist()
     if not min(gaps) > allowance:
@@ -272,7 +274,7 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
 
     Raises:
         SingularLimitError: where some |c_i| >= sqrt(ab).
-        NumericDomainError: where a0 underflows to 0.
+        NumericDomainError: where a0 underflows to 0 or overflows.
     """
     sab, gaps = standard_form_gaps(a, b, couplings)
     if not all(gap > 0 for gap in gaps):

@@ -106,25 +106,14 @@ class CovarianceMatrix:
 @dataclass(frozen=True)
 class WilliamsonSpectrum:
     """Symplectic eigenvalues of a Gaussian characteristic function plus its
-    scalar prefactor (1 when the function describes a density operator)."""
+    scalar prefactor (1 when the function describes a density operator).
+
+    A plain record: its producers (:func:`symplectic_eigenvalues` and the
+    realignment Gram spectra) guarantee that ``nus`` is a tuple of sorted,
+    finite, positive floats and that ``a0`` is a float in (0, inf)."""
 
     nus: tuple[float, ...]
     a0: float = 1.0
-
-    def __post_init__(self):
-        nus = tuple(float(x) for x in self.nus)
-        if any(x < 0 or not math.isfinite(x) for x in nus):
-            raise InvalidArgumentError("symplectic eigenvalues must be finite and nonnegative")
-        if list(nus) != sorted(nus):
-            raise InvalidArgumentError("symplectic eigenvalues must be sorted ascending")
-        self._set(nus, self.a0)
-
-    def _set(self, nus: tuple, a0) -> "WilliamsonSpectrum":
-        """Sets ``nus``, finite, nonnegative, sorted floats, and a0, checked."""
-        if not (a0 > 0 and math.isfinite(a0)):
-            raise InvalidArgumentError("prefactor a0 must be positive")
-        vars(self).update(nus=nus, a0=float(a0))
-        return self
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,6 +14,7 @@ Witness values are reported raw, never clamped; a value below
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -100,7 +101,10 @@ def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
         SingularLimitError: where the norm diverges or leaves the float range.
     """
     value = 1.0 - realignment_norm_two_mode(s)
-    ratio = math.sqrt(s.a / s.b)
+    ratio = s.a / s.b
+    # where a/b overflows or is subnormal, sqrt(a)/sqrt(b) keeps mu finite and accurate
+    ratio = (math.sqrt(ratio) if sys.float_info.min <= ratio < math.inf
+             else math.sqrt(s.a) / math.sqrt(s.b))
     mu_minus = -ratio if s.c1 >= 0 else ratio
     mu_plus = -ratio if s.c2 >= 0 else ratio
     return OptimalWitness(value=value, mu_minus=mu_minus, mu_plus=mu_plus)

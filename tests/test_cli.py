@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cventangle import InvalidArgumentError, classify_two_two, crosscheck, fock
 from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
@@ -56,6 +60,37 @@ class TestEval:
         record = json.loads(capsys.readouterr().out)
         assert abs(record["value"] - (1.0 - 1.0 / (4.0 * math.sqrt(a * b)))) < 1e-15
         assert (record["mu1"], record["mu2"]) == (-math.sqrt(a / b), 0.0)
+
+    @pytest.mark.parametrize("a,b,mu1", [(1e308, 0.25, -2e154), (0.25, 1e308, -5e-155)])
+    def test_optimal_witness_ratio_outside_the_normal_range(self, a, b, mu1, capsys):
+        # a/b overflows or is subnormal: mu is sqrt(a)/sqrt(b), finite
+        doc = json.dumps({"family": "standard2", "a": a, "b": b, "c1": 0.0, "c2": 0.0})
+        assert main(["eval", "--state", doc, "--quantity", "optimal_witness"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["mu1"], record["mu2"]) == (mu1, 0.0)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        quantity=st.sampled_from(["optimal_witness", "witness01", "swap", "realignment_norm",
+                                  "bounds"]),
+        log_ab=st.tuples(*[st.one_of(st.sampled_from([math.log10(0.25), 308.0]),
+                                     st.floats(math.log10(0.25), 308.0))] * 2),
+        u=st.tuples(*[st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))] * 2),
+    )
+    def test_standard2_records_are_strict_json(self, quantity, log_ab, u):
+        # a, b log-uniform on [1/4, 1e308], |c_i| up to sqrt(a) sqrt(b): a
+        # record holds no NaN or infinity, or eval refuses the state
+        a, b = (min(10.0**x, 1e308) for x in log_ab)
+        sab = math.sqrt(a) * math.sqrt(b)
+        doc = json.dumps({"family": "standard2", "a": a, "b": b, "c1": u[0] * sab,
+                          "c2": u[1] * sab})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["eval", "--state", doc, "--quantity", quantity])
+        if code == EXIT_OK:
+            json.dumps(json.loads(out.getvalue()), allow_nan=False)
+        else:
+            assert code in (EXIT_INVALID, EXIT_NUMERIC), doc
 
     def test_swap_mixture(self, capsys):
         assert main(["eval", "--state", MIXTURE, "--quantity", "swap"]) == EXIT_OK

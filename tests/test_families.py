@@ -303,13 +303,18 @@ def test_bad_numeric_field_rejected(target, bad):
 # ---------------------------------------------------------------------------
 
 def reference_cell(doc, quantity) -> tuple[str, str]:
-    """The scan cell of one state by the per-state path, as CSV text."""
+    """The scan cell of one state, as CSV text, projected from its ``eval``
+    record by the rule of the scan format (not by the scan code)."""
     try:
-        state = parse_state_descriptor(doc)
-        value, verdict = cli._quantity(quantity).cell(cli._evaluate(state, quantity))
+        record = evaluate_quantity(parse_state_descriptor(doc), quantity)
     except CVEntangleError:
         return "nan", "invalid"
-    return repr(value), verdict
+    if quantity in ("realignment_norm", "classify"):
+        value, verdict = record["norm"], record["verdict"]
+    else:
+        value = record["crenLower" if quantity == "bounds" else "value"]
+        verdict = "entangled" if record["entangled"] else "undetected"
+    return repr(math.nan if value is None else value), verdict
 
 
 def assert_grid_equals_cells(base, quantity, axes):

@@ -16,7 +16,6 @@ from cventangle import (
     InvalidArgumentError,
     NumericDomainError,
     SingularLimitError,
-    WilliamsonSpectrum,
     classify_two_two,
     family_threshold,
     optimal_witness,
@@ -32,11 +31,12 @@ from cventangle import (
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
 from cventangle.realignment import (classify_two_two_array, standard_form_gram_spectrum,
                                     standard_form_norm)
+from cventangle.states import family_of, parse_state_descriptor
 from cventangle.witness import (DETECTION_TOL, swap_photon_added_closed,
                                 witness_photon_added_closed)
 from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
                       random_physical_cov, random_product_cov, random_standard_form,
-                      random_symplectic)
+                      random_symplectic, two_mode_cov)
 
 
 def gram_reference_two_mode(a, b, c1, c2):
@@ -284,6 +284,25 @@ class TestCanonicalRoute:
             realignment_norm(CovarianceMatrix(np.diag([0.25, -0.25, 0.25, 0.25])))
         with pytest.raises(NumericDomainError, match="underflows"):
             realignment_norm(CovarianceMatrix(np.eye(12) * 1e60))
+        # far past where the squares of the local blocks overflow, a0 underflows
+        doc = state_descriptor(CovarianceMatrix(1e170 * tmsv_params(0.3).covariance().matrix))
+        code, _out, err = eval_doc(doc, "realignment_norm")
+        assert code == EXIT_NUMERIC and "a0 underflows" in err
+
+    @pytest.mark.parametrize("x", [1.0, 1e100, 1.5e154, 1e158])
+    def test_refusal_bound_at_every_scale(self, x):
+        # kappa takes the Frobenius norm of each local block without squaring
+        # its entries: past ||V_A||_F = 1.34e154 the allowance stays finite
+        V = tmsv_params(0.3).covariance().matrix
+        norm = realignment_norm(CovarianceMatrix(x * V)).norm
+        assert abs(norm * x / realignment_norm(CovarianceMatrix(V)).norm - 1.0) <= 1e-13
+        code, record = raw_eval(x * np.eye(4))
+        standard2 = {"family": "standard2", "a": x, "b": x, "c1": 0.0, "c2": 0.0}
+        reference = json.loads(eval_doc(standard2, "realignment_norm")[1])
+        assert code == EXIT_OK
+        assert (record["nus"], record["verdict"]) == (reference["nus"], reference["verdict"])
+        assert record["norm"] == pytest.approx(reference["norm"], rel=1e-13)
+        assert record["a0"] == pytest.approx(reference["a0"], rel=1e-13, abs=1e-320)
 
 
 class TestClosedForms:
@@ -491,6 +510,14 @@ class TestStandardFormNorm:
                 assert abs(value / exact - 1) <= 1e-14, (a, b, couplings)
 
 
+def assert_valid_spectrum(spectrum):
+    """The invariants that every producer of a WilliamsonSpectrum keeps."""
+    nus, a0 = spectrum.nus, spectrum.a0
+    assert type(nus) is tuple and all(type(nu) is float for nu in nus), spectrum
+    assert all(0.0 < nu < math.inf for nu in nus) and list(nus) == sorted(nus), spectrum
+    assert type(a0) is float and 0.0 < a0 < math.inf, spectrum
+
+
 class TestClosedGramSpectrum:
     def pipeline(self, V):
         spectrum = gram_route(V)[1]
@@ -528,32 +555,53 @@ class TestClosedGramSpectrum:
             standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0))
         with pytest.raises(NumericDomainError, match="underflows"):
             standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4)
-        # sqrt(ab) = 1e-100: a0 = (0.25 / 1e-100)^4 overflows
-        with pytest.raises(InvalidArgumentError, match="prefactor a0 must be positive"):
+        # sqrt(ab) = 1e-100, below the vacuum bound: a0 = (0.25 / 1e-100)^4 overflows
+        with pytest.raises(NumericDomainError, match="a0 overflows"):
             standard_form_gram_spectrum(1e-100, 1e-100, (0.0,) * 4)
 
     def test_spectrum_is_what_the_checking_constructor_builds(self, rng):
-        # the nus skip the constructor's re-check, and keep its types and bits
+        # the record checks nothing: every producer keeps its invariants
         for _ in range(100):
             s = random_standard_form(rng)
+            a, b = rng.uniform(0.25, 2.0, size=2)
+            c = rng.uniform(-1.0, 1.0) * family_threshold(a, b)
             for spectrum in (standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2)),
-                             realignment_norm(s.covariance()).spectrum):
-                rebuilt = WilliamsonSpectrum(nus=spectrum.nus, a0=spectrum.a0)
-                assert type(spectrum.nus) is tuple and type(spectrum.a0) is float
-                assert all(type(nu) is float for nu in spectrum.nus)
-                assert repr(spectrum) == repr(rebuilt)
+                             standard_form_gram_spectrum(a, b, (c,) * 4),
+                             realignment_norm(s.covariance()).spectrum,
+                             realignment_norm(random_physical_cov(rng, 4)).spectrum):
+                assert_valid_spectrum(spectrum)
 
-    @pytest.mark.parametrize("nus,a0,message", [
-        ((0.3, 0.25), 1.0, "sorted ascending"),
-        ((-0.1, 0.25), 1.0, "finite and nonnegative"),
-        ((0.25, math.inf), 1.0, "finite and nonnegative"),
-        ((math.nan,), 1.0, "finite and nonnegative"),
-        ((0.25,), math.inf, "a0 must be positive"),
-        ((0.25,), 0.0, "a0 must be positive"),
-    ])
-    def test_public_constructor_checks_every_field(self, nus, a0, message):
-        with pytest.raises(InvalidArgumentError, match=message):
-            WilliamsonSpectrum(nus=nus, a0=a0)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        route=st.sampled_from(["standard2", "two_two", "raw_covariance"]),
+        nus=st.tuples(*[st.one_of(st.just(0.25), st.floats(0.25, 3.0))] * 2),
+        r=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        theta=st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi)),
+        u=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        local=st.tuples(*[st.tuples(st.floats(-1.0, 1.0), st.tuples(st.floats(0.0, 3.0),
+                                                                   st.floats(0.0, 3.0)))] * 2),
+    )
+    def test_every_route_returns_a_valid_spectrum(self, route, nus, r, theta, u, local):
+        # pure where both nus are 1/4 (and |u| = 1), a product where r = 0 or
+        # u = 0 (raw: r = theta = 0); spectra as eval gets them, from the
+        # family evaluators.  A standard2 state scaled toward its marginals
+        # (|u|) with noise on B stays physical: V + iJ/4 >= 0 is convex
+        if route == "standard2":
+            doc = state_descriptor(squeezed_thermal_params(nus[0] - 0.25, r))
+            doc.update(b=doc["b"] + (nus[1] - 0.25), c1=doc["c1"] * abs(u),
+                       c2=doc["c2"] * abs(u))
+        elif route == "two_two":
+            a, b = nus
+            doc = {"family": "two_two", "a": a, "b": b, "c": u * family_threshold(a, b)}
+        else:
+            doc = state_descriptor(CovarianceMatrix(two_mode_cov(nus, theta, r, local)))
+        state = parse_state_descriptor(doc)
+        quantities = family_of(state).quantities
+        spectra = [quantities["realignment_norm"](state).spectrum]
+        if "classify" in quantities:
+            spectra.append(quantities["classify"](state).spectrum)
+        for spectrum in spectra:
+            assert_valid_spectrum(spectrum)
 
     def test_overflowing_ab_takes_sqrt_a_sqrt_b(self):
         # ab = 1e310 overflows; sqrt(ab) is taken as in standard_form_norm,
