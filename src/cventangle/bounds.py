@@ -30,8 +30,9 @@ def binary_entropy(x: float) -> float:
 
 def cren_lower_bound(witness_value_01):
     """Negativity (convex-roof extension) >= -witness value at (0, 1), clamped
-    at 0.  Accepts an array of witness values and returns one of bounds."""
-    return np.maximum(0.0, np.negative(witness_value_01)) + 0.0  # + 0.0 turns -0.0 into 0.0
+    at 0: a float from a Python float, an array of bounds from an array."""
+    maximum = max if type(witness_value_01) is float else np.maximum  # max(nan, 0.0) is nan
+    return maximum(-witness_value_01, 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def concurrence_lower_bound(swap_value: float) -> float:
@@ -72,7 +73,7 @@ class BoundReport:
 def bound_report(witness_value_01: float, swap_value: float) -> BoundReport:
     """Assemble every bound from the two measured expectation values."""
     return BoundReport(
-        cren_lower=float(cren_lower_bound(witness_value_01)),
+        cren_lower=cren_lower_bound(float(witness_value_01)),
         concurrence_lower=concurrence_lower_bound(swap_value),
         eof_lower=eof_lower_bound(swap_value),
         tangle_lower=tangle_lower_bound(swap_value),

@@ -46,6 +46,7 @@ norm above 1 certifies bound entanglement.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -134,10 +135,10 @@ def _gram_spectrum(g: float, gaps) -> WilliamsonSpectrum:
 
 def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     """Realigned trace norm and Gram spectrum of an n+n mode Gaussian state
-    from its canonical correlations (module docstring).  V must be physical:
-    the ``raw_covariance`` descriptor build refuses an unphysical V through
-    :func:`cventangle.symplectic.require_physical`, but this function does
-    not call it and trusts its input.
+    from its canonical correlations (module docstring).  An unphysical V is
+    refused (:func:`cventangle.symplectic.require_physical`, which runs no
+    second eigen-solve on a V it has passed, such as a ``raw_covariance``
+    build).
 
     Refusal bound.  With k = 2n, u = 2^-53 and kappa_X = ||V_X|| ||V_X^{-1}||,
     the computed s_i are, to first order in u, within 3 k^2 u
@@ -154,14 +155,14 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     a relative error of at most about allowance / (2 (1 - s_i)).
 
     Raises:
-        InvalidArgumentError: for an odd mode split or a local block that is
-            not positive definite.
+        InvalidArgumentError: for an odd mode split or an unphysical V.
         SingularLimitError: where some 1 - s_i is within the allowance.
         NumericDomainError: where a0 underflows to 0 or overflows.
     """
     k = V.modes  # 2n: the dimension of each side
     if k % 2:
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
+    require_physical(V)
     local = np.array([V.matrix[:k, :k], V.matrix[k:, k:]])
     try:
         R = np.linalg.cholesky(local)
@@ -203,11 +204,32 @@ def _two_product(x, y):
 
 
 def _sqrt(x):
-    """Correctly rounded square root where x > 0, NaN elsewhere.  A float stays
-    a float: every later step costs several times more on a numpy scalar."""
+    """np.sqrt, and on a Python float math.sqrt where x > 0 and NaN elsewhere
+    (at 0 too, so that no float division by it raises).
+
+    The float branch: each closed form is written once and runs on Python
+    floats as on arrays.  + - * / and sqrt round correctly on both, exp and
+    cosh are numpy's on both, and only arrays need np.errstate.  A float stays
+    a float: each step costs several times more on a numpy scalar."""
     if isinstance(x, float):
         return math.sqrt(x) if x > 0.0 else math.nan
     return np.sqrt(x)
+
+
+def _nan_unless(ok, value):
+    """value where ok and NaN elsewhere, on a Python bool or on arrays."""
+    return (value if ok else math.nan) if type(ok) is bool else value * NAN_OR_ONE.take(ok)
+
+
+def _errstate(*xs):
+    """np.errstate(all="ignore") unless every argument is a Python float."""
+    for x in xs:
+        if type(x) is not float:
+            return np.errstate(all="ignore")
+    return _NO_ERRSTATE
+
+
+_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def standard_form_gaps(a, b, couplings):
@@ -233,7 +255,6 @@ def standard_form_gaps(a, b, couplings):
     return s + correction, [(s - abs(c)) + correction for c in couplings]
 
 
-@np.errstate(all="ignore")
 def standard_form_norm(a, b, couplings):
     """Realigned norm of a standard form with local blocks a I, b I and
     couplings c_i (module docstring), on numbers or arrays that broadcast
@@ -243,17 +264,34 @@ def standard_form_norm(a, b, couplings):
 
     NaN where it is not positive and finite (|c_i| >= sqrt(ab), overflow or
     underflow), from the gaps of :func:`standard_form_gaps`."""
-    norm = math.prod(0.5 / np.sqrt(gap) for gap in standard_form_gaps(a, b, couplings)[1])
-    return norm / norm * norm  # 0/0 and inf/inf are NaN
+    with _errstate(a, b, *couplings):
+        return _norm_of_gaps(standard_form_gaps(a, b, couplings)[1])
 
 
-def _finite_norm(a: float, b: float, couplings) -> float:
-    """:func:`standard_form_norm` at one point; SingularLimitError where NaN."""
-    norm = float(standard_form_norm(a, b, couplings))
+def _norm_of_gaps(gaps):
+    norm = math.prod(0.5 / _sqrt(gap) for gap in gaps)
+    return _nan_unless((norm > 0.0) & (norm < math.inf), norm)
+
+
+def _finite_norm(a: float, b: float, couplings, gaps=None) -> float:
+    """:func:`standard_form_norm` at one point, on floats (:func:`_sqrt`), or
+    the norm from its ``gaps``; SingularLimitError where NaN."""
+    norm = standard_form_norm(a, b, couplings) if gaps is None else _norm_of_gaps(gaps)
     if math.isnan(norm):
         raise SingularLimitError(f"realigned norm diverges at sqrt(ab) <= |c_i| or leaves the "
                                  f"float range (a={a}, b={b}, c={tuple(couplings)})")
     return norm
+
+
+def _standard_form_result(a: float, b: float, couplings, sab_gaps=None) -> RealignmentResult:
+    """Realigned norm and Gram spectrum (g = sqrt(ab), 1 - s_i = gap / sqrt(ab):
+    a product gets nu_i = 1/4 exactly) of a standard form at one point, from
+    one :func:`standard_form_gaps` or its ``sab_gaps``.  SingularLimitError
+    where the norm is NaN (else every gap is > 0), NumericDomainError where a0
+    leaves the float range."""
+    sab, gaps = sab_gaps or standard_form_gaps(a, b, couplings)
+    norm = _finite_norm(a, b, couplings, gaps)
+    return RealignmentResult(norm=norm, spectrum=_gram_spectrum(sab, [gap / sab for gap in gaps]))
 
 
 def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
@@ -263,24 +301,8 @@ def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
     Raises:
         SingularLimitError: where the norm diverges or leaves the float range.
     """
-    return _finite_norm(s.a, s.b, (s.c1, s.c2))
-
-
-def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpectrum:
-    """Gram spectrum of a standard-form state with local blocks a I, b I and
-    one coupling c_i per side-A quadrature: g = sqrt(ab) and
-    1 - s_i = (sqrt(ab) - |c_i|) / sqrt(ab) (module docstring), so a product
-    gets nu_i = 1/4 exactly.  Both come from :func:`standard_form_gaps`.
-
-    Raises:
-        SingularLimitError: where some |c_i| >= sqrt(ab).
-        NumericDomainError: where a0 underflows to 0 or overflows.
-    """
-    sab, gaps = standard_form_gaps(a, b, couplings)
-    if not all(gap > 0 for gap in gaps):
-        raise SingularLimitError(f"Gram spectrum diverges at sqrt(ab) <= |c_i| "
-                                 f"(sqrt(ab)={sab}, c={tuple(couplings)})")
-    return _gram_spectrum(sab, [gap / sab for gap in gaps])
+    # a TwoModeStandardForm keeps the gaps of its physicality test
+    return _finite_norm(s.a, s.b, (s.c1, s.c2), getattr(s, "_gaps", (None, None))[1])
 
 
 def realignment_norm_two_two(a: float, b: float, c: float) -> float:
@@ -317,14 +339,13 @@ def two_two_family(a: float, b: float, c: float) -> CovarianceMatrix:
 #: Radicands of the 2+2 threshold in [-RADICAND_TOL, 0) are rounding and
 #: read as 0 (they occur where a or b is 1/4).
 RADICAND_TOL = 1e-12
-#: value * NAN_OR_ONE.take(ok) is value where ok and NaN elsewhere, on numbers
-#: and arrays: no np.where, which costs more than a closed form on a number.
+#: value * NAN_OR_ONE.take(ok) is value where ok and NaN elsewhere (no np.where)
 NAN_OR_ONE = np.array([np.nan, 1.0])
 
 
 def family_threshold_array(a, b):
-    """Largest |c| for which the 2+2 family is a valid state, on arrays that
-    broadcast together:
+    """Largest |c| for which the 2+2 family is a valid state, on numbers or
+    arrays that broadcast together:
 
         sqrt(ab - sqrt(a^2 + b^2 - 1/16)/4),
 
@@ -333,14 +354,18 @@ def family_threshold_array(a, b):
     or below -RADICAND_TOL.  The exact radicand is never negative, as
     (ab)^2 - (a^2 + b^2 - 1/16)/16 = (16a^2 - 1)(16b^2 - 1)/16.
     """
-    with np.errstate(all="ignore"):
-        radicand = a * b - np.sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
+    with _errstate(a, b):
+        radicand = a * b - _sqrt(a * a + b * b - 1.0 / 16.0) / 4.0
         ok = (a >= 0.25) & (b >= 0.25) & (radicand >= -RADICAND_TOL)
-        return np.sqrt(np.maximum(radicand, 0.0)) * NAN_OR_ONE.take(ok)
+        # sqrt(max(radicand, 0)), which is 0 at 0 where _sqrt of a float is NaN
+        root = (math.sqrt(max(radicand, 0.0)) if type(radicand) is float
+                else np.sqrt(np.maximum(radicand, 0.0)))
+        return _nan_unless(ok, root)
 
 
 def family_threshold(a: float, b: float) -> float:
-    """:func:`family_threshold_array` at one point.
+    """:func:`family_threshold_array` at one point, on its float branch
+    (:func:`_sqrt`): the same formula and the same bits as on arrays.
 
     Raises:
         InvalidArgumentError: below the vacuum bound.
@@ -348,7 +373,7 @@ def family_threshold(a: float, b: float) -> float:
     """
     a, b = float(a), float(b)
     require_vacuum_bound(a=a, b=b)
-    threshold = float(family_threshold_array(a, b))
+    threshold = family_threshold_array(a, b)
     if math.isnan(threshold):
         raise NumericDomainError(
             f"2+2 family threshold lost to rounding or overflow at a={a}, b={b}")
@@ -399,6 +424,7 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     """:func:`classify_two_two_array` at one point, read from
     :func:`family_threshold` and, only where |c| is within it,
     :func:`realignment_norm_two_two`.  Each is an array form at one point,
+    run on its float branch (:func:`_sqrt`): the formulas are written once,
     so values and verdicts match the array form bit for bit, and a point it
     calls ``invalid`` raises here.
 

@@ -27,9 +27,9 @@ from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, require_physical
 
 
-def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
+def standard_form_is_physical(a: float, b: float, c1: float, c2: float, sab_gaps) -> bool:
     """Closed-form physicality test V + iJ/4 >= 0 of a standard form with
-    a, b >= 1/4 (Simon, PRL 84, 2726 (2000)).
+    a, b >= 1/4 (Simon, PRL 84, 2726 (2000)), given its ``sab_gaps``.
 
     In the order (x1, x2 | p1, p2), V + iJ/4 = [[X, iI/4], [-iI/4, P]] with
     X = [[a, c1], [c1, b]], P = [[a, c2], [c2, b]].  It is positive
@@ -41,7 +41,7 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
     c2 + c1 k), not det M: M -> 0 near a pure state, where det M is a product
     of two small numbers.  All terms are divided by s = sqrt(ab), and
     delta1 = d1 / s^2 is (s - |c1|)(s + |c1|) / s^2, with s and s - |c1|
-    from :func:`cventangle.realignment.standard_form_gaps`.
+    from :func:`cventangle.realignment.standard_form_gaps` (a, b, (c1, c2)).
 
     Inputs within two roundings of a physical state (a, b, c1, c2 each moved
     by up to 2u relative, u = 2^-53), such as cosh(2r)/4, sinh(2r)/4, are
@@ -59,7 +59,7 @@ def standard_form_is_physical(a: float, b: float, c1: float, c2: float) -> bool:
     so an accepted state has k < 2 and its computed eigenvalue is at least
     -192 u L.
     """
-    s, (gap1, gap2) = realignment.standard_form_gaps(a, b, (c1, c2))
+    s, (gap1, gap2) = sab_gaps
     if not (gap1 > 0 and gap2 > 0):
         return False
     alpha, beta, g1, g2 = a / s, b / s, c1 / s, c2 / s
@@ -78,7 +78,7 @@ class TwoModeStandardForm:
     The covariance matrix is block-diagonal per quadrature: diag blocks
     diag(a, a) and diag(b, b), off-diagonal diag(c1, c2).  Requires a, b >= 1/4
     and the physicality of V, decided in closed form by
-    :func:`standard_form_is_physical`.
+    :func:`standard_form_is_physical`, whose gaps it keeps for its norm.
     """
 
     a: float
@@ -89,7 +89,8 @@ class TwoModeStandardForm:
     def __post_init__(self):
         a, b, c1, c2 = (float(v) for v in (self.a, self.b, self.c1, self.c2))
         require_vacuum_bound(a=a, b=b)
-        if not standard_form_is_physical(a, b, c1, c2):
+        sab_gaps = realignment.standard_form_gaps(a, b, (c1, c2))
+        if not standard_form_is_physical(a, b, c1, c2, sab_gaps):
             raise InvalidArgumentError(
                 "constraint violated: the standard form fails the physicality "
                 f"test V + iJ/4 >= 0 (a={a}, b={b}, c1={c1}, c2={c2})"
@@ -98,6 +99,7 @@ class TwoModeStandardForm:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "_gaps", sab_gaps)
 
     def slice_matrix(self, d_minus: float, d_plus: float) -> tuple[float, float, float, float]:
         """diag(K-, K+), the slice matrix of :mod:`cventangle.phase_space`."""
@@ -223,14 +225,15 @@ class Family:
 
 
 def _two_two_classify(s: TwoTwoFamilyParams) -> realignment.TwoTwoClassification:
-    """The classification of a 2+2 state with, at a physical point, the Gram
-    spectrum of its realigned norm."""
-    result = realignment.classify_two_two(s.a, s.b, s.c)
-    if result.verdict == "unphysical":
-        return result
-    return realignment.TwoTwoClassification(
-        result.verdict, result.norm, result.threshold,
-        spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c,) * 4))
+    """:func:`cventangle.realignment.classify_two_two` of a 2+2 state with, at
+    a physical point, the Gram spectrum of its norm, both from one
+    :func:`cventangle.realignment.standard_form_gaps`."""
+    threshold = realignment.family_threshold(s.a, s.b)
+    if abs(s.c) > threshold:
+        return realignment.TwoTwoClassification("unphysical", None, threshold)
+    result = realignment._standard_form_result(s.a, s.b, (s.c,) * 4)
+    verdict = "bound_entangled" if result.verdict == "entangled" else "undetected"
+    return realignment.TwoTwoClassification(verdict, result.norm, threshold, result.spectrum)
 
 
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
@@ -253,9 +256,8 @@ FAMILIES = (
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
         "swap": lambda s: witness.swap_expectation(s),
-        "realignment_norm": lambda s: realignment.RealignmentResult(
-            norm=realignment.realignment_norm_two_mode(s),
-            spectrum=realignment.standard_form_gram_spectrum(s.a, s.b, (s.c1, s.c2))),
+        "realignment_norm": lambda s: realignment._standard_form_result(
+            s.a, s.b, (s.c1, s.c2), s._gaps),
     }, axes=("a", "b", "c1", "c2")),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": _two_two_realignment,

@@ -134,15 +134,18 @@ def is_physical(V: CovarianceMatrix) -> bool:
 
 def require_physical(V: CovarianceMatrix) -> CovarianceMatrix:
     """``V``, refused unless :func:`is_physical`: the one place that refuses
-    a covariance for physicality.
+    a covariance for physicality.  A pass is recorded on the instance, so a
+    second call on it runs no eigen-solve.
 
     Raises:
         InvalidArgumentError: where V + iJ/4 >= 0 fails.
     """
-    if not is_physical(V):
-        raise InvalidArgumentError(
-            "constraint violated: covariance fails the physicality test V + iJ/4 >= 0"
-        )
+    if not V.__dict__.get("_physical"):
+        if not is_physical(V):
+            raise InvalidArgumentError(
+                "constraint violated: covariance fails the physicality test V + iJ/4 >= 0"
+            )
+        object.__setattr__(V, "_physical", True)
     return V
 
 

@@ -23,11 +23,11 @@ import numpy as np
 from . import phase_space
 from .errors import (InvalidArgumentError, NumericDomainError, real_field, require_mixture,
                      require_nonnegative_nr)
-from .realignment import DETECTION_TOL, NAN_OR_ONE, realignment_norm_two_mode
+from .realignment import DETECTION_TOL, _errstate, _nan_unless, realignment_norm_two_mode
+from .symplectic import CovarianceMatrix, require_physical
 
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
-    from .symplectic import CovarianceMatrix
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,10 @@ def witness_expectation_gaussian(state: TwoModeStandardForm | CovarianceMatrix,
           = 1 - sqrt|mu- mu+| / (2 sqrt(det S)),
 
     with S the slice matrix at D = diag(mu-, mu+) of
-    :func:`cventangle.phase_space.slice_integral` (diag(K-, K+), standard form).
+    :func:`cventangle.phase_space.slice_integral` (diag(K-, K+), standard
+    form).  A covariance is refused unless physical.
     """
-    pi_integral = phase_space.slice_integral(state, w.mu_minus, w.mu_plus)
+    pi_integral = phase_space.slice_integral(_physical(state), w.mu_minus, w.mu_plus)
     return 1.0 - math.sqrt(abs(w.mu_minus * w.mu_plus)) * pi_integral
 
 
@@ -110,9 +111,22 @@ def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
     return OptimalWitness(value=value, mu_minus=mu_minus, mu_plus=mu_plus)
 
 
+def _numpy_float(ufunc, x):
+    """numpy's exp or cosh of x (math's differ in the last bit); of a Python
+    float a Python float, inf where math's raise OverflowError, which is where
+    numpy's overflow (no float's exp or cosh is within 2e-14 of the float range)."""
+    if type(x) is not float:
+        return ufunc(x)
+    try:
+        getattr(math, ufunc.__name__)(x)
+    except OverflowError:
+        return math.inf
+    return float(ufunc(x))
+
+
 def witness_photon_added_array(n, r):
     """Closed-form witness value at (mu1, mu2) = (0, 1) for the photon-added
-    symmetric squeezed thermal state, on arrays:
+    symmetric squeezed thermal state, on numbers or arrays:
 
         1 - e^{4r} n (1+n) / [(1+2n)^2 (cosh^2 r + n cosh 2r)].
 
@@ -120,15 +134,18 @@ def witness_photon_added_array(n, r):
     is NaN wherever n or r is negative or not a number and wherever it is not
     finite, which includes every point where e^{4r} overflows (from r = 177.5).
     """
-    with np.errstate(all="ignore"):
+    with _errstate(n, r):
+        # NaN where n or r is negative: a negative n can zero a float denominator
+        n = _nan_unless((n >= 0.0) & (r >= 0.0), n)
         m = 1.0 + 2.0 * n
-        ch = np.cosh(r)
-        value = 1.0 - np.exp(4.0 * r) * n * (1.0 + n) / (m * m * (ch * ch + n * np.cosh(2.0 * r)))
-        return value * NAN_OR_ONE.take((n >= 0.0) & (r >= 0.0) & np.isfinite(value))
+        ch = _numpy_float(np.cosh, r)
+        value = 1.0 - (_numpy_float(np.exp, 4.0 * r) * n * (1.0 + n)
+                       / (m * m * (ch * ch + n * _numpy_float(np.cosh, 2.0 * r))))
+        return _nan_unless(abs(value) < math.inf, value)
 
 
 def swap_photon_added_array(n, r):
-    """Closed-form SWAP expectation of the same state, on arrays, with m = 1 + 2n:
+    """Closed-form SWAP expectation of the same state, m = 1 + 2n, on numbers or arrays:
 
         (m^2 - 1) / (2 m^2 (m + 1/cosh 2r)),
 
@@ -137,22 +154,22 @@ def swap_photon_added_array(n, r):
     n or r is negative or not a number, where cosh 2r itself overflows (from
     r = 355.3) and where the value is not finite.
     """
-    with np.errstate(all="ignore"):
+    with _errstate(n, r):
+        n = _nan_unless((n >= 0.0) & (r >= 0.0), n)
         m = 1.0 + 2.0 * n
-        cosh2r = np.cosh(2.0 * r)
+        cosh2r = _numpy_float(np.cosh, 2.0 * r)
         value = (m * m - 1.0) / (2.0 * m * m * (m + 1.0 / cosh2r))
         # cosh 2r >= 1 and the value lies in [0, 1/2): their product is finite
         # exactly where both are
-        ok = (n >= 0.0) & (r >= 0.0) & np.isfinite(cosh2r * value)
-        return value * NAN_OR_ONE.take(ok)
+        return _nan_unless(abs(cosh2r * value) < math.inf, value)
 
 
 def _finite_value(closed_form, name: str, n: float, r: float) -> float:
-    """One value of a photon-added closed form: a negative n or r is invalid
-    input, a NaN value is a numeric-domain failure."""
+    """One value of a photon-added closed form, on floats (realignment._sqrt):
+    a negative n or r is invalid input, a NaN value a numeric-domain failure."""
     n, r = float(n), float(r)
     require_nonnegative_nr(n, r)
-    value = float(closed_form(n, r))
+    value = closed_form(n, r)
     if math.isnan(value):
         raise NumericDomainError(f"{name} leaves the float range at n={n}, r={r}")
     return value
@@ -187,9 +204,14 @@ def swap_expectation(state: TwoModeStandardForm | CovarianceMatrix) -> float:
     the witness slice at D = -I; 1 / (2 sqrt((a + b - 2 c1)(a + b - 2 c2)))
     for a standard form.  Nonnegative on separable states; for product
     states it equals the state overlap.  A negative value certifies
-    entanglement.
+    entanglement.  A covariance is refused unless physical.
     """
-    return phase_space.slice_integral(state, -1.0, -1.0)
+    return phase_space.slice_integral(_physical(state), -1.0, -1.0)
+
+
+def _physical(state):
+    """``state``, refused where it is a covariance that fails require_physical."""
+    return require_physical(state) if isinstance(state, CovarianceMatrix) else state
 
 
 def witness_coherent_mixture_closed(p: float, alpha1: complex, alpha2: complex) -> float:

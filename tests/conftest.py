@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from cventangle import (CovarianceMatrix, InvalidArgumentError, TwoModeStandardForm,
                         WilliamsonSpectrum, WitnessParams, is_physical, realigned_gram_covariance,
                         squeezed_thermal_params, symplectic_eigenvalues, symplectic_form)
+from cventangle import realignment
 
 
 def wigner_value(spec, points) -> np.ndarray:
@@ -96,6 +97,12 @@ def gram_route(V: CovarianceMatrix) -> tuple[float, WilliamsonSpectrum]:
     gram, a0 = realigned_gram_covariance(V)
     spectrum = WilliamsonSpectrum(nus=symplectic_eigenvalues(gram).nus, a0=a0)
     return norm_from_spectrum(spectrum), spectrum
+
+
+def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpectrum:
+    """The Gram spectrum that eval reports for a standard form, next to its
+    realigned norm from the same standard_form_gaps."""
+    return realignment._standard_form_result(a, b, couplings).spectrum
 
 
 def random_physical_cov(rng, modes: int) -> CovarianceMatrix:

@@ -5,16 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cventangle import InvalidArgumentError, classify_two_two, crosscheck, fock
+from cventangle import (InvalidArgumentError, NumericDomainError, classify_two_two, crosscheck,
+                        family_threshold, fock)
 from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
-                            main)
-from cventangle.states import FAMILIES
+                            evaluate_quantity, main)
+from cventangle.states import FAMILIES, parse_state_descriptor
 
 TWO_TWO = json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.78})
 PHOTON = json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 1.0})
@@ -22,6 +24,34 @@ VACUUM = json.dumps({"family": "standard2", "a": 0.25, "b": 0.25, "c1": 0.0, "c2
 MIXTURE = json.dumps(
     {"family": "coherent_mixture", "p": 0.6, "alpha1": [1.0, 0.0], "alpha2": [-1.0, 0.0]}
 )
+
+
+def assert_strict_record(doc, quantity):
+    """``eval`` of the state refuses it with exit 2 or 3 (no traceback), or
+    prints a record without NaN or infinity whose every number is a Python
+    float, also before JSON encoding."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["eval", "--state", json.dumps(doc), "--quantity", quantity])
+    if code != EXIT_OK:
+        assert code in (EXIT_INVALID, EXIT_NUMERIC), doc
+        return
+    json.dumps(json.loads(out.getvalue()), allow_nan=False)
+    pending = [evaluate_quantity(parse_state_descriptor(doc), quantity)]
+    while pending:
+        item = pending.pop()
+        children = item.values() if isinstance(item, dict) else item
+        for value in children:
+            if isinstance(value, (dict, list)):
+                pending.append(value)
+            elif not isinstance(value, (str, bool, type(None))):
+                assert type(value) is float, (doc, quantity, value)
+
+
+def step_ulps(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 def run_cli(args, **kwargs):
@@ -78,19 +108,37 @@ class TestEval:
         u=st.tuples(*[st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))] * 2),
     )
     def test_standard2_records_are_strict_json(self, quantity, log_ab, u):
-        # a, b log-uniform on [1/4, 1e308], |c_i| up to sqrt(a) sqrt(b): a
-        # record holds no NaN or infinity, or eval refuses the state
+        # a, b log-uniform on [1/4, 1e308], |c_i| up to sqrt(a) sqrt(b)
         a, b = (min(10.0**x, 1e308) for x in log_ab)
         sab = math.sqrt(a) * math.sqrt(b)
-        doc = json.dumps({"family": "standard2", "a": a, "b": b, "c1": u[0] * sab,
-                          "c2": u[1] * sab})
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["eval", "--state", doc, "--quantity", quantity])
-        if code == EXIT_OK:
-            json.dumps(json.loads(out.getvalue()), allow_nan=False)
-        else:
-            assert code in (EXIT_INVALID, EXIT_NUMERIC), doc
+        assert_strict_record({"family": "standard2", "a": a, "b": b, "c1": u[0] * sab,
+                              "c2": u[1] * sab}, quantity)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        quantity=st.sampled_from(["classify", "realignment_norm"]),
+        log_ab=st.tuples(*[st.one_of(st.sampled_from([math.log10(0.25), 150.5, 308.0]),
+                                     st.floats(math.log10(0.25), 308.0))] * 2),
+        u=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.1, 1.1)),
+    )
+    def test_two_two_records_are_strict_json(self, quantity, log_ab, u):
+        # |c| up to a little past sqrt(a) sqrt(b), beyond every threshold;
+        # a^2 + b^2 overflows from 1.3e154
+        a, b = (min(10.0**x, 1e308) for x in log_ab)
+        assert_strict_record({"family": "two_two", "a": a, "b": b,
+                              "c": u * math.sqrt(a) * math.sqrt(b)}, quantity)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        quantity=st.sampled_from(["witness01", "swap", "bounds"]),
+        n=st.one_of(st.sampled_from([0.0, 1e154, 1e308]), st.floats(0.0, 1e308),
+                    st.floats(0.0, 10.0)),
+        r=st.one_of(st.sampled_from([0.0, 177.5, 355.3, 710.5, 1e308]), st.floats(0.0, 1e308),
+                    st.floats(0.0, 400.0)),
+    )
+    def test_photon_added_records_are_strict_json(self, quantity, n, r):
+        # e^{4r} overflows from r = 177.5, cosh 2r from 355.3, 4r itself at 4.5e307
+        assert_strict_record({"family": "photon_added_sts", "n": n, "r": r}, quantity)
 
     def test_swap_mixture(self, capsys):
         assert main(["eval", "--state", MIXTURE, "--quantity", "swap"]) == EXIT_OK
@@ -644,6 +692,67 @@ class TestQuantityTable:
             doc = {**base, names[0]: float(v1)}
             doc[names[1]] = float(v2)
             assert (value, verdict) == eval_cell(doc, quantity, capsys), (v1, v2)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data(), family=st.sampled_from(["photon_added_sts", "two_two"]))
+    def test_grid_cell_equals_eval_record_at_float_edges(self, data, family):
+        # eval runs the closed forms on Python floats, a grid scan on arrays:
+        # a cell must equal the record bit for bit at the edges of the float
+        # branch, and a refused point read nan,invalid where eval exits 2 or 3
+        def near(x):
+            return data.draw(st.integers(-4, 4).map(lambda k: step_ulps(x, k)))
+
+        if family == "photon_added_sts":
+            quantity = data.draw(st.sampled_from(["witness01", "swap", "bounds"]))
+            # e^{4r} and cosh 2r overflow past these r
+            r = data.draw(st.one_of(st.sampled_from([709.782712893384 / 4,
+                                                     710.4758600739439 / 2]).map(near),
+                                    st.floats(-0.5, 3.0), st.floats(0.0, 400.0)))
+            n = data.draw(st.one_of(st.sampled_from([0.0, 1e154, 1e300, 1e308]),
+                                    st.floats(-0.5, 3.0)))
+            point = {"n": n, "r": r}
+        else:
+            quantity = "classify"
+            a, b = (data.draw(st.one_of(st.sampled_from([0.25, 2.0**500, 1e200, 1e308]).map(near),
+                                        st.floats(0.25, 3.0))) for _ in "ab")
+            sab = math.sqrt(a) * math.sqrt(b)
+            try:
+                threshold = family_threshold(a, b)
+            except InvalidArgumentError:  # below the vacuum bound
+                threshold = 0.0
+            except NumericDomainError:  # lost to rounding
+                threshold = sab
+            c = data.draw(st.one_of(st.sampled_from([threshold, sab]).map(near),
+                                    st.floats(-1.0, 1.0).map(lambda u: u * threshold),
+                                    st.floats(-1.0, 1.0).map(lambda u: u * sab)))
+            point = {"a": a, "b": b, "c": c}
+        doc = {"family": family, **point}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--state", json.dumps(doc), "--quantity", quantity])
+        if code == EXIT_OK:
+            record = json.loads(out.getvalue())
+            value = record.get("value", record.get("norm", record.get("crenLower")))
+            verdict = (record.get("verdict")
+                       or ("entangled" if record["entangled"] else "undetected"))
+            expected = (repr(math.nan if value is None else value), verdict)
+        elif "Gram prefactor a0" in err.getvalue():
+            # eval also reports the Gram spectrum, which the grid has not: its
+            # a0 out of the float range refuses the record, not the verdict
+            result = classify_two_two(**point)
+            expected = (repr(result.norm), result.verdict)
+        else:
+            assert code in (EXIT_INVALID, EXIT_NUMERIC) and "Traceback" not in err.getvalue()
+            expected = ("nan", "invalid")
+        axes = [f"{name}:{value!r}:{value!r}:2" for name, value in list(point.items())[:2]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["scan", "--state", json.dumps(doc), "--quantity", quantity,
+                             "--axes", axes[0], "--axes", axes[1], "--out", path]) == EXIT_OK
+            with open(path) as fh:
+                cells = {tuple(line.split(",")[2:]) for line in fh.read().splitlines()[1:]}
+        assert cells == {expected}, (doc, quantity)
 
     @pytest.mark.parametrize("family,quantity", [(f, q) for f in FAMILIES for q in QUANTITIES],
                              ids=[f"{f.name}-{q}" for f in FAMILIES for q in QUANTITIES])

@@ -29,14 +29,13 @@ from cventangle import (
     two_two_family,
 )
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
-from cventangle.realignment import (classify_two_two_array, standard_form_gram_spectrum,
-                                    standard_form_norm)
+from cventangle.realignment import classify_two_two_array, standard_form_norm
 from cventangle.states import family_of, parse_state_descriptor
 from cventangle.witness import (DETECTION_TOL, swap_photon_added_closed,
                                 witness_photon_added_closed)
 from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
                       random_physical_cov, random_product_cov, random_standard_form,
-                      random_symplectic, two_mode_cov)
+                      random_symplectic, standard_form_gram_spectrum, two_mode_cov)
 
 
 def gram_reference_two_mode(a, b, c1, c2):
@@ -268,19 +267,21 @@ class TestCanonicalRoute:
         # a - c is at most one ulp of a: s = 1 lies within the rounding error.
         # A rotated input can also fail the raw physicality test (exit 2),
         # whose absolute tolerance is below the eigen-solver error at this
-        # scale; no input is evaluated
+        # scale; no input is evaluated, and the library refuses it as eval does
         assert raw_eval(rotated_tmsv(r))[0] == EXIT_NUMERIC
         rng = np.random.default_rng(int(r))
         for _ in range(20):
             V = rotated_tmsv(r, rng.uniform(0.0, 2 * math.pi, 2))
-            assert raw_eval(V)[0] in (EXIT_INVALID, EXIT_NUMERIC)
-            with pytest.raises(SingularLimitError):
+            code = raw_eval(V)[0]
+            assert code in (EXIT_INVALID, EXIT_NUMERIC)
+            refusal = InvalidArgumentError if code == EXIT_INVALID else SingularLimitError
+            with pytest.raises(refusal):
                 realignment_norm(CovarianceMatrix(V))
 
     def test_refusals(self):
         with pytest.raises(InvalidArgumentError, match="even"):
             realignment_norm(CovarianceMatrix(np.eye(6) / 4))
-        with pytest.raises(InvalidArgumentError, match="positive definite"):
+        with pytest.raises(InvalidArgumentError, match="physicality"):
             realignment_norm(CovarianceMatrix(np.diag([0.25, -0.25, 0.25, 0.25])))
         with pytest.raises(NumericDomainError, match="underflows"):
             realignment_norm(CovarianceMatrix(np.eye(12) * 1e60))

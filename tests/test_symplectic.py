@@ -10,21 +10,26 @@ from scipy.linalg import sqrtm
 
 from cventangle import (
     CovarianceMatrix,
+    CVEntangleError,
     InvalidArgumentError,
+    WitnessParams,
     SingularInputError,
     family_threshold,
     is_physical,
     parse_state_descriptor,
     realigned_gram_covariance,
+    realignment_norm,
     squeezed_thermal_params,
     state_descriptor,
+    swap_expectation,
     symplectic_eigenvalues,
     symplectic_form,
     two_two_family,
+    witness_expectation_gaussian,
 )
 from cventangle.errors import real_field
 from conftest import (is_ppt, partial_transpose, random_physical_cov, random_product_cov,
-                      random_symplectic)
+                      random_symplectic, two_mode_cov)
 
 
 def hermitian_route_nus(V: np.ndarray) -> np.ndarray:
@@ -247,20 +252,75 @@ class TestIsPhysical:
         assert not is_physical(CovarianceMatrix(np.eye(4) / 8))
 
     def test_one_gate_refuses_for_every_route(self):
-        # the raw descriptor build and the Gram covariance refuse through
-        # require_physical, with its message
+        # the raw descriptor build, the Gram covariance and the Gaussian
+        # evaluators refuse through require_physical, with its message: eye/8
+        # had read norm 2.0, W01 -1.0 and SWAP 2.0
         from cventangle.symplectic import require_physical
 
         V = CovarianceMatrix(np.eye(4) / 8)
         refusals = []
         for route in (require_physical, realigned_gram_covariance,
-                      lambda V: parse_state_descriptor(state_descriptor(V))):
+                      lambda V: parse_state_descriptor(state_descriptor(V)), realignment_norm,
+                      lambda V: witness_expectation_gaussian(V, WitnessParams(0.0, 1.0)),
+                      swap_expectation):
             with pytest.raises(InvalidArgumentError) as info:
                 route(V)
             refusals.append(str(info.value))
         assert refusals == ["constraint violated: covariance fails the physicality test "
-                            "V + iJ/4 >= 0"] * 3
+                            "V + iJ/4 >= 0"] * 6
         assert require_physical(two_two_family(1.0, 1.0, 0.78)).modes == 4
+        with pytest.raises(InvalidArgumentError, match="physicality"):  # had read norm 6.25
+            realignment_norm(two_two_family(1.0, 1.0, 0.9))
+
+    def test_a_pass_is_recorded_on_the_instance(self, monkeypatch):
+        # the evaluators call the gate, which runs its eigen-solve once per
+        # matrix that passes and on every call for one that fails
+        from cventangle import symplectic
+
+        calls = []
+
+        def counted(V, _original=symplectic.is_physical):
+            calls.append(1)
+            return _original(V)
+
+        monkeypatch.setattr(symplectic, "is_physical", counted)
+        V = CovarianceMatrix(squeezed_thermal_params(0.2, 0.5).covariance().matrix)
+        for _ in range(2):
+            realignment_norm(V)
+            witness_expectation_gaussian(V, WitnessParams(0.0, 1.0))
+            swap_expectation(V)
+        assert len(calls) == 1
+        bad = CovarianceMatrix(np.eye(4) / 8)
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError):
+                swap_expectation(bad)
+        assert len(calls) == 3
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        nus=st.tuples(*[st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-1e-3, 1e-3))
+                        .map(lambda d: 0.25 + d)] * 2),
+        theta=st.floats(0.0, 2 * math.pi),
+        r=st.floats(0.0, 1.5),
+        local=st.tuples(*[st.tuples(st.floats(-1.0, 1.0), st.tuples(st.floats(0.0, 3.0),
+                                                                   st.floats(0.0, 3.0)))] * 2),
+    )
+    def test_evaluators_refuse_exactly_the_unphysical(self, nus, theta, r, local):
+        # covariances with symplectic eigenvalues on both sides of 1/4: each
+        # Gaussian evaluator refuses as unphysical exactly where is_physical
+        # fails; elsewhere it gives a value or another refusal
+        matrix = two_mode_cov(nus, theta, r, local)
+        physical = is_physical(CovarianceMatrix(matrix))
+        for evaluate in (realignment_norm, swap_expectation,
+                         lambda V: witness_expectation_gaussian(V, WitnessParams(0.0, 1.0))):
+            try:
+                evaluate(CovarianceMatrix(matrix))
+            except InvalidArgumentError as exc:
+                assert not physical and "physicality" in str(exc), (nus, exc)
+            except CVEntangleError:
+                assert physical
+            else:
+                assert physical
 
     def test_two_two_family_threshold_sides(self):
         # threshold at a = b = 1 is 0.8074742889548395

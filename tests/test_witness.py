@@ -320,11 +320,14 @@ class TestSliceIntegral:
             slice_integral(CovarianceMatrix(np.eye(2 * modes) / 4), 1.0, 1.0)
 
     def test_refuses_negative_definite_slice(self):
-        # S = -2 I has a positive determinant; Sylvester's s00 > 0 refuses it
+        # S = -2 I has a positive determinant; Sylvester's s00 > 0 refuses it.
+        # The expectations refuse the covariance first, as unphysical
         V = CovarianceMatrix(-np.eye(4))
         with pytest.raises(NumericDomainError, match="positive definite"):
+            slice_integral(V, -1.0, -1.0)
+        with pytest.raises(InvalidArgumentError, match="physicality"):
             swap_expectation(V)
-        with pytest.raises(NumericDomainError, match="positive definite"):
+        with pytest.raises(InvalidArgumentError, match="physicality"):
             witness_expectation_gaussian(V, WitnessParams(0.0, 1.0))
         with pytest.raises(NumericDomainError, match="positive definite"):
             swap_expectation(unvalidated_standard_form(0.25, 0.25, 0.5, 0.5))
