@@ -44,7 +44,6 @@ from .realignment import (
     realigned_gram_covariance,
     realignment_norm,
     realignment_norm_two_mode,
-    realignment_norm_two_two,
     two_two_family,
 )
 from .states import (

@@ -38,8 +38,9 @@ def _value_fields(value: float) -> dict:
 
 
 def _classify_fields(result) -> dict:
-    """The closed-form verdict, plus at physical points its Gram spectrum
-    (``eval`` only; a scan cell reads the grid, which has none)."""
+    """The closed-form verdict, plus its Gram spectrum where
+    :func:`cventangle.realignment.classify_two_two` attaches one (``eval``
+    only; a scan cell reads the grid, which has none)."""
     fields = {"verdict": result.verdict, "norm": result.norm, "threshold": result.threshold}
     if result.spectrum is not None:
         fields.update(nus=list(result.spectrum.nus), a0=result.spectrum.a0)
@@ -181,7 +182,13 @@ class ScanAxis:
         return cls(name=name, lo=lo, hi=hi, steps=steps)
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
+        """The axis points; a step count numpy refuses to allocate (with a
+        MemoryError, or ValueError or IndexError from 2**63 up) is invalid."""
+        try:
+            return np.linspace(self.lo, self.hi, self.steps)
+        except (MemoryError, ValueError, IndexError) as exc:
+            raise InvalidArgumentError(
+                f"axis {self.name!r} has more steps than fit in memory: {self.steps}") from exc
 
 
 def _csv_payload(values1: list, values2: list, rows) -> str:

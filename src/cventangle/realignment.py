@@ -273,10 +273,10 @@ def _norm_of_gaps(gaps):
     return _nan_unless((norm > 0.0) & (norm < math.inf), norm)
 
 
-def _finite_norm(a: float, b: float, couplings, gaps=None) -> float:
-    """:func:`standard_form_norm` at one point, on floats (:func:`_sqrt`), or
-    the norm from its ``gaps``; SingularLimitError where NaN."""
-    norm = standard_form_norm(a, b, couplings) if gaps is None else _norm_of_gaps(gaps)
+def _finite_norm(a: float, b: float, couplings, gaps) -> float:
+    """:func:`standard_form_norm` at one point, on floats (:func:`_sqrt`), from
+    its ``gaps``; SingularLimitError where NaN."""
+    norm = _norm_of_gaps(gaps)
     if math.isnan(norm):
         raise SingularLimitError(f"realigned norm diverges at sqrt(ab) <= |c_i| or leaves the "
                                  f"float range (a={a}, b={b}, c={tuple(couplings)})")
@@ -302,16 +302,7 @@ def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
         SingularLimitError: where the norm diverges or leaves the float range.
     """
     # a TwoModeStandardForm keeps the gaps of its physicality test
-    return _finite_norm(s.a, s.b, (s.c1, s.c2), getattr(s, "_gaps", (None, None))[1])
-
-
-def realignment_norm_two_two(a: float, b: float, c: float) -> float:
-    """:func:`standard_form_norm` of the 2+2 family, with c_i = c four times.
-
-    Raises:
-        SingularLimitError: where the norm diverges or leaves the float range.
-    """
-    return _finite_norm(float(a), float(b), (float(c),) * 4)
+    return _finite_norm(s.a, s.b, (s.c1, s.c2), s._gaps[1])
 
 
 _TWO_TWO_R = np.array(
@@ -383,10 +374,9 @@ def family_threshold(a: float, b: float) -> float:
 @dataclass(frozen=True)
 class TwoTwoClassification:
     """Verdict for one point of the 2+2 family, with the quantities behind it:
-    the realigned norm (None where unphysical), the threshold and, where a
-    caller attached it, the Gram spectrum of the norm (:func:`classify_two_two`
-    leaves it None, so its verdict survives a spectrum outside the float
-    range)."""
+    the realigned norm (None where unphysical), the threshold and the Gram
+    spectrum of the norm (None where unphysical or where its prefactor a0
+    underflows, so the verdict never depends on a0)."""
 
     verdict: str
     norm: Optional[float]
@@ -422,11 +412,14 @@ def classify_two_two_array(a, b, c):
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     """:func:`classify_two_two_array` at one point, read from
-    :func:`family_threshold` and, only where |c| is within it,
-    :func:`realignment_norm_two_two`.  Each is an array form at one point,
-    run on its float branch (:func:`_sqrt`): the formulas are written once,
-    so values and verdicts match the array form bit for bit, and a point it
-    calls ``invalid`` raises here.
+    :func:`family_threshold` and, only where |c| is within it, the norm and
+    Gram spectrum of one :func:`standard_form_gaps`.  Each formula is the
+    array form's, run on its float branch (:func:`_sqrt`), so values and
+    verdicts match the array form bit for bit, and a point it calls
+    ``invalid`` raises here.  The spectrum is attached where its prefactor
+    a0, the purity of the state, is in the float range, and is None where a0
+    underflows (a = b from about 1e80): the array form has no spectrum, and
+    the verdict does not read it.
 
     Raises:
         InvalidArgumentError: below the vacuum bound.
@@ -438,6 +431,13 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     threshold = family_threshold(a, b)
     if abs(c) > threshold:
         return TwoTwoClassification(verdict="unphysical", norm=None, threshold=threshold)
-    norm = realignment_norm_two_two(a, b, c)
+    couplings = (c,) * 4
+    sab, gaps = standard_form_gaps(a, b, couplings)
+    norm = _finite_norm(a, b, couplings, gaps)
+    try:
+        spectrum = _gram_spectrum(sab, [gap / sab for gap in gaps])
+    except NumericDomainError:
+        spectrum = None
     verdict = "bound_entangled" if norm > 1.0 + DETECTION_TOL else "undetected"
-    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=threshold)
+    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=threshold,
+                                spectrum=spectrum)

@@ -21,8 +21,9 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import realignment, witness
-from .errors import (InvalidArgumentError, complex_field, matrix_field, real_field,
-                     require_mixture, require_nonnegative_nr, require_vacuum_bound, text_field)
+from .errors import (InvalidArgumentError, NumericDomainError, complex_field, matrix_field,
+                     real_field, require_mixture, require_nonnegative_nr, require_vacuum_bound,
+                     text_field)
 from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, require_physical
 
@@ -224,26 +225,18 @@ class Family:
     grid: Mapping[str, Callable] = dataclasses.field(default_factory=dict)
 
 
-def _two_two_classify(s: TwoTwoFamilyParams) -> realignment.TwoTwoClassification:
-    """:func:`cventangle.realignment.classify_two_two` of a 2+2 state with, at
-    a physical point, the Gram spectrum of its norm, both from one
-    :func:`cventangle.realignment.standard_form_gaps`."""
-    threshold = realignment.family_threshold(s.a, s.b)
-    if abs(s.c) > threshold:
-        return realignment.TwoTwoClassification("unphysical", None, threshold)
-    result = realignment._standard_form_result(s.a, s.b, (s.c,) * 4)
-    verdict = "bound_entangled" if result.verdict == "entangled" else "undetected"
-    return realignment.TwoTwoClassification(verdict, result.norm, threshold, result.spectrum)
-
-
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
-    """The realignment result of a 2+2 state, refused where it is unphysical."""
-    result = _two_two_classify(s)
+    """The realignment result of a 2+2 state, read from
+    :func:`cventangle.realignment.classify_two_two` and refused where the
+    point is unphysical or has no Gram spectrum."""
+    result = realignment.classify_two_two(s.a, s.b, s.c)
     if result.verdict == "unphysical":
         raise InvalidArgumentError(
             f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
             f"{result.threshold} of the 2+2 family (a={s.a}, b={s.b})"
         )
+    if result.spectrum is None:  # a0 is the purity, at most 1: it can only underflow
+        raise NumericDomainError(f"Gram prefactor a0 underflows at a={s.a}, b={s.b}, c={s.c}")
     return realignment.RealignmentResult(norm=result.norm, spectrum=result.spectrum)
 
 
@@ -261,7 +254,7 @@ FAMILIES = (
     }, axes=("a", "b", "c1", "c2")),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": _two_two_realignment,
-        "classify": _two_two_classify,
+        "classify": lambda s: realignment.classify_two_two(s.a, s.b, s.c),
     }, axes=("a", "b", "c"), grid={
         "classify": lambda a, b, c: realignment.classify_two_two_array(a, b, c),
     }),

@@ -135,7 +135,7 @@ def test_criterion_4_generic_pipeline_matches_closed_forms():
             a, b = rng.uniform(0.3, 2.0, size=2)
             c = rng.uniform(-0.999, 0.999) * cv.family_threshold(a, b)
             generic = cv.realignment_norm(cv.two_two_family(a, b, c)).norm
-            worst = max(worst, abs(generic - cv.realignment_norm_two_two(a, b, c)))
+            worst = max(worst, abs(generic - cv.classify_two_two(a, b, c).norm))
     ok = worst <= 1e-10 and budget.elapsed < 5.0
     report(4, "generic realignment pipeline matches both closed forms",
            ok, f"max dev {worst:.2e}, {budget.elapsed:.1f}s")

@@ -270,12 +270,21 @@ class TestEval:
         assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["verdict"] == "unphysical"
 
-    def test_two_two_gram_underflow_exits_3_but_keeps_library_verdict(self, capsys):
-        # the Gram prefactor a0 underflows at a = b = 1e100: eval of classify
-        # reports its nus/a0 and exits 3, while the library verdict needs no
-        # spectrum and is still given
+    def test_two_two_gram_underflow_classifies_as_the_scan_cell(self, tmp_path, capsys):
+        # the Gram prefactor a0 underflows at a = b = 1e100: classify gives the
+        # verdict and norm of the scan cell without nus/a0, while
+        # realignment_norm, which reports them, exits 3
         doc = json.dumps({"family": "two_two", "a": 1e100, "b": 1e100, "c": 0.0})
-        assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_NUMERIC
+        assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert "nus" not in record and "a0" not in record
+        assert (record["verdict"], record["norm"]) == ("undetected", 6.249999999999997e-202)
+        out = tmp_path / "grid.csv"
+        assert main(["scan", "--state", doc, "--quantity", "classify", "--axes",
+                     "a:1e100:1e100:2", "--axes", "b:1e100:1e100:2", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[1].split(",")[2:] == [repr(record["norm"]),
+                                                                  "undetected"]
+        assert main(["eval", "--state", doc, "--quantity", "realignment_norm"]) == EXIT_NUMERIC
         assert "a0 underflows" in capsys.readouterr().err
         result = classify_two_two(1e100, 1e100, 0.0)
         assert result.verdict == "undetected" and result.spectrum is None
@@ -605,6 +614,22 @@ class TestScan:
         assert code == EXIT_INVALID
         assert "range must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [10**12, 10**29, 2**63])
+    @pytest.mark.parametrize("base,quantity,axis", [
+        ({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.0}, "classify", "c:0:0.8:3"),
+        ({"family": "standard2", "a": 1.0, "b": 1.0, "c1": 0.0, "c2": 0.0}, "swap", "c1:0:0.1:3"),
+    ], ids=["grid", "cells"])
+    def test_axis_too_large_for_memory_exits_2(self, base, quantity, axis, steps, tmp_path,
+                                               capsys):
+        # numpy refuses each of these sizes before allocating anything
+        out = tmp_path / "x.csv"
+        for axes in ([f"a:1:2:{steps}", axis], [axis, f"a:1:2:{steps}"]):
+            code = main(["scan", "--state", json.dumps(base), "--quantity", quantity,
+                         "--axes", axes[0], "--axes", axes[1], "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == EXIT_INVALID and not out.exists()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_single_step_axis_exits_2(self, tmp_path):
         code = main(
             [
@@ -736,11 +761,6 @@ class TestQuantityTable:
             verdict = (record.get("verdict")
                        or ("entangled" if record["entangled"] else "undetected"))
             expected = (repr(math.nan if value is None else value), verdict)
-        elif "Gram prefactor a0" in err.getvalue():
-            # eval also reports the Gram spectrum, which the grid has not: its
-            # a0 out of the float range refuses the record, not the verdict
-            result = classify_two_two(**point)
-            expected = (repr(result.norm), result.verdict)
         else:
             assert code in (EXIT_INVALID, EXIT_NUMERIC) and "Traceback" not in err.getvalue()
             expected = ("nan", "invalid")

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError, WitnessParams,
                         bound_report, cli, family_threshold,
                         parse_state_descriptor, realigned_gram_covariance,
-                        realignment_norm_two_mode, realignment_norm_two_two, state_descriptor,
+                        realignment_norm_two_mode, state_descriptor,
                         symplectic_eigenvalues, two_two_family)
 from cventangle.cli import evaluate_quantity
+from cventangle.realignment import standard_form_norm
 from cventangle.states import family_named
 from cventangle.witness import DETECTION_TOL
 from conftest import WignerSpec, moments_swap, moments_witness, two_mode_cov
@@ -107,7 +108,7 @@ def test_two_two(a, b, where, frac, sign):
     V = two_two_family(a, b, c)
     if abs(c) <= thr:
         realign = evaluate(doc, "realignment_norm")
-        assert realign["norm"] == realignment_norm_two_two(a, b, c)
+        assert realign["norm"] == standard_form_norm(a, b, (c,) * 4)
         assert_gram_spectrum(realign, V)
     else:
         with pytest.raises(InvalidArgumentError, match="physicality"):
@@ -350,7 +351,7 @@ def test_two_two_classify_grid(a, b, a_far, edge, u, c_far, sign, steps):
         c_edge = family_threshold(a, b)
     else:
         c_edge = math.sqrt(a * b) - 0.25 / math.sqrt(1.0 + DETECTION_TOL * (1.0 + u))
-        assert realignment_norm_two_two(a, b, c_edge) > 1.0 + DETECTION_TOL
+        assert standard_form_norm(a, b, (c_edge,) * 4) > 1.0 + DETECTION_TOL
     base = {"family": "two_two", "a": 1.0, "b": b, "c": 0.0}
     axes = (f"a:{a!r}:{a_far!r}:{steps[0]}", f"c:{sign * c_edge!r}:{c_far!r}:{steps[1]}")
     assert_grid_equals_cells(base, "classify", axes)

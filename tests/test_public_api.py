@@ -39,7 +39,6 @@ PUBLIC_API = [
     "realigned_gram_covariance",
     "realignment_norm",
     "realignment_norm_two_mode",
-    "realignment_norm_two_two",
     "realignment_trace_norm_fock",
     "squeezed_thermal_fock",
     "squeezed_thermal_params",

@@ -3,7 +3,6 @@ import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -22,14 +21,13 @@ from cventangle import (
     realigned_gram_covariance,
     realignment_norm,
     realignment_norm_two_mode,
-    realignment_norm_two_two,
     squeezed_thermal_params,
     state_descriptor,
     tmsv_params,
     two_two_family,
 )
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
-from cventangle.realignment import classify_two_two_array, standard_form_norm
+from cventangle.realignment import classify_two_two_array, standard_form_gaps, standard_form_norm
 from cventangle.states import family_of, parse_state_descriptor
 from cventangle.witness import (DETECTION_TOL, swap_photon_added_closed,
                                 witness_photon_added_closed)
@@ -145,7 +143,7 @@ class TestRealignmentNorm:
             b = rng.uniform(0.3, 2.0)
             c = rng.uniform(-0.999, 0.999) * family_threshold(a, b)
             generic = realignment_norm(two_two_family(a, b, c)).norm
-            assert abs(generic - realignment_norm_two_two(a, b, c)) < 1e-10
+            assert abs(generic - standard_form_norm(a, b, (c,) * 4)) < 1e-10
 
     def test_separable_product_guard(self, rng):
         for _ in range(100):
@@ -324,19 +322,20 @@ class TestClosedForms:
     def test_two_mode_singular_limit(self):
         class Fake:
             a, b, c1, c2 = 0.5, 0.5, 0.5, 0.0
+            _gaps = standard_form_gaps(a, b, (c1, c2))
 
         with pytest.raises(SingularLimitError):
             realignment_norm_two_mode(Fake())
 
     def test_two_two_values(self):
-        assert abs(realignment_norm_two_two(0.5, 0.5, 0.0) - 0.25) < 1e-15
-        assert abs(realignment_norm_two_two(1.0, 1.0, 0.78) - 1.2913223140495869) < 1e-12
+        assert abs(standard_form_norm(0.5, 0.5, (0.0,) * 4) - 0.25) < 1e-15
+        assert abs(standard_form_norm(1.0, 1.0, (0.78,) * 4) - 1.2913223140495869) < 1e-12
 
     def test_two_two_detection_boundary(self):
         # |c| = sqrt(ab) - 1/4 sits exactly on norm 1
         for a, b in [(1.0, 1.0), (0.8, 1.4)]:
             c = math.sqrt(a * b) - 0.25
-            assert abs(realignment_norm_two_two(a, b, c) - 1.0) < 1e-12
+            assert abs(standard_form_norm(a, b, (c,) * 4) - 1.0) < 1e-12
 
 
 def exact_standard_form_norm(a, b, couplings):
@@ -403,7 +402,7 @@ class TestStandardFormNorm:
     def test_two_two_at_threshold_within_4u(self, a):
         c = family_threshold(a, a)
         exact = exact_standard_form_norm(a, a, (c,) * 4)
-        assert abs(realignment_norm_two_two(a, a, c) / exact - 1) <= 4 * 2.0**-53
+        assert abs(standard_form_norm(a, a, (c,) * 4) / exact - 1) <= 4 * 2.0**-53
 
     def test_two_mode_where_ab_overflows(self):
         from cventangle import TwoModeStandardForm
@@ -444,7 +443,7 @@ class TestStandardFormNorm:
             a, b = (float(x) for x in 10.0 ** rng.uniform(6.0, 12.0, size=2))
             c = float(math.sqrt(a * b) - rng.uniform(0.125, 0.375)) * float(rng.choice([-1.0, 1.0]))
             exact = exact_standard_form_norm(a, b, (c,) * 4)
-            worst = max(worst, abs(realignment_norm_two_two(a, b, c) / exact - 1))
+            worst = max(worst, abs(standard_form_norm(a, b, (c,) * 4) / exact - 1))
             threshold = exact_two_two_threshold(a, b)
             if abs(abs(c) / threshold - 1) <= 1e-15 or abs(exact / (1 + DETECTION_TOL) - 1) <= 1e-12:
                 continue
@@ -496,12 +495,8 @@ class TestStandardFormNorm:
             else:
                 assert result.norm == norms[0]
         norm = standard_form_norm(np.array([a]), np.array([b]), (np.array([c]), np.array([c2])))[0]
-        try:
-            scalar = realignment_norm_two_mode(SimpleNamespace(a=a, b=b, c1=c, c2=c2))
-        except SingularLimitError:
-            assert math.isnan(norm)
-        else:
-            assert scalar == norm
+        scalar = standard_form_norm(a, b, (c, c2))
+        assert scalar == norm or math.isnan(scalar) and math.isnan(norm)
 
         # every norm in the normal float range against 60 digits
         for couplings in ((c,) * 4, (c, c2)):
@@ -541,7 +536,7 @@ class TestClosedGramSpectrum:
             nus, a0 = self.pipeline(two_two_family(a, b, c))
             assert np.max(np.abs(np.array(spectrum.nus) / nus - 1.0)) < 1e-12
             assert abs(spectrum.a0 / a0 - 1.0) < 1e-12
-            assert abs(norm_from_spectrum(spectrum) / realignment_norm_two_two(a, b, c) - 1.0) < 1e-13
+            assert abs(norm_from_spectrum(spectrum) / standard_form_norm(a, b, (c,) * 4) - 1.0) < 1e-13
 
     def test_products_are_exactly_one_quarter(self, rng):
         for a, b in rng.uniform(0.25, 1e6, size=(50, 2)):
@@ -631,6 +626,18 @@ class TestClassifyTwoTwo:
         assert res.verdict == "unphysical"
         assert res.norm is None
 
+    def test_spectrum_attached_at_physical_points_only(self):
+        # the spectrum is the one realignment_norm reports, and that of the
+        # generic pipeline; past the threshold 0.807 there is no norm and no
+        # spectrum
+        res = classify_two_two(1.0, 1.0, 0.78)
+        assert res.spectrum == standard_form_gram_spectrum(1.0, 1.0, (0.78,) * 4)
+        generic = realignment_norm(two_two_family(1.0, 1.0, 0.78)).spectrum
+        assert res.spectrum.nus == pytest.approx(generic.nus, rel=1e-12)
+        assert res.spectrum.a0 == pytest.approx(generic.a0, rel=1e-12)
+        res = classify_two_two(1.0, 1.0, 0.9)
+        assert (res.verdict, res.norm, res.spectrum) == ("unphysical", None, None)
+
     def test_window_edges(self):
         thr = family_threshold(1.0, 1.0)
         assert classify_two_two(1.0, 1.0, 0.75).verdict == "undetected"
@@ -660,12 +667,12 @@ class TestClassifyTwoTwo:
         def fail(*_args):
             raise AssertionError("classify_two_two ran the whole array form")
 
-        for name in ("family_threshold_array", "standard_form_norm"):
+        for name in ("family_threshold_array", "standard_form_gaps"):
             monkeypatch.setattr(realignment, name, counted(name))
         monkeypatch.setattr(realignment, "classify_two_two_array", fail)
         with pytest.raises(SingularLimitError):
             classify_two_two(1e20, 1e20, thr)
-        assert calls == ["family_threshold_array", "standard_form_norm"]
+        assert calls == ["family_threshold_array", "standard_form_gaps"]
         calls.clear()
         with pytest.raises(NumericDomainError):
             classify_two_two(1e200, 1e200, 0.0)
@@ -678,7 +685,7 @@ class TestClassifyTwoTwo:
         assert calls == ["family_threshold_array"]
         calls.clear()
         assert classify_two_two(1.0, 1.0, 0.78).verdict == "bound_entangled"
-        assert calls == ["family_threshold_array", "standard_form_norm"]
+        assert calls == ["family_threshold_array", "standard_form_gaps"]
 
     def test_scalar_closed_forms_call_no_np_where(self, monkeypatch):
         # on numbers, a 0-d np.where costs more than the closed form it selects from

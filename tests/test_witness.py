@@ -31,6 +31,7 @@ from cventangle import (
     witness_photon_added_closed,
 )
 from cventangle.phase_space import slice_integral
+from cventangle.realignment import standard_form_gaps
 from conftest import (
     WignerSpec,
     is_ppt,
@@ -177,6 +178,7 @@ class TestOptimalWitness:
     def test_singular_limit(self):
         class Fake:
             a, b, c1, c2 = 0.5, 0.5, 0.5, 0.0
+            _gaps = standard_form_gaps(a, b, (c1, c2))
 
         with pytest.raises(SingularLimitError):
             optimal_witness(Fake())
