@@ -216,7 +216,8 @@ def run_scan(
     with axis1 outermost).  Output is written atomically.
 
     A quantity the family does not evaluate is refused before any cell is
-    filled, as ``eval`` refuses it.  The base fields that no axis sets are
+    filled, as ``eval`` refuses it, and so is a grid of more float64 cells
+    than numpy can allocate.  The base fields that no axis sets are
     decoded once; a base descriptor that a cell's descriptor would fail to
     decode makes every cell invalid.
     A quantity with a grid evaluator in the family table is evaluated on the
@@ -238,6 +239,11 @@ def run_scan(
     if quantity not in family.grid:
         _evaluator(family, quantity)  # refuses a quantity the family lacks, as eval does
     values1, values2 = axis1.values().tolist(), axis2.values().tolist()
+    try:
+        np.empty((axis1.steps, axis2.steps))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(f"grid of {axis1.steps} x {axis2.steps} cells does not fit "
+                                   f"in memory") from exc
     try:
         fields = decode_fields(family, base_descriptor, skip={axis1.name, axis2.name})
     except InvalidArgumentError:

@@ -4,8 +4,8 @@ The Gram operator R(rho) R(rho)† of a Gaussian state is Gaussian, with
 covariance G = (L^T V L + S^T V^{-1} S) / 2 and prefactor a0 = 2^{-2m}
 det(V)^{-1/2} (:func:`realigned_gram_covariance`, m = 2n modes), and the
 realigned trace norm is sqrt(a0) prod_i (sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2))
-over its symplectic eigenvalues nu_i.  A norm above 1 certifies entanglement,
-including bound entanglement of PPT states.
+over its symplectic eigenvalues nu_i.  A norm whose optimal-witness value
+1 - norm is below -DETECTION_TOL certifies entanglement, bound included.
 
 Only the side-A rows of L and S are nonzero: L_A = [E, I] and S_A = [X, J] / 4
 per mode (E = diag(1, -1), X = [[0, 1], [1, 0]]).  They satisfy
@@ -41,7 +41,7 @@ with x4, p1 with p4 and p2 with p3, and both sign patterns negate exactly the
 last two couplings (only signs change, so no rounding).  D is a pi
 rotation of modes 2 and 4, local and symplectic, so V^{T_B} is physical
 exactly when V is: every physical point of the family is PPT, and a realigned
-norm above 1 certifies bound entanglement.
+norm that is detected certifies bound entanglement.
 """
 
 from __future__ import annotations
@@ -60,9 +60,14 @@ from .symplectic import CovarianceMatrix, WilliamsonSpectrum, require_physical
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
 
-#: Witness and SWAP values below -DETECTION_TOL, and realigned norms above
-#: 1 + DETECTION_TOL, count as detected entanglement.
+#: Witness and SWAP values, and the optimal-witness value 1 - norm of a
+#: realigned norm, below -DETECTION_TOL count as detected entanglement.
 DETECTION_TOL = 1e-10
+
+
+def detects_entanglement(value):
+    """The one verdict rule, on numbers or arrays; a realigned norm passes 1 - norm."""
+    return value < -DETECTION_TOL
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class RealignmentResult:
 
     @property
     def verdict(self) -> str:
-        return "entangled" if self.norm > 1.0 + DETECTION_TOL else "undetected"
+        return "entangled" if detects_entanglement(1.0 - self.norm) else "undetected"
 
 
 def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, float]:
@@ -398,14 +403,14 @@ def classify_two_two_array(a, b, c):
     unphysical where |c| exceeds its threshold, and invalid where its
     threshold or, at a physical point, its norm is NaN (see
     :func:`family_threshold_array`, :func:`standard_form_norm`).
-    Every physical point is PPT (module docstring), so a realigned norm above
-    1 certifies bound entanglement.
+    Every physical point is PPT (module docstring), so a norm that
+    :func:`detects_entanglement` on 1 - norm certifies bound entanglement.
     """
     threshold = family_threshold_array(a, b)
     norm = standard_form_norm(a, b, (c,) * 4)
     unphysical = abs(c) > threshold
     invalid = np.isnan(threshold) | (~unphysical & np.isnan(norm))
-    detected = ~invalid & ~unphysical & (norm > 1.0 + DETECTION_TOL)
+    detected = ~invalid & ~unphysical & detects_entanglement(1.0 - norm)
     verdict = _TWO_TWO_VERDICTS[3 * invalid + 2 * unphysical + detected]  # exclusive flags
     return verdict, norm * NAN_OR_ONE.take(~invalid & ~unphysical), threshold
 
@@ -438,6 +443,6 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
         spectrum = _gram_spectrum(sab, [gap / sab for gap in gaps])
     except NumericDomainError:
         spectrum = None
-    verdict = "bound_entangled" if norm > 1.0 + DETECTION_TOL else "undetected"
+    verdict = "bound_entangled" if detects_entanglement(1.0 - norm) else "undetected"
     return TwoTwoClassification(verdict=verdict, norm=norm, threshold=threshold,
                                 spectrum=spectrum)

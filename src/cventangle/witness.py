@@ -7,8 +7,8 @@ optimum over the witness parameters.  The SWAP observable, the same
 determinant at D = -I, and the closed forms of the photon-added and
 coherent-mixture examples live here as well.
 
-Witness values are reported raw, never clamped; a value below
-``-DETECTION_TOL`` certifies entanglement.
+Witness values are reported raw, never clamped; a value below ``-DETECTION_TOL``
+certifies entanglement (:func:`detects_entanglement`, the one verdict rule).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import phase_space
 from .errors import (InvalidArgumentError, NumericDomainError, real_field, require_mixture,
                      require_nonnegative_nr)
-from .realignment import DETECTION_TOL, _errstate, _nan_unless, realignment_norm_two_mode
+from .realignment import _errstate, _nan_unless, detects_entanglement, realignment_norm_two_mode
 from .symplectic import CovarianceMatrix, require_physical
 
 if TYPE_CHECKING:
@@ -69,11 +69,6 @@ class OptimalWitness:
     @property
     def mu2(self) -> float:
         return (self.mu_plus - self.mu_minus) / 2.0
-
-
-def detects_entanglement(value: float) -> bool:
-    """Verdict convention shared by the witness and SWAP expectations."""
-    return value < -DETECTION_TOL
 
 
 def witness_expectation_gaussian(state: TwoModeStandardForm | CovarianceMatrix,

@@ -18,6 +18,14 @@ from cventangle import (CovarianceMatrix, InvalidArgumentError, TwoModeStandardF
                         squeezed_thermal_params, symplectic_eigenvalues, symplectic_form)
 from cventangle import realignment
 
+#: Two states whose realigned norm is the double 1.0000000001 = fl(1 + 1e-10),
+#: which lies above 1 + 1e-10: the optimal-witness value 1 - norm is below
+#: -1e-10, so both are detected
+STANDARD2_EDGE = {"family": "standard2", "a": 0.7045398660562153, "b": 0.7045398660562153,
+                  "c1": 0.45453986608121527, "c2": -0.45453986608121527}
+TWO_TWO_EDGE = {"family": "two_two", "a": 1.434352542334553, "b": 1.434352542334553,
+                "c": 1.184352542347053}
+
 
 def wigner_value(spec, points) -> np.ndarray:
     """Reference pointwise evaluation of a zero-mean ``WignerSpec`` at

@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cventangle import (InvalidArgumentError, NumericDomainError, classify_two_two, crosscheck,
@@ -17,6 +18,7 @@ from cventangle import (InvalidArgumentError, NumericDomainError, classify_two_t
 from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
                             evaluate_quantity, main)
 from cventangle.states import FAMILIES, parse_state_descriptor
+from conftest import STANDARD2_EDGE, TWO_TWO_EDGE
 
 TWO_TWO = json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.78})
 PHOTON = json.dumps({"family": "photon_added_sts", "n": 1.0, "r": 1.0})
@@ -240,6 +242,18 @@ class TestEval:
         doc = {"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2", "matrix": matrix}
         assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_INVALID
         assert capsys.readouterr().out == ""
+
+    def test_non_square_raw_covariance_exits_2(self, capsys):
+        doc = {"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2",
+               "matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]}
+        assert main(["eval", "--state", json.dumps(doc), "--quantity", "swap"]) == EXIT_INVALID
+        assert "must be square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha1", [1.0, [1.0], [1.0, 0.0, 0.0], "1+0j"])
+    def test_coherent_amplitude_not_a_pair_exits_2(self, alpha1, capsys):
+        doc = {"family": "coherent_mixture", "p": 0.5, "alpha1": alpha1, "alpha2": [-1.0, 0.0]}
+        assert main(["eval", "--state", json.dumps(doc), "--quantity", "swap"]) == EXIT_INVALID
+        assert "[re, im] pair" in capsys.readouterr().err
 
     def test_truncation_failure_exits_3(self, capsys):
         # eval has no Fock route any more; a numeric-domain failure it still
@@ -586,6 +600,48 @@ class TestScan:
         )
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("axes", [["a:0:1:3"], ["a:0:1:3", "c:0:1:3", "b:1:2:3"]],
+                             ids=["one", "three"])
+    def test_axes_count_other_than_two_exits_2(self, axes, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["scan", "--state", TWO_TWO, "--quantity", "classify", "--out", str(out)]
+        for axis in axes:
+            argv += ["--axes", axis]
+        assert main(argv) == EXIT_INVALID
+        assert "exactly two --axes" in capsys.readouterr().err and not out.exists()
+
+    def test_axis_with_three_fields_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["scan", "--state", TWO_TWO, "--quantity", "classify",
+                     "--axes", "a:1:2", "--axes", "c:0:1:3", "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert "name:min:max:steps" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("base,quantity,axis", [
+        ({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.0}, "classify", "c:0:1:200000"),
+        ({"family": "standard2", "a": 1.0, "b": 1.0, "c1": 0.0, "c2": 0.0}, "swap",
+         "c1:0:1:200000"),
+    ], ids=["grid", "cells"])
+    def test_grid_too_large_for_memory_exits_2(self, base, quantity, axis, tmp_path):
+        # each axis fits, their 200000 x 200000 float64 grid (298 GiB) does not:
+        # refused before any cell is evaluated.  The child's address space is
+        # capped at 4 GiB, so numpy refuses the grid before touching memory
+        child = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+            from cventangle.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """)
+        out = tmp_path / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "scan", "--state", json.dumps(base),
+             "--quantity", quantity, "--axes", "a:1:2:200000", "--axes", axis, "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "200000 x 200000" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("axis", ["a:x:1:5", "a:0:1:five", "a:0:1:2.5"])
     def test_non_numeric_axis_exits_2(self, axis, tmp_path, capsys):
         code = main(
@@ -667,6 +723,18 @@ class TestScan:
         assert code == EXIT_IO
         assert not os.path.exists("/nonexistent-dir/out.csv")
 
+    def test_failed_replace_exits_4_and_removes_the_temp_file(self, tmp_path, capsys):
+        # the CSV is written to a temp file beside --out, then moved over it:
+        # a directory there makes the move fail after the write
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        code = main(["scan", "--state", PHOTON, "--quantity", "witness01",
+                     "--axes", "n:0.1:1:3", "--axes", "r:0.1:1:3", "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error: cannot write scan output")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"] and out.is_dir()
+        assert list(out.iterdir()) == []
+
 
 def eval_cell(doc, quantity, capsys) -> tuple[str, str]:
     """The (value, verdict) a scan cell should hold, read off the printed
@@ -720,14 +788,19 @@ class TestQuantityTable:
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data(), family=st.sampled_from(["photon_added_sts", "two_two"]))
+    @example(data=None, family="two_two")
     def test_grid_cell_equals_eval_record_at_float_edges(self, data, family):
         # eval runs the closed forms on Python floats, a grid scan on arrays:
         # a cell must equal the record bit for bit at the edges of the float
-        # branch, and a refused point read nan,invalid where eval exits 2 or 3
+        # branch, and a refused point read nan,invalid where eval exits 2 or 3.
+        # The explicit example (no data) is the 2+2 point at the detection edge
         def near(x):
             return data.draw(st.integers(-4, 4).map(lambda k: step_ulps(x, k)))
 
-        if family == "photon_added_sts":
+        if data is None:
+            quantity = "classify"
+            point = {name: TWO_TWO_EDGE[name] for name in "abc"}
+        elif family == "photon_added_sts":
             quantity = data.draw(st.sampled_from(["witness01", "swap", "bounds"]))
             # e^{4r} and cosh 2r overflow past these r
             r = data.draw(st.one_of(st.sampled_from([709.782712893384 / 4,
@@ -773,6 +846,32 @@ class TestQuantityTable:
             with open(path) as fh:
                 cells = {tuple(line.split(",")[2:]) for line in fh.read().splitlines()[1:]}
         assert cells == {expected}, (doc, quantity)
+
+    def test_norm_edge_is_detected_on_every_route(self, tmp_path, capsys):
+        # a norm of fl(1 + 1e-10) has the optimal-witness value 1 - norm below
+        # -1e-10, and every route reads it with that one rule
+        records = {}
+        for doc, quantity in [(STANDARD2_EDGE, "optimal_witness"),
+                              (STANDARD2_EDGE, "realignment_norm"),
+                              (TWO_TWO_EDGE, "classify"), (TWO_TWO_EDGE, "realignment_norm")]:
+            assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_OK
+            records[doc["family"], quantity] = json.loads(capsys.readouterr().out)
+        assert records["standard2", "optimal_witness"]["value"] == 1.0 - 1.0000000001
+        assert records["standard2", "optimal_witness"]["entangled"] is True
+        assert records["standard2", "realignment_norm"]["verdict"] == "entangled"
+        assert records["two_two", "classify"]["verdict"] == "bound_entangled"
+        assert records["two_two", "realignment_norm"]["verdict"] == "entangled"
+        for key in [("standard2", "realignment_norm"), ("two_two", "classify"),
+                    ("two_two", "realignment_norm")]:
+            assert records[key]["norm"] == 1.0000000001, key
+        # the grid path: both axes pinned, so every cell is the 2+2 point
+        out = tmp_path / "edge.csv"
+        a, c = TWO_TWO_EDGE["a"], TWO_TWO_EDGE["c"]
+        assert main(["scan", "--state", json.dumps({**TWO_TWO_EDGE, "c": 0.0}),
+                     "--quantity", "classify", "--axes", f"a:{a!r}:{a!r}:3",
+                     "--axes", f"c:{c!r}:{c!r}:3", "--out", str(out)]) == EXIT_OK
+        cells = [line.split(",", 2)[2] for line in out.read_text().splitlines()[1:]]
+        assert cells == ["1.0000000001,bound_entangled"] * 9
 
     @pytest.mark.parametrize("family,quantity", [(f, q) for f in FAMILIES for q in QUANTITIES],
                              ids=[f"{f.name}-{q}" for f in FAMILIES for q in QUANTITIES])

@@ -21,9 +21,8 @@ from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError,
                         realignment_norm_two_mode, state_descriptor,
                         symplectic_eigenvalues, two_two_family)
 from cventangle.cli import evaluate_quantity
-from cventangle.realignment import standard_form_norm
+from cventangle.realignment import DETECTION_TOL, standard_form_norm
 from cventangle.states import family_named
-from cventangle.witness import DETECTION_TOL
 from conftest import WignerSpec, moments_swap, moments_witness, two_mode_cov
 
 TOL = 1e-10

@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cventangle import (
@@ -26,12 +26,12 @@ from cventangle import (
     tmsv_params,
     two_two_family,
 )
-from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, main
-from cventangle.realignment import classify_two_two_array, standard_form_gaps, standard_form_norm
+from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, evaluate_quantity, main
+from cventangle.realignment import (DETECTION_TOL, classify_two_two_array, standard_form_gaps,
+                                    standard_form_norm)
 from cventangle.states import family_of, parse_state_descriptor
-from cventangle.witness import (DETECTION_TOL, swap_photon_added_closed,
-                                witness_photon_added_closed)
-from conftest import (gram_route, is_ppt, norm_from_spectrum, partial_transpose,
+from cventangle.witness import swap_photon_added_closed, witness_photon_added_closed
+from conftest import (STANDARD2_EDGE, gram_route, is_ppt, norm_from_spectrum, partial_transpose,
                       random_physical_cov, random_product_cov, random_standard_form,
                       random_symplectic, standard_form_gram_spectrum, two_mode_cov)
 
@@ -724,7 +724,35 @@ class TestClassifyTwoTwo:
                                   D[:, None] * V.matrix * D[None, :])
 
 
+@st.composite
+def standard2_near_unit_norm(draw):
+    """A standard2 descriptor whose realigned norm is within a few
+    DETECTION_TOL of 1: opposite couplings of magnitude near
+    sqrt(ab) - 1/(4 (1 + DETECTION_TOL)), each stepped a few ulps."""
+    a = draw(st.floats(0.3, 4.0))
+    b = draw(st.one_of(st.just(a), st.floats(0.8, 1.25).map(lambda ratio: a * ratio)))
+    c = math.sqrt(a * b) - 0.25 / (1.0 + DETECTION_TOL * (1.0 + draw(st.floats(-2.0, 2.0))))
+    c1, c2 = (step_ulps(c, draw(st.integers(-8, 8))) for _ in "12")
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return {"family": "standard2", "a": a, "b": b, "c1": sign * c1, "c2": -sign * c2}
+
+
 class TestVerdictEquivalence:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(doc=standard2_near_unit_norm())
+    @example(doc=STANDARD2_EDGE)
+    def test_norm_verdict_is_the_optimal_witness_verdict(self, doc):
+        # W_opt = 1 - ||R||_1 (the paper's equivalence), read by one rule: the
+        # witness value is 1 - norm to the bit, and the two verdicts agree
+        try:
+            state = parse_state_descriptor(doc)
+        except InvalidArgumentError:  # unphysical: eval refuses both quantities alike
+            return
+        witness = evaluate_quantity(state, "optimal_witness")
+        realigned = evaluate_quantity(state, "realignment_norm")
+        assert witness["value"] == 1.0 - realigned["norm"], doc
+        assert witness["entangled"] == (realigned["verdict"] == "entangled"), doc
+
     def test_witness_sign_matches_norm_sign(self, rng):
         for _ in range(200):
             s = random_standard_form(rng, margin=1e-3)

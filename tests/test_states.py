@@ -12,9 +12,11 @@ from cventangle import (
     PhotonAddedSqueezedThermal,
     TwoModeStandardForm,
     TwoTwoFamilyParams,
+    classify_two_two,
     family_threshold,
     is_physical,
     parse_state_descriptor,
+    realignment_norm,
     squeezed_thermal_params,
     state_descriptor,
     tmsv_params,
@@ -242,6 +244,13 @@ class TestTwoTwoFamily:
     def test_rejects_below_vacuum(self):
         with pytest.raises(InvalidArgumentError):
             two_two_family(0.1, 1.0, 0.0)
+
+    def test_params_covariance_is_the_family_matrix(self):
+        # the general canonical-correlation route on the built matrix gives
+        # the closed-form norm of classify_two_two, to the bit at this point
+        V = TwoTwoFamilyParams(1.0, 1.0, 0.78).covariance()
+        assert np.array_equal(V.matrix, two_two_family(1.0, 1.0, 0.78).matrix)
+        assert realignment_norm(V).norm == classify_two_two(1.0, 1.0, 0.78).norm
 
 
 class TestFamilyThreshold:

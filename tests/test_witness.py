@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import cventangle
 from cventangle import (
     CoherentMixture,
     CovarianceMatrix,
@@ -590,3 +591,6 @@ def test_detection_convention():
     assert not detects_entanglement(0.0)
     assert not detects_entanglement(-1e-11)
     assert detects_entanglement(-1e-9)
+    # one rule for every verdict, defined beside DETECTION_TOL
+    assert detects_entanglement is cventangle.witness.detects_entanglement
+    assert detects_entanglement is cventangle.realignment.detects_entanglement
