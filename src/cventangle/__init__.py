@@ -43,7 +43,6 @@ from .realignment import (
     family_threshold,
     realigned_gram_covariance,
     realignment_norm,
-    realignment_norm_two_mode,
     two_two_family,
 )
 from .states import (

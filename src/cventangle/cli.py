@@ -37,14 +37,24 @@ def _value_fields(value: float) -> dict:
     return {"value": value, "entangled": witness.detects_entanglement(value)}
 
 
+def _spectrum_fields(spectrum) -> dict:
+    """``nus`` and ``a0`` of a Gram spectrum, or none."""
+    return {} if spectrum is None else {"nus": list(spectrum.nus), "a0": spectrum.a0}
+
+
+def _realignment_fields(result) -> dict:
+    """The one refusal of a missing Gram spectrum: a0, the purity, can only underflow."""
+    if result.spectrum is None:
+        raise NumericDomainError("Gram prefactor a0 underflows below the float range")
+    return {"norm": result.norm, **_spectrum_fields(result.spectrum), "verdict": result.verdict}
+
+
 def _classify_fields(result) -> dict:
     """The closed-form verdict, plus its Gram spectrum where
     :func:`cventangle.realignment.classify_two_two` attaches one (``eval``
     only; a scan cell reads the grid, which has none)."""
-    fields = {"verdict": result.verdict, "norm": result.norm, "threshold": result.threshold}
-    if result.spectrum is not None:
-        fields.update(nus=list(result.spectrum.nus), a0=result.spectrum.a0)
-    return fields
+    return {"verdict": result.verdict, "norm": result.norm, "threshold": result.threshold,
+            **_spectrum_fields(result.spectrum)}
 
 
 def _grid_verdicts(entangled, invalid) -> np.ndarray:
@@ -87,14 +97,7 @@ _QUANTITIES = {
     "witness01": _Quantity(lambda value: {"mu1": 0.0, "mu2": 1.0, **_value_fields(value)},
                            _value_grid),
     "swap": _Quantity(_value_fields, _value_grid),
-    "realignment_norm": _Quantity(
-        lambda result: {
-            "norm": result.norm,
-            "nus": list(result.spectrum.nus),
-            "a0": result.spectrum.a0,
-            "verdict": result.verdict,
-        },
-    ),
+    "realignment_norm": _Quantity(_realignment_fields),
     "classify": _Quantity(_classify_fields, lambda result: (result[1], result[0])),
     "bounds": _Quantity(
         lambda report: {

@@ -57,8 +57,8 @@ def _checks(r_max: float) -> list[tuple]:
          lambda q, n, r: abs(q["W01"] - witness.witness_expectation_gaussian(
              squeezed_thermal_params(n, r), w01))),
         ("squeezed_thermal_realignment", ORACLE_TOL, thermal, ("realignment",),
-         lambda q, n, r: abs(q["realignment"] - realignment.realignment_norm_two_mode(
-             squeezed_thermal_params(n, r)))),
+         lambda q, n, r: abs(q["realignment"] - realignment.realignment_norm(
+             squeezed_thermal_params(n, r)).norm)),
         ("coherent_mixture_swap", MIXTURE_TOL, mixture, ("SWAP",),
          lambda q, *args: abs(q["SWAP"] - witness.swap_expectation_coherent_mixture(*args))),
         ("photon_added_witness_w01", ORACLE_TOL, added, ("W01",),

@@ -33,6 +33,9 @@ sqrt(ab) - |c_i| of :func:`standard_form_gaps`: exact two-products correct
 the rounded sqrt(ab), so each gap is within a few ulps at every scale, and at
 a = b it is a - |c_i| rounded once.  A 2+2 threshold lost to rounding is a
 numeric-domain failure (the CLI exits 3), not invalid input.
+:func:`realignment_norm` of a standard form or a covariance and
+:func:`classify_two_two` end in one computation of the norm and Gram spectrum
+from g and the gaps.  Where a0, the purity, underflows, there is no spectrum.
 
 The 2+2 family needs no PPT check.  Its partial transpose on side B flips
 the momenta p3 and p4, which maps V to D V D with
@@ -72,10 +75,11 @@ def detects_entanglement(value):
 
 @dataclass(frozen=True)
 class RealignmentResult:
-    """Realigned trace norm, the spectrum behind it, and the verdict."""
+    """Realigned trace norm, the Gram spectrum behind it (None where its
+    prefactor a0 leaves the float range), and the verdict."""
 
     norm: float
-    spectrum: WilliamsonSpectrum
+    spectrum: Optional[WilliamsonSpectrum]
 
     @property
     def verdict(self) -> str:
@@ -126,24 +130,28 @@ def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, fl
     return CovarianceMatrix(gram), a0
 
 
-def _gram_spectrum(g: float, gaps) -> WilliamsonSpectrum:
-    """The nu_i and a0 of the module docstring from the scale g and the gaps
-    1 - s_i in (0, 1], with 1 - s_i^2 = gap (2 - gap).  Raises
-    NumericDomainError where a0 underflows to 0 or overflows."""
-    roots = [math.sqrt(gap * (2.0 - gap)) for gap in gaps]
+def _result(g: float, gaps, relative=None) -> RealignmentResult:
+    """The realigned norm prod_i 1 / (2 sqrt(gap_i)) of the absolute gaps
+    g (1 - s_i), SingularLimitError where NaN, and the nu_i and a0 of the module
+    docstring from g and the relative gaps 1 - s_i (default gap_i / g), with
+    1 - s_i^2 = gap (2 - gap): no spectrum where a0 underflows or overflows."""
+    norm = _norm_of_gaps(gaps)
+    if math.isnan(norm):
+        raise SingularLimitError(f"realigned norm diverges at a gap <= 0 or leaves the float "
+                                 f"range (scale g={g}, gaps {gaps})")
+    roots = [math.sqrt(x * (2.0 - x)) for x in relative or [gap / g for gap in gaps]]
     a0 = math.prod(0.25 / (g * root) for root in roots)
-    if not 0.0 < a0 < math.inf:
-        raise NumericDomainError(f"Gram prefactor a0 {'underflows' if a0 == 0.0 else 'overflows'}"
-                                 f" at scale g={g}")
-    return WilliamsonSpectrum(nus=tuple(sorted(0.25 / root for root in roots)), a0=float(a0))
+    spectrum = (WilliamsonSpectrum(nus=tuple(sorted(0.25 / root for root in roots)), a0=float(a0))
+                if 0.0 < a0 < math.inf else None)
+    return RealignmentResult(norm=norm, spectrum=spectrum)
 
 
-def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
-    """Realigned trace norm and Gram spectrum of an n+n mode Gaussian state
-    from its canonical correlations (module docstring).  An unphysical V is
-    refused (:func:`cventangle.symplectic.require_physical`, which runs no
-    second eigen-solve on a V it has passed, such as a ``raw_covariance``
-    build).
+def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> RealignmentResult:
+    """Realigned trace norm and Gram spectrum (module docstring) of a two-mode
+    standard form, from the gaps of its physicality test, or of an n+n mode
+    covariance V, from its canonical correlations.  An unphysical V is refused
+    (:func:`cventangle.symplectic.require_physical`, which runs no second
+    eigen-solve on a V it has passed, such as a ``raw_covariance`` build).
 
     Refusal bound.  With k = 2n, u = 2^-53 and kappa_X = ||V_X|| ||V_X^{-1}||,
     the computed s_i are, to first order in u, within 3 k^2 u
@@ -160,10 +168,17 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     a relative error of at most about allowance / (2 (1 - s_i)).
 
     Raises:
-        InvalidArgumentError: for an odd mode split or an unphysical V.
-        SingularLimitError: where some 1 - s_i is within the allowance.
-        NumericDomainError: where a0 underflows to 0 or overflows.
+        InvalidArgumentError: for another type, an odd mode split or an unphysical V.
+        SingularLimitError: where some 1 - s_i is within the allowance, or the
+            norm leaves the float range.
     """
+    if not isinstance(state, CovarianceMatrix):
+        sab_gaps = getattr(state, "_gaps", None)  # kept by every TwoModeStandardForm
+        if sab_gaps is None:
+            raise InvalidArgumentError(f"realignment_norm takes a TwoModeStandardForm or a "
+                                       f"CovarianceMatrix, got {type(state).__name__}")
+        return _result(*sab_gaps)
+    V = state
     k = V.modes  # 2n: the dimension of each side
     if k % 2:
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
@@ -176,18 +191,23 @@ def realignment_norm(V: CovarianceMatrix) -> RealignmentResult:
     W = np.linalg.inv(R)
     s = np.linalg.svd(W[0] @ V.matrix[:k, k:] @ W[1].T, compute_uv=False)
     # Frobenius norms as running hypots: squaring the entries of V_X would
-    # overflow past 1.34e154.  ||R_X^-1||_F^2 = tr(V_X^-1) stays in range
-    frobenius = np.hypot.reduce(np.array([local, W]).reshape(2, 2, -1), axis=2)
-    kappa = frobenius[0] * frobenius[1] ** 2
-    allowance = 4.0 * k * k * 2.0**-53 * float(kappa.sum())
+    # overflow past 1.34e154.  ||R_X^-1||_F^2 = tr(V_X^-1) stays in range.
+    # Where ||V_X||_F itself overflows, t^-1 V_X and t^1/2 R_X^-1 (t = max |V_X|)
+    # give the same kappa_X
+    with np.errstate(over="ignore"):
+        frobenius = np.hypot.reduce(np.array([local, W]).reshape(2, 2, -1), axis=2)
+    kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
+    if kappa == math.inf:
+        t = np.abs(local).max(axis=(1, 2), keepdims=True)
+        frobenius = np.hypot.reduce(np.array([local / t, W * np.sqrt(t)]).reshape(2, 2, -1), axis=2)
+        kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
+    allowance = 4.0 * k * k * 2.0**-53 * kappa
     gaps = (1.0 - s).tolist()
     if not min(gaps) > allowance:
         raise SingularLimitError(f"realigned norm diverges: canonical correlation "
                                  f"{float(s.max())!r} is within {allowance:.1e} of 1")
     g = math.exp(2.0 * (float(np.log(np.diagonal(R, axis1=1, axis2=2)).sum()) / (2 * k)))
-    spectrum = _gram_spectrum(g, gaps)
-    norm = math.prod(0.5 / math.sqrt(g * gap) for gap in gaps)
-    return RealignmentResult(norm=norm, spectrum=spectrum)
+    return _result(g, [g * gap for gap in gaps], gaps)
 
 
 #: 2^27 + 1: x * _SPLIT splits a double x into two halves of at most 26
@@ -276,38 +296,6 @@ def standard_form_norm(a, b, couplings):
 def _norm_of_gaps(gaps):
     norm = math.prod(0.5 / _sqrt(gap) for gap in gaps)
     return _nan_unless((norm > 0.0) & (norm < math.inf), norm)
-
-
-def _finite_norm(a: float, b: float, couplings, gaps) -> float:
-    """:func:`standard_form_norm` at one point, on floats (:func:`_sqrt`), from
-    its ``gaps``; SingularLimitError where NaN."""
-    norm = _norm_of_gaps(gaps)
-    if math.isnan(norm):
-        raise SingularLimitError(f"realigned norm diverges at sqrt(ab) <= |c_i| or leaves the "
-                                 f"float range (a={a}, b={b}, c={tuple(couplings)})")
-    return norm
-
-
-def _standard_form_result(a: float, b: float, couplings, sab_gaps=None) -> RealignmentResult:
-    """Realigned norm and Gram spectrum (g = sqrt(ab), 1 - s_i = gap / sqrt(ab):
-    a product gets nu_i = 1/4 exactly) of a standard form at one point, from
-    one :func:`standard_form_gaps` or its ``sab_gaps``.  SingularLimitError
-    where the norm is NaN (else every gap is > 0), NumericDomainError where a0
-    leaves the float range."""
-    sab, gaps = sab_gaps or standard_form_gaps(a, b, couplings)
-    norm = _finite_norm(a, b, couplings, gaps)
-    return RealignmentResult(norm=norm, spectrum=_gram_spectrum(sab, [gap / sab for gap in gaps]))
-
-
-def realignment_norm_two_mode(s: TwoModeStandardForm) -> float:
-    """:func:`standard_form_norm` of a two-mode standard form, equal to 1
-    minus the optimal witness expectation.
-
-    Raises:
-        SingularLimitError: where the norm diverges or leaves the float range.
-    """
-    # a TwoModeStandardForm keeps the gaps of its physicality test
-    return _finite_norm(s.a, s.b, (s.c1, s.c2), s._gaps[1])
 
 
 _TWO_TWO_R = np.array(
@@ -417,14 +405,14 @@ def classify_two_two_array(a, b, c):
 
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     """:func:`classify_two_two_array` at one point, read from
-    :func:`family_threshold` and, only where |c| is within it, the norm and
-    Gram spectrum of one :func:`standard_form_gaps`.  Each formula is the
-    array form's, run on its float branch (:func:`_sqrt`), so values and
-    verdicts match the array form bit for bit, and a point it calls
-    ``invalid`` raises here.  The spectrum is attached where its prefactor
-    a0, the purity of the state, is in the float range, and is None where a0
-    underflows (a = b from about 1e80): the array form has no spectrum, and
-    the verdict does not read it.
+    :func:`family_threshold` and, only where |c| is within it, the realigned
+    norm and Gram spectrum of one :func:`standard_form_gaps` (:func:`_result`,
+    as :func:`realignment_norm` computes them).  Each formula is the array
+    form's, run on its float branch (:func:`_sqrt`), so values and verdicts
+    match the array form bit for bit, and a point it calls ``invalid`` raises
+    here.  The spectrum is None where its prefactor a0, the purity of the
+    state, underflows (a = b from about 1e80): the array form has no spectrum,
+    and the verdict does not read it.
 
     Raises:
         InvalidArgumentError: below the vacuum bound.
@@ -436,13 +424,7 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     threshold = family_threshold(a, b)
     if abs(c) > threshold:
         return TwoTwoClassification(verdict="unphysical", norm=None, threshold=threshold)
-    couplings = (c,) * 4
-    sab, gaps = standard_form_gaps(a, b, couplings)
-    norm = _finite_norm(a, b, couplings, gaps)
-    try:
-        spectrum = _gram_spectrum(sab, [gap / sab for gap in gaps])
-    except NumericDomainError:
-        spectrum = None
-    verdict = "bound_entangled" if detects_entanglement(1.0 - norm) else "undetected"
-    return TwoTwoClassification(verdict=verdict, norm=norm, threshold=threshold,
-                                spectrum=spectrum)
+    result = _result(*standard_form_gaps(a, b, (c,) * 4))
+    verdict = "bound_entangled" if result.verdict == "entangled" else "undetected"
+    return TwoTwoClassification(verdict=verdict, norm=result.norm, threshold=threshold,
+                                spectrum=result.spectrum)

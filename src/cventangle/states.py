@@ -21,9 +21,8 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from . import realignment, witness
-from .errors import (InvalidArgumentError, NumericDomainError, complex_field, matrix_field,
-                     real_field, require_mixture, require_nonnegative_nr, require_vacuum_bound,
-                     text_field)
+from .errors import (InvalidArgumentError, complex_field, matrix_field, real_field,
+                     require_mixture, require_nonnegative_nr, require_vacuum_bound, text_field)
 from .realignment import two_two_family
 from .symplectic import CovarianceMatrix, require_physical
 
@@ -228,15 +227,13 @@ class Family:
 def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
     """The realignment result of a 2+2 state, read from
     :func:`cventangle.realignment.classify_two_two` and refused where the
-    point is unphysical or has no Gram spectrum."""
+    point is unphysical."""
     result = realignment.classify_two_two(s.a, s.b, s.c)
     if result.verdict == "unphysical":
         raise InvalidArgumentError(
             f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
             f"{result.threshold} of the 2+2 family (a={s.a}, b={s.b})"
         )
-    if result.spectrum is None:  # a0 is the purity, at most 1: it can only underflow
-        raise NumericDomainError(f"Gram prefactor a0 underflows at a={s.a}, b={s.b}, c={s.c}")
     return realignment.RealignmentResult(norm=result.norm, spectrum=result.spectrum)
 
 
@@ -249,8 +246,7 @@ FAMILIES = (
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
         "swap": lambda s: witness.swap_expectation(s),
-        "realignment_norm": lambda s: realignment._standard_form_result(
-            s.a, s.b, (s.c1, s.c2), s._gaps),
+        "realignment_norm": lambda s: realignment.realignment_norm(s),
     }, axes=("a", "b", "c1", "c2")),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
         "realignment_norm": _two_two_realignment,

@@ -108,9 +108,10 @@ def gram_route(V: CovarianceMatrix) -> tuple[float, WilliamsonSpectrum]:
 
 
 def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpectrum:
-    """The Gram spectrum that eval reports for a standard form, next to its
-    realigned norm from the same standard_form_gaps."""
-    return realignment._standard_form_result(a, b, couplings).spectrum
+    """The Gram spectrum that eval reports for a standard form (None where a0
+    leaves the float range), next to its realigned norm from the same
+    standard_form_gaps."""
+    return realignment._result(*realignment.standard_form_gaps(a, b, couplings)).spectrum
 
 
 def random_physical_cov(rng, modes: int) -> CovarianceMatrix:

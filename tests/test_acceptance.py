@@ -130,7 +130,7 @@ def test_criterion_4_generic_pipeline_matches_closed_forms():
         for _ in range(200):
             s = random_standard_form(rng, margin=1e-3)
             generic = cv.realignment_norm(s.covariance()).norm
-            worst = max(worst, abs(generic - cv.realignment_norm_two_mode(s)))
+            worst = max(worst, abs(generic - cv.realignment_norm(s).norm))
         for _ in range(200):
             a, b = rng.uniform(0.3, 2.0, size=2)
             c = rng.uniform(-0.999, 0.999) * cv.family_threshold(a, b)
@@ -291,7 +291,7 @@ def test_criterion_9_property_suite():
         for _ in range(500):
             s = random_standard_form(rng, margin=1e-3)
             value = cv.optimal_witness(s).value
-            norm = cv.realignment_norm_two_mode(s)
+            norm = cv.realignment_norm(s).norm
             if abs(value) > 1e-9 and (value < 0) != (norm > 1.0):
                 verdict_ok = False
                 break

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError, WitnessParams,
                         bound_report, cli, family_threshold,
                         parse_state_descriptor, realigned_gram_covariance,
-                        realignment_norm_two_mode, state_descriptor,
+                        realignment_norm, state_descriptor,
                         symplectic_eigenvalues, two_two_family)
 from cventangle.cli import evaluate_quantity
 from cventangle.realignment import DETECTION_TOL, standard_form_norm
@@ -85,7 +85,7 @@ def test_standard2(nu_a, nu_b, r):
     assert bounds["entangled"] == (w01 < -TOL or swap["value"] < -TOL)
     realign = evaluate(doc, "realignment_norm")
     state = parse_state_descriptor(doc)
-    assert realign["norm"] == realignment_norm_two_mode(state)
+    assert realign["norm"] == realignment_norm(state).norm
     assert_gram_spectrum(realign, state.covariance())
     if r == 0.0:
         assert realign["nus"] == [0.25, 0.25] and realign["verdict"] == "undetected"

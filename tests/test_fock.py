@@ -15,7 +15,7 @@ from cventangle import (
     cren_lower_bound,
     negativity_fock,
     photon_added_sts_fock,
-    realignment_norm_two_mode,
+    realignment_norm,
     realignment_trace_norm_fock,
     squeezed_thermal_fock,
     squeezed_thermal_params,
@@ -204,7 +204,7 @@ class TestSqueezedThermal:
     def test_realignment_matches_closed_form(self):
         n, r, cutoff = 0.2, 0.5, 30
         rho = squeezed_thermal_fock(n, r, cutoff)
-        closed = realignment_norm_two_mode(squeezed_thermal_params(n, r))
+        closed = realignment_norm(squeezed_thermal_params(n, r)).norm
         assert abs(realignment_trace_norm_fock(rho) - closed) < 1e-3
 
 

@@ -38,7 +38,6 @@ PUBLIC_API = [
     "photon_added_sts_fock",
     "realigned_gram_covariance",
     "realignment_norm",
-    "realignment_norm_two_mode",
     "realignment_trace_norm_fock",
     "squeezed_thermal_fock",
     "squeezed_thermal_params",

@@ -15,12 +15,13 @@ from cventangle import (
     InvalidArgumentError,
     NumericDomainError,
     SingularLimitError,
+    TwoModeStandardForm,
+    TwoTwoFamilyParams,
     classify_two_two,
     family_threshold,
     optimal_witness,
     realigned_gram_covariance,
     realignment_norm,
-    realignment_norm_two_mode,
     squeezed_thermal_params,
     state_descriptor,
     tmsv_params,
@@ -135,7 +136,7 @@ class TestRealignmentNorm:
         for _ in range(200):
             s = random_standard_form(rng, margin=1e-3)
             generic = realignment_norm(s.covariance()).norm
-            assert abs(generic - realignment_norm_two_mode(s)) < 1e-10
+            assert abs(generic - realignment_norm(s).norm) < 1e-10
 
     def test_closed_form_agreement_two_two(self, rng):
         for _ in range(200):
@@ -193,6 +194,13 @@ def rotated_tmsv(r, angles=(0.0, 0.0)):
     for i, t in enumerate(angles):
         L[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[math.cos(t), -math.sin(t)],
                                                [math.sin(t), math.cos(t)]]
+    V = L @ V @ L.T
+    return (V + V.T) / 2
+
+
+def local_squeezing(V, zeta):
+    """V squeezed by diag(e^zeta, e^-zeta) on every mode."""
+    L = np.diag([math.exp(zeta), math.exp(-zeta)] * (V.shape[0] // 2))
     V = L @ V @ L.T
     return (V + V.T) / 2
 
@@ -281,8 +289,9 @@ class TestCanonicalRoute:
             realignment_norm(CovarianceMatrix(np.eye(6) / 4))
         with pytest.raises(InvalidArgumentError, match="physicality"):
             realignment_norm(CovarianceMatrix(np.diag([0.25, -0.25, 0.25, 0.25])))
-        with pytest.raises(NumericDomainError, match="underflows"):
-            realignment_norm(CovarianceMatrix(np.eye(12) * 1e60))
+        # a0 = (0.25 / 1e60)^6 underflows: the norm (0.5 / 1e30)^6 comes without a spectrum
+        result = realignment_norm(CovarianceMatrix(np.eye(12) * 1e60))
+        assert result.spectrum is None and result.norm == pytest.approx(2.0**-6 * 1e-180, rel=1e-13)
         # far past where the squares of the local blocks overflow, a0 underflows
         doc = state_descriptor(CovarianceMatrix(1e170 * tmsv_params(0.3).covariance().matrix))
         code, _out, err = eval_doc(doc, "realignment_norm")
@@ -303,21 +312,64 @@ class TestCanonicalRoute:
         assert record["norm"] == pytest.approx(reference["norm"], rel=1e-13)
         assert record["a0"] == pytest.approx(reference["a0"], rel=1e-13, abs=1e-320)
 
+    def test_blocks_past_the_float_range(self):
+        # ||V_A||_F of 1.7e308 I2 overflows: the allowance is taken on the
+        # rescaled blocks, so the product state is not refused as singular, and
+        # no overflow warning escapes.  Its a0 = (4 * 1.7e308)^-2 underflows
+        result = realignment_norm(CovarianceMatrix(1.7e308 * np.eye(4)))
+        assert result.norm == pytest.approx(1.4705882352941e-309, rel=1e-12)
+        assert result.spectrum is None and result.verdict == "undetected"
+        doc = state_descriptor(CovarianceMatrix(1.7e308 * np.eye(4)))
+        code, out, err = eval_doc(doc, "realignment_norm")
+        assert (code, out) == (EXIT_NUMERIC, "") and "Gram prefactor a0 underflows" in err
+        # a correlated state at that scale against its closed form:
+        # canonical correlations 1/2, norm 1 / (4 (a - c))
+        s = TwoModeStandardForm(1.7e308, 1.7e308, 0.85e308, -0.85e308)
+        raw = realignment_norm(s.covariance())
+        assert raw.norm == pytest.approx(realignment_norm(s).norm, rel=1e-12)
+        assert raw.norm == pytest.approx(1.0 / (4 * 0.85e308), rel=1e-12)
+
+    def test_norm_below_the_float_range_is_refused(self):
+        # a 2+2 product at 1e200: the norm (0.5 / 1e100)^4 underflows along with a0
+        with pytest.raises(SingularLimitError, match="float range"):
+            realignment_norm(CovarianceMatrix(1e200 * np.eye(8)))
+        code, _out, _err = eval_doc(state_descriptor(CovarianceMatrix(1e200 * np.eye(8))),
+                                    "realignment_norm")
+        assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("zeta", [3.0, -3.0, 5.0])
+    def test_strong_local_squeezing(self, zeta):
+        # a TMSV, phase-rotated on each side by a seeded angle, then squeezed
+        # by zeta on both sides: kappa_A = e^{4 |zeta|}, about 1.6e5 at zeta = 3.
+        # Local symplectics leave the norm e^{2r}
+        rng = np.random.default_rng(int(10 * zeta) % 97)
+        for r in (1e-4, 0.05, 0.5, 2.0):
+            for angles in [(0.0, 0.0), *rng.uniform(0.0, 2 * math.pi, (10, 2))]:
+                V = local_squeezing(rotated_tmsv(r, angles), zeta)
+                result = realignment_norm(CovarianceMatrix(V))
+                assert abs(result.norm / math.exp(2 * r) - 1.0) <= 1e-11, (zeta, r, angles)
+                assert result.verdict == "entangled"
+
+    @pytest.mark.parametrize("zeta", [3.0, 5.0, 8.0])
+    def test_squeezed_vacuum_products_are_undetected(self, zeta):
+        V = local_squeezing(np.eye(4) / 4, zeta)
+        assert realignment_norm(CovarianceMatrix(V)).verdict == "undetected"
+        code, record = raw_eval(V)
+        assert code == EXIT_OK and record["verdict"] == "undetected"
+
 
 class TestClosedForms:
     def test_two_mode_values(self):
-        from cventangle import TwoModeStandardForm
-
-        assert abs(realignment_norm_two_mode(squeezed_thermal_params(0, 0)) - 1.0) < 1e-15
+        assert abs(realignment_norm(squeezed_thermal_params(0, 0)).norm - 1.0) < 1e-15
         s = TwoModeStandardForm(0.5, 0.5, 0.3, -0.3)
-        assert abs(realignment_norm_two_mode(s) - 1.25) < 1e-15
+        assert abs(realignment_norm(s).norm - 1.25) < 1e-15
         for r in (0.2, 0.6, 1.0):
-            assert abs(realignment_norm_two_mode(tmsv_params(r)) - math.exp(2 * r)) < 1e-12
+            assert abs(realignment_norm(tmsv_params(r)).norm - math.exp(2 * r)) < 1e-12
 
     def test_two_mode_witness_identity(self, rng):
         for _ in range(100):
             s = random_standard_form(rng, margin=1e-3)
-            assert optimal_witness(s).value == 1.0 - realignment_norm_two_mode(s)
+            assert optimal_witness(s).value == 1.0 - realignment_norm(s).norm
 
     def test_two_mode_singular_limit(self):
         class Fake:
@@ -325,7 +377,7 @@ class TestClosedForms:
             _gaps = standard_form_gaps(a, b, (c1, c2))
 
         with pytest.raises(SingularLimitError):
-            realignment_norm_two_mode(Fake())
+            realignment_norm(Fake())
 
     def test_two_two_values(self):
         assert abs(standard_form_norm(0.5, 0.5, (0.0,) * 4) - 0.25) < 1e-15
@@ -405,9 +457,9 @@ class TestStandardFormNorm:
         assert abs(standard_form_norm(a, a, (c,) * 4) / exact - 1) <= 4 * 2.0**-53
 
     def test_two_mode_where_ab_overflows(self):
-        from cventangle import TwoModeStandardForm
-
-        assert realignment_norm_two_mode(TwoModeStandardForm(1e200, 1e200, 0.0, 0.0)) == 2.5e-201
+        # a0 = 6.25e-402 underflows: the library gives the norm without a spectrum
+        result = realignment_norm(TwoModeStandardForm(1e200, 1e200, 0.0, 0.0))
+        assert (result.norm, result.spectrum) == (2.5e-201, None)
         doc = {"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0}
         code, out, _ = eval_doc(doc, "optimal_witness")
         assert code == EXIT_OK and json.loads(out)["value"] == 1.0
@@ -526,7 +578,7 @@ class TestClosedGramSpectrum:
             nus, a0 = self.pipeline(s.covariance())
             assert np.max(np.abs(np.array(spectrum.nus) / nus - 1.0)) < 1e-12
             assert abs(spectrum.a0 / a0 - 1.0) < 1e-12
-            assert abs(norm_from_spectrum(spectrum) / realignment_norm_two_mode(s) - 1.0) < 1e-13
+            assert abs(norm_from_spectrum(spectrum) / realignment_norm(s).norm - 1.0) < 1e-13
 
     def test_matches_pipeline_two_two(self, rng):
         for _ in range(200):
@@ -546,14 +598,12 @@ class TestClosedGramSpectrum:
     def test_refusals(self):
         with pytest.raises(SingularLimitError):
             standard_form_gram_spectrum(1.0, 1.0, (1.0, 0.0))
-        # ab = 1e400 overflows, sqrt(ab) = 1e200 does not, a0 = 6.25e-402 does
-        with pytest.raises(NumericDomainError, match="a0 underflows"):
-            standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0))
-        with pytest.raises(NumericDomainError, match="underflows"):
-            standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4)
+        # where a0 leaves the float range there is no spectrum.  ab = 1e400
+        # overflows, sqrt(ab) = 1e200 does not, a0 = 6.25e-402 does
+        assert standard_form_gram_spectrum(1e200, 1e200, (0.0, 0.0)) is None
+        assert standard_form_gram_spectrum(1e81, 1e81, (0.0,) * 4) is None
         # sqrt(ab) = 1e-100, below the vacuum bound: a0 = (0.25 / 1e-100)^4 overflows
-        with pytest.raises(NumericDomainError, match="a0 overflows"):
-            standard_form_gram_spectrum(1e-100, 1e-100, (0.0,) * 4)
+        assert standard_form_gram_spectrum(1e-100, 1e-100, (0.0,) * 4) is None
 
     def test_spectrum_is_what_the_checking_constructor_builds(self, rng):
         # the record checks nothing: every producer keeps its invariants
@@ -760,3 +810,49 @@ class TestVerdictEquivalence:
             norm = realignment_norm(s.covariance()).norm
             if abs(value) > 1e-9:
                 assert (value < 0) == (norm > 1.0)
+
+
+@st.composite
+def physical_standard_forms(draw):
+    """A squeezed thermal pair (photon number n, squeezing r) with thermal
+    noise added to b and both couplings scaled by u and a sign: pure where
+    n = noise = 0 and u = 1, a product where r = 0 or u = 0, and
+    sqrt(ab) -> |c_i| as r grows on pure draws (1 - s_i = 2 / (e^{4r} + 1)).
+    Each step keeps V + iJ/4 >= 0, a convex condition."""
+    n = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    r = draw(st.one_of(st.sampled_from([0.0, 3.0, 6.0]), st.floats(0.0, 6.0)))
+    noise = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    u = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    s = squeezed_thermal_params(n, r)
+    return TwoModeStandardForm(s.a, s.b + noise, sign * u * s.c1, sign * u * s.c2)
+
+
+class TestOneRealignmentResult:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(s=physical_standard_forms())
+    @example(s=tmsv_params(6.0))
+    def test_standard_form_contract(self, s):
+        result = realignment_norm(s)
+        # the eval record carries the library's bits
+        record = evaluate_quantity(s, "realignment_norm")
+        assert record["norm"] == result.norm and record["verdict"] == result.verdict
+        assert (record["nus"], record["a0"]) == (list(result.spectrum.nus), result.spectrum.a0)
+        # the paper's identity W_opt = 1 - ||R||_1, to the bit
+        assert optimal_witness(s).value == 1.0 - result.norm
+        # the raw route on the same covariance, within its error: the
+        # allowance 4 k^2 u (kappa_A + kappa_B), kappa_X = 2 sqrt(2) for
+        # V_X = x I2, moves each factor by about allowance / (2 (1 - s_i))
+        sab, gaps = s._gaps
+        allowance = 4 * 2**2 * 2.0**-53 * 4 * math.sqrt(2)
+        tol = sum(allowance / (2 * gap / sab) for gap in gaps) + 1e-13
+        raw = realignment_norm(s.covariance())
+        assert abs(raw.norm / result.norm - 1) <= tol, (s, raw.norm, result.norm)
+        if abs(result.norm - (1 + DETECTION_TOL)) > 2 * tol * result.norm:
+            assert raw.verdict == result.verdict, s
+
+    @pytest.mark.parametrize("state", [TwoTwoFamilyParams(1.0, 1.0, 0.5), np.eye(4) / 4,
+                                       "standard2", None])
+    def test_other_arguments_are_refused(self, state):
+        with pytest.raises(InvalidArgumentError, match="TwoModeStandardForm or a CovarianceMatrix"):
+            realignment_norm(state)

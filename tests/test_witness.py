@@ -22,7 +22,7 @@ from cventangle import (
     detects_entanglement,
     optimal_witness,
     photon_added_sts_fock,
-    realignment_norm_two_mode,
+    realignment_norm,
     squeezed_thermal_params,
     swap_expectation,
     swap_expectation_coherent_mixture,
@@ -189,7 +189,7 @@ class TestOptimalWitness:
         for _ in range(200):
             s = random_standard_form(rng, margin=1e-3)
             opt = optimal_witness(s).value
-            norm = realignment_norm_two_mode(s)
+            norm = realignment_norm(s).norm
             assert abs((1.0 - opt) - norm) < 1e-10
             if abs(opt) > 1e-9:
                 assert (opt < 0) == (norm > 1)
