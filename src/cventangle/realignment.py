@@ -169,6 +169,8 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
 
     Raises:
         InvalidArgumentError: for another type, an odd mode split or an unphysical V.
+        NumericDomainError: where a physical V has a local block that is not
+            positive definite in floating point (its Cholesky factorization fails).
         SingularLimitError: where some 1 - s_i is within the allowance, or the
             norm leaves the float range.
     """
@@ -187,20 +189,21 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
     try:
         R = np.linalg.cholesky(local)
     except np.linalg.LinAlgError as exc:
-        raise InvalidArgumentError("covariance matrix must be positive definite") from exc
+        raise NumericDomainError("local block not positive definite in floating point") from exc
     W = np.linalg.inv(R)
     s = np.linalg.svd(W[0] @ V.matrix[:k, k:] @ W[1].T, compute_uv=False)
     # Frobenius norms as running hypots: squaring the entries of V_X would
     # overflow past 1.34e154.  ||R_X^-1||_F^2 = tr(V_X^-1) stays in range.
     # Where ||V_X||_F itself overflows, t^-1 V_X and t^1/2 R_X^-1 (t = max |V_X|)
-    # give the same kappa_X
+    # give the same kappa_X; where that overflows too, the allowance is inf
     with np.errstate(over="ignore"):
         frobenius = np.hypot.reduce(np.array([local, W]).reshape(2, 2, -1), axis=2)
-    kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
-    if kappa == math.inf:
-        t = np.abs(local).max(axis=(1, 2), keepdims=True)
-        frobenius = np.hypot.reduce(np.array([local / t, W * np.sqrt(t)]).reshape(2, 2, -1), axis=2)
         kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
+        if kappa == math.inf:
+            t = np.abs(local).max(axis=(1, 2), keepdims=True)
+            frobenius = np.hypot.reduce(np.array([local / t, W * np.sqrt(t)]).reshape(2, 2, -1),
+                                        axis=2)
+            kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
     allowance = 4.0 * k * k * 2.0**-53 * kappa
     gaps = (1.0 - s).tolist()
     if not min(gaps) > allowance:

@@ -58,12 +58,14 @@ class CovarianceMatrix:
             )
         if not math.isfinite(largest := float(np.abs(m).max())):  # NaN or inf where an entry is
             raise InvalidArgumentError("covariance matrix entries must be finite")
-        scale = max(1.0, largest)
-        if float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
+        # halving is exact above the subnormals, and no sum or difference of two
+        # halves overflows
+        half, scale = m / 2.0, max(1.0, largest)
+        if float(np.abs(half - half.T).max()) > SYMMETRY_TOL / 2.0 * scale:
             raise InvalidArgumentError(
                 f"covariance matrix asymmetry exceeds relative tolerance {SYMMETRY_TOL}"
             )
-        m = (m + m.T) / 2.0 if largest < 2.0**1022 else m / 2.0 + m.T / 2.0  # x + y may overflow
+        m = half + half.T
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

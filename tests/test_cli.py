@@ -287,17 +287,23 @@ class TestEval:
     def test_two_two_gram_underflow_classifies_as_the_scan_cell(self, tmp_path, capsys):
         # the Gram prefactor a0 underflows at a = b = 1e100: classify gives the
         # verdict and norm of the scan cell without nus/a0, while
-        # realignment_norm, which reports them, exits 3
-        doc = json.dumps({"family": "two_two", "a": 1e100, "b": 1e100, "c": 0.0})
+        # realignment_norm, which reports them, exits 3.  The grid's every
+        # cell, all physical with a0 underflowing, equals its record
+        base = {"family": "two_two", "a": 1e100, "b": 1e100, "c": 0.0}
+        doc = json.dumps(base)
         assert main(["eval", "--state", doc, "--quantity", "classify"]) == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         assert "nus" not in record and "a0" not in record
         assert (record["verdict"], record["norm"]) == ("undetected", 6.249999999999997e-202)
         out = tmp_path / "grid.csv"
         assert main(["scan", "--state", doc, "--quantity", "classify", "--axes",
-                     "a:1e100:1e100:2", "--axes", "b:1e100:1e100:2", "--out", str(out)]) == EXIT_OK
-        assert out.read_text().splitlines()[1].split(",")[2:] == [repr(record["norm"]),
-                                                                  "undetected"]
+                     "a:1e100:3e100:3", "--axes", "c:0:1:3", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows[0][2:] == [repr(record["norm"]), "undetected"]
+        for a, c, value, verdict in rows:
+            cell = {**base, "a": float(a), "c": float(c)}
+            assert (value, verdict) == eval_cell(cell, "classify", capsys) == (value, "undetected")
         assert main(["eval", "--state", doc, "--quantity", "realignment_norm"]) == EXIT_NUMERIC
         assert "a0 underflows" in capsys.readouterr().err
         result = classify_two_two(1e100, 1e100, 0.0)
@@ -344,6 +350,24 @@ class TestEval:
         code = main(["eval", "--state", json.dumps(doc), "--quantity", quantity])
         assert code == EXIT_NUMERIC
         assert "NumericDomainError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [OverflowError("math range error"),
+                                       np.linalg.LinAlgError("Singular matrix")],
+                             ids=["OverflowError", "LinAlgError"])
+    def test_engine_overflow_or_singular_algebra_exits_3(self, error, monkeypatch, capsys):
+        # an evaluator whose arithmetic raises is reported as a numeric-domain
+        # failure, not as a traceback
+        from cventangle import cli
+
+        def evaluator(_state):
+            raise error
+
+        monkeypatch.setattr(cli, "_evaluator", lambda _family, _quantity: evaluator)
+        assert main(["eval", "--state", VACUUM, "--quantity", "swap"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("numeric error: NumericDomainError: swap left the "
+                                       "floating-point domain: ")
 
     @pytest.mark.parametrize("alpha1", [[1e200, 0.0], [1e308, 1e308]])
     def test_coherent_mixture_overlap_underflows_to_zero(self, alpha1, capsys):

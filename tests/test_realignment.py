@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
@@ -328,6 +329,35 @@ class TestCanonicalRoute:
         raw = realignment_norm(s.covariance())
         assert raw.norm == pytest.approx(realignment_norm(s).norm, rel=1e-12)
         assert raw.norm == pytest.approx(1.0 / (4 * 0.85e308), rel=1e-12)
+
+    @pytest.mark.parametrize("zeta", [10.0, 200.0, 300.0, 354.0])
+    def test_squeezed_product_refused_without_warning(self, zeta):
+        # a pure product with one mode squeezed by zeta has kappa_A = e^{4 zeta}:
+        # s = 0 lies within the allowance.  From zeta = 178, kappa_A overflows on
+        # the rescaled blocks too, and the allowance is inf with no overflow warning
+        V = CovarianceMatrix(np.diag([math.exp(2 * zeta) / 4, math.exp(-2 * zeta) / 4,
+                                      0.25, 0.25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularLimitError):
+                realignment_norm(V)
+            code, out, err = eval_doc(state_descriptor(V), "realignment_norm")
+        assert (code, out) == (EXIT_NUMERIC, "") and "SingularLimitError" in err
+
+    def test_cholesky_failure_is_numeric(self, monkeypatch):
+        # a V that passes the physicality test with a local block that is not
+        # positive definite in floating point fails as witness01 and swap do,
+        # with exit 3.  Which literal matrix does that depends on eigen-solver
+        # rounding, so a double stands in for the factorization
+        def cholesky(_blocks):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        V = CovarianceMatrix(np.eye(4) / 4)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        with pytest.raises(NumericDomainError, match="not positive definite"):
+            realignment_norm(V)
+        code, out, err = eval_doc(state_descriptor(V), "realignment_norm")
+        assert (code, out) == (EXIT_NUMERIC, "") and "NumericDomainError" in err
 
     def test_norm_below_the_float_range_is_refused(self):
         # a 2+2 product at 1e200: the norm (0.5 / 1e100)^4 underflows along with a0

@@ -73,6 +73,10 @@ class TestCovarianceMatrix:
         V[0, 1] = 1e-6
         with pytest.raises(InvalidArgumentError):
             CovarianceMatrix(V)
+        # the mirror entries differ by more than the float range: refused
+        # without an overflow warning
+        with pytest.raises(InvalidArgumentError, match="asymmetry"):
+            CovarianceMatrix(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
 
     def test_symmetrizes_tiny_asymmetry(self):
         V = np.eye(4) / 4
@@ -86,6 +90,23 @@ class TestCovarianceMatrix:
         V[0, 1], V[1, 0] = 1.0, math.nextafter(1.0, 0.0)
         assert np.array_equal(CovarianceMatrix(V).matrix, (V / 4 + V.T / 4) * 2)
         assert is_physical(CovarianceMatrix(V))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), size=st.sampled_from([2, 4, 6]))
+    def test_symmetrizes_as_the_plain_average(self, data, size):
+        # V/2 + V^T/2 has the bits of (V + V^T)/2 wherever no entry or
+        # average is subnormal: each mirror entry here is a few ulps from its
+        # twin, of one sign, with magnitudes from 2^-1000 to 1e307
+        magnitude = st.floats(2.0**-1000, 1e307) | st.sampled_from([2.0**-1000, 1.0, 1e307])
+        V = np.zeros((size, size))
+        for i in range(size):
+            for j in range(i, size):
+                V[i, j] = data.draw(magnitude) * data.draw(st.sampled_from([1.0, -1.0]))
+                steps = data.draw(st.integers(-3, 3)) if i != j else 0
+                V[j, i] = V[i, j]
+                for _ in range(abs(steps)):
+                    V[j, i] = np.nextafter(V[j, i], math.copysign(math.inf, steps))
+        assert CovarianceMatrix(V).matrix.tobytes() == ((V + V.T) / 2.0).tobytes()
 
     def test_json_roundtrip(self):
         cov = squeezed_thermal_params(0.3, 0.4).covariance()
