@@ -43,10 +43,13 @@ def _spectrum_fields(spectrum) -> dict:
 
 
 def _realignment_fields(result) -> dict:
-    """The one refusal of a missing Gram spectrum: a0, the purity, can only underflow."""
+    """The one refusal of a missing Gram spectrum: a0, the purity, can only underflow.
+    ``normError`` on the raw route only (a0 <= norm^2 in range keeps it above 0)."""
     if result.spectrum is None:
         raise NumericDomainError("Gram prefactor a0 underflows below the float range")
-    return {"norm": result.norm, **_spectrum_fields(result.spectrum), "verdict": result.verdict}
+    error = {"normError": result.norm_error} if result.norm_error else {}
+    return {"norm": result.norm, **error, **_spectrum_fields(result.spectrum),
+            "verdict": result.verdict}
 
 
 def _classify_fields(result) -> dict:

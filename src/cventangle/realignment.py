@@ -5,7 +5,8 @@ covariance G = (L^T V L + S^T V^{-1} S) / 2 and prefactor a0 = 2^{-2m}
 det(V)^{-1/2} (:func:`realigned_gram_covariance`, m = 2n modes), and the
 realigned trace norm is sqrt(a0) prod_i (sqrt(2 nu_i + 1/2) + sqrt(2 nu_i - 1/2))
 over its symplectic eigenvalues nu_i.  A norm whose optimal-witness value
-1 - norm is below -DETECTION_TOL certifies entanglement, bound included.
+1 - norm, plus the norm's error bound (0 for the closed forms), is below
+-DETECTION_TOL certifies entanglement, bound included.
 
 Only the side-A rows of L and S are nonzero: L_A = [E, I] and S_A = [X, J] / 4
 per mode (E = diag(1, -1), X = [[0, 1], [1, 0]]).  They satisfy
@@ -69,21 +70,26 @@ DETECTION_TOL = 1e-10
 
 
 def detects_entanglement(value):
-    """The one verdict rule, on numbers or arrays; a realigned norm passes 1 - norm."""
+    """The one verdict rule, on numbers or arrays; a realigned norm passes
+    1 - norm + normError."""
     return value < -DETECTION_TOL
 
 
 @dataclass(frozen=True)
 class RealignmentResult:
     """Realigned trace norm, the Gram spectrum behind it (None where its
-    prefactor a0 leaves the float range), and the verdict."""
+    prefactor a0 leaves the float range), the first-order error bound of the
+    norm (0.0 for the closed forms) and the verdict, which the norm must
+    reach with that error taken against it."""
 
     norm: float
     spectrum: Optional[WilliamsonSpectrum]
+    norm_error: float = 0.0
 
     @property
     def verdict(self) -> str:
-        return "entangled" if detects_entanglement(1.0 - self.norm) else "undetected"
+        return ("entangled" if detects_entanglement(1.0 - self.norm + self.norm_error)
+                else "undetected")
 
 
 def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, float]:
@@ -130,11 +136,12 @@ def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, fl
     return CovarianceMatrix(gram), a0
 
 
-def _result(g: float, gaps, relative=None) -> RealignmentResult:
+def _result(g: float, gaps, relative=None, error=0.0) -> RealignmentResult:
     """The realigned norm prod_i 1 / (2 sqrt(gap_i)) of the absolute gaps
-    g (1 - s_i), SingularLimitError where NaN, and the nu_i and a0 of the module
-    docstring from g and the relative gaps 1 - s_i (default gap_i / g), with
-    1 - s_i^2 = gap (2 - gap): no spectrum where a0 underflows or overflows."""
+    g (1 - s_i), SingularLimitError where NaN, its error bound norm * error
+    (error relative), and the nu_i and a0 of the module docstring from g and
+    the relative gaps 1 - s_i (default gap_i / g), with 1 - s_i^2 =
+    gap (2 - gap): no spectrum where a0 underflows or overflows."""
     norm = _norm_of_gaps(gaps)
     if math.isnan(norm):
         raise SingularLimitError(f"realigned norm diverges at a gap <= 0 or leaves the float "
@@ -143,7 +150,7 @@ def _result(g: float, gaps, relative=None) -> RealignmentResult:
     a0 = math.prod(0.25 / (g * root) for root in roots)
     spectrum = (WilliamsonSpectrum(nus=tuple(sorted(0.25 / root for root in roots)), a0=float(a0))
                 if 0.0 < a0 < math.inf else None)
-    return RealignmentResult(norm=norm, spectrum=spectrum)
+    return RealignmentResult(norm=norm, spectrum=spectrum, norm_error=norm * error)
 
 
 def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> RealignmentResult:
@@ -153,19 +160,32 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
     (:func:`cventangle.symplectic.require_physical`, which runs no second
     eigen-solve on a V it has passed, such as a ``raw_covariance`` build).
 
-    Refusal bound.  With k = 2n, u = 2^-53 and kappa_X = ||V_X|| ||V_X^{-1}||,
-    the computed s_i are, to first order in u, within 3 k^2 u
-    (kappa_A + kappa_B) of the canonical correlations of V.  The Cholesky
-    factor (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    Thm 10.3) and its computed inverse are exact for V_A (1 + F) with
-    ||F|| <= (k + 1)(k + 2) u kappa_A, and whitening by them moves each
-    s_i <= 1 by at most ||F|| / 2.  The two products add at most
-    k^2 u (kappa_A + kappa_B), as ||C||^2 <= ||V_A|| ||V_B||, and the SVD a
-    small multiple of k u ||K|| <= k u (Weyl).  The code bounds kappa_X by
-    ||V_X||_F ||R_X^{-1}||_F^2 and allows 4 k^2 u (kappa_A + kappa_B): where
-    some 1 - s_i is not above that allowance, s_i = 1 lies within rounding
-    and the norm is refused; above it, each factor 1 / sqrt(1 - s_i) carries
-    a relative error of at most about allowance / (2 (1 - s_i)).
+    Refusal bound and normError.  With k = 2n and u = 2^-53, row and column i
+    of V are first scaled by 2^-floor(p_i / 2), p_i the binary exponent of
+    V_ii: exactly (above the subnormals), so M has V's canonical correlations,
+    every M_ii in [1/2, 2), and log det V_X = 2 sum log diag R_X +
+    ln 4 sum_{i in X} floor(p_i / 2) for M_X = R_X R_X^T.  With
+    kappa_X = ||M_X|| ||M_X^{-1}|| (Cholesky's error follows the scaled block:
+    van der Sluis, Numer. Math. 14, 14 (1969)), the computed s_i are, to first
+    order in u, within 3 k^2 u (kappa_A + kappa_B) of the canonical
+    correlations.  The Cholesky factor (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, Thm 10.3) and its computed inverse are exact
+    for M_A (1 + F) with ||F|| <= (k + 1)(k + 2) u kappa_A, and whitening by
+    them moves each s_i <= 1 by at most ||F|| / 2.  The two products add at
+    most k^2 u (kappa_A + kappa_B), as ||C||^2 <= ||M_A|| ||M_B||, and the SVD
+    a small multiple of k u ||K|| <= k u (Weyl).  The code bounds kappa_X by
+    tr(M_X) tr(M_X^{-1}) < 2k ||R_X^{-1}||_F^2 and allows
+    4 k^2 u (kappa_A + kappa_B): where some 1 - s_i is not above that
+    allowance, s_i = 1 lies within rounding and the norm is refused.  Above
+    it, each factor 1 / sqrt(1 - s_i) carries a relative error of at most
+    about allowance / (2 (1 - s_i)), and tr F moves log det V_X, which the
+    norm carries as (det V_A det V_B)^{-1/4} through g, by at most
+    k (k + 1)(k + 2) u kappa_X, so the norm by at most k allowance / 4:
+
+        normError = norm allowance (k / 4 + sum_i 1 / (2 (1 - s_i))).
+
+    The verdict reads 1 - norm + normError.  The rounding of the logarithms
+    and of exp adds about k u |ln g| (|ln g| < 750), which DETECTION_TOL covers.
 
     Raises:
         InvalidArgumentError: for another type, an odd mode split or an unphysical V.
@@ -185,32 +205,26 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
     if k % 2:
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
     require_physical(V)
-    local = np.array([V.matrix[:k, :k], V.matrix[k:, k:]])
+    q = [math.frexp(x)[1] >> 1 for x in V.matrix.diagonal().tolist()]  # floor(p_i / 2)
+    t = np.array([math.ldexp(1.0, -x) for x in q])
+    # rows first: |V_ij t_i| < sqrt(2 V_jj) stays in range where t_i t_j may not
+    M = V.matrix * t[:, None] * t
     try:
-        R = np.linalg.cholesky(local)
+        R = np.linalg.cholesky(np.array([M[:k, :k], M[k:, k:]]))
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError("local block not positive definite in floating point") from exc
     W = np.linalg.inv(R)
-    s = np.linalg.svd(W[0] @ V.matrix[:k, k:] @ W[1].T, compute_uv=False)
-    # Frobenius norms as running hypots: squaring the entries of V_X would
-    # overflow past 1.34e154.  ||R_X^-1||_F^2 = tr(V_X^-1) stays in range.
-    # Where ||V_X||_F itself overflows, t^-1 V_X and t^1/2 R_X^-1 (t = max |V_X|)
-    # give the same kappa_X; where that overflows too, the allowance is inf
-    with np.errstate(over="ignore"):
-        frobenius = np.hypot.reduce(np.array([local, W]).reshape(2, 2, -1), axis=2)
-        kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
-        if kappa == math.inf:
-            t = np.abs(local).max(axis=(1, 2), keepdims=True)
-            frobenius = np.hypot.reduce(np.array([local / t, W * np.sqrt(t)]).reshape(2, 2, -1),
-                                        axis=2)
-            kappa = float((frobenius[0] * frobenius[1] ** 2).sum())
-    allowance = 4.0 * k * k * 2.0**-53 * kappa
+    s = np.linalg.svd(W[0] @ M[:k, k:] @ W[1].T, compute_uv=False)
+    allowance = 8.0 * k**3 * 2.0**-53 * float(np.vdot(W, W))  # sum_X ||R_X^-1||_F^2
     gaps = (1.0 - s).tolist()
     if not min(gaps) > allowance:
         raise SingularLimitError(f"realigned norm diverges: canonical correlation "
                                  f"{float(s.max())!r} is within {allowance:.1e} of 1")
-    g = math.exp(2.0 * (float(np.log(np.diagonal(R, axis1=1, axis2=2)).sum()) / (2 * k)))
-    return _result(g, [g * gap for gap in gaps], gaps)
+    logdet = (2.0 * float(np.log(np.diagonal(R, axis1=1, axis2=2)).sum())
+              + math.log(4.0) * sum(q))
+    g = math.exp(logdet / (2 * k))
+    error = allowance * (k / 4.0 + sum(0.5 / gap for gap in gaps))
+    return _result(g, [g * gap for gap in gaps], gaps, error)
 
 
 #: 2^27 + 1: x * _SPLIT splits a double x into two halves of at most 26

@@ -43,7 +43,8 @@ class CovarianceMatrix:
     """Real symmetric 2m x 2m matrix of symmetrized quadrature second moments.
 
     Inputs with relative asymmetry below ``SYMMETRY_TOL`` are symmetrized as
-    (V + V^T)/2; anything worse is rejected.
+    (V + V^T)/2, each entry equal to its mirror kept as given; anything worse
+    is rejected.
     """
 
     matrix: np.ndarray
@@ -58,14 +59,14 @@ class CovarianceMatrix:
             )
         if not math.isfinite(largest := float(np.abs(m).max())):  # NaN or inf where an entry is
             raise InvalidArgumentError("covariance matrix entries must be finite")
-        # halving is exact above the subnormals, and no sum or difference of two
-        # halves overflows
+        # halving is exact above the subnormals (an entry equal to its mirror is
+        # kept as given), and no sum or difference of two halves overflows
         half, scale = m / 2.0, max(1.0, largest)
         if float(np.abs(half - half.T).max()) > SYMMETRY_TOL / 2.0 * scale:
             raise InvalidArgumentError(
                 f"covariance matrix asymmetry exceeds relative tolerance {SYMMETRY_TOL}"
             )
-        m = half + half.T
+        m = np.where(m == m.T, m, half + half.T)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -1064,6 +1064,10 @@ class TestQuantityTable:
             (PHOTON, "witness01", ["state", "quantity", "mu1", "mu2", "value", "entangled"]),
             (MIXTURE, "swap", ["state", "quantity", "value", "entangled"]),
             (TWO_TWO, "realignment_norm", ["state", "quantity", "norm", "nus", "a0", "verdict"]),
+            (json.dumps({"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2",
+                         "matrix": [[0.5, 0, 0.4, 0], [0, 0.5, 0, -0.4], [0.4, 0, 0.5, 0],
+                                    [0, -0.4, 0, 0.5]]}), "realignment_norm",
+             ["state", "quantity", "norm", "normError", "nus", "a0", "verdict"]),
             (TWO_TWO, "classify",
              ["state", "quantity", "verdict", "norm", "threshold", "nus", "a0"]),
             (json.dumps({"family": "two_two", "a": 1.0, "b": 1.0, "c": 0.9}), "classify",

@@ -12,7 +12,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError, WitnessParams,
@@ -229,6 +229,8 @@ local_op = st.tuples(unit_or(-0.4, 0.4, 0.0), st.tuples(st.floats(0.0, 2 * math.
     r=unit_or(0.0, 1.75, 0.0, 1.75),
     local=st.tuples(local_op, local_op),
 )
+@example(nus=(0.25, 0.25), theta=0.0, r=1.75,
+         local=((0.0, (0.0, 0.0)), (0.25, (2.225073858507203e-309, 2.225073858507203e-309))))
 def test_raw_covariance_two_mode(nus, theta, r, local):
     # a pure pair at r = 1.75 has sqrt(ab) - |c| down to 1.8e-3 sqrt(ab);
     # nearer the edge the reference's solve and slogdet round at about

@@ -107,6 +107,13 @@ class TestCovarianceMatrix:
                 for _ in range(abs(steps)):
                     V[j, i] = np.nextafter(V[j, i], math.copysign(math.inf, steps))
         assert CovarianceMatrix(V).matrix.tobytes() == ((V + V.T) / 2.0).tobytes()
+        # an exactly symmetric matrix keeps its bits, subnormal entries included
+        # (halving rounds an odd one, such as 9.607892434345144e-309)
+        subnormal = (st.sampled_from([5e-324, 9.607892434345144e-309])
+                     | st.floats(5e-324, 2.0**-1022, exclude_max=True))
+        V = np.triu(V) + np.triu(V, 1).T
+        V[0, 1] = V[1, 0] = math.copysign(data.draw(subnormal), V[0, 1])
+        assert CovarianceMatrix(V).matrix.tobytes() == V.tobytes()
 
     def test_json_roundtrip(self):
         cov = squeezed_thermal_params(0.3, 0.4).covariance()
