@@ -64,8 +64,9 @@ from .symplectic import CovarianceMatrix, WilliamsonSpectrum, require_physical
 if TYPE_CHECKING:
     from .states import TwoModeStandardForm
 
-#: Witness and SWAP values, and the optimal-witness value 1 - norm of a
-#: realigned norm, below -DETECTION_TOL count as detected entanglement.
+#: Witness and SWAP values, and the optimal-witness value of a realigned norm
+#: plus its error bound, 1 - norm + normError (0 for the closed forms), below
+#: -DETECTION_TOL count as detected entanglement.
 DETECTION_TOL = 1e-10
 
 
@@ -174,13 +175,14 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
     them moves each s_i <= 1 by at most ||F|| / 2.  The two products add at
     most k^2 u (kappa_A + kappa_B), as ||C||^2 <= ||M_A|| ||M_B||, and the SVD
     a small multiple of k u ||K|| <= k u (Weyl).  The code bounds kappa_X by
-    tr(M_X) tr(M_X^{-1}) < 2k ||R_X^{-1}||_F^2 and allows
-    4 k^2 u (kappa_A + kappa_B): where some 1 - s_i is not above that
-    allowance, s_i = 1 lies within rounding and the norm is refused.  Above
-    it, each factor 1 / sqrt(1 - s_i) carries a relative error of at most
-    about allowance / (2 (1 - s_i)), and tr F moves log det V_X, which the
-    norm carries as (det V_A det V_B)^{-1/4} through g, by at most
-    k (k + 1)(k + 2) u kappa_X, so the norm by at most k allowance / 4:
+    ||M_X||_F tr(M_X^{-1}) = ||M_X||_F ||R_X^{-1}||_F^2, in range as every
+    |M_ij| < 2, and allows 4 k^2 u (kappa_A + kappa_B): where some 1 - s_i is
+    not above that allowance, s_i = 1 lies within rounding and the norm is
+    refused.  Above it, each factor 1 / sqrt(1 - s_i) carries a relative
+    error of at most about allowance / (2 (1 - s_i)), and tr F moves
+    log det V_X, which the norm carries as (det V_A det V_B)^{-1/4} through g,
+    by at most k (k + 1)(k + 2) u kappa_X, so the norm by at most
+    k allowance / 4:
 
         normError = norm allowance (k / 4 + sum_i 1 / (2 (1 - s_i))).
 
@@ -206,23 +208,26 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
     require_physical(V)
     q = [math.frexp(x)[1] >> 1 for x in V.matrix.diagonal().tolist()]  # floor(p_i / 2)
-    t = np.array([math.ldexp(1.0, -x) for x in q])
-    # rows first: |V_ij t_i| < sqrt(2 V_jj) stays in range where t_i t_j may not
-    M = V.matrix * t[:, None] * t
+    e = np.array(q)
+    M = np.ldexp(V.matrix, -(e[:, None] + e))  # one rounding, and only below 2^-1022
+    local = np.array([M[:k, :k], M[k:, k:]])
     try:
-        R = np.linalg.cholesky(np.array([M[:k, :k], M[k:, k:]]))
+        R = np.linalg.cholesky(local)
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError("local block not positive definite in floating point") from exc
     W = np.linalg.inv(R)
     s = np.linalg.svd(W[0] @ M[:k, k:] @ W[1].T, compute_uv=False)
-    allowance = 8.0 * k**3 * 2.0**-53 * float(np.vdot(W, W))  # sum_X ||R_X^-1||_F^2
+    # squared Frobenius norms of M_A, M_B, R_A^-1, R_B^-1
+    blocks = np.array([local, W]).reshape(4, 1, -1)
+    fa, fb, wa, wb = (blocks @ blocks.transpose(0, 2, 1)).ravel().tolist()
+    allowance = 4.0 * k * k * 2.0**-53 * (math.sqrt(fa) * wa + math.sqrt(fb) * wb)
     gaps = (1.0 - s).tolist()
     if not min(gaps) > allowance:
         raise SingularLimitError(f"realigned norm diverges: canonical correlation "
                                  f"{float(s.max())!r} is within {allowance:.1e} of 1")
-    logdet = (2.0 * float(np.log(np.diagonal(R, axis1=1, axis2=2)).sum())
-              + math.log(4.0) * sum(q))
-    g = math.exp(logdet / (2 * k))
+    # g = (det V_A det V_B)^(1 / 2k), the exponents q taken back exactly
+    g = math.exp((sum(map(math.log, R.diagonal(axis1=1, axis2=2).ravel().tolist()))
+                  + math.log(2.0) * sum(q)) / k)
     error = allowance * (k / 4.0 + sum(0.5 / gap for gap in gaps))
     return _result(g, [g * gap for gap in gaps], gaps, error)
 

@@ -59,14 +59,17 @@ class CovarianceMatrix:
             )
         if not math.isfinite(largest := float(np.abs(m).max())):  # NaN or inf where an entry is
             raise InvalidArgumentError("covariance matrix entries must be finite")
-        # halving is exact above the subnormals (an entry equal to its mirror is
-        # kept as given), and no sum or difference of two halves overflows
-        half, scale = m / 2.0, max(1.0, largest)
-        if float(np.abs(half - half.T).max()) > SYMMETRY_TOL / 2.0 * scale:
+        # below 2^1023 no sum or difference of two entries overflows; from there
+        # both are taken on halves (t = 1/2), exact above the subnormals
+        t, scale = (1.0 if largest < 2.0**1023 else 0.5), max(1.0, largest)
+        h = m if t == 1.0 else m * t
+        if float(np.abs(h - h.T).max()) > SYMMETRY_TOL * t * scale:
             raise InvalidArgumentError(
                 f"covariance matrix asymmetry exceeds relative tolerance {SYMMETRY_TOL}"
             )
-        m = np.where(m == m.T, m, half + half.T)
+        # (V + V^T) / 2 keeps an entry equal to its mirror bit for bit, subnormal
+        # or not; halving rounds a subnormal, so on halves such entries are kept
+        m = (h + h.T) * 0.5 if t == 1.0 else np.where(m == m.T, m, h + h.T)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

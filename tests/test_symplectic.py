@@ -94,9 +94,8 @@ class TestCovarianceMatrix:
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data(), size=st.sampled_from([2, 4, 6]))
     def test_symmetrizes_as_the_plain_average(self, data, size):
-        # V/2 + V^T/2 has the bits of (V + V^T)/2 wherever no entry or
-        # average is subnormal: each mirror entry here is a few ulps from its
-        # twin, of one sign, with magnitudes from 2^-1000 to 1e307
+        # the bits of (V + V^T)/2: each mirror entry here is a few ulps from
+        # its twin, of one sign, with magnitudes from 2^-1000 to 1e307
         magnitude = st.floats(2.0**-1000, 1e307) | st.sampled_from([2.0**-1000, 1.0, 1e307])
         V = np.zeros((size, size))
         for i in range(size):
@@ -108,11 +107,13 @@ class TestCovarianceMatrix:
                     V[j, i] = np.nextafter(V[j, i], math.copysign(math.inf, steps))
         assert CovarianceMatrix(V).matrix.tobytes() == ((V + V.T) / 2.0).tobytes()
         # an exactly symmetric matrix keeps its bits, subnormal entries included
-        # (halving rounds an odd one, such as 9.607892434345144e-309)
+        # (halving rounds an odd one, such as 9.607892434345144e-309), also
+        # where a diagonal entry past 2^1023 makes the average go by halves
         subnormal = (st.sampled_from([5e-324, 9.607892434345144e-309])
                      | st.floats(5e-324, 2.0**-1022, exclude_max=True))
         V = np.triu(V) + np.triu(V, 1).T
         V[0, 1] = V[1, 0] = math.copysign(data.draw(subnormal), V[0, 1])
+        V[0, 0] = data.draw(st.sampled_from([V[0, 0], 1.7e308]))
         assert CovarianceMatrix(V).matrix.tobytes() == V.tobytes()
 
     def test_json_roundtrip(self):
