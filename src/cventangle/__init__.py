@@ -22,7 +22,6 @@ from .errors import (
     CVEntangleError,
     InvalidArgumentError,
     NumericDomainError,
-    SingularInputError,
     SingularLimitError,
     TruncationError,
 )
@@ -41,7 +40,6 @@ from .realignment import (
     TwoTwoClassification,
     classify_two_two,
     family_threshold,
-    realigned_gram_covariance,
     realignment_norm,
     two_two_family,
 )
@@ -59,7 +57,6 @@ from .symplectic import (
     CovarianceMatrix,
     WilliamsonSpectrum,
     is_physical,
-    symplectic_eigenvalues,
     symplectic_form,
 )
 from .witness import (

@@ -19,10 +19,6 @@ class InvalidArgumentError(CVEntangleError, ValueError):
     """Malformed or out-of-contract input."""
 
 
-class SingularInputError(CVEntangleError):
-    """Matrix input outside the solvable domain (e.g. not positive definite)."""
-
-
 class NumericDomainError(CVEntangleError):
     """A closed-form expression was evaluated outside its numeric domain."""
 

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularInputError
+from .errors import InvalidArgumentError
 
 #: Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_TOL = 1e-12
 #: Tolerance on the minimum eigenvalue of V + iJ/4 in the physicality test.
 PHYSICALITY_TOL = 1e-10
-#: Relative tolerance on the real residual of the eigenvalues of J^-1 V.
-IMAG_RESIDUAL_TOL = 1e-9
 
 ORDERING_TEMPLATE = "x{0},p{0}"
 
@@ -114,9 +112,9 @@ class WilliamsonSpectrum:
     """Symplectic eigenvalues of a Gaussian characteristic function plus its
     scalar prefactor (1 when the function describes a density operator).
 
-    A plain record: its producers (:func:`symplectic_eigenvalues` and the
-    realignment Gram spectra) guarantee that ``nus`` is a tuple of sorted,
-    finite, positive floats and that ``a0`` is a float in (0, inf)."""
+    A plain record: its one producer, the realignment Gram spectrum of
+    :mod:`cventangle.realignment`, guarantees that ``nus`` is a tuple of
+    sorted, finite, positive floats and that ``a0`` is a float in (0, inf)."""
 
     nus: tuple[float, ...]
     a0: float = 1.0
@@ -153,30 +151,3 @@ def require_physical(V: CovarianceMatrix) -> CovarianceMatrix:
             )
         object.__setattr__(V, "_physical", True)
     return V
-
-
-def symplectic_eigenvalues(V: CovarianceMatrix) -> WilliamsonSpectrum:
-    """Symplectic spectrum of a positive-definite covariance matrix.
-
-    The m positive numbers nu_i such that J^-1 V has eigenvalues +-(i nu_i),
-    sorted ascending.  Each eigenvalue pair must be purely imaginary up to a
-    relative residual of ``IMAG_RESIDUAL_TOL``; the residual is discarded.
-
-    Raises:
-        SingularInputError: if V is not positive definite or the eigenvalues
-            of J^-1 V carry a real part beyond the tolerance.
-    """
-    if float(np.linalg.eigvalsh(V.matrix).min()) <= 0.0:
-        raise SingularInputError("covariance matrix must be positive definite")
-    J = symplectic_form(V.modes)
-    eigs = np.linalg.eigvals(np.linalg.solve(J, V.matrix))
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if float(np.abs(eigs.real).max()) > IMAG_RESIDUAL_TOL * scale:
-        raise SingularInputError(
-            "eigenvalues of J^-1 V are not purely imaginary; matrix is not a "
-            "valid quadrature covariance"
-        )
-    vals = np.sort(np.abs(eigs.imag))
-    # conjugate pairs land adjacent after sorting; average to kill solver noise
-    nus = 0.5 * (vals[0::2] + vals[1::2])
-    return WilliamsonSpectrum(nus=tuple(float(x) for x in nus), a0=1.0)

@@ -14,8 +14,8 @@ import pytest
 from scipy.linalg import expm
 
 from cventangle import (CovarianceMatrix, InvalidArgumentError, TwoModeStandardForm,
-                        WilliamsonSpectrum, WitnessParams, is_physical, realigned_gram_covariance,
-                        squeezed_thermal_params, symplectic_eigenvalues, symplectic_form)
+                        WilliamsonSpectrum, WitnessParams, is_physical, squeezed_thermal_params,
+                        symplectic_form)
 from cventangle import realignment
 
 #: Two states whose realigned norm is the double 1.0000000001 = fl(1 + 1e-10),
@@ -99,11 +99,42 @@ def norm_from_spectrum(spectrum) -> float:
     return norm
 
 
+def symplectic_eigenvalues(V: CovarianceMatrix) -> tuple[float, ...]:
+    """Reference symplectic spectrum of a positive-definite V: the m numbers
+    nu_i such that J^-1 V has eigenvalues +-(i nu_i), sorted ascending."""
+    eigs = np.linalg.eigvals(np.linalg.solve(symplectic_form(V.modes), V.matrix))
+    vals = np.sort(np.abs(eigs.imag))
+    # conjugate pairs land adjacent after sorting; average to kill solver noise
+    return tuple(float(x) for x in 0.5 * (vals[0::2] + vals[1::2]))
+
+
+def realigned_gram_covariance(V: CovarianceMatrix) -> tuple[CovarianceMatrix, float]:
+    """Reference covariance and prefactor a0 of the Gram operator R(rho) R(rho)†
+    of a physical n+n mode V (module docstring of :mod:`cventangle.realignment`):
+
+        V_gram = (L^T V L + S^T V^{-1} S) / 2,    a0 = 2^{-2m} det(V)^{-1/2},
+
+    with m = 2n modes and the sparse couplings L, S of the split; a0 is the
+    purity of the state."""
+    m = V.modes
+    n = m // 2
+    L = np.zeros((2 * m, 2 * m))
+    S = np.zeros((2 * m, 2 * m))
+    for j in range(n):
+        xj, pj = 2 * j, 2 * j + 1
+        bnj, anj = 2 * (n + j), 2 * (n + j) + 1
+        L[xj, xj], L[xj, bnj], L[pj, pj], L[pj, anj] = 1.0, 1.0, -1.0, 1.0
+        S[xj, pj], S[xj, anj], S[pj, xj], S[pj, bnj] = 0.25, 0.25, 0.25, -0.25
+    gram = 0.5 * (L.T @ V.matrix @ L + S.T @ np.linalg.solve(V.matrix, S))
+    a0 = math.exp(-2.0 * m * math.log(2.0) - 0.5 * np.linalg.slogdet(V.matrix)[1])
+    return CovarianceMatrix(gram), a0
+
+
 def gram_route(V: CovarianceMatrix) -> tuple[float, WilliamsonSpectrum]:
     """Reference realigned norm and Gram spectrum through the Gram covariance
     and its symplectic eigen-solve."""
     gram, a0 = realigned_gram_covariance(V)
-    spectrum = WilliamsonSpectrum(nus=symplectic_eigenvalues(gram).nus, a0=a0)
+    spectrum = WilliamsonSpectrum(nus=symplectic_eigenvalues(gram), a0=a0)
     return norm_from_spectrum(spectrum), spectrum
 
 

@@ -36,8 +36,6 @@ def test_traced_fock_names_exist():
 
 #: The non-Fock functions ``tracer.layer_metrics`` reads by name.
 TRACED_LAYER_NAMES = [
-    "realignment.realigned_gram_covariance",
-    "symplectic.symplectic_eigenvalues",
     "symplectic.is_physical",
     "phase_space.slice_integral",
     "states.parse_state_descriptor",

@@ -917,30 +917,6 @@ class TestQuantityTable:
         if scan_code == EXIT_INVALID and family.axes:
             assert "not available for family" in capsys.readouterr().err
 
-    def test_closed_form_families_skip_gram_pipeline(self, monkeypatch, capsys):
-        # standard2 and two_two read their closed-form norm and Gram spectrum,
-        # and raw_covariance its canonical correlations: no family builds the
-        # Gram covariance or runs its symplectic eigen-solve
-        from cventangle import realignment, state_descriptor, symplectic, tmsv_params
-
-        calls = []
-        for module, name in ((realignment, "realigned_gram_covariance"),
-                             (symplectic, "symplectic_eigenvalues")):
-            def counted(*args, _original=getattr(module, name), _name=name):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(module, name, counted)
-        tmsv = tmsv_params(0.6)
-        for doc, quantity in ((state_descriptor(tmsv), "realignment_norm"),
-                              (json.loads(TWO_TWO), "realignment_norm"),
-                              (json.loads(TWO_TWO), "classify")):
-            assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_OK
-        assert calls == []
-        raw = json.dumps(state_descriptor(tmsv.covariance()))
-        assert main(["eval", "--state", raw, "--quantity", "realignment_norm"]) == EXIT_OK
-        assert calls == []
-
     def test_closed_form_families_run_no_eigen_solve(self, tmp_path, monkeypatch, capsys):
         # standard2 and two_two decide physicality in closed form, and a
         # detected 2+2 point is PPT by identity: no eigen-solve anywhere;

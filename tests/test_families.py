@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 
 from cventangle import (CovarianceMatrix, CVEntangleError, InvalidArgumentError, WitnessParams,
                         bound_report, cli, family_threshold,
-                        parse_state_descriptor, realigned_gram_covariance,
-                        realignment_norm, state_descriptor,
-                        symplectic_eigenvalues, two_two_family)
+                        parse_state_descriptor, realignment_norm, state_descriptor,
+                        two_two_family)
 from cventangle.cli import evaluate_quantity
 from cventangle.realignment import DETECTION_TOL, standard_form_norm
 from cventangle.states import family_named
-from conftest import WignerSpec, moments_swap, moments_witness, two_mode_cov
+from conftest import WignerSpec, gram_route, moments_swap, moments_witness, two_mode_cov
 
 TOL = 1e-10
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -50,12 +49,11 @@ def close(value, ref, tol=TOL):
 
 def assert_gram_spectrum(record, V):
     """The record's closed-form nus and a0 against the generic Gram pipeline."""
-    gram, a0 = realigned_gram_covariance(V)
-    nus = symplectic_eigenvalues(gram).nus
-    assert len(record["nus"]) == len(nus)
-    for value, ref in zip(record["nus"], nus):
+    spectrum = gram_route(V)[1]
+    assert len(record["nus"]) == len(spectrum.nus)
+    for value, ref in zip(record["nus"], spectrum.nus):
         assert abs(value - ref) <= 1e-12 * ref
-    assert abs(record["a0"] - a0) <= 1e-12 * a0
+    assert abs(record["a0"] - spectrum.a0) <= 1e-12 * spectrum.a0
 
 
 @PROPERTY

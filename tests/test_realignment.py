@@ -20,8 +20,8 @@ from cventangle import (
     TwoTwoFamilyParams,
     classify_two_two,
     family_threshold,
+    is_physical,
     optimal_witness,
-    realigned_gram_covariance,
     realignment_norm,
     squeezed_thermal_params,
     state_descriptor,
@@ -35,7 +35,8 @@ from cventangle.states import family_of, parse_state_descriptor
 from cventangle.witness import swap_photon_added_closed, witness_photon_added_closed
 from conftest import (STANDARD2_EDGE, gram_route, is_ppt, norm_from_spectrum, partial_transpose,
                       random_physical_cov, random_product_cov, random_standard_form,
-                      random_symplectic, standard_form_gram_spectrum, two_mode_cov)
+                      random_symplectic, realigned_gram_covariance, standard_form_gram_spectrum,
+                      symplectic_eigenvalues, two_mode_cov)
 
 
 def gram_reference_two_mode(a, b, c1, c2):
@@ -105,13 +106,18 @@ class TestGramCovariance:
             purity = 4.0**-2 / math.sqrt(np.linalg.det(s.covariance().matrix))
             assert abs(a0 - purity) < 1e-13
 
-    def test_rejects_odd_split(self):
-        with pytest.raises(InvalidArgumentError):
-            realigned_gram_covariance(CovarianceMatrix(np.eye(6) / 4))
-
-    def test_rejects_unphysical(self):
-        with pytest.raises(InvalidArgumentError):
-            realigned_gram_covariance(CovarianceMatrix(np.eye(4) / 8))
+    def test_gram_is_a_state(self, rng):
+        # R R† is positive with trace Tr(rho^2) = a0, so R R† / a0 is a density
+        # operator: its covariance passes the physicality test, its symplectic
+        # eigenvalues are at least 1/4, and they are the package's spectrum
+        for _ in range(20):
+            V = random_physical_cov(rng, int(rng.choice([2, 4])))
+            gram, a0 = realigned_gram_covariance(V)
+            assert is_physical(gram)
+            assert 0.0 < a0 <= 1.0 + 1e-12
+            nus = realignment_norm(V).spectrum.nus
+            assert min(nus) >= 0.25 - 1e-12
+            assert np.allclose(nus, symplectic_eigenvalues(gram), rtol=1e-8)
 
 
 class TestRealignmentNorm:
@@ -729,6 +735,18 @@ class TestClassifyTwoTwo:
         res = classify_two_two(1.0, 1.0, 0.82)
         assert res.verdict == "unphysical"
         assert res.norm is None
+
+    def test_nan_coupling_is_invalid(self):
+        # a NaN c is invalid input, as a NaN a or b is, not a singular limit:
+        # the scalar gate refuses it for classify and realignment_norm alike,
+        # the array form reads it invalid, and an infinite c stays unphysical
+        for evaluate in (lambda s: classify_two_two(s.a, s.b, s.c),
+                         lambda s: evaluate_quantity(s, "realignment_norm")):
+            with pytest.raises(InvalidArgumentError, match="nan"):
+                evaluate(TwoTwoFamilyParams(1.0, 1.0, math.nan))
+        verdict = classify_two_two_array(1.0, 1.0, np.array([math.nan, math.inf, 0.78]))[0]
+        assert verdict.tolist() == ["invalid", "unphysical", "bound_entangled"]
+        assert classify_two_two(1.0, 1.0, math.inf).verdict == "unphysical"
 
     def test_spectrum_attached_at_physical_points_only(self):
         # the spectrum is the one realignment_norm reports, and that of the
