@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import crosscheck, witness
+from . import crosscheck, realignment, witness
 from .errors import CVEntangleError, InvalidArgumentError, NumericDomainError
 from .states import (decode_fields, family_named, family_of, parse_state_descriptor,
                      state_descriptor)
@@ -43,11 +43,8 @@ def _spectrum_fields(spectrum) -> dict:
 
 
 def _realignment_fields(result) -> dict:
-    """The one refusal of a missing Gram spectrum: a0, the purity, can only underflow.
-    ``normError`` on the raw route only (a0 <= norm^2 in range keeps it above 0)."""
-    if result.spectrum is None:
-        raise NumericDomainError("Gram prefactor a0 underflows below the float range")
-    error = {"normError": result.norm_error} if result.norm_error else {}
+    """Norm, ``normError`` on the raw route (relative gaps), ``nus``/``a0`` in range, verdict."""
+    error = {} if result.relative is None else {"normError": result.norm_error}
     return {"norm": result.norm, **error, **_spectrum_fields(result.spectrum),
             "verdict": result.verdict}
 
@@ -136,10 +133,13 @@ def _cell(record: dict) -> tuple:
 
 def _evaluator(family, quantity: str):
     """The family's evaluator for ``quantity``; ``bounds`` is derived wherever
-    the family evaluates both ``witness01`` and ``swap``."""
+    the family evaluates both ``witness01`` and ``swap``, ``realignment_norm``
+    wherever it has a reduction."""
     if quantity == "bounds" and {"witness01", "swap"} <= family.quantities.keys():
         w01, swap = family.quantities["witness01"], family.quantities["swap"]
         return lambda state: bounds_mod.bound_report(w01(state), swap(state))
+    if quantity == "realignment_norm" and family.reduction:
+        return lambda state: realignment.realignment_result(*family.reduction(state))
     if quantity not in family.quantities:
         raise InvalidArgumentError(f"{quantity} is not available for family {family.name}")
     return family.quantities[quantity]

@@ -34,9 +34,10 @@ sqrt(ab) - |c_i| of :func:`standard_form_gaps`: exact two-products correct
 the rounded sqrt(ab), so each gap is within a few ulps at every scale, and at
 a = b it is a - |c_i| rounded once.  A 2+2 threshold lost to rounding is a
 numeric-domain failure (the CLI exits 3), not invalid input.
-:func:`realignment_norm` of a standard form or a covariance and
-:func:`classify_two_two` end in one computation of the norm and Gram spectrum
-from g and the gaps.  Where a0, the purity, underflows, there is no spectrum.
+Each Gaussian family has one reduction to g, the gaps g (1 - s_i), the
+relative gaps 1 - s_i and a relative norm error, from which
+:func:`realignment_result` reads the norm; the Gram spectrum is built from it
+only when read, and is None where a0, the purity, underflows.
 
 The 2+2 family needs no PPT check.  Its partial transpose on side B flips
 the momenta p3 and p4, which maps V to D V D with
@@ -53,7 +54,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -78,13 +79,14 @@ def detects_entanglement(value):
 
 @dataclass(frozen=True)
 class RealignmentResult:
-    """Realigned trace norm, the Gram spectrum behind it (None where its
-    prefactor a0 leaves the float range), the first-order error bound of the
-    norm (0.0 for the closed forms) and the verdict, which the norm must
-    reach with that error taken against it."""
+    """Realigned trace norm, its reduction (g, gaps, relative gaps: None for
+    gap_i / g), its first-order error bound (0.0 for the closed forms) and the
+    verdict, which the norm must reach with that error taken against it."""
 
     norm: float
-    spectrum: Optional[WilliamsonSpectrum]
+    g: float
+    gaps: Sequence[float]
+    relative: Optional[Sequence[float]] = None
     norm_error: float = 0.0
 
     @property
@@ -92,30 +94,50 @@ class RealignmentResult:
         return ("entangled" if detects_entanglement(1.0 - self.norm + self.norm_error)
                 else "undetected")
 
+    @property
+    def spectrum(self) -> Optional[WilliamsonSpectrum]:
+        """nu_i and a0 (module docstring), 1 - s_i^2 = x (2 - x); None out of range."""
+        relative = self.relative or [gap / self.g for gap in self.gaps]
+        roots = [math.sqrt(x * (2.0 - x)) for x in relative]
+        a0 = math.prod(0.25 / (self.g * root) for root in roots)
+        return (WilliamsonSpectrum(nus=tuple(sorted(0.25 / root for root in roots)), a0=float(a0))
+                if 0.0 < a0 < math.inf else None)
 
-def _result(g: float, gaps, relative=None, error=0.0) -> RealignmentResult:
-    """The realigned norm prod_i 1 / (2 sqrt(gap_i)) of the absolute gaps
-    g (1 - s_i), SingularLimitError where NaN, its error bound norm * error
-    (error relative), and the nu_i and a0 of the module docstring from g and
-    the relative gaps 1 - s_i (default gap_i / g), with 1 - s_i^2 =
-    gap (2 - gap): no spectrum where a0 underflows or overflows."""
+
+def reduced_norm(g: float, gaps) -> float:
+    """The realigned norm prod_i 1 / (2 sqrt(gap_i)) of a reduction's gaps,
+    refused with SingularLimitError where it is NaN."""
     norm = _norm_of_gaps(gaps)
     if math.isnan(norm):
         raise SingularLimitError(f"realigned norm diverges at a gap <= 0 or leaves the float "
                                  f"range (scale g={g}, gaps {gaps})")
-    roots = [math.sqrt(x * (2.0 - x)) for x in relative or [gap / g for gap in gaps]]
-    a0 = math.prod(0.25 / (g * root) for root in roots)
-    spectrum = (WilliamsonSpectrum(nus=tuple(sorted(0.25 / root for root in roots)), a0=float(a0))
-                if 0.0 < a0 < math.inf else None)
-    return RealignmentResult(norm=norm, spectrum=spectrum, norm_error=norm * error)
+    return norm
+
+
+def realignment_result(g: float, gaps, relative=None, error=0.0) -> RealignmentResult:
+    """The result of a reduction (g, gaps[, relative[, error]]): its
+    :func:`reduced_norm` and the error bound norm * error (error relative)."""
+    norm = reduced_norm(g, gaps)
+    return RealignmentResult(norm, g, gaps, relative, norm * error)
 
 
 def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> RealignmentResult:
-    """Realigned trace norm and Gram spectrum (module docstring) of a two-mode
-    standard form, from the gaps of its physicality test, or of an n+n mode
-    covariance V, from its canonical correlations.  An unphysical V is refused
-    (:func:`cventangle.symplectic.require_physical`, which runs no second
-    eigen-solve on a V it has passed, such as a ``raw_covariance`` build).
+    """Realigned trace norm of a two-mode standard form or an n+n mode
+    covariance, from the reduction of its row of :data:`cventangle.states.FAMILIES`
+    (for a covariance :func:`covariance_reduction`, whose refusals it raises)."""
+    from .states import TwoModeStandardForm, family_of  # states imports this module
+
+    if type(state) not in (TwoModeStandardForm, CovarianceMatrix):
+        raise InvalidArgumentError(f"realignment_norm takes a TwoModeStandardForm or a "
+                                   f"CovarianceMatrix, got {type(state).__name__}")
+    return realignment_result(*family_of(state).reduction(state))
+
+
+def covariance_reduction(V: CovarianceMatrix) -> tuple:
+    """The reduction (g, gaps, relative gaps, relative norm error) of an n+n
+    mode covariance V from its canonical correlations (module docstring), or
+    the refusal of an unphysical V (:func:`cventangle.symplectic.require_physical`,
+    which runs no second eigen-solve on a ``raw_covariance`` build it passed).
 
     Refusal bound and normError.  With k = 2n and u = 2^-53, row and column i
     of V are first scaled by 2^-floor(p_i / 2), p_i the binary exponent of
@@ -154,19 +176,11 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
     DETECTION_TOL covers.
 
     Raises:
-        InvalidArgumentError: for another type, an odd mode split or an unphysical V.
+        InvalidArgumentError: for an odd mode split or an unphysical V.
         NumericDomainError: where a physical V has a local block that is not
             positive definite in floating point (its Cholesky factorization fails).
-        SingularLimitError: where some 1 - s_i is within the allowance, or the
-            norm leaves the float range.
+        SingularLimitError: where some 1 - s_i is within the allowance.
     """
-    if not isinstance(state, CovarianceMatrix):
-        sab_gaps = getattr(state, "_gaps", None)  # kept by every TwoModeStandardForm
-        if sab_gaps is None:
-            raise InvalidArgumentError(f"realignment_norm takes a TwoModeStandardForm or a "
-                                       f"CovarianceMatrix, got {type(state).__name__}")
-        return _result(*sab_gaps)
-    V = state
     k = V.modes  # 2n: the dimension of each side
     if k % 2:
         raise InvalidArgumentError(f"realignment requires an even n+n mode split, got {k} modes")
@@ -193,7 +207,7 @@ def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> Realignme
     g = math.exp((sum(map(math.log, R.diagonal(axis1=1, axis2=2).ravel().tolist()))
                   + math.log(2.0) * sum(q)) / k)
     error = allowance * (k / 4.0 + sum(0.5 / gap for gap in gaps))
-    return _result(g, [g * gap for gap in gaps], gaps, error)
+    return g, [g * gap for gap in gaps], gaps, error
 
 
 #: 2^27 + 1: x * _SPLIT splits a double x into two halves of at most 26
@@ -389,16 +403,24 @@ def classify_two_two_array(a, b, c):
     return verdict, norm * NAN_OR_ONE.take(~invalid & ~unphysical), threshold
 
 
+def two_two_reduction(a: float, b: float, c: float) -> tuple:
+    """The reduction of a 2+2 point, :func:`standard_form_gaps` with c four times,
+    refused where :func:`classify_two_two` refuses the point or calls it unphysical."""
+    threshold = family_threshold(a, b)
+    if not abs(c) <= threshold:
+        raise InvalidArgumentError(f"constraint violated: |c| = {abs(c)} exceeds the physicality "
+                                   f"threshold {threshold} of the 2+2 family (a={a}, b={b})")
+    return standard_form_gaps(a, b, (c,) * 4)
+
+
 def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
     """:func:`classify_two_two_array` at one point, read from
-    :func:`family_threshold` and, only where |c| is within it, the realigned
-    norm and Gram spectrum of one :func:`standard_form_gaps` (:func:`_result`,
-    as :func:`realignment_norm` computes them).  Each formula is the array
-    form's, run on its float branch (:func:`_sqrt`), so values and verdicts
-    match the array form bit for bit, and a point it calls ``invalid`` raises
-    here.  The spectrum is None where its prefactor a0, the purity of the
-    state, underflows (a = b from about 1e80): the array form has no spectrum,
-    and the verdict does not read it.
+    :func:`family_threshold` and, only where |c| is within it, the
+    :func:`realignment_result` of one :func:`standard_form_gaps`, as
+    :func:`two_two_reduction` ends.  Each formula is the array form's, run on
+    its float branch (:func:`_sqrt`), so values and verdicts match the array
+    form bit for bit, and a point it calls ``invalid`` raises here.  The
+    spectrum is None where a0 underflows (a = b from about 1e80).
 
     Raises:
         InvalidArgumentError: below the vacuum bound, or where c is NaN.
@@ -412,7 +434,7 @@ def classify_two_two(a: float, b: float, c: float) -> TwoTwoClassification:
         raise InvalidArgumentError("constraint violated: the coupling c must be a number (got nan)")
     if abs(c) > threshold:
         return TwoTwoClassification(verdict="unphysical", norm=None, threshold=threshold)
-    result = _result(*standard_form_gaps(a, b, (c,) * 4))
+    result = realignment_result(*standard_form_gaps(a, b, (c,) * 4))
     verdict = "bound_entangled" if result.verdict == "entangled" else "undetected"
     return TwoTwoClassification(verdict=verdict, norm=result.norm, threshold=threshold,
                                 spectrum=result.spectrum)

@@ -7,8 +7,8 @@ not modelled.  A Gaussian state (covariance or standard form) supplies the
 are described by their parameters and evaluated in closed form.
 
 The family table :data:`FAMILIES` at the end of the module is the one place
-that lists each family's name, class, descriptor fields, scan axes and the
-evaluator of every quantity it supports.
+that lists each family's name, class, descriptor fields, scan axes, the
+evaluator of every quantity it supports and any realignment reduction.
 """
 
 from __future__ import annotations
@@ -95,11 +95,7 @@ class TwoModeStandardForm:
                 "constraint violated: the standard form fails the physicality "
                 f"test V + iJ/4 >= 0 (a={a}, b={b}, c1={c1}, c2={c2})"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "_gaps", sab_gaps)
+        self.__dict__.update(a=a, b=b, c1=c1, c2=c2, _gaps=sab_gaps)  # frozen: no __setattr__
 
     def slice_matrix(self, d_minus: float, d_plus: float) -> tuple[float, float, float, float]:
         """diag(K-, K+), the slice matrix of :mod:`cventangle.phase_space`."""
@@ -117,18 +113,17 @@ class TwoModeStandardForm:
 
 @dataclass(frozen=True)
 class TwoTwoFamilyParams:
-    """Parameters (a, b, c) of the 2+2-mode correlated-thermal family."""
+    """Parameters (a, b, c) of the 2+2-mode correlated-thermal family, each
+    finite, with a, b >= 1/4."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        a, b, c = float(self.a), float(self.b), float(self.c)
+        a, b, c = (real_field(name, float(getattr(self, name))) for name in ("a", "b", "c"))
         require_vacuum_bound(a=a, b=b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self.__dict__.update(a=a, b=b, c=c)
 
     def covariance(self) -> CovarianceMatrix:
         return two_two_family(self.a, self.b, self.c)
@@ -145,8 +140,7 @@ class PhotonAddedSqueezedThermal:
     def __post_init__(self):
         n, r = float(self.n), float(self.r)
         require_nonnegative_nr(n, r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
+        self.__dict__.update(n=n, r=r)
 
 
 @dataclass(frozen=True)
@@ -166,9 +160,7 @@ class CoherentMixture:
 
     def __post_init__(self):
         p, alpha1, alpha2, _overlap = require_mixture(self.p, self.alpha1, self.alpha2)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "alpha1", alpha1)
-        object.__setattr__(self, "alpha2", alpha2)
+        self.__dict__.update(p=p, alpha1=alpha1, alpha2=alpha2)
 
 
 def squeezed_thermal_params(n: float, r: float) -> TwoModeStandardForm:
@@ -206,7 +198,9 @@ class Family:
     descriptor ``fields`` (each mapped to the decoder that validates its JSON
     value), the evaluator of each supported quantity, and the ``axes`` a scan
     may vary.  ``build`` (default: the class) takes the decoded fields as
-    keywords.
+    keywords.  On a Gaussian row, ``reduction`` maps a state to the arguments
+    of :func:`cventangle.realignment.realignment_result`, from which
+    ``realignment_norm`` is derived.
 
     ``grid`` holds the grid evaluators of the quantities that have an array
     closed form: each takes the fields as keywords, numbers or arrays that
@@ -222,19 +216,7 @@ class Family:
     axes: tuple[str, ...] = ()
     build: Optional[Callable] = None
     grid: Mapping[str, Callable] = dataclasses.field(default_factory=dict)
-
-
-def _two_two_realignment(s: TwoTwoFamilyParams) -> realignment.RealignmentResult:
-    """The realignment result of a 2+2 state, read from
-    :func:`cventangle.realignment.classify_two_two` and refused where the
-    point is unphysical."""
-    result = realignment.classify_two_two(s.a, s.b, s.c)
-    if result.verdict == "unphysical":
-        raise InvalidArgumentError(
-            f"constraint violated: |c| = {abs(s.c)} exceeds the physicality threshold "
-            f"{result.threshold} of the 2+2 family (a={s.a}, b={s.b})"
-        )
-    return realignment.RealignmentResult(norm=result.norm, spectrum=result.spectrum)
+    reduction: Optional[Callable] = None
 
 
 _W01 = witness.WitnessParams(0.0, 1.0)
@@ -246,14 +228,12 @@ FAMILIES = (
         "optimal_witness": lambda s: witness.optimal_witness(s),
         "witness01": lambda s: witness.witness_expectation_gaussian(s, _W01),
         "swap": lambda s: witness.swap_expectation(s),
-        "realignment_norm": lambda s: realignment.realignment_norm(s),
-    }, axes=("a", "b", "c1", "c2")),
+    }, axes=("a", "b", "c1", "c2"), reduction=lambda s: s._gaps),
     Family("two_two", TwoTwoFamilyParams, dict.fromkeys(("a", "b", "c"), real_field), {
-        "realignment_norm": _two_two_realignment,
         "classify": lambda s: realignment.classify_two_two(s.a, s.b, s.c),
     }, axes=("a", "b", "c"), grid={
         "classify": lambda a, b, c: realignment.classify_two_two_array(a, b, c),
-    }),
+    }, reduction=lambda s: realignment.two_two_reduction(s.a, s.b, s.c)),
     Family("photon_added_sts", PhotonAddedSqueezedThermal, dict.fromkeys(("n", "r"), real_field), {
         "witness01": lambda s: witness.witness_photon_added_closed(s.n, s.r),
         "swap": lambda s: witness.swap_photon_added_closed(s.n, s.r),
@@ -272,8 +252,8 @@ FAMILIES = (
            {"modes": real_field, "ordering": text_field, "matrix": matrix_field}, {
         "witness01": lambda V: witness.witness_expectation_gaussian(V, _W01),
         "swap": lambda V: witness.swap_expectation(V),
-        "realignment_norm": lambda V: realignment.realignment_norm(V),
-    }, build=lambda **fields: require_physical(CovarianceMatrix.from_fields(**fields))),
+    }, build=lambda **fields: require_physical(CovarianceMatrix.from_fields(**fields)),
+           reduction=lambda V: realignment.covariance_reduction(V)),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}

@@ -23,7 +23,7 @@ import numpy as np
 from . import phase_space
 from .errors import (InvalidArgumentError, NumericDomainError, real_field, require_mixture,
                      require_nonnegative_nr)
-from .realignment import _errstate, _nan_unless, detects_entanglement, realignment_norm
+from .realignment import _errstate, _nan_unless, detects_entanglement, reduced_norm
 from .symplectic import CovarianceMatrix, require_physical
 
 if TYPE_CHECKING:
@@ -89,14 +89,12 @@ def witness_expectation_gaussian(state: TwoModeStandardForm | CovarianceMatrix,
 
 def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
     """Global minimum of the witness expectation over (mu1, mu2): 1 minus the
-    realigned norm (:func:`cventangle.realignment.realignment_norm` of ``s``),
-    attained at |mu-+| = sqrt(a/b) with signs opposing c1, c2.  When c1 or c2
-    is zero both signs tie; the negative sign is returned for determinism.
-
-    Raises:
-        SingularLimitError: where the norm diverges or leaves the float range.
-    """
-    value = 1.0 - realignment_norm(s).norm
+    realigned norm of the reduction ``s`` keeps from its physicality test
+    (:func:`cventangle.realignment.reduced_norm`, which raises SingularLimitError
+    where it diverges; no Gram spectrum is built), attained at |mu-+| =
+    sqrt(a/b) with signs opposing c1, c2.  When c1 or c2 is zero both signs
+    tie; the negative sign is returned for determinism."""
+    value = 1.0 - reduced_norm(*s._gaps)
     ratio = s.a / s.b
     # where a/b overflows or is subnormal, sqrt(a)/sqrt(b) keeps mu finite and accurate
     ratio = (math.sqrt(ratio) if sys.float_info.min <= ratio < math.inf

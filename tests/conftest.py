@@ -142,7 +142,7 @@ def standard_form_gram_spectrum(a: float, b: float, couplings) -> WilliamsonSpec
     """The Gram spectrum that eval reports for a standard form (None where a0
     leaves the float range), next to its realigned norm from the same
     standard_form_gaps."""
-    return realignment._result(*realignment.standard_form_gaps(a, b, couplings)).spectrum
+    return realignment.realignment_result(*realignment.standard_form_gaps(a, b, couplings)).spectrum
 
 
 def random_physical_cov(rng, modes: int) -> CovarianceMatrix:

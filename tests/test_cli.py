@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cventangle import (InvalidArgumentError, NumericDomainError, classify_two_two, crosscheck,
-                        family_threshold, fock)
+from cventangle import (CovarianceMatrix, InvalidArgumentError, NumericDomainError,
+                        classify_two_two, crosscheck, family_threshold, fock, state_descriptor,
+                        tmsv_params)
 from cventangle.cli import (EXIT_INVALID, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, QUANTITIES,
                             evaluate_quantity, main)
 from cventangle.states import FAMILIES, parse_state_descriptor
@@ -257,12 +258,55 @@ class TestEval:
 
     def test_truncation_failure_exits_3(self, capsys):
         # eval has no Fock route any more; a numeric-domain failure it still
-        # reaches is a closed-form Gram spectrum whose prefactor
-        # a0 = 1/(16 ab) = 6.25e-402 underflows
-        big = json.dumps({"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0})
-        code = main(["eval", "--state", big, "--quantity", "realignment_norm"])
+        # reaches is a raw covariance whose largest canonical correlation lies
+        # within rounding of 1: the two-mode squeezed vacuum at r = 10.5
+        a, c = math.cosh(21.0) / 4, math.sinh(21.0) / 4
+        doc = json.dumps({"family": "raw_covariance", "modes": 2, "ordering": "x1,p1,x2,p2",
+                          "matrix": [[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]]})
+        code = main(["eval", "--state", doc, "--quantity", "realignment_norm"])
         assert code == EXIT_NUMERIC
-        assert "a0 underflows" in capsys.readouterr().err
+        assert "SingularLimitError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "two_two", "a": 1e100, "b": 1e100, "c": 0.0},
+        {"family": "standard2", "a": 1e200, "b": 1e200, "c1": 0.0, "c2": 0.0},
+        state_descriptor(CovarianceMatrix(1e170 * tmsv_params(0.3).covariance().matrix)),
+        state_descriptor(CovarianceMatrix(1.7e308 * np.eye(4))),
+    ], ids=["two_two", "standard2", "raw_tmsv_1e170", "raw_identity_1.7e308"])
+    def test_a0_out_of_range_answers_without_spectrum(self, doc, capsys):
+        # the Gram prefactor a0, the purity, underflows on every route: the
+        # realignment_norm record, like classify's, gives the norm and verdict
+        # without nus/a0
+        record = eval_record(doc, "realignment_norm", capsys)
+        assert "nus" not in record and "a0" not in record
+        entangled = record["verdict"] == "entangled"
+        if doc["family"] == "two_two":
+            reference = eval_record(doc, "classify", capsys)
+            assert reference["norm"] == record["norm"]
+            assert (reference["verdict"] == "bound_entangled") == entangled
+        elif doc["family"] == "standard2":
+            reference = eval_record(doc, "optimal_witness", capsys)
+            assert reference["value"] == 1.0 - record["norm"]
+            assert reference["entangled"] == entangled
+        else:
+            # the closed form of the same matrix entries; normError leaves out
+            # the rounding of the logarithms and of exp in g, about
+            # k u |ln g| of the norm with k = 2 (realignment.covariance_reduction)
+            (a, _, c1, _), (_, _, _, c2) = doc["matrix"][0], doc["matrix"][1]
+            closed = {"family": "standard2", "a": a, "b": a, "c1": c1, "c2": c2}
+            reference = eval_record(closed, "realignment_norm", capsys)
+            log_exp = 2 * 2.0**-53 * math.log(a) * reference["norm"]
+            assert abs(record["norm"] - reference["norm"]) <= record["normError"] + log_exp
+            assert reference["verdict"] == record["verdict"]
+
+    def test_raw_record_reports_a_norm_error_that_underflows(self, capsys):
+        # norm (1/2)^4 / 1e310 is subnormal, and its error bound of about
+        # 1e-13 of it rounds to 0: the raw record still carries normError
+        doc = state_descriptor(CovarianceMatrix(1e155 * np.eye(8)))
+        record = eval_record(doc, "realignment_norm", capsys)
+        assert record["normError"] == 0.0 and "a0" not in record
+        assert record["norm"] == pytest.approx(6.25e-312, rel=1e-9)
+        assert record["verdict"] == "undetected"
 
     def test_standard2_overflowing_ab_realignment_norm(self, capsys):
         # ab = 1e310 overflows, but sqrt(ab) = sqrt(a) sqrt(b) and a0 = 6.25e-312
@@ -286,8 +330,7 @@ class TestEval:
 
     def test_two_two_gram_underflow_classifies_as_the_scan_cell(self, tmp_path, capsys):
         # the Gram prefactor a0 underflows at a = b = 1e100: classify gives the
-        # verdict and norm of the scan cell without nus/a0, while
-        # realignment_norm, which reports them, exits 3.  The grid's every
+        # verdict and norm of the scan cell without nus/a0.  The grid's every
         # cell, all physical with a0 underflowing, equals its record
         base = {"family": "two_two", "a": 1e100, "b": 1e100, "c": 0.0}
         doc = json.dumps(base)
@@ -304,8 +347,6 @@ class TestEval:
         for a, c, value, verdict in rows:
             cell = {**base, "a": float(a), "c": float(c)}
             assert (value, verdict) == eval_cell(cell, "classify", capsys) == (value, "undetected")
-        assert main(["eval", "--state", doc, "--quantity", "realignment_norm"]) == EXIT_NUMERIC
-        assert "a0 underflows" in capsys.readouterr().err
         result = classify_two_two(1e100, 1e100, 0.0)
         assert result.verdict == "undetected" and result.spectrum is None
 
@@ -758,6 +799,12 @@ class TestScan:
         assert capsys.readouterr().err.startswith("I/O error: cannot write scan output")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"] and out.is_dir()
         assert list(out.iterdir()) == []
+
+
+def eval_record(doc, quantity, capsys) -> dict:
+    """The ``eval`` record of one descriptor, which must exit 0."""
+    assert main(["eval", "--state", json.dumps(doc), "--quantity", quantity]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
 
 
 def eval_cell(doc, quantity, capsys) -> tuple[str, str]:

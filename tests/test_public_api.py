@@ -1,5 +1,12 @@
 """The package's public names, pinned so that an added, removed or renamed
-export shows up as a diff of this list."""
+export shows up as a diff of this list, and the README's library quick start,
+run as written."""
+
+import ast
+import math
+import pathlib
+
+import pytest
 
 import cventangle
 
@@ -71,3 +78,32 @@ def test_gram_route_left_the_package():
                          (errors, "SingularInputError")):
         assert not hasattr(module, name), name
         assert not hasattr(cventangle, name), name
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start_values() -> list:
+    """The value of each expression statement of the README's "Library quick
+    start" block, run in order in one namespace."""
+    text = README.read_text().split("## Library quick start", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            values.append(eval(compile(ast.Expression(statement.value), README.name, "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([statement], []), README.name, "exec"), namespace)
+    return values
+
+
+def test_readme_quick_start_gives_the_values_in_its_comments():
+    witness, realigned, classified, fock_witness, negativity = quick_start_values()
+    assert witness == pytest.approx(1 - math.exp(1.2), rel=1e-14)
+    assert realigned.norm == pytest.approx(math.exp(1.2), rel=1e-14)
+    assert realigned.verdict == "entangled"
+    assert classified.verdict == "bound_entangled" and round(classified.norm, 5) == 1.29132
+    assert classified.spectrum is not None
+    assert fock_witness == pytest.approx(1 - math.exp(1.2), abs=1e-9)
+    assert negativity == pytest.approx(math.exp(1.2) - 1, abs=1e-9)

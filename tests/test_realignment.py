@@ -29,8 +29,8 @@ from cventangle import (
     two_two_family,
 )
 from cventangle.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, evaluate_quantity, main
-from cventangle.realignment import (DETECTION_TOL, classify_two_two_array, standard_form_gaps,
-                                    standard_form_norm)
+from cventangle.realignment import (DETECTION_TOL, classify_two_two_array, realignment_result,
+                                    standard_form_gaps, standard_form_norm)
 from cventangle.states import family_of, parse_state_descriptor
 from cventangle.witness import swap_photon_added_closed, witness_photon_added_closed
 from conftest import (STANDARD2_EDGE, gram_route, is_ppt, norm_from_spectrum, partial_transpose,
@@ -303,10 +303,6 @@ class TestCanonicalRoute:
         # a0 = (0.25 / 1e60)^6 underflows: the norm (0.5 / 1e30)^6 comes without a spectrum
         result = realignment_norm(CovarianceMatrix(np.eye(12) * 1e60))
         assert result.spectrum is None and result.norm == pytest.approx(2.0**-6 * 1e-180, rel=1e-13)
-        # far past where the squares of the local blocks overflow, a0 underflows
-        doc = state_descriptor(CovarianceMatrix(1e170 * tmsv_params(0.3).covariance().matrix))
-        code, _out, err = eval_doc(doc, "realignment_norm")
-        assert code == EXIT_NUMERIC and "a0 underflows" in err
 
     @pytest.mark.parametrize("x", [1.0, 1e100, 1.5e154, 1e158])
     def test_refusal_bound_at_every_scale(self, x):
@@ -330,9 +326,6 @@ class TestCanonicalRoute:
         result = realignment_norm(CovarianceMatrix(1.7e308 * np.eye(4)))
         assert result.norm == pytest.approx(1.4705882352941e-309, rel=1e-12)
         assert result.spectrum is None and result.verdict == "undetected"
-        doc = state_descriptor(CovarianceMatrix(1.7e308 * np.eye(4)))
-        code, out, err = eval_doc(doc, "realignment_norm")
-        assert (code, out) == (EXIT_NUMERIC, "") and "Gram prefactor a0 underflows" in err
         # a correlated state at that scale against its closed form:
         # canonical correlations 1/2, norm 1 / (4 (a - c))
         s = TwoModeStandardForm(1.7e308, 1.7e308, 0.85e308, -0.85e308)
@@ -432,12 +425,12 @@ class TestClosedForms:
             assert optimal_witness(s).value == 1.0 - realignment_norm(s).norm
 
     def test_two_mode_singular_limit(self):
-        class Fake:
-            a, b, c1, c2 = 0.5, 0.5, 0.5, 0.0
-            _gaps = standard_form_gaps(a, b, (c1, c2))
-
+        # |c1| = sqrt(ab): the standard form is refused when built, and its
+        # reduction diverges
+        with pytest.raises(InvalidArgumentError, match="physicality"):
+            TwoModeStandardForm(0.5, 0.5, 0.5, 0.0)
         with pytest.raises(SingularLimitError):
-            realignment_norm(Fake())
+            realignment_result(*standard_form_gaps(0.5, 0.5, (0.5, 0.0)))
 
     def test_two_two_values(self):
         assert abs(standard_form_norm(0.5, 0.5, (0.0,) * 4) - 0.25) < 1e-15
@@ -702,10 +695,10 @@ class TestClosedGramSpectrum:
         else:
             doc = state_descriptor(CovarianceMatrix(two_mode_cov(nus, theta, r, local)))
         state = parse_state_descriptor(doc)
-        quantities = family_of(state).quantities
-        spectra = [quantities["realignment_norm"](state).spectrum]
-        if "classify" in quantities:
-            spectra.append(quantities["classify"](state).spectrum)
+        family = family_of(state)
+        spectra = [realignment_result(*family.reduction(state)).spectrum]
+        if "classify" in family.quantities:
+            spectra.append(family.quantities["classify"](state).spectrum)
         for spectrum in spectra:
             assert_valid_spectrum(spectrum)
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cventangle import (
     CoherentMixture,
@@ -351,6 +353,31 @@ class TestDescriptors:
     def test_roundtrip(self, doc):
         state = parse_state_descriptor(doc)
         assert parse_state_descriptor(state_descriptor(state)) == state
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(a=st.one_of(st.floats(0.25, 1e300), st.floats()),
+           b=st.one_of(st.floats(0.25, 1e300), st.floats()),
+           c=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.nan, math.inf, -math.inf]),
+                       st.floats()))
+    def test_two_two_roundtrip(self, a, b, c):
+        # a 2+2 state that builds survives its descriptor round trip; a
+        # non-finite a, b or c is refused when built, as the descriptor refuses it
+        valid = a >= 0.25 and b >= 0.25 and all(map(math.isfinite, (a, b, c)))
+        try:
+            state = TwoTwoFamilyParams(a, b, c)
+        except InvalidArgumentError:
+            assert not valid
+            return
+        assert valid and parse_state_descriptor(state_descriptor(state)) == state
+
+    @pytest.mark.parametrize("a,b,c", [(1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+                                       (1.0, 1.0, -math.inf), (math.inf, 1.0, 0.0),
+                                       (1.0, math.inf, 0.0)])
+    def test_two_two_non_finite_refused(self, a, b, c):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            TwoTwoFamilyParams(a, b, c)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            parse_state_descriptor({"family": "two_two", "a": a, "b": b, "c": c})
 
     def test_raw_covariance_roundtrip(self):
         doc = state_descriptor(squeezed_thermal_params(0.2, 0.3).covariance())
