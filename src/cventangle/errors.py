@@ -46,10 +46,10 @@ def require_nonnegative_nr(n: float, r: float) -> None:
 
 def require_mixture(p, alpha1, alpha2) -> tuple[float, complex, complex, float]:
     """The coherent mixture's (p, alpha1, alpha2) as float and complexes, with
-    its overlap exp(-|alpha1 - alpha2|^2): p must lie in [0, 1] (NaN
-    rejected), both amplitudes must be finite (huge ones are fine), and the
-    operator trace 1 - p * overlap must exceed 1e-15."""
-    p = float(p)
+    its overlap exp(-|alpha1 - alpha2|^2): p must be a finite real number
+    (:func:`real_field`) in [0, 1], both amplitudes must be finite (huge ones
+    are fine), and the operator trace 1 - p * overlap must exceed 1e-15."""
+    p = real_field("p", p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError(f"mixing probability must lie in [0, 1], got {p}")
     alpha1, alpha2 = complex(alpha1), complex(alpha2)

@@ -116,9 +116,12 @@ def reduced_norm(g: float, gaps) -> float:
 
 def realignment_result(g: float, gaps, relative=None, error=0.0) -> RealignmentResult:
     """The result of a reduction (g, gaps[, relative[, error]]): its
-    :func:`reduced_norm` and the error bound norm * error (error relative)."""
+    :func:`reduced_norm` and the error bound norm * error (error relative),
+    plus k 2^-1074 where error is nonzero, k = len(gaps), for the roundings
+    of a subnormal norm (:func:`covariance_reduction`)."""
     norm = reduced_norm(g, gaps)
-    return RealignmentResult(norm, g, gaps, relative, norm * error)
+    subnormal = len(gaps) * 2.0**-1074 if error else 0.0
+    return RealignmentResult(norm, g, gaps, relative, norm * error + subnormal)
 
 
 def realignment_norm(state: TwoModeStandardForm | CovarianceMatrix) -> RealignmentResult:
@@ -171,9 +174,18 @@ def covariance_reduction(V: CovarianceMatrix) -> tuple:
     prod_i (1 - a_i) >= 1 - sum_i a_i for a_i in [0, 1].  A large normError
     (up to 0.42 of the norm for rotated squeezed vacuum products at
     zeta = 8) makes the verdict conservative, not wrong.  The upper side is
-    first order only, as (1 - x)^{-1/2} - 1 > x / 2.  The rounding of the
-    logarithms and of exp adds about k u |ln g| (|ln g| < 750), which
-    DETECTION_TOL covers.
+    first order only, as (1 - x)^{-1/2} - 1 > x / 2.
+
+    The norm carries g^{-k/2}, and g = exp(T / k) with T = sum ln diag R_X +
+    ln 2 sum_i floor(p_i / 2).  With Lambda = sum |ln diag R_X| +
+    ln 2 |sum_i floor(p_i / 2)| >= |T|, the logarithms (2u each), the sum, the
+    products and the division move T / k by at most (2k + 3) u Lambda / k, and
+    exp adds 2u, so g moves by u ((2k + 3) Lambda / k + 2) and the norm by at
+    most u ((k + 2) Lambda + k), which normError adds.  Where the scale
+    dominates, Lambda is about k |ln g|: 3.5e-13 of the norm for a two-mode V
+    at g = 1e170.  A subnormal norm also loses up to 2^-1075 in each of its k
+    roundings below 2^-1022 (the factors 1 / (2 sqrt(gap_i)) fall, so none
+    of them grows), which :func:`realignment_result` adds as k 2^-1074.
 
     Raises:
         InvalidArgumentError: for an odd mode split or an unphysical V.
@@ -204,9 +216,11 @@ def covariance_reduction(V: CovarianceMatrix) -> tuple:
         raise SingularLimitError(f"realigned norm diverges: canonical correlation "
                                  f"{float(s.max())!r} is within {allowance:.1e} of 1")
     # g = (det V_A det V_B)^(1 / 2k), the exponents q taken back exactly
-    g = math.exp((sum(map(math.log, R.diagonal(axis1=1, axis2=2).ravel().tolist()))
-                  + math.log(2.0) * sum(q)) / k)
-    error = allowance * (k / 4.0 + sum(0.5 / gap for gap in gaps))
+    logs = [math.log(x) for x in R.diagonal(axis1=1, axis2=2).ravel().tolist()]
+    g = math.exp((sum(logs) + math.log(2.0) * sum(q)) / k)
+    scale_logs = sum(map(abs, logs)) + math.log(2.0) * abs(sum(q))  # Lambda
+    error = (allowance * (k / 4.0 + sum(0.5 / gap for gap in gaps))
+             + 2.0**-53 * ((k + 2) * scale_logs + k))
     return g, [g * gap for gap in gaps], gaps, error
 
 

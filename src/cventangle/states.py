@@ -78,7 +78,8 @@ class TwoModeStandardForm:
     The covariance matrix is block-diagonal per quadrature: diag blocks
     diag(a, a) and diag(b, b), off-diagonal diag(c1, c2).  Requires a, b >= 1/4
     and the physicality of V, decided in closed form by
-    :func:`standard_form_is_physical`, whose gaps it keeps for its norm.
+    :func:`standard_form_is_physical`, whose gaps it keeps for its norm; each
+    field must be a finite real number (:func:`cventangle.errors.real_field`).
     """
 
     a: float
@@ -87,7 +88,7 @@ class TwoModeStandardForm:
     c2: float
 
     def __post_init__(self):
-        a, b, c1, c2 = (float(v) for v in (self.a, self.b, self.c1, self.c2))
+        a, b, c1, c2 = (real_field(name, getattr(self, name)) for name in ("a", "b", "c1", "c2"))
         require_vacuum_bound(a=a, b=b)
         sab_gaps = realignment.standard_form_gaps(a, b, (c1, c2))
         if not standard_form_is_physical(a, b, c1, c2, sab_gaps):
@@ -121,7 +122,7 @@ class TwoTwoFamilyParams:
     c: float
 
     def __post_init__(self):
-        a, b, c = (real_field(name, float(getattr(self, name))) for name in ("a", "b", "c"))
+        a, b, c = (real_field(name, getattr(self, name)) for name in ("a", "b", "c"))
         require_vacuum_bound(a=a, b=b)
         self.__dict__.update(a=a, b=b, c=c)
 
@@ -132,13 +133,14 @@ class TwoTwoFamilyParams:
 @dataclass(frozen=True)
 class PhotonAddedSqueezedThermal:
     """Single photon added (on mode 2) to a symmetric two-mode squeezed
-    thermal state with mean thermal photon number n and squeezing r."""
+    thermal state with mean thermal photon number n and squeezing r, each
+    finite and nonnegative."""
 
     n: float
     r: float
 
     def __post_init__(self):
-        n, r = float(self.n), float(self.r)
+        n, r = real_field("n", self.n), real_field("r", self.r)
         require_nonnegative_nr(n, r)
         self.__dict__.update(n=n, r=r)
 

@@ -14,7 +14,6 @@ certifies entanglement (:func:`detects_entanglement`, the one verdict rule).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -92,13 +91,12 @@ def optimal_witness(s: TwoModeStandardForm) -> OptimalWitness:
     realigned norm of the reduction ``s`` keeps from its physicality test
     (:func:`cventangle.realignment.reduced_norm`, which raises SingularLimitError
     where it diverges; no Gram spectrum is built), attained at |mu-+| =
-    sqrt(a/b) with signs opposing c1, c2.  When c1 or c2 is zero both signs
-    tie; the negative sign is returned for determinism."""
+    sqrt(a/b) with signs opposing c1, c2.  The ratio is taken as
+    sqrt(a) / sqrt(b), finite and within 2 ulp of sqrt(a/b) for every
+    a, b >= 1/4.  When c1 or c2 is zero both signs tie; the negative sign is
+    returned for determinism."""
     value = 1.0 - reduced_norm(*s._gaps)
-    ratio = s.a / s.b
-    # where a/b overflows or is subnormal, sqrt(a)/sqrt(b) keeps mu finite and accurate
-    ratio = (math.sqrt(ratio) if sys.float_info.min <= ratio < math.inf
-             else math.sqrt(s.a) / math.sqrt(s.b))
+    ratio = math.sqrt(s.a) / math.sqrt(s.b)
     mu_minus = -ratio if s.c1 >= 0 else ratio
     mu_plus = -ratio if s.c2 >= 0 else ratio
     return OptimalWitness(value=value, mu_minus=mu_minus, mu_plus=mu_plus)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import entr
 
 from cventangle import (
+    CovarianceMatrix,
     InvalidArgumentError,
     binary_entropy,
     bound_report,
@@ -13,8 +16,11 @@ from cventangle import (
     eof_lower_bound,
     swap_expectation_coherent_mixture,
     tangle_lower_bound,
+    tmsv_params,
     witness_photon_added_closed,
 )
+from cventangle.cli import evaluate_quantity
+from conftest import random_symplectic
 
 # full-precision chain values for the p = 0.6, alpha = +-1 mixture example
 MIXTURE_SWAP = 0.6 * (math.exp(-4.0) - 1.0) + 0.4          # -0.18901061666675945
@@ -141,3 +147,32 @@ class TestBoundReport:
         tangles = [tangle_lower_bound(w) for w in ws]
         for seq in (crens, concs, tangles):
             assert all(a >= b - 1e-15 for a, b in zip(seq, seq[1:]))
+
+
+class TestBoundsHeldToMeasures:
+    """The ``bounds`` record of pure TMSV against the measures it bounds, all
+    functions of its Schmidt coefficients (1 - t^2) t^{2k}, t = tanh r:
+    negativity e^{2r} - 1, concurrence sqrt(2 (1 - 1/cosh 2r)), EoF the
+    Schmidt entropy in bits, tangle the concurrence squared."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(r=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_tmsv_and_its_local_rotations(self, r, seed):
+        negativity = math.expm1(2 * r)
+        concurrence = math.sqrt(2 * (1 - 1 / math.cosh(2 * r)))
+        ch, sh = math.cosh(r) ** 2, math.sinh(r) ** 2
+        entropy = ch * math.log2(ch) - sh * math.log2(sh)
+        # the same state through raw_covariance, after local symplectics
+        rng = np.random.default_rng(seed)
+        S = np.zeros((4, 4))
+        S[:2, :2], S[2:, 2:] = random_symplectic(rng, 1), random_symplectic(rng, 1)
+        V = S @ tmsv_params(r).covariance().matrix @ S.T
+        plain = evaluate_quantity(tmsv_params(r), "bounds")
+        rotated = evaluate_quantity(CovarianceMatrix((V + V.T) / 2), "bounds")
+        assert abs(plain["crenLower"] / negativity - 1) <= 1e-12
+        for record in (plain, rotated):
+            # within 1e-12 relative, the error of the witness and SWAP paths
+            assert record["crenLower"] <= negativity * (1 + 1e-12)
+            assert record["concurrenceLower"] <= concurrence * (1 + 1e-12)
+            assert record["eofLower"] <= entropy * (1 + 1e-12)
+            assert record["tangleLower"] <= concurrence**2 * (1 + 1e-12)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,22 +290,24 @@ class TestEval:
             assert reference["value"] == 1.0 - record["norm"]
             assert reference["entangled"] == entangled
         else:
-            # the closed form of the same matrix entries; normError leaves out
-            # the rounding of the logarithms and of exp in g, about
-            # k u |ln g| of the norm with k = 2 (realignment.covariance_reduction)
+            # the closed form of the same matrix entries, within the raw
+            # normError, which takes in the rounding of g
             (a, _, c1, _), (_, _, _, c2) = doc["matrix"][0], doc["matrix"][1]
             closed = {"family": "standard2", "a": a, "b": a, "c1": c1, "c2": c2}
             reference = eval_record(closed, "realignment_norm", capsys)
-            log_exp = 2 * 2.0**-53 * math.log(a) * reference["norm"]
-            assert abs(record["norm"] - reference["norm"]) <= record["normError"] + log_exp
+            assert abs(record["norm"] - reference["norm"]) <= record["normError"]
             assert reference["verdict"] == record["verdict"]
 
-    def test_raw_record_reports_a_norm_error_that_underflows(self, capsys):
-        # norm (1/2)^4 / 1e310 is subnormal, and its error bound of about
-        # 1e-13 of it rounds to 0: the raw record still carries normError
-        doc = state_descriptor(CovarianceMatrix(1e155 * np.eye(8)))
+    def test_raw_record_bounds_a_subnormal_norm(self, capsys):
+        # norm (1/2)^4 / x^2, x = 1e155, is subnormal, and its relative error
+        # bound of about 1e-12 is below one ulp of it: normError still bounds
+        # the roundings below 2^-1022
+        x = 1e155
+        doc = state_descriptor(CovarianceMatrix(x * np.eye(8)))
         record = eval_record(doc, "realignment_norm", capsys)
-        assert record["normError"] == 0.0 and "a0" not in record
+        assert record["normError"] > 0.0 and "a0" not in record
+        exact = Fraction(1, 16) / Fraction(x) ** 2
+        assert Fraction(record["norm"]) - Fraction(record["normError"]) <= exact
         assert record["norm"] == pytest.approx(6.25e-312, rel=1e-9)
         assert record["verdict"] == "undetected"
 

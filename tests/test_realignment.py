@@ -319,6 +319,16 @@ class TestCanonicalRoute:
         assert record["norm"] == pytest.approx(reference["norm"], rel=1e-13)
         assert record["a0"] == pytest.approx(reference["a0"], rel=1e-13, abs=1e-320)
 
+    @pytest.mark.parametrize("V", [1e170 * tmsv_params(0.3).covariance().matrix,
+                                   1.7e308 * np.eye(4)], ids=["tmsv_1e170", "identity_1.7e308"])
+    def test_norm_error_takes_in_the_rounding_of_g(self, V):
+        # at |ln g| of about 390 and 710 the logarithms and exp in g round
+        # further than the Cholesky and SVD terms allow: norm - normError
+        # still lies below the exact norm of the stored entries
+        result = realignment_norm(CovarianceMatrix(V))
+        exact = exact_standard_form_norm(V[0, 0], V[2, 2], (V[0, 2], V[1, 3]))
+        assert mpmath.mpf(result.norm) - mpmath.mpf(result.norm_error) <= exact
+
     def test_blocks_past_the_float_range(self):
         # ||V_A||_F of 1.7e308 I2 overflows: the allowance is taken on the
         # rescaled blocks, so the product state is not refused as singular, and

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from cventangle import (
     tmsv_params,
     two_two_family,
 )
+from cventangle.states import family_named
 from cventangle.symplectic import PHYSICALITY_TOL, symplectic_form
 from conftest import (WignerSpec, is_ppt, moments_slice_integral, photon_added_sts_wigner,
                       random_standard_form, symplectic_eigenvalues, wigner_value)
@@ -354,21 +356,48 @@ class TestDescriptors:
         state = parse_state_descriptor(doc)
         assert parse_state_descriptor(state_descriptor(state)) == state
 
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(a=st.one_of(st.floats(0.25, 1e300), st.floats()),
-           b=st.one_of(st.floats(0.25, 1e300), st.floats()),
-           c=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.nan, math.inf, -math.inf]),
-                       st.floats()))
-    def test_two_two_roundtrip(self, a, b, c):
-        # a 2+2 state that builds survives its descriptor round trip; a
-        # non-finite a, b or c is refused when built, as the descriptor refuses it
-        valid = a >= 0.25 and b >= 0.25 and all(map(math.isfinite, (a, b, c)))
+    #: Real fields: small, large, any float, and values no descriptor decodes
+    REAL = st.one_of(st.floats(-1.0, 2.0), st.floats(0.25, 1e300), st.floats(),
+                     st.sampled_from([math.nan, math.inf, -math.inf, True, False, "1", 10**400]))
+    #: Where finite fields build a state (standard2's physicality is not restated)
+    BUILDS = {"two_two": lambda f: f["a"] >= 0.25 and f["b"] >= 0.25,
+              "photon_added_sts": lambda f: f["n"] >= 0.0 and f["r"] >= 0.0,
+              "coherent_mixture": lambda f: 0.0 <= f["p"] <= 1.0}
+
+    @pytest.mark.parametrize("family", ["standard2", "two_two", "photon_added_sts",
+                                        "coherent_mixture"])
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_family_roundtrip(self, family, data):
+        # a state that builds survives its descriptor's JSON round trip; a
+        # field that is not a finite real number is refused when built, as
+        # the descriptor refuses it (errors.real_field)
+        cls = family_named(family).cls
+        fields = {name: data.draw(self.REAL, label=name) for name in family_named(family).fields
+                  if name not in ("alpha1", "alpha2")}
+        if family == "coherent_mixture":
+            fields.update(alpha1=1.0, alpha2=-1.0)
+        real = all(type(v) is float and math.isfinite(v) for v in fields.values())
         try:
-            state = TwoTwoFamilyParams(a, b, c)
+            state = cls(**fields)
         except InvalidArgumentError:
-            assert not valid
+            assert not (real and family in self.BUILDS and self.BUILDS[family](fields))
             return
-        assert valid and parse_state_descriptor(state_descriptor(state)) == state
+        assert real
+        assert parse_state_descriptor(json.loads(json.dumps(state_descriptor(state)))) == state
+
+    @pytest.mark.parametrize("build", [
+        lambda: PhotonAddedSqueezedThermal(0.5, math.inf),
+        lambda: PhotonAddedSqueezedThermal("1", 0.5),
+        lambda: TwoModeStandardForm(True, 1, 0, 0),
+        lambda: TwoModeStandardForm(0.5, 0.5, math.nan, 0.0),
+        lambda: TwoTwoFamilyParams(1.0, 1.0, "0.5"),
+        lambda: CoherentMixture(True, 1.0, -1.0),
+    ], ids=["photon-added-inf-r", "photon-added-str-n", "standard2-bool-a", "standard2-nan-c1",
+            "two-two-str-c", "mixture-bool-p"])
+    def test_constructors_refuse_what_descriptors_refuse(self, build):
+        with pytest.raises(InvalidArgumentError, match="must be a finite number"):
+            build()
 
     @pytest.mark.parametrize("a,b,c", [(1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
                                        (1.0, 1.0, -math.inf), (math.inf, 1.0, 0.0),

@@ -176,6 +176,25 @@ class TestOptimalWitness:
             assert abs(opt.value - 2 * n / (1 + 2 * n)) < 1e-12
             assert opt.value >= -1e-10
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(a=st.one_of(st.sampled_from([0.25, 1.7e308]),
+                       st.floats(math.log(0.25), math.log(1.7e308)).map(math.exp)),
+           b=st.one_of(st.sampled_from([0.25, 1.7e308]),
+                       st.floats(math.log(0.25), math.log(1.7e308)).map(math.exp)),
+           f1=st.floats(-0.99, 0.99), f2=st.floats(-0.99, 0.99))
+    def test_mu_is_sqrt_a_over_b_at_every_scale(self, a, b, f1, f2):
+        # |mu-+| = sqrt(a/b) within 2 ulp from 1/4 to 1.7e308, signs opposing
+        # c1, c2; |c_i| below sqrt((a - 1/4)(b - 1/4)) keeps V >= I/4, physical
+        a, b = min(max(a, 0.25), 1.7e308), min(max(b, 0.25), 1.7e308)
+        room = math.sqrt(a - 0.25) * math.sqrt(b - 0.25)
+        s = TwoModeStandardForm(a, b, f1 * room, f2 * room)
+        opt = optimal_witness(s)
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(mpmath.mpf(a) / mpmath.mpf(b))
+        for mu, c in ((opt.mu_minus, s.c1), (opt.mu_plus, s.c2)):
+            assert math.isfinite(mu) and (mu < 0) == (c >= 0)
+            assert abs(abs(mu) - exact) <= 2 * math.ulp(float(exact))
+
     def test_singular_limit(self):
         class Fake:
             a, b, c1, c2 = 0.5, 0.5, 0.5, 0.0
@@ -516,12 +535,18 @@ class TestCoherentMixture:
     ENTRY_POINTS = (CoherentMixture, lambda *a: coherent_mixture_fock(*a, 8),
                     witness_coherent_mixture_closed, swap_expectation_coherent_mixture)
 
-    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan, math.inf])
-    def test_every_mixture_entry_point_refuses_p_alike(self, p):
+    @pytest.mark.parametrize("p,message", [
+        (1.5, "mixing probability must lie in [0, 1], got 1.5"),
+        (-0.1, "mixing probability must lie in [0, 1], got -0.1"),
+        *[(bad, f"field 'p' must be a finite number, got {bad!r}")
+          for bad in (math.nan, math.inf, True, "0.5")],
+    ])
+    def test_every_mixture_entry_point_refuses_p_alike(self, p, message):
+        # p is read as the descriptor reads it (errors.real_field), then ranged
         for call in self.ENTRY_POINTS:
             with pytest.raises(InvalidArgumentError) as info:
                 call(p, 1.0, -1.0)
-            assert str(info.value) == f"mixing probability must lie in [0, 1], got {p}"
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("alpha1,alpha2", [
         (math.inf, math.inf), (math.nan, 0.0), (complex(math.nan, 0.0), 0.0),
